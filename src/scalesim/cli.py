@@ -11,7 +11,7 @@ from pathlib import Path
 from .errors import InvariantViolation, ScenarioError, SimulationError
 from .metrics import compare_runs, write_comparison
 from .runner import OUTPUT_FILES, run_scenario
-from .scenario import load_scenario
+from .scenario import CONTROLLERS, load_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -20,7 +20,7 @@ EXIT_INVARIANT = 3
 
 def _load(args: argparse.Namespace):
     config = load_scenario(args.scenario)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         config = replace(config, seed=args.seed)
     if getattr(args, "controller", None):
         config = replace(config, controller=args.controller)
@@ -65,9 +65,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     seeds = _parse_seeds(args.seeds)
-    config = load_scenario(args.scenario)
-    if getattr(args, "controller", None):
-        config = replace(config, controller=args.controller)
+    config = _load(args)
     for seed in seeds:
         seeded = replace(config, seed=seed)
         out = Path(args.out) / f"{config.scenario_id}-seed{seed}"
@@ -104,14 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", required=True)
     run.add_argument("--out", required=True)
     run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    run.add_argument("--controller", choices=["mas_h2", "hpa_ca"], default=None,
+    run.add_argument("--controller", choices=CONTROLLERS, default=None,
                      help="override the scenario controller")
     run.set_defaults(func=_cmd_run)
 
     validate = sub.add_parser("validate", help="parse and validate a scenario file")
     validate.add_argument("--scenario", required=True)
     validate.add_argument("--seed", type=int, default=None)
-    validate.add_argument("--controller", choices=["mas_h2", "hpa_ca"], default=None)
+    validate.add_argument("--controller", choices=CONTROLLERS, default=None)
     validate.set_defaults(func=_cmd_validate)
 
     compare = sub.add_parser("compare", help="compare two completed run directories")
@@ -124,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--scenario", required=True)
     sweep.add_argument("--out", required=True)
     sweep.add_argument("--seeds", required=True, help="e.g. 1..5 or 1,2,7")
-    sweep.add_argument("--controller", choices=["mas_h2", "hpa_ca"], default=None)
+    sweep.add_argument("--controller", choices=CONTROLLERS, default=None)
     sweep.set_defaults(func=_cmd_sweep)
     return parser
 

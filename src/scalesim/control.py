@@ -8,6 +8,9 @@ that change node pool run a two-phase make-before-break migration.
 ReactiveController is the fast baseline: a horizontal pod autoscaler driven by
 observed utilization against a target, plus a cluster autoscaler that adds a
 node when pods sit unschedulable and removes nodes idle for too long.
+
+Both implement the Controller protocol, the only face the runner sees;
+make_controller picks the class a scenario names.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import TYPE_CHECKING, ClassVar, Iterable, Protocol
 
-from .engine import ClusterState, NodeState, PodState
+from .engine import ClusterState, EventKind, NodeState, PodState, SimEvent
 from .forecasting import (
     MovingAverage,
     Naive,
@@ -26,6 +30,7 @@ from .forecasting import (
     forecast,
     smoothed_history,
 )
+from .knobs import check_knobs, knob
 from .planning import (
     NodePlan,
     PodPlan,
@@ -36,6 +41,9 @@ from .planning import (
     plan_replicas,
 )
 from .workload import DemandTrace
+
+if TYPE_CHECKING:
+    from .scenario import ScenarioConfig
 
 
 @dataclass
@@ -87,33 +95,33 @@ class MigrationState:
 
 @dataclass
 class HpaConfig:
-    target_utilization: Fraction = Fraction(4, 5)
-    min_replicas: int = 1
-    max_replicas: int = 20
-    scale_down_stabilization: int = 300
-    tick_interval: int = 15
-    saturation_ceiling: Fraction = Fraction(11, 10)
-    ca_trigger_delay: int = 30
-    ca_idle_delay: int = 600
+    target_utilization: Fraction = knob(Fraction(4, 5), gt=0, le=1)
+    min_replicas: int = knob(1, ge=1)       # from 0 running pods the HPA never scales up
+    max_replicas: int = knob(20, ge=1)
+    scale_down_stabilization: int = knob(300, ge=0)
+    tick_interval: int = knob(15, gt=0)
+    # Caps observed utilization. Below 1 it would clip pods that are not
+    # saturated; at or below target_utilization the HPA could never scale up.
+    saturation_ceiling: Fraction = knob(Fraction(11, 10), ge=1)
+    ca_trigger_delay: int = knob(30, ge=0)
+    ca_idle_delay: int = knob(600, ge=0)
+    pool: str = knob("")                    # "" -> the first pool, resolved at parse time
 
     def __post_init__(self) -> None:
-        if not 0 < self.target_utilization <= 1:
-            raise ValueError("target_utilization must be in (0, 1]")
-        if self.min_replicas > self.max_replicas:
-            raise ValueError("min_replicas must not exceed max_replicas")
+        check_knobs(self)
 
 
 @dataclass
 class MasConfig:
-    control_interval: int = 300
-    horizon: int | None = None              # None -> control_interval
-    smoothing_half_life: int = 30
-    forecaster: str = "seasonal_peak"       # naive | moving_average | seasonal_peak
-    moving_average_window: int = 60
-    seasonal_quantile: float = 0.95
-    seasonal_period: int | None = None      # None -> autocorrelation detection
-    period_min_lag: int = 60
-    period_min_correlation: float = 0.5
+    control_interval: int = knob(300, gt=0)
+    horizon: int | None = knob(None, gt=0)             # None -> control_interval
+    smoothing_half_life: int = knob(30, gt=0)
+    forecaster: str = knob("seasonal_peak", choices=("naive", "moving_average", "seasonal_peak"))
+    moving_average_window: int = knob(60, gt=0)
+    seasonal_quantile: float = knob(0.95, gt=0, le=1)
+    seasonal_period: int | None = knob(None, gt=0)     # None -> autocorrelation detection
+    period_min_lag: int = knob(60, ge=1)
+    period_min_correlation: float = knob(0.5, ge=-1, le=1)   # a Pearson threshold
 
 
 @dataclass
@@ -133,13 +141,45 @@ class ControllerDecision:
     actions: list[Action] = field(default_factory=list)
 
 
-def _terminate_order(pods: list) -> list:
-    """Victim order for shrinking a workload: Pending pods first, then the
-    youngest bound pods."""
-    return sorted(pods, key=lambda p: (0 if p.state is PodState.PENDING else 1, -p.creation_seq))
+_ALIVE = (PodState.PENDING, PodState.STARTING, PodState.RUNNING)
+
+
+def _shrink(state: ClusterState, pods: Iterable, count: int) -> int:
+    """Terminate up to `count` of the alive `pods`: Pending pods first, then
+    the youngest bound pods. Returns how many were terminated."""
+    victims = sorted(
+        (p for p in pods if p.state in _ALIVE),
+        key=lambda p: (0 if p.state is PodState.PENDING else 1, -p.creation_seq),
+    )[:count]
+    for pod in victims:
+        state.terminate_pod(pod.pod_id)
+    return len(victims)
+
+
+class Controller(Protocol):
+    """All the runner knows of a controller. `initial` gives the pool to
+    schedule onto at t=0 and the replicas to create there: the configured
+    count, or the controller's own floor for None. `on_event` sees every fired
+    event and may return a decision-log record. `active_floor` is the replica
+    floor that a migration must hold, and None outside migrations."""
+
+    name: ClassVar[str]
+    desired: dict[str, int]             # replicas asked for, per workload
+    completed_migrations: list[dict]
+    migrating: bool
+
+    @classmethod
+    def from_config(cls, config: ScenarioConfig, trace: DemandTrace) -> Controller: ...
+    def initial(self, replicas: int | None) -> tuple[str, int]: ...
+    def tick_times(self, duration: int) -> range: ...
+    def tick(self, state: ClusterState, now: int) -> ControllerDecision: ...
+    def on_event(self, state: ClusterState, ev: SimEvent) -> dict | None: ...
+    def active_floor(self) -> dict[str, int] | None: ...
 
 
 class HierarchicalController:
+    name = "mas_h2"
+
     def __init__(
         self,
         policies: dict[str, Policy],
@@ -158,16 +198,39 @@ class HierarchicalController:
         self.migration = MigrationState()
         self.desired: dict[str, int] = {}
         self.completed_migrations: list[dict] = []
-        self._current_policy_name = schedule.default_policy
         # The pool the managed workload lives on (or is migrating onto);
         # a dequeued switch compares against this, not the schedule.
         self._active_pool = policies[schedule.default_policy].node_pool
+
+    @classmethod
+    def from_config(cls, config: ScenarioConfig, trace: DemandTrace) -> HierarchicalController:
+        return cls(config.policies, config.schedule, {config.workload_id: trace},
+                   {config.workload_id: config.pod_request}, config.other_requests, config.mas)
+
+    def initial(self, replicas: int | None) -> tuple[str, int]:
+        policy = self.policies[self.schedule.active_at(0)]
+        return policy.node_pool, policy.min_replicas if replicas is None else replicas
+
+    def tick_times(self, duration: int) -> range:
+        return range(0, duration + 1, self.config.control_interval)
+
+    def on_event(self, state: ClusterState, ev: SimEvent) -> dict | None:
+        record = None
+        if ev.kind is EventKind.POLICY_SWITCH:
+            switch = self.on_policy_switch(state, ev.fire_at, ev.payload["policy"])
+            record = {"event": "policy_switch", **switch}
+        if self.migrating:
+            self.advance_migration(state, ev.fire_at)
+        return record
+
+    @property
+    def migrating(self) -> bool:
+        return self.migration.phase is not MigrationPhase.IDLE
 
     # ----------------------------------------------------------------- ticks
 
     def tick(self, state: ClusterState, now: int) -> ControllerDecision:
         policy = self.policies[self.schedule.active_at(now)]
-        self._current_policy_name = policy.name
         state.preferred_pool_id = policy.node_pool
         deferred = self.migration.phase is not MigrationPhase.IDLE
         phases: list[dict] = [
@@ -186,7 +249,9 @@ class HierarchicalController:
             raw = [(t, float(d)) for t, d in history]
             smoothed = smoothed_history(raw, self.config.smoothing_half_life)
             kind, basis = self._forecaster_for(raw, smoothed)
-            fc = forecast(kind, basis, now, self.config.horizon or self.config.control_interval)
+            horizon = self.config.horizon
+            fc = forecast(kind, basis, now,
+                          self.config.control_interval if horizon is None else horizon)
             plan = plan_replicas(
                 fc.peak_demand_millicores, self.pod_requests[workload_id], policy, workload_id
             )
@@ -200,7 +265,7 @@ class HierarchicalController:
             })
         phases.append({"phase": "workload-planning", "plans": wpa})
 
-        decision = ControllerDecision(tick_at=now, controller="mas_h2", phases=phases,
+        decision = ControllerDecision(tick_at=now, controller=self.name, phases=phases,
                                       pod_plans=plans)
         if not plans:
             phases.append({"phase": "node-planning", "skipped": "no plans"})
@@ -264,12 +329,7 @@ class HierarchicalController:
             for _ in range(delta):
                 state.create_pod(workload_id, self.pod_requests[workload_id])
         else:
-            victims = _terminate_order([
-                p for p in state.pods_of(workload_id)
-                if p.state in (PodState.PENDING, PodState.STARTING, PodState.RUNNING)
-            ])
-            for pod in victims[: -delta]:
-                state.terminate_pod(pod.pod_id)
+            _shrink(state, state.pods_of(workload_id), -delta)
 
     # ------------------------------------------------------------- migration
 
@@ -278,7 +338,6 @@ class HierarchicalController:
         if self.migration.phase is not MigrationPhase.IDLE:
             self.migration.pending_switch = new_policy_name
             return {"t": now, "switch": new.name, "migration": "queued (switch in flight)"}
-        self._current_policy_name = new.name
         if new.node_pool == self._active_pool:
             return {"t": now, "switch": new.name, "migration": "none (same pool)"}
         return self._begin_migration(state, now, self._active_pool, new)
@@ -306,10 +365,7 @@ class HierarchicalController:
             target_nodes=node_plan.required_nodes,
             floor=floor,
             old_pods={
-                w: [
-                    p.pod_id for p in state.pods_of(w)
-                    if p.state in (PodState.PENDING, PodState.STARTING, PodState.RUNNING)
-                ]
+                w: [p.pod_id for p in state.pods_of(w) if p.state in _ALIVE]
                 for w in sorted(floor)
             },
         )
@@ -345,8 +401,7 @@ class HierarchicalController:
         if mig.phase is MigrationPhase.MIGRATING_WORKLOAD:
             self._handoff_replicas(state)
             still_old = any(
-                state.pods[pid].state
-                in (PodState.PENDING, PodState.STARTING, PodState.RUNNING)
+                state.pods[pid].state in _ALIVE
                 for pods in mig.old_pods.values()
                 for pid in pods
             )
@@ -378,15 +433,11 @@ class HierarchicalController:
         to_release = running_new - mig.terminated_old
         if to_release <= 0:
             return
-        alive_old = _terminate_order([
-            state.pods[pid]
-            for pods in mig.old_pods.values()
-            for pid in pods
-            if state.pods[pid].state in (PodState.PENDING, PodState.STARTING, PodState.RUNNING)
-        ])
-        for pod in alive_old[:to_release]:
-            state.terminate_pod(pod.pod_id)
-            mig.terminated_old += 1
+        mig.terminated_old += _shrink(
+            state,
+            (state.pods[pid] for pods in mig.old_pods.values() for pid in pods),
+            to_release,
+        )
 
     def _residual_old_pool_nodes(self, state: ClusterState) -> int:
         old_pool = state.pools[self.migration.from_pool]
@@ -401,7 +452,6 @@ class HierarchicalController:
         return pack_ffd(unmanaged, old_pool.node_capacity_millicores).required_nodes
 
     def active_floor(self) -> dict[str, int] | None:
-        """Replica floor that must hold right now, or None outside migrations."""
         if self.migration.phase is MigrationPhase.IDLE:
             return None
         return dict(self.migration.floor)
@@ -409,6 +459,9 @@ class HierarchicalController:
 
 class ReactiveController:
     """HPA + cluster-autoscaler baseline, ticking on a fast fixed cadence."""
+
+    name = "hpa_ca"
+    migrating = False
 
     def __init__(
         self,
@@ -422,13 +475,31 @@ class ReactiveController:
         self.pool_id = pool_id
         self.config = config
         self.desired: dict[str, int] = {}
+        self.completed_migrations: list[dict] = []
         self._below_since: dict[str, int | None] = {w: None for w in traces}
         self._empty_since: dict[str, int] = {}
+
+    @classmethod
+    def from_config(cls, config: ScenarioConfig, trace: DemandTrace) -> ReactiveController:
+        return cls({config.workload_id: trace}, {config.workload_id: config.pod_request},
+                   config.hpa.pool, config.hpa)
+
+    def initial(self, replicas: int | None) -> tuple[str, int]:
+        return self.pool_id, self.config.min_replicas if replicas is None else replicas
+
+    def tick_times(self, duration: int) -> range:
+        return range(0, duration, self.config.tick_interval)
+
+    def on_event(self, state: ClusterState, ev: SimEvent) -> None:
+        return None
+
+    def active_floor(self) -> None:
+        return None
 
     def tick(self, state: ClusterState, now: int) -> ControllerDecision:
         cfg = self.config
         phases: list[dict] = []
-        decision = ControllerDecision(tick_at=now, controller="hpa_ca", phases=phases)
+        decision = ControllerDecision(tick_at=now, controller=self.name, phases=phases)
 
         hpa_records = []
         for workload_id in sorted(self.traces):
@@ -437,10 +508,8 @@ class ReactiveController:
             running = state.running_replicas(workload_id)
             current = state.replicas(workload_id)
             request = self.pod_requests[workload_id]
-            if running > 0:
-                utilization = min(Fraction(demand, running * request), cfg.saturation_ceiling)
-            else:
-                utilization = Fraction(0)
+            utilization = (min(Fraction(demand, running * request), cfg.saturation_ceiling)
+                           if running else Fraction(0))
             # Pods without a node yet report no usage, so the scale-up basis
             # is the running count; the result reconciles the full replica set.
             desired = math.ceil(running * utilization / cfg.target_utilization)
@@ -454,15 +523,9 @@ class ReactiveController:
             elif desired < current:
                 since = self._below_since[workload_id]
                 if since is None:
-                    since = now
-                    self._below_since[workload_id] = now
+                    since = self._below_since[workload_id] = now
                 if now - since >= cfg.scale_down_stabilization:
-                    victims = _terminate_order([
-                        p for p in state.pods_of(workload_id)
-                        if p.state in (PodState.PENDING, PodState.STARTING, PodState.RUNNING)
-                    ])
-                    for pod in victims[: current - desired]:
-                        state.terminate_pod(pod.pod_id)
+                    _shrink(state, state.pods_of(workload_id), current - desired)
                     self._below_since[workload_id] = None
                     applied = desired
             else:
@@ -480,18 +543,16 @@ class ReactiveController:
             })
         phases.append({"phase": "hpa", "workloads": hpa_records})
 
-        ca_record = self._cluster_autoscaler(state, now)
-        for action in ca_record.pop("_actions"):
-            decision.actions.append(action)
-        phases.append({"phase": "ca", **ca_record})
+        phases.append({"phase": "ca", **self._cluster_autoscaler(state, now, decision.actions)})
         state.schedule_pending_pods()
         return decision
 
-    def _cluster_autoscaler(self, state: ClusterState, now: int) -> dict:
+    def _cluster_autoscaler(self, state: ClusterState, now: int, actions: list[Action]) -> dict:
+        """Add or remove a node when due, appending to `actions`; returns the
+        decision-log record."""
         cfg = self.config
         pool = state.pools[self.pool_id]
-        actions: list[Action] = []
-        record: dict = {"_actions": actions}
+        record: dict = {}
 
         pending_ages = [
             now - p.pending_since
@@ -522,3 +583,13 @@ class ReactiveController:
             actions.append(Action("nodes", self.pool_id, -1))
             record["removed_idle_node"] = True
         return record
+
+
+CONTROLLER_TYPES: dict[str, type[Controller]] = {
+    c.name: c for c in (HierarchicalController, ReactiveController)
+}
+
+
+def make_controller(config: ScenarioConfig, trace: DemandTrace) -> Controller:
+    """The controller the scenario names, built from its config."""
+    return CONTROLLER_TYPES[config.controller].from_config(config, trace)

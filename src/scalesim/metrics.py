@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
 from .engine import ClusterState, NodeState, PodState
+from .knobs import check_knobs, knob
 from .planning import Policy
 
 MICRO = 1_000_000
@@ -31,12 +32,15 @@ class CostModel:
 
 @dataclass
 class Normalizers:
-    perf_scale: float = 1.0
-    cost_scale: float = 5.0   # units/second that count as "full" cost pressure
+    perf_scale: float = knob(1.0, gt=0)
+    cost_scale: float = knob(5.0, gt=0)   # units/second that count as "full" cost pressure
 
     def __post_init__(self) -> None:
-        if self.perf_scale <= 0 or self.cost_scale <= 0:
-            raise ValueError("normalizers must be positive")
+        check_knobs(self)
+
+
+# Node states counted per pool, in the order of a nodes_by_pool tuple.
+_NODE_STATES = (NodeState.PROVISIONING, NodeState.READY, NodeState.DRAINING)
 
 
 @dataclass
@@ -129,22 +133,17 @@ class Observer:
             running_capacity += n * request
         pending = sum(1 for p in state.pods.values() if p.state is PodState.PENDING)
 
-        if running_capacity > 0:
-            utilization = min(
-                Fraction(demand, running_capacity), self.saturation_ceiling
-            )
-        else:
-            utilization = Fraction(0)
+        utilization = (min(Fraction(demand, running_capacity), self.saturation_ceiling)
+                       if running_capacity > 0 else Fraction(0))
 
         bound_requests = 0
         ready_capacity = 0
         nodes_by_pool: dict[str, tuple[int, int, int]] = {}
         for pool_id in state.pool_order:
             pool = state.pools[pool_id]
-            prov = sum(1 for n in pool.nodes if n.state is NodeState.PROVISIONING)
-            ready = sum(1 for n in pool.nodes if n.state is NodeState.READY)
-            drain = sum(1 for n in pool.nodes if n.state is NodeState.DRAINING)
-            nodes_by_pool[pool_id] = (prov, ready, drain)
+            nodes_by_pool[pool_id] = tuple(
+                sum(1 for n in pool.nodes if n.state is s) for s in _NODE_STATES
+            )
             for node in pool.ready_nodes():
                 ready_capacity += pool.node_capacity_millicores
                 bound_requests += sum(
@@ -174,43 +173,46 @@ class Observer:
 
 # --------------------------------------------------------------------- files
 
+# metrics.csv columns in order: a MetricSample attribute and its type (floats
+# are written with 6 decimals). nodes_by_pool expands to one column per pool
+# and node state.
+_COLUMNS = {
+    "t": int,
+    "demand_millicores": int,
+    "running_replicas": int,
+    "pending_pods": int,
+    "nodes_by_pool": None,
+    "utilization": float,
+    "cpu_waste_millicores": int,
+    "cumulative_pod_cost": int,
+    "cumulative_node_cost": int,
+    "packing_efficiency": float,
+    "utility": float,
+}
+
+
 def metrics_header(pool_order: list[str]) -> list[str]:
-    cols = ["t", "demand_millicores", "running_replicas", "pending_pods"]
-    for pool_id in pool_order:
-        cols += [
-            f"nodes_{pool_id}_provisioning",
-            f"nodes_{pool_id}_ready",
-            f"nodes_{pool_id}_draining",
-        ]
-    cols += [
-        "utilization",
-        "cpu_waste_millicores",
-        "cumulative_pod_cost",
-        "cumulative_node_cost",
-        "packing_efficiency",
-        "utility",
-    ]
+    cols = []
+    for name, typ in _COLUMNS.items():
+        if typ is None:
+            cols += [f"nodes_{p}_{s.value.lower()}" for p in pool_order for s in _NODE_STATES]
+        else:
+            cols.append(name)
     return cols
 
 
+def _cell(sample: MetricSample, name: str) -> str:
+    value = getattr(sample, name)
+    return f"{value:.6f}" if _COLUMNS[name] is float else str(value)
+
+
 def sample_row(sample: MetricSample, pool_order: list[str]) -> list[str]:
-    row = [
-        str(sample.t),
-        str(sample.demand_millicores),
-        str(sample.running_replicas),
-        str(sample.pending_pods),
-    ]
-    for pool_id in pool_order:
-        prov, ready, drain = sample.nodes_by_pool[pool_id]
-        row += [str(prov), str(ready), str(drain)]
-    row += [
-        f"{sample.utilization:.6f}",
-        str(sample.cpu_waste_millicores),
-        str(sample.cumulative_pod_cost),
-        str(sample.cumulative_node_cost),
-        f"{sample.packing_efficiency:.6f}",
-        f"{sample.utility:.6f}",
-    ]
+    row = []
+    for name, typ in _COLUMNS.items():
+        if typ is None:
+            row += [str(n) for p in pool_order for n in sample.nodes_by_pool[p]]
+        else:
+            row.append(_cell(sample, name))
     return row
 
 
@@ -226,34 +228,20 @@ def read_metrics_csv(path: Path) -> tuple[list[str], list[MetricSample]]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        pool_order = sorted(
-            {c[len("nodes_"):-len("_ready")] for c in header if c.endswith("_ready")},
-            key=lambda p: header.index(f"nodes_{p}_provisioning"),
-        )
+        pool_order = [
+            c[len("nodes_"):-len("_provisioning")]
+            for c in header if c.startswith("nodes_") and c.endswith("_provisioning")
+        ]
         samples = []
         for row in reader:
             vals = dict(zip(header, row))
-            nodes = {
-                p: (
-                    int(vals[f"nodes_{p}_provisioning"]),
-                    int(vals[f"nodes_{p}_ready"]),
-                    int(vals[f"nodes_{p}_draining"]),
-                )
-                for p in pool_order
-            }
-            samples.append(MetricSample(
-                t=int(vals["t"]),
-                demand_millicores=int(vals["demand_millicores"]),
-                running_replicas=int(vals["running_replicas"]),
-                pending_pods=int(vals["pending_pods"]),
-                nodes_by_pool=nodes,
-                utilization=float(vals["utilization"]),
-                cpu_waste_millicores=int(vals["cpu_waste_millicores"]),
-                cumulative_pod_cost=int(vals["cumulative_pod_cost"]),
-                cumulative_node_cost=int(vals["cumulative_node_cost"]),
-                packing_efficiency=float(vals["packing_efficiency"]),
-                utility=float(vals["utility"]),
-            ))
+            samples.append(MetricSample(**{
+                name: typ(vals[name]) if typ else {
+                    p: tuple(int(vals[f"nodes_{p}_{s.value.lower()}"]) for s in _NODE_STATES)
+                    for p in pool_order
+                }
+                for name, typ in _COLUMNS.items()
+            }))
     return header, samples
 
 
@@ -275,13 +263,6 @@ class RunSummary:
     utility_integral: float    # sum of per-sample utility x sampling interval
     migration_downtime: int    # seconds of capacity deficit during switches
     migrations: int
-    fields_order = [
-        "scenario_id", "controller", "seed", "duration",
-        "mean_utilization", "median_utilization", "p95_utilization", "max_utilization",
-        "max_replicas", "total_node_cost", "total_pod_cost",
-        "time_above_threshold", "utilization_threshold", "utility_integral",
-        "migration_downtime", "migrations",
-    ]
 
 
 def summarize(
@@ -321,19 +302,12 @@ def summarize(
 
 
 def write_summary(summary: RunSummary, path: Path) -> None:
-    lines = []
-    for name in RunSummary.fields_order:
-        lines.append(f"{name}: {getattr(summary, name)}")
+    lines = [f"{f.name}: {getattr(summary, f.name)}" for f in fields(RunSummary)]
     path.write_text("\n".join(lines) + "\n")
 
 
 def read_summary(path: Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for line in path.read_text().splitlines():
-        if ": " in line:
-            key, value = line.split(": ", 1)
-            out[key] = value
-    return out
+    return dict(line.split(": ", 1) for line in path.read_text().splitlines() if ": " in line)
 
 
 # ----------------------------------------------------------------- comparison
@@ -347,6 +321,10 @@ class ComparisonReport:
     aligned_rows: list[list[str]] = field(default_factory=list)
     aligned_header: list[str] = field(default_factory=list)
 
+
+# metrics.csv columns that comparison.csv puts side by side, run A then run B.
+_ALIGNED = ("utilization", "running_replicas", "pending_pods",
+            "cumulative_node_cost", "cumulative_pod_cost")
 
 _NUMERIC_SUMMARY_FIELDS = [
     "mean_utilization", "median_utilization", "p95_utilization", "max_utilization",
@@ -383,27 +361,12 @@ def compare_runs(run_a: Path, run_b: Path) -> ComparisonReport:
     _, samples_a = read_metrics_csv(run_a / "metrics.csv")
     _, samples_b = read_metrics_csv(run_b / "metrics.csv")
     by_t_b = {s.t: s for s in samples_b}
-    header = [
-        "t", "demand_millicores",
-        "utilization_a", "utilization_b",
-        "running_replicas_a", "running_replicas_b",
-        "pending_pods_a", "pending_pods_b",
-        "cumulative_node_cost_a", "cumulative_node_cost_b",
-        "cumulative_pod_cost_a", "cumulative_pod_cost_b",
+    header = ["t", "demand_millicores"] + [f"{n}_{run}" for n in _ALIGNED for run in "ab"]
+    rows = [
+        [str(sa.t), str(sa.demand_millicores)]
+        + [_cell(s, n) for n in _ALIGNED for s in (sa, by_t_b[sa.t])]
+        for sa in samples_a if sa.t in by_t_b
     ]
-    rows = []
-    for sa in samples_a:
-        sb = by_t_b.get(sa.t)
-        if sb is None:
-            continue
-        rows.append([
-            str(sa.t), str(sa.demand_millicores),
-            f"{sa.utilization:.6f}", f"{sb.utilization:.6f}",
-            str(sa.running_replicas), str(sb.running_replicas),
-            str(sa.pending_pods), str(sb.pending_pods),
-            str(sa.cumulative_node_cost), str(sb.cumulative_node_cost),
-            str(sa.cumulative_pod_cost), str(sb.cumulative_pod_cost),
-        ])
 
     lines = [
         f"run A: {summary_a['controller']} | run B: {summary_b['controller']} "

@@ -11,12 +11,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .control import (
-    ControllerDecision,
-    HierarchicalController,
-    MigrationPhase,
-    ReactiveController,
-)
+from .control import make_controller
 from .engine import ClusterState, EventKind, NodePool, SimEvent
 from .invariants import InvariantChecker
 from .metrics import (
@@ -30,7 +25,6 @@ from .metrics import (
     write_metrics_csv,
     write_summary,
 )
-from .planning import Policy
 from .scenario import ScenarioConfig
 
 OUTPUT_FILES = ("events.log", "decisions.log", "metrics.csv", "summary.txt")
@@ -65,12 +59,10 @@ class _DowntimeMeter:
     def advance(self, now: int, floor: dict[str, int] | None) -> None:
         dt = now - self._last_t
         self._last_t = now
-        if dt <= 0 or floor is None:
-            return
-        for workload_id, want in floor.items():
-            if self.state.running_replicas(workload_id) < want:
-                self.seconds += dt
-                return
+        if dt > 0 and floor is not None and any(
+            self.state.running_replicas(w) < want for w, want in floor.items()
+        ):
+            self.seconds += dt
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> RunResult:
@@ -78,13 +70,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
     duration = config.duration if config.duration is not None else trace.duration
 
     pools = [
-        NodePool(
-            pool_id=spec.pool_id,
-            machine_type=spec.machine_type,
-            node_capacity_millicores=spec.capacity,
-            cost_rate=spec.cost_rate,
-            provisioning_delay=spec.provisioning_delay,
-        )
+        NodePool(spec.pool_id, spec.machine_type, spec.capacity, spec.cost_rate,
+                 spec.provisioning_delay)
         for spec in config.pools
     ]
     state = ClusterState(pools, pod_startup_delay=config.pod_startup_delay)
@@ -92,55 +79,20 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
         for _ in range(spec.initial_nodes):
             state.add_ready_node(spec.pool_id)
 
-    traces = {config.workload_id: trace}
-    pod_requests = {config.workload_id: config.pod_request}
     schedule = config.schedule
-    active_policy: Policy = config.policies[schedule.active_at(0)]
-
-    mas: HierarchicalController | None = None
-    hpa: ReactiveController | None = None
-    if config.controller == "mas_h2":
-        mas = HierarchicalController(
-            policies=config.policies,
-            schedule=schedule,
-            traces=traces,
-            pod_requests=pod_requests,
-            other_requests=config.other_requests,
-            config=config.mas,
-        )
-        controller = mas
-        state.preferred_pool_id = active_policy.node_pool
-        initial = config.initial_replicas
-        if initial is None:
-            initial = active_policy.min_replicas
-        tick_times = range(0, duration + 1, config.mas.control_interval)
-    else:
-        # hpa_pool is empty when a scenario written for mas_h2 is run with a
-        # controller override; fall back to the first pool.
-        baseline_pool = config.hpa_pool or config.pools[0].pool_id
-        hpa = ReactiveController(
-            traces=traces,
-            pod_requests=pod_requests,
-            pool_id=baseline_pool,
-            config=config.hpa,
-        )
-        controller = hpa
-        state.preferred_pool_id = baseline_pool
-        initial = config.initial_replicas
-        if initial is None:
-            initial = config.hpa.min_replicas
-        tick_times = range(0, duration, config.hpa.tick_interval)
+    controller = make_controller(config, trace)
 
     # Unmanaged pods exist from the start and occupy whatever fits.
     for req in config.other_requests.items:
         state.create_pod(req.owner, req.millicores, pod_id=req.owner)
+    state.preferred_pool_id, initial = controller.initial(config.initial_replicas)
     for _ in range(initial):
         state.create_pod(config.workload_id, config.pod_request)
     controller.desired[config.workload_id] = initial
     state.schedule_pending_pods()
 
-    for t in tick_times:
-        state.enqueue(t, EventKind.CONTROL_TICK, {"controller": config.controller})
+    for t in controller.tick_times(duration):
+        state.enqueue(t, EventKind.CONTROL_TICK, {"controller": controller.name})
     for t, policy_name in schedule.entries:
         if t <= duration:
             state.enqueue(t, EventKind.POLICY_SWITCH, {"policy": policy_name})
@@ -156,7 +108,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
     )
     cost = CostAccumulator(cost_model)
     observer = Observer(
-        pod_requests=pod_requests,
+        pod_requests={config.workload_id: config.pod_request},
         cost=cost,
         normalizers=config.normalizers,
         saturation_ceiling=config.hpa.saturation_ceiling,
@@ -167,19 +119,11 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
     event_lines: list[str] = []
     decision_lines: list[str] = []
 
-    def record_decision(decision: ControllerDecision) -> None:
-        decision_lines.append(json.dumps({
-            "t": decision.tick_at,
-            "controller": decision.controller,
-            "phases": decision.phases,
-            "actions": [(a.kind, a.target, a.delta) for a in decision.actions],
-        }))
-
     while state.has_events() and state.peek_time() <= duration:
         t_next = state.peek_time()
         # Accrue costs and downtime at the rates that held before this event.
         cost.advance(state, t_next)
-        downtime.advance(t_next, mas.active_floor() if mas else None)
+        downtime.advance(t_next, controller.active_floor())
 
         ev = state.step()
         now = ev.fire_at
@@ -191,29 +135,25 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
                 active_policy = config.policies[schedule.active_at(now)]
                 observer.observe(state, demand, active_policy, now)
             else:
-                record_decision(controller.tick(state, now))
-        elif ev.kind is EventKind.POLICY_SWITCH:
-            if mas is not None:
-                record = mas.on_policy_switch(state, now, ev.payload["policy"])
-                decision_lines.append(json.dumps({"event": "policy_switch", **record}))
-
-        if mas is not None and mas.migration.phase is not MigrationPhase.IDLE:
-            mas.advance_migration(state, now)
+                decision = controller.tick(state, now)
+                decision_lines.append(json.dumps({
+                    "t": decision.tick_at,
+                    "controller": decision.controller,
+                    "phases": decision.phases,
+                    "actions": [(a.kind, a.target, a.delta) for a in decision.actions],
+                }))
+        record = controller.on_event(state, ev)
+        if record is not None:
+            decision_lines.append(json.dumps(record))
 
         event_lines.append(format_event(ev))
-        checker.check(
-            state,
-            desired=controller.desired,
-            migration_active=(
-                mas is not None and mas.migration.phase is not MigrationPhase.IDLE
-            ),
-        )
+        checker.check(state, desired=controller.desired, migration_active=controller.migrating)
         checker.check_costs(cost.node_cost, cost.pod_cost)
 
     cost.advance(state, duration)
-    downtime.advance(duration, mas.active_floor() if mas else None)
+    downtime.advance(duration, controller.active_floor())
 
-    migrations = mas.completed_migrations if mas else []
+    migrations = controller.completed_migrations
     summary = summarize(
         scenario_id=config.scenario_id,
         controller=config.controller,

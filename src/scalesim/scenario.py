@@ -1,5 +1,7 @@
 """Scenario files: a flat key = value format with dotted groups.
 
+Every key is a knob declared once, on the dataclass field that holds it, with
+its type, default and allowed range (see knobs.py); KNOBS lists them all.
 Unknown keys are hard errors, and every parse or validation error names the
 offending field and line. See docs/scenario-format.md for the annotated
 reference example.
@@ -7,12 +9,13 @@ reference example.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+import math
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
-from .control import HpaConfig, MasConfig, StrategicSchedule
+from .control import CONTROLLER_TYPES, HpaConfig, MasConfig, StrategicSchedule
 from .errors import ScenarioError
+from .knobs import Range, declared, knob
 from .metrics import Normalizers
 from .planning import Policy, RequestSet
 from .workload import (
@@ -22,76 +25,125 @@ from .workload import (
     build_trace,
     build_flash_sale_trace,
     build_heartbeat_trace,
-    FLASH_SALE_NOISY_PHASES,
 )
 
 WORKLOADS = ("heartbeat", "flash_sale", "custom")
-CONTROLLERS = ("mas_h2", "hpa_ca")
+CONTROLLERS = tuple(CONTROLLER_TYPES)
 
 
 @dataclass
 class PoolSpec:
     pool_id: str
-    machine_type: str = "e2-medium"
-    capacity: int = 1000
-    cost_rate: float = 1.0
-    provisioning_delay: int = 120
-    initial_nodes: int = 0
+    machine_type: str = knob("e2-medium")
+    capacity: int = knob(1000, gt=0)              # millicores per node
+    cost_rate: float = knob(1.0, ge=0)            # currency units per node-second
+    provisioning_delay: int = knob(120, ge=0)     # seconds from resize to Ready
+    initial_nodes: int = knob(0, ge=0)
+
+
+@dataclass
+class PolicySpec:
+    """The policy.<name>.* knobs, from which the planner's Policy is built."""
+
+    pool: str = knob()
+    min_replicas: int = knob(1, ge=1)
+    w_perf: float | None = knob(None, ge=0, le=1)   # None -> 1 - w_cost (both unset: 0.5)
+    w_cost: float | None = knob(None, ge=0, le=1)   # None -> 1 - w_perf (both unset: 0.5)
+
+    def policy(self, name: str, pools: dict[str, PoolSpec]) -> Policy:
+        w_perf, w_cost = self.w_perf, self.w_cost
+        if w_perf is None:
+            w_perf = 0.5 if w_cost is None else round(1.0 - w_cost, 9)
+        if w_cost is None:
+            w_cost = round(1.0 - w_perf, 9)
+        return Policy(
+            name, self.pool, pools[self.pool].capacity, self.min_replicas, w_perf, w_cost
+        )
+
+
+@dataclass
+class PhaseSpec:
+    """The phase.<n>.* knobs of a custom workload."""
+
+    duration: int = knob(ge=0)                    # seconds
+    target_vus: int = knob(ge=0)
+    ramp: str = knob("linear", choices=("linear", "step"))
+    noisy: bool = knob(False)                     # apply noise_amplitude inside this phase
 
 
 @dataclass
 class ScenarioConfig:
     scenario_id: str
-    workload: str
-    controller: str
-    seed: int = 1
-    vu_cost: float = 2.0
-    noise_amplitude: float | None = None   # None -> workload's own default
-    pod_request: int = 250
-    workload_id: str = "web"
-    pod_startup_delay: int = 10
-    sampling_interval: int = 5
-    duration: int | None = None
-    initial_replicas: int | None = None
-    pod_cost_rate: float = 0.1
+    workload: str = knob(choices=WORKLOADS)
+    controller: str = knob(choices=CONTROLLERS)
+    seed: int = knob(1)
+    vu_cost: float = knob(2.0, gt=0)
+    noise_amplitude: float | None = knob(None, ge=0, lt=1)   # None -> workload's own default
+    pod_request: int = knob(250, gt=0)
+    workload_id: str = knob("web")
+    pod_startup_delay: int = knob(10, ge=0)
+    sampling_interval: int = knob(5, gt=0)
+    duration: int | None = knob(None, gt=0)                  # None -> the trace's length
+    initial_replicas: int | None = knob(None, ge=0)          # None -> the controller's floor
+    pod_cost_rate: float = knob(0.1, ge=0)
     pools: list[PoolSpec] = field(default_factory=list)
     policies: dict[str, Policy] = field(default_factory=dict)
     schedule: StrategicSchedule | None = None
     mas: MasConfig = field(default_factory=MasConfig)
     hpa: HpaConfig = field(default_factory=HpaConfig)
-    hpa_pool: str = ""
     other_requests: RequestSet = field(default_factory=RequestSet)
     normalizers: Normalizers = field(default_factory=Normalizers)
     custom_phases: list[WorkloadPhase] = field(default_factory=list)
     custom_noisy_phases: set[int] | None = None
 
+    @property
+    def hpa_pool(self) -> str:
+        return self.hpa.pool
+
     def build_trace(self) -> DemandTrace:
-        if self.workload == "heartbeat":
-            amplitude = self.noise_amplitude if self.noise_amplitude is not None else 0.0
-            return build_heartbeat_trace(
-                self.vu_cost, self.seed, amplitude, workload_id=self.workload_id
+        amplitude = self.noise_amplitude
+        if self.workload == "custom":
+            return build_trace(
+                self.workload_id, self.custom_phases, self.vu_cost, self.seed,
+                noise_amplitude=amplitude or 0.0, noisy_phases=self.custom_noisy_phases,
             )
-        if self.workload == "flash_sale":
-            amplitude = self.noise_amplitude if self.noise_amplitude is not None else 0.10
-            return build_flash_sale_trace(
-                self.vu_cost, self.seed, amplitude, workload_id=self.workload_id
-            )
-        amplitude = self.noise_amplitude if self.noise_amplitude is not None else 0.0
-        return build_trace(
-            self.workload_id, self.custom_phases, self.vu_cost, self.seed,
-            noise_amplitude=amplitude, noisy_phases=self.custom_noisy_phases,
-        )
+        builder, default = {"heartbeat": (build_heartbeat_trace, 0.0),
+                            "flash_sale": (build_flash_sale_trace, 0.10)}[self.workload]
+        return builder(self.vu_cost, self.seed, default if amplitude is None else amplitude,
+                       workload_id=self.workload_id)
 
 
-def default_mas_pools() -> list[PoolSpec]:
-    return [
-        PoolSpec("staging", "e2-medium", 1000, 1.0, 120, initial_nodes=1),
-        PoolSpec("performance", "n2-standard-2", 2000, 3.0, 120, initial_nodes=0),
-    ]
+# Key prefix -> the dataclasses that declare the knobs under it. "*" stands
+# for a name the scenario picks: a pool id, a policy name, a phase number or
+# the owner of an unmanaged pod.
+_SECTIONS = {
+    "": (ScenarioConfig, Normalizers),
+    "mas.": (MasConfig,),
+    "hpa.": (HpaConfig,),
+    "pool.*.": (PoolSpec,),
+    "policy.*.": (PolicySpec,),
+    "phase.*.": (PhaseSpec,),
+}
+_GROUPED = ("pool", "policy", "phase", "other")
+
+# Scenario key -> (type, default or MISSING, allowed range) of every knob.
+KNOBS: dict[str, tuple[type, object, Range]] = {
+    prefix + name: spec
+    for prefix, classes in _SECTIONS.items()
+    for cls in classes
+    for name, spec in declared(cls).items()
+}
+# other.<owner>: the CPU request of one unmanaged pod, in millicores.
+KNOBS["other.*"] = (int, MISSING, Range(gt=0))
 
 
-def default_hpa_pools() -> list[PoolSpec]:
-    return [PoolSpec("baseline", "e2-medium", 1000, 1.0, 120, initial_nodes=1)]
+def _default_pools(controller: str) -> dict[str, PoolSpec]:
+    if controller == "mas_h2":
+        pools = [PoolSpec("staging", initial_nodes=1),
+                 PoolSpec("performance", "n2-standard-2", 2000, 3.0)]
+    else:
+        pools = [PoolSpec("baseline", initial_nodes=1)]
+    return {p.pool_id: p for p in pools}
 
 
 def _default_policies(controller: str, pools: dict[str, PoolSpec]) -> dict[str, Policy]:
@@ -100,73 +152,14 @@ def _default_policies(controller: str, pools: dict[str, PoolSpec]) -> dict[str, 
             raise ScenarioError(
                 "policy.* entries are required when mas_h2 runs on custom pools"
             )
-        return {
-            "COST_SAVING": Policy(
-                "COST_SAVING", "staging", pools["staging"].capacity, 1, 0.2, 0.8
-            ),
-            "PERFORMANCE": Policy(
-                "PERFORMANCE", "performance", pools["performance"].capacity, 2, 0.8, 0.2
-            ),
-        }
-    pool_id = next(iter(pools))
-    return {"BASELINE": Policy("BASELINE", pool_id, pools[pool_id].capacity, 1, 0.5, 0.5)}
+        specs = {"COST_SAVING": PolicySpec("staging", 1, 0.2, 0.8),
+                 "PERFORMANCE": PolicySpec("performance", 2, 0.8, 0.2)}
+    else:
+        specs = {"BASELINE": PolicySpec(next(iter(pools)))}
+    return {name: spec.policy(name, pools) for name, spec in specs.items()}
 
 
 # ------------------------------------------------------------------- parsing
-
-_SCALAR_KEYS = {
-    "workload": str,
-    "controller": str,
-    "seed": int,
-    "vu_cost": float,
-    "noise_amplitude": float,
-    "pod_request": int,
-    "workload_id": str,
-    "pod_startup_delay": int,
-    "sampling_interval": int,
-    "duration": int,
-    "initial_replicas": int,
-    "pod_cost_rate": float,
-    "perf_scale": float,
-    "cost_scale": float,
-}
-
-_POOL_KEYS = {
-    "machine_type": str,
-    "capacity": int,
-    "cost_rate": float,
-    "provisioning_delay": int,
-    "initial_nodes": int,
-}
-
-_POLICY_KEYS = {"pool": str, "min_replicas": int, "w_perf": float, "w_cost": float}
-
-_MAS_KEYS = {
-    "control_interval": int,
-    "horizon": int,
-    "smoothing_half_life": int,
-    "forecaster": str,
-    "moving_average_window": int,
-    "seasonal_quantile": float,
-    "seasonal_period": int,
-    "period_min_lag": int,
-    "period_min_correlation": float,
-}
-
-_HPA_KEYS = {
-    "target_utilization": Fraction,
-    "min_replicas": int,
-    "max_replicas": int,
-    "scale_down_stabilization": int,
-    "tick_interval": int,
-    "saturation_ceiling": Fraction,
-    "ca_trigger_delay": int,
-    "ca_idle_delay": int,
-    "pool": str,
-}
-
-_PHASE_KEYS = {"duration": int, "target_vus": int, "ramp": str, "noisy": bool}
-
 
 def _convert(raw: str, typ, key: str, line: int):
     try:
@@ -176,12 +169,27 @@ def _convert(raw: str, typ, key: str, line: int):
             if raw.lower() in ("false", "no", "0"):
                 return False
             raise ValueError(raw)
-        return typ(raw)
+        value = typ(raw)
     except (ValueError, ZeroDivisionError):
         raise ScenarioError(f"field {key!r}: cannot parse {raw!r} as {typ.__name__}", line)
+    if typ is float and not math.isfinite(value):
+        raise ScenarioError(f"field {key!r}: {raw!r} is not a finite number", line)
+    return value
 
 
-def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
+def _knob_value(key: str, template: str, raw: str, line: int):
+    """The value of `key`, converted to its knob's type and range-checked."""
+    if template not in KNOBS:
+        raise ScenarioError(f"unknown field {key!r}", line)
+    typ, _, allowed = KNOBS[template]
+    value = _convert(raw, typ, key, line)
+    problem = allowed.problem(value)
+    if problem is not None:
+        raise ScenarioError(f"field {key!r}: {problem}", line)
+    return value
+
+
+def _read_entries(text: str) -> dict[str, tuple[str, int]]:
     entries: dict[str, tuple[str, int]] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -195,111 +203,87 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
         if key in entries:
             raise ScenarioError(f"duplicate key {key!r} (first set on line {entries[key][1]})", lineno)
         entries[key] = (value, lineno)
+    return entries
 
-    scalars: dict = {}
-    pools: dict[str, PoolSpec] = {}
-    policy_fields: dict[str, dict] = {}
-    policy_lines: dict[str, int] = {}
+
+def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
+    entries = _read_entries(text)
+
+    def line_of(*keys: str) -> int | None:
+        return next((entries[k][1] for k in keys if k in entries), None)
+
+    # section -> group -> field -> value; the group is "" outside grouped sections.
+    values: dict[str, dict] = {section: {} for section in _SECTIONS}
+    group_lines: dict[tuple[str, object], int] = {}
     schedule_default: str | None = None
     schedule_entries: list[tuple[int, str, int]] = []
-    mas_kwargs: dict = {}
-    hpa_kwargs: dict = {}
-    hpa_pool = ""
     other = RequestSet()
-    phase_fields: dict[int, dict] = {}
 
-    for key, (value, line) in entries.items():
+    for key, (raw, line) in entries.items():
         parts = key.split(".")
-        if key in _SCALAR_KEYS:
-            scalars[key] = _convert(value, _SCALAR_KEYS[key], key, line)
-        elif parts[0] == "pool" and len(parts) == 3 and parts[2] in _POOL_KEYS:
-            pool = pools.setdefault(parts[1], PoolSpec(pool_id=parts[1]))
-            setattr(pool, parts[2], _convert(value, _POOL_KEYS[parts[2]], key, line))
-        elif parts[0] == "policy" and len(parts) == 3 and parts[2] in _POLICY_KEYS:
-            policy_fields.setdefault(parts[1], {})[parts[2]] = _convert(
-                value, _POLICY_KEYS[parts[2]], key, line
-            )
-            policy_lines.setdefault(parts[1], line)
-        elif key == "schedule.default":
-            schedule_default = value
-        elif parts[0] == "schedule" and len(parts) == 3 and parts[1] == "at":
+        if key == "schedule.default":
+            schedule_default = raw
+        elif parts[:2] == ["schedule", "at"] and len(parts) == 3:
             at = _convert(parts[2], int, key, line)
-            schedule_entries.append((at, value, line))
-        elif parts[0] == "mas" and len(parts) == 2 and parts[1] in _MAS_KEYS:
-            mas_kwargs[parts[1]] = _convert(value, _MAS_KEYS[parts[1]], key, line)
-        elif parts[0] == "hpa" and len(parts) == 2 and parts[1] in _HPA_KEYS:
-            if parts[1] == "pool":
-                hpa_pool = value
-            else:
-                hpa_kwargs[parts[1]] = _convert(value, _HPA_KEYS[parts[1]], key, line)
-        elif parts[0] == "other" and len(parts) == 2:
-            other.add(parts[1], _convert(value, int, key, line))
-        elif parts[0] == "phase" and len(parts) == 3 and parts[2] in _PHASE_KEYS:
-            idx = _convert(parts[1], int, key, line)
-            phase_fields.setdefault(idx, {"_line": line})[parts[2]] = _convert(
-                value, _PHASE_KEYS[parts[2]], key, line
-            )
+            if at < 0:
+                raise ScenarioError(f"field {key!r}: switch time {at} is before the run", line)
+            schedule_entries.append((at, raw, line))
         else:
-            raise ScenarioError(f"unknown field {key!r}", line)
+            grouped = parts[0] in _GROUPED and len(parts) > 1
+            template = ".".join([parts[0], "*", *parts[2:]]) if grouped else key
+            value = _knob_value(key, template, raw, line)
+            group = parts[1] if grouped else ""
+            if parts[0] == "other":
+                other.add(group, value)
+                continue
+            if parts[0] == "phase":
+                group = _convert(group, int, key, line)
+            section = template[: -len(parts[-1])]
+            values[section].setdefault(group, {})[parts[-1]] = value
+            group_lines.setdefault((section, group), line)
 
-    for required in ("workload", "controller"):
-        if required not in scalars:
-            raise ScenarioError(f"missing required field {required!r}")
-    if scalars["workload"] not in WORKLOADS:
-        raise ScenarioError(
-            f"field 'workload': {scalars['workload']!r} is not one of {WORKLOADS}",
-            entries["workload"][1],
-        )
-    if scalars["controller"] not in CONTROLLERS:
-        raise ScenarioError(
-            f"field 'controller': {scalars['controller']!r} is not one of {CONTROLLERS}",
-            entries["controller"][1],
-        )
+    def knobs_of(cls, section: str, group="") -> dict:
+        """The knobs of `cls` set under section/group, as keyword arguments;
+        those left unset keep their declared defaults."""
+        given = values[section].get(group, {})
+        for name, (_, default, _) in declared(cls).items():
+            if default is MISSING and name not in given:
+                key = section.replace("*", str(group)) + name
+                raise ScenarioError(
+                    f"missing required field {key!r}", group_lines.get((section, group))
+                )
+        return {name: value for name, value in given.items() if name in declared(cls)}
 
-    controller = scalars["controller"]
-    if not pools:
-        pools = {
-            p.pool_id: p
-            for p in (default_mas_pools() if controller == "mas_h2" else default_hpa_pools())
-        }
+    top = knobs_of(ScenarioConfig, "")
+    controller = top["controller"]
+
+    pools = {pool_id: PoolSpec(pool_id, **knobs_of(PoolSpec, "pool.*.", pool_id))
+             for pool_id in values["pool.*."]} or _default_pools(controller)
 
     policies: dict[str, Policy] = {}
-    for name, fields_ in policy_fields.items():
-        line = policy_lines[name]
-        if "pool" not in fields_:
-            raise ScenarioError(f"policy {name!r} missing 'pool'", line)
-        if fields_["pool"] not in pools:
+    for name in values["policy.*."]:
+        spec = PolicySpec(**knobs_of(PolicySpec, "policy.*.", name))
+        if spec.pool not in pools:
             raise ScenarioError(
-                f"field 'policy.{name}.pool': undefined pool {fields_['pool']!r}", line
+                f"field 'policy.{name}.pool': undefined pool {spec.pool!r}",
+                line_of(f"policy.{name}.pool"),
             )
-        w_perf = fields_.get("w_perf")
-        w_cost = fields_.get("w_cost")
-        if w_perf is None and w_cost is None:
-            w_perf = w_cost = 0.5
-        elif w_perf is None:
-            w_perf = round(1.0 - w_cost, 9)
-        elif w_cost is None:
-            w_cost = round(1.0 - w_perf, 9)
         try:
-            policies[name] = Policy(
-                name=name,
-                node_pool=fields_["pool"],
-                node_capacity_millicores=pools[fields_["pool"]].capacity,
-                min_replicas=fields_.get("min_replicas", 1),
-                w_perf=w_perf,
-                w_cost=w_cost,
-            )
+            policies[name] = spec.policy(name, pools)
         except ValueError as exc:
-            raise ScenarioError(f"policy {name!r}: {exc}", line)
+            raise ScenarioError(
+                f"fields 'policy.{name}.w_perf' and 'policy.{name}.w_cost': {exc}",
+                line_of(f"policy.{name}.w_perf", f"policy.{name}.w_cost"),
+            )
     if not policies:
         policies = _default_policies(controller, pools)
 
     if schedule_default is None:
         schedule_default = next(iter(policies))
     if schedule_default not in policies:
-        line = entries.get("schedule.default", ("", 0))[1] or None
         raise ScenarioError(
-            f"field 'schedule.default': undefined policy {schedule_default!r}", line
+            f"field 'schedule.default': undefined policy {schedule_default!r}",
+            line_of("schedule.default"),
         )
     for at, name, line in schedule_entries:
         if name not in policies:
@@ -314,105 +298,71 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
         entries=[(at, name) for at, name, _ in schedule_entries],
     )
 
-    if controller == "hpa_ca":
-        if not hpa_pool:
-            hpa_pool = next(iter(pools))
-        if hpa_pool not in pools:
-            raise ScenarioError(
-                f"field 'hpa.pool': undefined pool {hpa_pool!r}", entries["hpa.pool"][1]
-            )
+    # The baseline's pool is resolved for every controller, so a scenario
+    # run with a controller override finds it too.
+    hpa = HpaConfig(**knobs_of(HpaConfig, "hpa."))
+    if not hpa.pool:
+        hpa.pool = next(iter(pools))
+    elif hpa.pool not in pools:
+        raise ScenarioError(f"field 'hpa.pool': undefined pool {hpa.pool!r}", line_of("hpa.pool"))
 
     phases: list[WorkloadPhase] = []
     noisy: set[int] = set()
-    if scalars["workload"] == "custom":
-        if not phase_fields:
+    if top["workload"] == "custom":
+        if not values["phase.*."]:
             raise ScenarioError("workload = custom requires phase.N.* entries")
-        for i, idx in enumerate(sorted(phase_fields)):
-            fields_ = phase_fields[idx]
-            line = fields_.pop("_line")
-            if "duration" not in fields_ or "target_vus" not in fields_:
-                raise ScenarioError(
-                    f"phase.{idx} needs both 'duration' and 'target_vus'", line
-                )
-            ramp_raw = fields_.get("ramp", "linear")
-            if ramp_raw not in ("linear", "step"):
-                raise ScenarioError(
-                    f"field 'phase.{idx}.ramp': {ramp_raw!r} is not linear|step", line
-                )
-            phases.append(WorkloadPhase(
-                name=f"phase-{idx}",
-                duration_seconds=fields_["duration"],
-                target_vus=fields_["target_vus"],
-                ramp=Ramp.STEP if ramp_raw == "step" else Ramp.LINEAR,
-            ))
-            if fields_.get("noisy"):
+        for i, idx in enumerate(sorted(values["phase.*."])):
+            spec = PhaseSpec(**knobs_of(PhaseSpec, "phase.*.", idx))
+            phases.append(
+                WorkloadPhase(f"phase-{idx}", spec.duration, spec.target_vus, Ramp(spec.ramp))
+            )
+            if spec.noisy:
                 noisy.add(i)
-    elif phase_fields:
-        line = min(f["_line"] for f in phase_fields.values())
+    elif values["phase.*."]:
+        line = min(group_lines["phase.*.", idx] for idx in values["phase.*."])
         raise ScenarioError("phase.N.* entries are only valid for workload = custom", line)
-
-    try:
-        mas = MasConfig(**mas_kwargs)
-        hpa = HpaConfig(**hpa_kwargs)
-    except ValueError as exc:
-        raise ScenarioError(str(exc))
 
     config = ScenarioConfig(
         scenario_id=scenario_id,
-        workload=scalars["workload"],
-        controller=controller,
-        seed=scalars.get("seed", 1),
-        vu_cost=scalars.get("vu_cost", 2.0),
-        noise_amplitude=scalars.get("noise_amplitude"),
-        pod_request=scalars.get("pod_request", 250),
-        workload_id=scalars.get("workload_id", "web"),
-        pod_startup_delay=scalars.get("pod_startup_delay", 10),
-        sampling_interval=scalars.get("sampling_interval", 5),
-        duration=scalars.get("duration"),
-        initial_replicas=scalars.get("initial_replicas"),
-        pod_cost_rate=scalars.get("pod_cost_rate", 0.1),
-        pools=[pools[p] for p in pools],
+        **top,
+        pools=list(pools.values()),
         policies=policies,
         schedule=schedule,
-        mas=mas,
+        mas=MasConfig(**knobs_of(MasConfig, "mas.")),
         hpa=hpa,
-        hpa_pool=hpa_pool,
         other_requests=other,
-        normalizers=Normalizers(
-            perf_scale=scalars.get("perf_scale", 1.0),
-            cost_scale=scalars.get("cost_scale", 5.0),
-        ),
+        normalizers=Normalizers(**knobs_of(Normalizers, "")),
         custom_phases=phases,
         custom_noisy_phases=noisy if noisy else None,
     )
-    _validate(config, entries)
+    _validate(config, line_of)
     return config
 
 
-def _validate(config: ScenarioConfig, entries: dict[str, tuple[str, int]]) -> None:
-    def line_of(key: str) -> int | None:
-        return entries.get(key, ("", None))[1]
-
-    if config.pod_request <= 0:
-        raise ScenarioError("field 'pod_request': must be positive", line_of("pod_request"))
-    if config.vu_cost <= 0:
-        raise ScenarioError("field 'vu_cost': must be positive", line_of("vu_cost"))
-    if config.noise_amplitude is not None and not 0 <= config.noise_amplitude < 1:
+def _validate(config: ScenarioConfig, line_of) -> None:
+    """Rules that tie several knobs together; single-knob ranges are
+    checked as each value is read."""
+    hpa = config.hpa
+    if hpa.min_replicas > hpa.max_replicas:
         raise ScenarioError(
-            "field 'noise_amplitude': must be in [0, 1)", line_of("noise_amplitude")
+            f"field 'hpa.min_replicas': {hpa.min_replicas} exceeds "
+            f"hpa.max_replicas ({hpa.max_replicas})",
+            line_of("hpa.min_replicas", "hpa.max_replicas"),
         )
-    if config.sampling_interval <= 0:
+    if hpa.saturation_ceiling <= hpa.target_utilization:
         raise ScenarioError(
-            "field 'sampling_interval': must be positive", line_of("sampling_interval")
+            f"field 'hpa.saturation_ceiling': {hpa.saturation_ceiling} must exceed "
+            f"hpa.target_utilization ({hpa.target_utilization}), or the HPA never scales up",
+            line_of("hpa.saturation_ceiling", "hpa.target_utilization"),
         )
-    for policy in config.policies.values():
-        if config.pod_request > policy.node_capacity_millicores:
-            raise ScenarioError(
-                f"pod_request {config.pod_request}m exceeds capacity of pool "
-                f"{policy.node_pool!r} ({policy.node_capacity_millicores}m)",
-                line_of("pod_request"),
-            )
     pool_caps = {p.pool_id: p.capacity for p in config.pools}
+    for pool_id in [*(p.node_pool for p in config.policies.values()), hpa.pool]:
+        if config.pod_request > pool_caps[pool_id]:
+            raise ScenarioError(
+                f"field 'pod_request': {config.pod_request}m exceeds "
+                f"'pool.{pool_id}.capacity' ({pool_caps[pool_id]}m)",
+                line_of("pod_request", f"pool.{pool_id}.capacity"),
+            )
     for req in config.other_requests.items:
         if req.millicores > max(pool_caps.values()):
             raise ScenarioError(

@@ -39,16 +39,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from oracles import ffd_bound_holds, pack_exact
 
 from scalesim.forecasting import SeasonalPeak, forecast, smoothed_history
-from scalesim.planning import (
-    Policy,
-    RequestSet,
-    ffd_bound_holds,
-    pack_exact,
-    pack_ffd,
-    plan_replicas,
-)
+from scalesim.planning import Policy, RequestSet, pack_ffd, plan_replicas
 from scalesim.runner import run_scenario
 from scalesim.scenario import load_scenario
 from scalesim.workload import build_heartbeat_trace

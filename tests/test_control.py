@@ -3,15 +3,18 @@
 import copy
 
 from scalesim.control import (
+    CONTROLLER_TYPES,
     HierarchicalController,
     HpaConfig,
     MasConfig,
     MigrationPhase,
     ReactiveController,
     StrategicSchedule,
+    make_controller,
 )
-from scalesim.engine import ClusterState, NodePool, NodeState, PodState
+from scalesim.engine import ClusterState, EventKind, NodePool, NodeState, PodState
 from scalesim.planning import Policy, RequestSet
+from scalesim.scenario import parse_scenario_text
 from scalesim.workload import DemandTrace
 
 COST = Policy("COST_SAVING", "staging", 1000, 1, 0.2, 0.8)
@@ -451,3 +454,48 @@ class TestMigration:
         record = mas._begin_migration(state, 10, "staging", PERF)
         # 2 x 250m + 1800m cannot share one 2000m node.
         assert record["new_pool_nodes"] == 2
+
+
+class TestControllerProtocol:
+    def test_make_controller_picks_the_named_class(self):
+        assert CONTROLLER_TYPES == {
+            "mas_h2": HierarchicalController, "hpa_ca": ReactiveController,
+        }
+        for name, cls in CONTROLLER_TYPES.items():
+            config = parse_scenario_text(
+                f"workload = heartbeat\ncontroller = {name}\n", "x"
+            )
+            controller = make_controller(config, config.build_trace())
+            assert type(controller) is cls and controller.name == name
+
+    def test_tick_times(self):
+        config = parse_scenario_text(
+            "workload = heartbeat\ncontroller = mas_h2\n"
+            "mas.control_interval = 300\nhpa.tick_interval = 15\n", "x"
+        )
+        trace = config.build_trace()
+        mas = make_controller(config, trace)
+        hpa = ReactiveController.from_config(config, trace)
+        assert list(mas.tick_times(900)) == [0, 300, 600, 900]
+        assert list(hpa.tick_times(45)) == [0, 15, 30]
+
+    def test_initial_placement_follows_the_starting_policy_or_the_hpa_floor(self):
+        config = parse_scenario_text(
+            "workload = heartbeat\ncontroller = mas_h2\nschedule.default = PERFORMANCE\n"
+            "hpa.min_replicas = 3\n", "x"
+        )
+        trace = config.build_trace()
+        mas = make_controller(config, trace)
+        hpa = ReactiveController.from_config(config, trace)
+        assert mas.initial(None) == ("performance", PERF.min_replicas)
+        assert mas.initial(5) == ("performance", 5)
+        assert hpa.initial(None) == ("staging", 3)
+        assert hpa.initial(0) == ("staging", 0)
+
+    def test_baseline_ignores_events_and_never_migrates(self):
+        state = baseline_state()
+        hpa = make_hpa(flat_trace(100, 60), state)
+        state.enqueue(0, EventKind.POLICY_SWITCH, {"policy": "PERFORMANCE"})
+        assert hpa.on_event(state, state.step()) is None
+        assert not hpa.migrating and hpa.active_floor() is None
+        assert hpa.completed_migrations == []

@@ -1,11 +1,24 @@
 """Randomized end-to-end shakeout: many small scenarios, both controllers,
 live invariants on every event. Any violation aborts the run and fails here.
+Every declared knob range is probed from both sides: values outside it are
+rejected at load, and values on its edges load and run, or are rejected at
+load by a rule that ties several knobs together.
 """
 
+import contextlib
+import io
 import random
+import string
+from functools import partial
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scalesim.cli import EXIT_CONFIG, EXIT_OK, main
+from scalesim.knobs import Range
 from scalesim.runner import run_scenario
-from scalesim.scenario import parse_scenario_text
+from scalesim.scenario import KNOBS, parse_scenario_text
 
 
 def random_scenario(rng: random.Random, controller: str) -> str:
@@ -95,3 +108,109 @@ def test_randomized_scenarios_deterministic():
         assert a.event_lines == b.event_lines
         assert a.decision_lines == b.decision_lines
         assert a.samples == b.samples
+
+
+# --------------------------------------------------- declared knob ranges
+
+# A valid scenario that sets at least one key of every knob family. A knob
+# key's "*" is instantiated with the names used here.
+KNOB_BASE = {
+    "workload": "custom",
+    "controller": "mas_h2",
+    "phase.1.duration": "60",
+    "phase.1.target_vus": "300",
+    "phase.2.duration": "60",
+    "phase.2.target_vus": "50",
+    "pool.alpha.capacity": "1000",
+    "pool.alpha.initial_nodes": "1",
+    "pool.beta.capacity": "2000",
+    "policy.A.pool": "alpha",
+    "policy.B.pool": "beta",
+    "schedule.default": "A",
+    "mas.control_interval": "20",
+    "other.side": "100",
+}
+NAMES = {
+    "pool.*": "pool.alpha", "policy.*": "policy.A", "phase.*": "phase.1", "other.*": "other.side",
+}
+RANGED = [key for key, (_, _, allowed) in KNOBS.items() if str(allowed) != "any"]
+
+
+def instantiate(template: str) -> str:
+    for wildcard, name in NAMES.items():
+        template = template.replace(wildcard, name)
+    return template
+
+
+def knob_scenario(path, controller: str, key: str, value) -> int:
+    """Write the base scenario with `key` set to `value`; returns its line."""
+    entries = dict(KNOB_BASE, controller=controller)
+    if controller == "mas_h2":
+        entries["schedule.at.30"] = "B"
+    entries[key] = str(value)
+    path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+    return list(entries).index(key) + 1
+
+
+def cli(*argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def outside(typ, allowed: Range) -> st.SearchStrategy:
+    """Values of the knob's type that its range rejects."""
+    if allowed.choices is not None:
+        return st.text(string.ascii_lowercase + "_", min_size=1, max_size=12).filter(
+            lambda s: s not in allowed.choices)
+    if typ is int:
+        below, above = st.integers, st.integers
+        lower = allowed.ge - 1 if allowed.ge is not None else allowed.gt
+        upper = allowed.le + 1 if allowed.le is not None else allowed.lt
+    else:
+        floats = partial(st.floats, allow_nan=False, allow_infinity=False)
+        below = partial(floats, exclude_max=allowed.ge is not None)
+        above = partial(floats, exclude_min=allowed.le is not None)
+        lower = allowed.ge if allowed.ge is not None else allowed.gt
+        upper = allowed.le if allowed.le is not None else allowed.lt
+    sides = [below(max_value=lower)] if lower is not None else []
+    sides += [above(min_value=upper)] if upper is not None else []
+    return st.one_of(sides)
+
+
+@pytest.mark.parametrize("template", RANGED)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_out_of_range_knob_rejected_at_load(tmp_path_factory, template, data):
+    typ, _, allowed = KNOBS[template]
+    value = data.draw(outside(typ, allowed), label="value")
+    key = instantiate(template)
+    path = tmp_path_factory.mktemp("knob") / "s.scn"
+    line = knob_scenario(path, "mas_h2", key, value)
+    code, err = cli("validate", "--scenario", str(path))
+    assert code == EXIT_CONFIG, err
+    assert f"line {line}: field '{key}'" in err
+
+
+@pytest.mark.parametrize("controller", ["mas_h2", "hpa_ca"])
+@pytest.mark.parametrize("template", RANGED)
+def test_range_boundaries_run_or_are_rejected_at_load(tmp_path, controller, template):
+    """Each edge of each range either fails validation or runs to the end."""
+    typ, _, allowed = KNOBS[template]
+    if allowed.choices is not None:
+        values = list(allowed.choices)
+    else:
+        step = 1 if typ is int else 0.001
+        values = [b for b in (allowed.ge, allowed.le) if b is not None]
+        values += [allowed.gt + step] if allowed.gt is not None else []
+        values += [allowed.lt - step] if allowed.lt is not None else []
+    for value in values:
+        path = tmp_path / "s.scn"
+        knob_scenario(path, controller, instantiate(template), value)
+        code, err = cli("validate", "--scenario", str(path))
+        if code == EXIT_OK:
+            code, err = cli("run", "--scenario", str(path), "--out", str(tmp_path / "out"))
+            assert code == EXIT_OK, (value, err)
+        else:
+            assert code == EXIT_CONFIG, (value, err)

@@ -3,15 +3,13 @@
 import random
 
 import pytest
+from oracles import InstanceTooLargeError, ffd_bound_holds, pack_exact, validate_assignment
 
 from scalesim.planning import (
-    InstanceTooLargeError,
     OversizedRequestError,
     Policy,
     RequestSet,
     ceil_div,
-    ffd_bound_holds,
-    pack_exact,
     pack_ffd,
     plan_nodes,
     plan_replicas,
@@ -222,17 +220,16 @@ class TestAssignmentValidation:
                 assert sorted(seen) == sorted((r.owner, r.millicores) for r in rs.items)
                 assert all(load <= cap for load in loads.values())
                 assert set(loads) == set(range(plan.required_nodes))
+                validate_assignment(rs, plan.assignment, cap)
 
     def test_validator_rejects_broken_assignment(self):
-        from scalesim.planning import _validate_assignment
-
         rs = requests(600, 600)
         plan = pack_ffd(rs, 1000)
         overfull = [(req, 0) for req, _ in plan.assignment]
         with pytest.raises(AssertionError, match="overfull"):
-            _validate_assignment(rs, overfull, 1000)
+            validate_assignment(rs, overfull, 1000)
         with pytest.raises(AssertionError, match="multiset"):
-            _validate_assignment(rs, plan.assignment[:1], 1000)
+            validate_assignment(rs, plan.assignment[:1], 1000)
 
 
 class TestPolicy:

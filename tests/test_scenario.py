@@ -1,13 +1,17 @@
 """Scenario parsing, validation, and defaulting."""
 
+import re
+from dataclasses import MISSING
 from pathlib import Path
 
 import pytest
 
 from scalesim.errors import ScenarioError
-from scalesim.scenario import load_scenario, parse_scenario_text
+from scalesim.scenario import KNOBS, load_scenario, parse_scenario_text
 
-FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "scenarios"
+DOC = ROOT / "docs" / "scenario-format.md"
 
 
 class TestFixtures:
@@ -187,6 +191,56 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="web"):
             parse_scenario_text(text, "x")
 
+    def test_hpa_min_above_max_names_field_and_line(self):
+        text = (
+            "workload = heartbeat\n"
+            "controller = hpa_ca\n"
+            "hpa.max_replicas = 3\n"
+            "hpa.min_replicas = 5\n"
+        )
+        with pytest.raises(ScenarioError, match=r"line 4: field 'hpa.min_replicas'"):
+            parse_scenario_text(text, "x")
+
+    def test_saturation_ceiling_must_exceed_target(self):
+        text = (
+            "workload = heartbeat\n"
+            "controller = hpa_ca\n"
+            "hpa.target_utilization = 1\n"
+            "hpa.saturation_ceiling = 1\n"
+        )
+        with pytest.raises(ScenarioError, match=r"line 4: field 'hpa.saturation_ceiling'"):
+            parse_scenario_text(text, "x")
+
+    def test_hpa_pool_must_fit_pod_request(self):
+        text = (
+            "workload = heartbeat\n"
+            "controller = hpa_ca\n"
+            "pool.big.capacity = 1000\n"
+            "pool.tiny.capacity = 100\n"
+            "hpa.pool = tiny\n"
+        )
+        with pytest.raises(ScenarioError, match=r"line 4: field 'pod_request'.*pool.tiny"):
+            parse_scenario_text(text, "x")
+
+    def test_hpa_pool_resolved_for_every_controller(self):
+        config = parse_scenario_text("workload = heartbeat\ncontroller = mas_h2\n", "x")
+        assert config.hpa_pool == "staging"
+
+    def test_schedule_time_before_run_rejected(self):
+        text = "workload = heartbeat\ncontroller = mas_h2\nschedule.at.-5 = PERFORMANCE\n"
+        with pytest.raises(ScenarioError, match=r"line 3: field 'schedule.at.-5'"):
+            parse_scenario_text(text, "x")
+
+    def test_missing_phase_field_named(self):
+        text = "workload = custom\ncontroller = hpa_ca\nphase.1.duration = 10\n"
+        with pytest.raises(ScenarioError, match=r"line 3: missing required field 'phase.1.tar"):
+            parse_scenario_text(text, "x")
+
+    def test_non_finite_float_rejected(self):
+        text = "workload = heartbeat\ncontroller = hpa_ca\nvu_cost = inf\n"
+        with pytest.raises(ScenarioError, match=r"line 3: field 'vu_cost'"):
+            parse_scenario_text(text, "x")
+
     def test_policy_weights_validated(self):
         text = (
             "workload = heartbeat\n"
@@ -197,3 +251,34 @@ class TestValidation:
         )
         with pytest.raises(ScenarioError, match="BAD"):
             parse_scenario_text(text, "x")
+
+
+class TestDocs:
+    def test_annotated_example_parses_and_shows_every_knob(self):
+        example = DOC.read_text().split("## Annotated example", 1)[1].split("```")[1]
+        config = parse_scenario_text(example, "doc")
+        assert config.schedule.entries == [(420, "PERFORMANCE")]
+        for key in KNOBS:
+            pattern = re.escape(key).replace(r"\*", r"[^.\s=]+")
+            assert re.search(rf"^#?\s*{pattern}\s*=", example, re.M), key
+
+    def test_knob_table_states_declared_defaults_and_ranges(self):
+        rows = {
+            cells[0].strip("`"): cells
+            for cells in (
+                [c.strip() for c in line.strip().strip("|").split("|")]
+                for line in DOC.read_text().splitlines() if line.startswith("| `")
+            )
+        }
+        assert set(rows) == set(KNOBS)
+        for key, (typ, default, allowed) in KNOBS.items():
+            _, _, doc_default, doc_range, _ = rows[key]
+            assert doc_range == str(allowed), key
+            if default is MISSING:
+                assert doc_default == "required", key
+            elif default in (None, ""):
+                assert doc_default == "unset", key
+            elif typ in (bool, str):
+                assert doc_default == str(default), key
+            else:
+                assert typ(doc_default) == default, key
