@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, ClassVar, Iterable, Protocol
 
-from .engine import ClusterState, EventKind, NodeState, PodState, SimEvent
+from .engine import ALIVE, ClusterState, EventKind, NodeState, Pod, PodState, SimEvent
 from .forecasting import (
     MovingAverage,
     Naive,
@@ -87,8 +87,10 @@ class MigrationState:
     # Pre-switch planned replicas per workload: the capacity floor that must
     # hold at every instant of the migration.
     floor: dict[str, int] = field(default_factory=dict)
-    replacements: dict[str, list[str]] = field(default_factory=dict)
-    old_pods: dict[str, list[str]] = field(default_factory=dict)
+    # Pod objects, not ids: a pod that reaches Deleted leaves the cluster
+    # state, and the migration still needs to see that it did.
+    replacements: dict[str, list[Pod]] = field(default_factory=dict)
+    old_pods: dict[str, list[Pod]] = field(default_factory=dict)
     terminated_old: int = 0
     pending_switch: str | None = None
 
@@ -141,14 +143,11 @@ class ControllerDecision:
     actions: list[Action] = field(default_factory=list)
 
 
-_ALIVE = (PodState.PENDING, PodState.STARTING, PodState.RUNNING)
-
-
 def _shrink(state: ClusterState, pods: Iterable, count: int) -> int:
     """Terminate up to `count` of the alive `pods`: Pending pods first, then
     the youngest bound pods. Returns how many were terminated."""
     victims = sorted(
-        (p for p in pods if p.state in _ALIVE),
+        (p for p in pods if p.state in ALIVE),
         key=lambda p: (0 if p.state is PodState.PENDING else 1, -p.creation_seq),
     )[:count]
     for pod in victims:
@@ -364,10 +363,7 @@ class HierarchicalController:
             started_at=now,
             target_nodes=node_plan.required_nodes,
             floor=floor,
-            old_pods={
-                w: [p.pod_id for p in state.pods_of(w) if p.state in _ALIVE]
-                for w in sorted(floor)
-            },
+            old_pods={w: [p for p in state.pods_of(w) if p.state in ALIVE] for w in sorted(floor)},
         )
         state.preferred_pool_id = new.node_pool
         self._active_pool = new.node_pool
@@ -394,17 +390,12 @@ class HierarchicalController:
                 mig.phase = MigrationPhase.MIGRATING_WORKLOAD
                 for w in sorted(mig.floor):
                     mig.replacements[w] = [
-                        state.create_pod(w, self.pod_requests[w]).pod_id
-                        for _ in range(mig.floor[w])
+                        state.create_pod(w, self.pod_requests[w]) for _ in range(mig.floor[w])
                     ]
                 state.schedule_pending_pods()
         if mig.phase is MigrationPhase.MIGRATING_WORKLOAD:
             self._handoff_replicas(state)
-            still_old = any(
-                state.pods[pid].state in _ALIVE
-                for pods in mig.old_pods.values()
-                for pid in pods
-            )
+            still_old = any(p.state in ALIVE for pods in mig.old_pods.values() for p in pods)
             if not still_old:
                 mig.phase = MigrationPhase.DECOMMISSIONING_OLD
         if mig.phase is MigrationPhase.DECOMMISSIONING_OLD:
@@ -427,16 +418,13 @@ class HierarchicalController:
         replacement that reached Running."""
         mig = self.migration
         running_new = sum(
-            1 for pods in mig.replacements.values()
-            for pid in pods if state.pods[pid].state is PodState.RUNNING
+            1 for pods in mig.replacements.values() for p in pods if p.state is PodState.RUNNING
         )
         to_release = running_new - mig.terminated_old
         if to_release <= 0:
             return
         mig.terminated_old += _shrink(
-            state,
-            (state.pods[pid] for pods in mig.old_pods.values() for pid in pods),
-            to_release,
+            state, (p for pods in mig.old_pods.values() for p in pods), to_release
         )
 
     def _residual_old_pool_nodes(self, state: ClusterState) -> int:

@@ -28,6 +28,10 @@ class PodState(Enum):
     DELETED = "Deleted"
 
 
+# Pods that count as replicas: alive and not on their way out.
+ALIVE = (PodState.PENDING, PodState.STARTING, PodState.RUNNING)
+
+
 # Forward-only ordering of node lifecycle states. A transition may skip a
 # state (a cancelled Provisioning node drains without ever serving) but may
 # never move backwards.
@@ -122,7 +126,6 @@ class Pod:
     state: PodState = PodState.PENDING
     bound_node: str | None = None
     startup_delay: int = 10
-    created_at: int = 0
     creation_seq: int = 0
     pending_since: int = 0
     # Incremented on every bind so a stale PodStarted event from an earlier
@@ -131,13 +134,19 @@ class Pod:
 
 
 class ClusterState:
-    """Mutable cluster snapshot: pools, pods, clock, and the event queue."""
+    """Mutable cluster snapshot: pools, pods, clock, and the event queue.
+
+    Only live objects are kept: a pod or node that reaches Deleted leaves
+    `pods`, `nodes` and its pool's `nodes` at that moment. Callers that hold
+    the object still see its Deleted state.
+    """
 
     def __init__(self, pools: list[NodePool], pod_startup_delay: int = 10):
         self.clock = SimClock()
         self.pools: dict[str, NodePool] = {p.pool_id: p for p in pools}
         self.pool_order: list[str] = [p.pool_id for p in pools]
         self.pods: dict[str, Pod] = {}
+        self.nodes: dict[str, Node] = {}     # every pool's nodes, by id
         self.pod_startup_delay = pod_startup_delay
         # Pool preferred by the scheduler; controllers keep it pointed at the
         # active policy's pool.
@@ -145,6 +154,7 @@ class ClusterState:
         self._queue: list[tuple[tuple[int, int, int], SimEvent]] = []
         self._next_seq = 0
         self._pod_counters: dict[str, int] = {}
+        self._pods_created = 0
 
     # ------------------------------------------------------------------ events
 
@@ -171,15 +181,7 @@ class ClusterState:
         pool = self.pools.get(pool_id)
         if pool is None:
             raise UnknownPoolError(f"unknown pool {pool_id!r}")
-        node = Node(
-            node_id=f"{pool_id}-n{pool._next_node}",
-            pool_id=pool_id,
-            state=NodeState.READY,
-            ready_at=self.clock.now,
-        )
-        pool._next_node += 1
-        pool.nodes.append(node)
-        return node
+        return self._new_node(pool, NodeState.READY, self.clock.now)
 
     def step(self) -> SimEvent:
         """Pop the earliest event, advance the clock, apply its transition.
@@ -201,7 +203,7 @@ class ClusterState:
         return ev
 
     def _apply_node_ready(self, ev: SimEvent) -> None:
-        node = self._find_node(ev.payload["node"])
+        node = self.nodes.get(ev.payload["node"])
         if node is None or node.state is not NodeState.PROVISIONING:
             ev.payload["stale"] = True
             return
@@ -221,8 +223,11 @@ class ClusterState:
         if pod is None or pod.state is not PodState.TERMINATING:
             ev.payload["stale"] = True
             return
-        self._unbind(pod)
-        pod.state = PodState.DELETED
+        node = self.nodes[pod.bound_node]
+        node.bound_pods.discard(pod.pod_id)
+        pod.bound_node = None
+        self._retire(pod)
+        self._maybe_finish_drain(node)
 
     # ------------------------------------------------------------------- pods
 
@@ -238,12 +243,16 @@ class ClusterState:
             workload_id=workload_id,
             cpu_request_millicores=cpu_request,
             startup_delay=self.pod_startup_delay,
-            created_at=self.clock.now,
-            creation_seq=len(self.pods),
+            creation_seq=self._pods_created,
             pending_since=self.clock.now,
         )
+        self._pods_created += 1
         self.pods[pod_id] = pod
         return pod
+
+    def _retire(self, pod: Pod) -> None:
+        pod.state = PodState.DELETED
+        del self.pods[pod.pod_id]
 
     def terminate_pod(self, pod_id: str) -> None:
         """Begin pod teardown. Pending pods vanish immediately (nothing runs);
@@ -251,19 +260,15 @@ class ClusterState:
         the PodTerminated event fires."""
         pod = self.pods[pod_id]
         if pod.state is PodState.PENDING:
-            pod.state = PodState.DELETED
-            return
-        if pod.state in (PodState.TERMINATING, PodState.DELETED):
-            return
-        pod.state = PodState.TERMINATING
-        self.enqueue(self.clock.now, EventKind.POD_TERMINATED, {"pod": pod.pod_id})
+            self._retire(pod)
+        elif pod.state is not PodState.TERMINATING:
+            pod.state = PodState.TERMINATING
+            self.enqueue(self.clock.now, EventKind.POD_TERMINATED, {"pod": pod.pod_id})
 
     def replicas(self, workload_id: str) -> int:
         """R_w: pods of the workload not yet on their way out."""
         return sum(
-            1 for p in self.pods.values()
-            if p.workload_id == workload_id
-            and p.state not in (PodState.TERMINATING, PodState.DELETED)
+            1 for p in self.pods.values() if p.workload_id == workload_id and p.state in ALIVE
         )
 
     def pods_of(self, workload_id: str) -> list[Pod]:
@@ -330,15 +335,6 @@ class ClusterState:
             {"pod": pod.pod_id, "binding": pod.binding_seq},
         )
 
-    def _unbind(self, pod: Pod) -> None:
-        if pod.bound_node is None:
-            return
-        node = self._find_node(pod.bound_node)
-        if node is not None:
-            node.bound_pods.discard(pod.pod_id)
-            self._maybe_finish_drain(node)
-        pod.bound_node = None
-
     # ------------------------------------------------------------------- nodes
 
     def resize_pool(self, pool_id: str, target: int) -> None:
@@ -357,13 +353,9 @@ class ClusterState:
         live = pool.live_nodes()
         if target > len(live):
             for _ in range(target - len(live)):
-                node = Node(
-                    node_id=f"{pool_id}-n{pool._next_node}",
-                    pool_id=pool_id,
-                    ready_at=self.clock.now + pool.provisioning_delay,
+                node = self._new_node(
+                    pool, NodeState.PROVISIONING, self.clock.now + pool.provisioning_delay
                 )
-                pool._next_node += 1
-                pool.nodes.append(node)
                 self.enqueue(node.ready_at, EventKind.NODE_READY, {"node": node.node_id})
         elif target < len(live):
             victims = sorted(live, key=lambda n: (len(n.bound_pods), -_node_index(n.node_id)))
@@ -375,26 +367,28 @@ class ClusterState:
         node.transition(NodeState.DRAINING)
         for pod_id in sorted(node.bound_pods):
             pod = self.pods[pod_id]
+            pod.bound_node = None
             if pod.state is PodState.TERMINATING:
                 # Already dying; finish immediately so the node can go away.
-                pod.state = PodState.DELETED
+                self._retire(pod)
             else:
                 pod.state = PodState.PENDING
                 pod.pending_since = self.clock.now
-            pod.bound_node = None
         node.bound_pods.clear()
         self._maybe_finish_drain(node)
+
+    def _new_node(self, pool: NodePool, state: NodeState, ready_at: int) -> Node:
+        node = Node(f"{pool.pool_id}-n{pool._next_node}", pool.pool_id, state, ready_at)
+        pool._next_node += 1
+        pool.nodes.append(node)
+        self.nodes[node.node_id] = node
+        return node
 
     def _maybe_finish_drain(self, node: Node) -> None:
         if node.state is NodeState.DRAINING and not node.bound_pods:
             node.transition(NodeState.DELETED)
-
-    def _find_node(self, node_id: str) -> Node | None:
-        for pool in self.pools.values():
-            for node in pool.nodes:
-                if node.node_id == node_id:
-                    return node
-        return None
+            self.pools[node.pool_id].nodes.remove(node)
+            del self.nodes[node.node_id]
 
 
 def _node_index(node_id: str) -> int:

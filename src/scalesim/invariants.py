@@ -6,7 +6,7 @@ run aborts with a nonzero exit instead of writing partial outputs.
 
 from __future__ import annotations
 
-from .engine import ClusterState, NodeState, PodState
+from .engine import ALIVE, ClusterState, NodeState, PodState
 from .errors import InvariantViolation
 
 
@@ -23,8 +23,8 @@ class InvariantChecker:
               migration_active: bool = False) -> None:
         self.checks_run += 1
         self._check_clock(state)
-        self._check_capacity(state)
-        self._check_bindings(state)
+        self._check_nodes(state)
+        self._check_pods(state)
         if desired is not None and not migration_active:
             self._check_replica_accounting(state, desired)
 
@@ -44,12 +44,31 @@ class InvariantChecker:
             )
         self._last_t = state.clock.now
 
-    def _check_capacity(self, state: ClusterState) -> None:
+    def _check_nodes(self, state: ClusterState) -> None:
+        """Each pool node is live and indexed in `state.nodes`, which holds
+        nothing else; each pod it lists is live and bound to it."""
+        count = 0
         for pool in state.pools.values():
             for node in pool.nodes:
-                used = sum(
-                    state.pods[pid].cpu_request_millicores for pid in node.bound_pods
-                )
+                count += 1
+                if node.state is NodeState.DELETED:
+                    raise InvariantViolation(
+                        f"node-retirement: Deleted node {node.node_id} is still in "
+                        f"pool {pool.pool_id}"
+                    )
+                if state.nodes.get(node.node_id) is not node:
+                    raise InvariantViolation(
+                        f"node-index: node {node.node_id} of pool {pool.pool_id} is not indexed"
+                    )
+                used = 0
+                for pid in node.bound_pods:
+                    pod = state.pods.get(pid)
+                    if pod is None or pod.bound_node != node.node_id:
+                        raise InvariantViolation(
+                            f"binding-consistency: node {node.node_id} lists pod {pid}, "
+                            "which is not a live pod bound to it"
+                        )
+                    used += pod.cpu_request_millicores
                 if used > pool.node_capacity_millicores:
                     raise InvariantViolation(
                         f"capacity-conservation: node {node.node_id} holds {used}m "
@@ -60,13 +79,17 @@ class InvariantChecker:
                         f"no-teleportation: node {node.node_id} in state {node.state.value} "
                         "has bound pods"
                     )
+        if count != len(state.nodes):
+            raise InvariantViolation(
+                f"node-index: {len(state.nodes)} nodes indexed, {count} in the pools"
+            )
 
-    def _check_bindings(self, state: ClusterState) -> None:
-        bound_by_node: dict[str, set[str]] = {}
-        for pool in state.pools.values():
-            for node in pool.nodes:
-                bound_by_node[node.node_id] = node.bound_pods
+    def _check_pods(self, state: ClusterState) -> None:
+        """Each kept pod is live, and bound exactly when its state says so, to
+        a node that lists it."""
         for pod in state.pods.values():
+            if pod.state is PodState.DELETED:
+                raise InvariantViolation(f"pod-retirement: Deleted pod {pod.pod_id} is still kept")
             should_be_bound = pod.state in (
                 PodState.STARTING, PodState.RUNNING, PodState.TERMINATING
             )
@@ -76,25 +99,17 @@ class InvariantChecker:
                     f"with bound_node={pod.bound_node}"
                 )
             if pod.bound_node is not None:
-                if pod.pod_id not in bound_by_node.get(pod.bound_node, set()):
+                node = state.nodes.get(pod.bound_node)
+                if node is None or pod.pod_id not in node.bound_pods:
                     raise InvariantViolation(
                         f"binding-consistency: pod {pod.pod_id} missing from "
                         f"node {pod.bound_node} bound set"
-                    )
-        for node_id, pods in bound_by_node.items():
-            for pid in pods:
-                if state.pods[pid].bound_node != node_id:
-                    raise InvariantViolation(
-                        f"binding-consistency: node {node_id} lists pod {pid} "
-                        f"bound elsewhere ({state.pods[pid].bound_node})"
                     )
 
     def _check_replica_accounting(self, state: ClusterState, desired: dict[str, int]) -> None:
         for workload_id, want in desired.items():
             have = sum(
-                1 for p in state.pods.values()
-                if p.workload_id == workload_id
-                and p.state in (PodState.PENDING, PodState.STARTING, PodState.RUNNING)
+                1 for p in state.pods.values() if p.workload_id == workload_id and p.state in ALIVE
             )
             if have != want:
                 raise InvariantViolation(

@@ -61,8 +61,9 @@ class MetricSample:
 class CostAccumulator:
     """Integrates cost rates over event-to-event intervals.
 
-    Nodes accrue from Provisioning onward (capacity you pay for before it
-    serves); pods accrue only while bound to a node. Pending pods are free.
+    Every node in a pool accrues, from Provisioning (capacity you pay for
+    before it serves) until it is Deleted and leaves the pool; pods accrue
+    only while bound to a node. Pending pods are free.
     """
 
     def __init__(self, cost_model: CostModel):
@@ -72,14 +73,10 @@ class CostAccumulator:
         self._last_t: int = 0
 
     def node_rate(self, state: ClusterState) -> int:
-        rate = 0
-        for pool in state.pools.values():
-            live = sum(
-                1 for n in pool.nodes
-                if n.state in (NodeState.PROVISIONING, NodeState.READY, NodeState.DRAINING)
-            )
-            rate += live * self.model.node_rate_micro[pool.pool_id]
-        return rate
+        return sum(
+            len(pool.nodes) * self.model.node_rate_micro[pool.pool_id]
+            for pool in state.pools.values()
+        )
 
     def pod_rate(self, state: ClusterState) -> int:
         bound = sum(1 for p in state.pods.values() if p.bound_node is not None)

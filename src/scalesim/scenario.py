@@ -96,10 +96,6 @@ class ScenarioConfig:
     custom_phases: list[WorkloadPhase] = field(default_factory=list)
     custom_noisy_phases: set[int] | None = None
 
-    @property
-    def hpa_pool(self) -> str:
-        return self.hpa.pool
-
     def build_trace(self) -> DemandTrace:
         amplitude = self.noise_amplitude
         if self.workload == "custom":
@@ -177,6 +173,15 @@ def _convert(raw: str, typ, key: str, line: int):
     return value
 
 
+def _key_number(part: str, key: str, line: int) -> int:
+    """A phase number or switch time inside a key, written one way only, so
+    that two spellings of one number cannot name the same entry."""
+    number = _convert(part, int, key, line)
+    if str(number) != part:
+        raise ScenarioError(f"field {key!r}: write {part!r} as {str(number)!r}", line)
+    return number
+
+
 def _knob_value(key: str, template: str, raw: str, line: int):
     """The value of `key`, converted to its knob's type and range-checked."""
     if template not in KNOBS:
@@ -224,7 +229,7 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
         if key == "schedule.default":
             schedule_default = raw
         elif parts[:2] == ["schedule", "at"] and len(parts) == 3:
-            at = _convert(parts[2], int, key, line)
+            at = _key_number(parts[2], key, line)
             if at < 0:
                 raise ScenarioError(f"field {key!r}: switch time {at} is before the run", line)
             schedule_entries.append((at, raw, line))
@@ -237,7 +242,7 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
                 other.add(group, value)
                 continue
             if parts[0] == "phase":
-                group = _convert(group, int, key, line)
+                group = _key_number(group, key, line)
             section = template[: -len(parts[-1])]
             values[section].setdefault(group, {})[parts[-1]] = value
             group_lines.setdefault((section, group), line)

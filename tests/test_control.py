@@ -299,9 +299,7 @@ class TestHierarchicalTick:
         state.schedule_pending_pods()
         run_until_quiet(state)
         assert state.replicas("web") == 5
-        pending_before = [
-            p.pod_id for p in state.pods.values() if p.state is PodState.PENDING
-        ]
+        pending_before = [p for p in state.pods.values() if p.state is PodState.PENDING]
         assert len(pending_before) == 1
         survivors_expected = sorted(
             (p for p in state.pods.values() if p.state is PodState.RUNNING),
@@ -310,8 +308,9 @@ class TestHierarchicalTick:
         mas = make_mas({"web": flat_trace(500, 900)}, forecaster="naive")
         decision = mas.tick(state, 300)             # plan = 2: three must go
         assert decision.pod_plans["web"].planned_replicas == 2
-        for pod_id in pending_before:
-            assert state.pods[pod_id].state is PodState.DELETED
+        for pod in pending_before:
+            assert pod.pod_id not in state.pods
+            assert pod.state is PodState.DELETED
         alive = {
             p.pod_id for p in state.pods.values()
             if p.state in (PodState.PENDING, PodState.STARTING, PodState.RUNNING)

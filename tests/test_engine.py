@@ -12,6 +12,7 @@ from scalesim.engine import (
     PodState,
 )
 from scalesim.errors import EmptyQueueError, SimulationError, UnknownPoolError
+from scalesim.invariants import InvariantChecker
 
 
 def make_state(pools=None, startup_delay=10):
@@ -312,3 +313,89 @@ def test_scheduling_reaches_fixpoint_liveness():
         for pod in state.pods.values():
             if pod.state is PodState.PENDING:
                 assert all(pod.cpu_request_millicores > f for f in free)
+
+
+class TestLifetime:
+    """A pod or node that reaches Deleted leaves the state at that moment."""
+
+    def test_terminating_a_pending_pod_retires_it(self):
+        state = make_state()
+        pod = state.create_pod("web", 250)
+        state.terminate_pod(pod.pod_id)
+        assert pod.pod_id not in state.pods
+        assert pod.state is PodState.DELETED
+
+    def test_pod_terminated_event_retires_the_pod(self):
+        state = make_state()
+        node = ready_node(state)
+        pod = state.create_pod("web", 250)
+        state.schedule_pending_pods()
+        state.step()
+        state.terminate_pod(pod.pod_id)
+        assert pod.pod_id in state.pods
+        state.step()
+        assert pod.pod_id not in state.pods
+        assert pod.state is PodState.DELETED
+        assert not node.bound_pods
+
+    def test_draining_a_terminating_pod_retires_it(self):
+        state = make_state()
+        node = ready_node(state)
+        pod = state.create_pod("web", 250)
+        state.schedule_pending_pods()
+        state.step()
+        state.terminate_pod(pod.pod_id)
+        state.resize_pool("main", 0)
+        assert pod.pod_id not in state.pods
+        assert pod.state is PodState.DELETED
+        assert node.state is NodeState.DELETED
+        assert node not in state.pools["main"].nodes
+        assert node.node_id not in state.nodes
+        assert state.step().payload.get("stale")     # its PodTerminated
+
+    def test_events_for_retired_objects_are_stale(self):
+        state = make_state()
+        ready_node(state)
+        pod = state.create_pod("web", 250)
+        state.schedule_pending_pods()                # PodStarted at t=10
+        state.resize_pool("main", 0)                 # evicted: Pending again
+        state.terminate_pod(pod.pod_id)              # retired while Pending
+        state.resize_pool("main", 1)                 # NodeReady at t=120
+        cancelled = state.pools["main"].nodes[0]
+        state.resize_pool("main", 0)                 # retired while Provisioning
+        assert pod.pod_id not in state.pods and cancelled.node_id not in state.nodes
+        fired = [state.step() for _ in range(2)]
+        assert [ev.kind for ev in fired] == [EventKind.POD_STARTED, EventKind.NODE_READY]
+        assert all(ev.payload.get("stale") for ev in fired)
+        assert pod.state is PodState.DELETED
+        assert cancelled.state is NodeState.DELETED
+
+    def test_creation_seq_counts_pods_ever_created(self):
+        state = make_state()
+        pods = [state.create_pod("web", 250) for _ in range(3)]
+        state.terminate_pod(pods[0].pod_id)
+        assert [p.creation_seq for p in pods] == [0, 1, 2]
+        assert state.create_pod("web", 250).creation_seq == 3
+
+    def test_churn_keeps_only_live_objects(self):
+        rng = random.Random(7)
+        state = make_state([NodePool("main", "m", 1000, 1.0, 30)], startup_delay=5)
+        pool = state.pools["main"]
+        checker = InvariantChecker()
+        made = []
+        for step in range(200):
+            state.resize_pool("main", rng.randint(0, 3))
+            made += [state.create_pod("web", 250) for _ in range(rng.randint(0, 3))]
+            state.schedule_pending_pods()
+            alive = [p for p in state.pods.values() if p.state is not PodState.TERMINATING]
+            for pod in rng.sample(alive, min(len(alive), rng.randint(0, 3))):
+                state.terminate_pod(pod.pod_id)
+            state.enqueue(10 * (step + 1), EventKind.CONTROL_TICK, {"controller": "x"})
+            while state.has_events() and state.peek_time() <= 10 * (step + 1):
+                state.step()
+                checker.check(state)
+            assert len(state.pods) == sum(p.state is not PodState.DELETED for p in made)
+            assert all(n.state is not NodeState.DELETED for n in pool.nodes)
+            assert state.nodes == {n.node_id: n for n in pool.nodes}
+            assert len(pool.nodes) <= 3 + sum(n.state is NodeState.DRAINING for n in pool.nodes)
+        assert len(made) > 150 and len(state.pods) < 40

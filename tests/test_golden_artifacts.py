@@ -1,4 +1,6 @@
-"""Golden-artifact oracle: the four fixtures' run artifacts, pinned by sha256.
+"""Golden-artifact oracle: the four fixtures' run artifacts, the two mas
+fixtures run with `--controller hpa_ca`, and the comparison of each mas run
+with its override run, pinned by sha256.
 
 A refactor must leave every byte as it is. A change in behaviour updates the
 digests here on purpose and says why in CHANGES.md.
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from scalesim.cli import EXIT_OK, main
 from scalesim.runner import OUTPUT_FILES, run_scenario
 from scalesim.scenario import load_scenario
 
@@ -50,3 +53,47 @@ def test_fixture_artifacts_match_golden_digests(tmp_path, name):
         for artifact in OUTPUT_FILES
     }
     assert digests == GOLDEN[name]
+
+
+# The mas fixtures run with `scalesim run --controller hpa_ca`.
+GOLDEN_OVERRIDE = {
+    "heartbeat-mas": {
+        "events.log": "cf0e6566fdacb5893d39b4bc54d05924de5afc88037a499bdaec379adae43537",
+        "decisions.log": "12a4da2db491cf6f098c7c982695798a09fb03e5262a0505c9a89213bb42b768",
+        "metrics.csv": "3f83f2311987291af80b684852b49b59701eb81c3bdd0e8f8e3788d4c8bcc095",
+        "summary.txt": "60a742ff83ffcb9bb84dacec28e2307ea7037bbf96376b3fe11a9ee10ab3531f",
+    },
+    "flash-sale-mas": {
+        "events.log": "bae90015a7e945b908324cfd35cc12e5924bfb5e3bfcd8aaa5beb2ccaf405b27",
+        "decisions.log": "548bbdf7a3f9a9dda1f304dbe797a5a2b681b6b950e7f16a74f122fddc2f8d30",
+        "metrics.csv": "30ae23a13f7944f495ae5fe732b2f44d302f8b700a311603f5b3886340bbf1ca",
+        "summary.txt": "91fc938d01e4d08f9df69dedc32850233331ff1853cde22b4560567a5500793c",
+    },
+}
+
+# `scalesim compare <mas run> <override run>`.
+GOLDEN_COMPARE = {
+    "heartbeat-mas": {
+        "comparison.txt": "27dbf79e0ceaa1ddb444ff2eb9817ec37351ee2390ee072f7672c86a16156d7c",
+        "comparison.csv": "d95a9a9f826f14b4665e0157d5470524a72d4a4a2c58b0cc558dbdb082393aa5",
+    },
+    "flash-sale-mas": {
+        "comparison.txt": "f982a0075e33fcd6b0dca095e43938018bf0df2fdf3f92a283c446393cc7aa98",
+        "comparison.csv": "b14121dd72c577c5d2f3181770498a3c76980601d444e7ac2642eec67c209528",
+    },
+}
+
+
+def _digests(directory, names):
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OVERRIDE))
+def test_override_run_and_comparison_match_golden_digests(tmp_path, name):
+    scn = str(FIXTURES / f"{name}.scn")
+    mas, hpa, cmp = tmp_path / "mas", tmp_path / "hpa", tmp_path / "cmp"
+    assert main(["run", "--scenario", scn, "--out", str(mas)]) == EXIT_OK
+    assert main(["run", "--scenario", scn, "--out", str(hpa), "--controller", "hpa_ca"]) == EXIT_OK
+    assert main(["compare", str(mas), str(hpa), "--out", str(cmp)]) == EXIT_OK
+    assert _digests(hpa, OUTPUT_FILES) == GOLDEN_OVERRIDE[name]
+    assert _digests(cmp, GOLDEN_COMPARE[name]) == GOLDEN_COMPARE[name]

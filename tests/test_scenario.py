@@ -49,7 +49,7 @@ class TestParsing:
         assert config.pod_request == 250
         assert config.vu_cost == 2.0
         assert [p.pool_id for p in config.pools] == ["baseline"]
-        assert config.hpa_pool == "baseline"
+        assert config.hpa.pool == "baseline"
         assert float(config.hpa.target_utilization) == 0.8
         assert sorted(config.policies) == ["BASELINE"]
         assert config.sampling_interval == 5
@@ -224,7 +224,7 @@ class TestValidation:
 
     def test_hpa_pool_resolved_for_every_controller(self):
         config = parse_scenario_text("workload = heartbeat\ncontroller = mas_h2\n", "x")
-        assert config.hpa_pool == "staging"
+        assert config.hpa.pool == "staging"
 
     def test_schedule_time_before_run_rejected(self):
         text = "workload = heartbeat\ncontroller = mas_h2\nschedule.at.-5 = PERFORMANCE\n"
@@ -234,6 +234,20 @@ class TestValidation:
     def test_missing_phase_field_named(self):
         text = "workload = custom\ncontroller = hpa_ca\nphase.1.duration = 10\n"
         with pytest.raises(ScenarioError, match=r"line 3: missing required field 'phase.1.tar"):
+            parse_scenario_text(text, "x")
+
+    @pytest.mark.parametrize("text, field, line", [
+        ("workload = custom\ncontroller = hpa_ca\nphase.1.duration = 60\n"
+         "phase.1.target_vus = 5\nphase.01.target_vus = 500\n", "phase.01.target_vus", 5),
+        ("workload = heartbeat\ncontroller = mas_h2\nschedule.at.100 = COST_SAVING\n"
+         "schedule.at.0100 = PERFORMANCE\n", "schedule.at.0100", 4),
+        ("workload = heartbeat\ncontroller = mas_h2\nschedule.at.+100 = PERFORMANCE\n",
+         "schedule.at.+100", 3),
+    ])
+    def test_numbers_in_keys_are_written_one_way(self, text, field, line):
+        # Two spellings of one number would otherwise name the same phase
+        # (the later line silently winning) or the same switch time.
+        with pytest.raises(ScenarioError, match=rf"line {line}: field '{re.escape(field)}'"):
             parse_scenario_text(text, "x")
 
     def test_non_finite_float_rejected(self):
