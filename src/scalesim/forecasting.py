@@ -129,21 +129,72 @@ def smoothed_history(history: list[Sample], half_life: int) -> list[tuple[int, f
     return out
 
 
+# Bound, in units of eps * sum(y^2) = n * eps * mean(y^2), on the rounding
+# error of the screen and of `_lag_correlation` in a segment mean, variance
+# or covariance: sequential prefix sums err by up to n * eps of their total,
+# the FFT and the exact formula's pairwise sums by O(log n * eps); the rest is
+# margin.
+_SCREEN_ERROR = 64.0
+
+
 def detect_period(values: list[float], min_lag: int = 60, min_correlation: float = 0.5) -> int | None:
     """Dominant autocorrelation lag in [min_lag, len/2], or None when no lag
-    correlates at least min_correlation (cold start, aperiodic signals)."""
+    correlates at least min_correlation (cold start, aperiodic signals).
+
+    The answer is that of scoring every lag with `_lag_correlation` in
+    ascending order and keeping the first strict maximum above
+    min_correlation, float dust included, at O(n log n) instead of O(n^2):
+
+    - Screen: with y = values - mean, prefix sums of y and y^2 give each
+      segment pair's means and variances, and one FFT autocorrelation gives
+      every lag's cross term, so all lags are scored in one pass.
+    - Re-check: the screen and the exact formula round differently. A lag
+      whose smaller segment variance screens as v can differ between the two
+      by at most `slack` = 2 * err / (v - err), where err (`_SCREEN_ERROR` *
+      n * eps * mean(y^2)) bounds the absolute rounding error in a segment
+      mean, variance or covariance; a lag with v <= err, or a non-finite
+      score, has unbounded slack. Only lags whose screened score plus slack
+      reaches the larger of min_correlation and the best screened score
+      minus its slack can win, and only they are scored exactly: one or a
+      few on periodic demand, every tied lag on a ramp, every lag on a
+      constant.
+    """
     n = len(values)
     max_lag = n // 2
     if max_lag < min_lag:
         return None
     x = np.asarray(values, dtype=float)
+    y = x - x.mean()
+    lags = np.arange(min_lag, max_lag + 1)
+    m = n - lags
+    s1 = np.concatenate(([0.0], np.cumsum(y)))
+    s2 = np.concatenate(([0.0], np.cumsum(y * y)))
+    size = 1 << (2 * n - 1).bit_length()
+    spectrum = np.fft.rfft(y, size)
+    cross = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size)[lags]
+    mean_a, mean_b = s1[m] / m, (s1[n] - s1[lags]) / m
+    var_a = s2[m] / m - mean_a * mean_a
+    var_b = (s2[n] - s2[lags]) / m - mean_b * mean_b
+    var = np.minimum(var_a, var_b)
+    err = _SCREEN_ERROR * np.finfo(float).eps * s2[n]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = (cross / m - mean_a * mean_b) / np.sqrt(var_a * var_b)
+        slack = np.where((var > err) & np.isfinite(score), 2.0 * err / (var - err), np.inf)
+        upper, lower = score + slack, np.where(np.isfinite(slack), score - slack, -np.inf)
+    floor = max(min_correlation, float(lower.max()))
     best_lag, best_corr = None, min_correlation
-    for lag in range(min_lag, max_lag + 1):
-        a, b = x[:-lag], x[lag:]
-        sa, sb = a.std(), b.std()
-        if sa == 0.0 or sb == 0.0:
-            continue
-        corr = float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
-        if corr > best_corr:
+    for lag in lags[~(upper < floor)].tolist():
+        corr = _lag_correlation(x, lag)
+        if corr is not None and corr > best_corr:
             best_lag, best_corr = lag, corr
     return best_lag
+
+
+def _lag_correlation(x: np.ndarray, lag: int) -> float | None:
+    """Pearson correlation of x[:-lag] and x[lag:], or None when either
+    segment's standard deviation is exactly zero."""
+    a, b = x[:-lag], x[lag:]
+    sa, sb = a.std(), b.std()
+    if sa == 0.0 or sb == 0.0:
+        return None
+    return float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))

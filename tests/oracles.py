@@ -1,8 +1,11 @@
 """Test oracles for bin packing: an exhaustive branch-and-bound packer for
 small instances, the classical FFD quality bound, and the structural
-postcondition every packing must satisfy."""
+postcondition every packing must satisfy. Also the full lag scan that
+period detection must reproduce."""
 
 from __future__ import annotations
+
+import numpy as np
 
 from scalesim.planning import NodePlan, Request, RequestSet, _check_sizes, ceil_div, pack_ffd
 
@@ -88,3 +91,25 @@ def pack_exact(requests: RequestSet, bin_capacity: int, pool_id: str = "") -> No
 def ffd_bound_holds(ffd_bins: int, exact_bins: int) -> bool:
     """Classical FFD guarantee: ffd <= (11/9) * optimum + 1, in exact integers."""
     return 9 * ffd_bins <= 11 * exact_bins + 9
+
+
+def detect_period_scan(values: list[float], min_lag: int = 60, min_correlation: float = 0.5) -> int | None:
+    """Reference for `forecasting.detect_period`: its former O(n^2) body,
+    which scores every lag in [min_lag, len/2] with separate numpy
+    reductions and keeps the first strict maximum above min_correlation.
+    The screened version must return exactly what this returns."""
+    n = len(values)
+    max_lag = n // 2
+    if max_lag < min_lag:
+        return None
+    x = np.asarray(values, dtype=float)
+    best_lag, best_corr = None, min_correlation
+    for lag in range(min_lag, max_lag + 1):
+        a, b = x[:-lag], x[lag:]
+        sa, sb = a.std(), b.std()
+        if sa == 0.0 or sb == 0.0:
+            continue
+        corr = float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
+        if corr > best_corr:
+            best_lag, best_corr = lag, corr
+    return best_lag

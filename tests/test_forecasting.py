@@ -1,9 +1,17 @@
-"""Forecaster and smoothing tests, including the zero-error seasonal replay."""
+"""Forecaster and smoothing tests, including the zero-error seasonal replay
+and the equivalence of screened period detection with the full lag scan."""
 
+import math
 import random
+from functools import partial
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import detect_period_scan
 
+from scalesim import control, forecasting
 from scalesim.forecasting import (
     MovingAverage,
     Naive,
@@ -12,7 +20,11 @@ from scalesim.forecasting import (
     forecast,
     smoothed_history,
 )
+from scalesim.runner import run_scenario
+from scalesim.scenario import load_scenario
 from scalesim.workload import build_heartbeat_trace
+
+FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def series(values, start=0):
@@ -167,3 +179,99 @@ class TestPeriodDetection:
 
     def test_constant_signal_returns_none(self):
         assert detect_period([7.0] * 400) is None
+
+
+def square_wave(period, n, low=100.0, high=900.0):
+    return [high if i % period < period // 2 else low for i in range(n)]
+
+
+# Histories on which a screen could go wrong, each with the length it is cut
+# up to: lags that tie exactly (ramp, square waves at every multiple of their
+# period), constants whose mean is inexact (a std of 5.7e-14, not 0.0),
+# segments that are flat on one or both sides, whose exact score is rounding
+# noise, and a large offset over a small swing.
+NAMED_HISTORIES = {
+    "linear-ramp": (1200, lambda n: [float(i) for i in range(n)]),
+    **{f"square-{p}": (max(1200, 4 * p), partial(square_wave, p)) for p in (60, 97, 240, 480)},
+    "sine-300": (1200, lambda n: [
+        500.0 + 300.0 * math.sin(2 * math.pi * i / 300) for i in range(n)
+    ]),
+    "constant-333.3": (1200, lambda n: [333.3] * n),
+    "constant-0.1": (1200, lambda n: [0.1] * n),
+    "step-333.3-to-0.1": (1200, lambda n: [333.3] * (n // 2) + [0.1] * (n - n // 2)),
+    "flat-then-periodic": (1200, lambda n: ([333.3] * 600 + square_wave(240, n))[:n]),
+    "periodic-then-flat": (1200, lambda n: (square_wave(240, 300) + [333.3] * n)[:n]),
+    "offset-1e9-period-200": (1200, lambda n: [
+        1e9 + 50.0 * math.sin(2 * math.pi * i / 200) for i in range(n)
+    ]),
+}
+
+
+class TestPeriodDetectionMatchesScan:
+    @pytest.mark.parametrize("name", sorted(NAMED_HISTORIES))
+    def test_named_history_at_every_60_sample_cut(self, name):
+        length, history = NAMED_HISTORIES[name]
+        for n in range(60, length + 1, 60):
+            values = history(n)
+            for min_correlation in (0.5, -1.0):
+                assert detect_period(values, 60, min_correlation) == detect_period_scan(
+                    values, 60, min_correlation
+                ), (n, min_correlation)
+
+    def test_every_mas_fixture_tick(self, monkeypatch):
+        # The smoothed history of every control tick that detects a period
+        # in the two mas_h2 fixtures, with the tick's parameters.
+        calls = []
+
+        def record(values, min_lag, min_correlation):
+            calls.append((list(values), min_lag, min_correlation))
+            return detect_period(values, min_lag, min_correlation)
+
+        monkeypatch.setattr(control, "detect_period", record)
+        for name in ("heartbeat-mas", "flash-sale-mas"):
+            run_scenario(load_scenario(FIXTURES / f"{name}.scn"))
+        assert len(calls) == 5
+        for values, min_lag, min_correlation in calls:
+            assert detect_period(values, min_lag, min_correlation) == detect_period_scan(
+                values, min_lag, min_correlation
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 0.1, 7.0, 333.3]),
+                st.floats(-1e6, 1e6, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=300,
+        ),
+        repeats=st.integers(1, 4),
+        min_correlation=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_random_history_at_knob_edges(self, values, repeats, min_correlation):
+        # Repeating the list makes exact periods and ties as likely as noise.
+        values = values * repeats
+        assert detect_period(values, 1, min_correlation) == detect_period_scan(
+            values, 1, min_correlation
+        )
+
+    def test_periodic_history_rechecks_few_lags(self, monkeypatch):
+        # Work count, not timing: on 7200 samples of smoothed noisy demand
+        # with a 240 s period, the exact formula runs on at most a few dozen
+        # of the 3541 lags. Falling back to the full scan fails here.
+        rng = random.Random(7)
+        raw = [v + rng.uniform(-50.0, 50.0) for v in square_wave(240, 7200)]
+        values = [v for _, v in smoothed_history(series(raw), half_life=10)]
+        exact = forecasting._lag_correlation
+        lags = []
+
+        def counting(x, lag):
+            lags.append(lag)
+            return exact(x, lag)
+
+        monkeypatch.setattr(forecasting, "_lag_correlation", counting)
+        assert detect_period(values) == 240
+        assert 1 <= len(lags) <= 36
+        monkeypatch.undo()
+        assert detect_period_scan(values) == 240
