@@ -1,9 +1,10 @@
 """Closed-loop controllers driving the simulated cluster.
 
 HierarchicalController runs the slow strategic/planning/execution cycle:
-resolve the active policy, forecast demand per workload, plan replicas and
-nodes jointly, then reconcile the cluster (nodes before pods). Policy switches
-that change node pool run a two-phase make-before-break migration.
+resolve the active policy, forecast the demand of the one managed workload,
+plan its replicas and the nodes jointly, then reconcile the cluster (nodes
+before pods). Policy switches that change node pool run a two-phase
+make-before-break migration.
 
 ReactiveController is the fast baseline: a horizontal pod autoscaler driven by
 observed utilization against a target, plus a cluster autoscaler that adds a
@@ -84,13 +85,13 @@ class MigrationState:
     to_pool: str = ""
     started_at: int = 0
     target_nodes: int = 0
-    # Pre-switch planned replicas per workload: the capacity floor that must
-    # hold at every instant of the migration.
-    floor: dict[str, int] = field(default_factory=dict)
+    # Pre-switch planned replicas: the capacity floor that must hold at every
+    # instant of the migration.
+    floor: int = 0
     # Pod objects, not ids: a pod that reaches Deleted leaves the cluster
     # state, and the migration still needs to see that it did.
-    replacements: dict[str, list[Pod]] = field(default_factory=dict)
-    old_pods: dict[str, list[Pod]] = field(default_factory=dict)
+    replacements: list[Pod] = field(default_factory=list)
+    old_pods: list[Pod] = field(default_factory=list)
     terminated_old: int = 0
     pending_switch: str | None = None
 
@@ -138,7 +139,7 @@ class ControllerDecision:
     tick_at: int
     controller: str
     phases: list[dict]
-    pod_plans: dict[str, PodPlan] = field(default_factory=dict)
+    pod_plan: PodPlan | None = None
     node_plan: NodePlan | None = None
     actions: list[Action] = field(default_factory=list)
 
@@ -163,7 +164,7 @@ class Controller(Protocol):
     floor that a migration must hold, and None outside migrations."""
 
     name: ClassVar[str]
-    desired: dict[str, int]             # replicas asked for, per workload
+    desired: int                        # replicas asked for
     completed_migrations: list[dict]
     migrating: bool
 
@@ -173,7 +174,7 @@ class Controller(Protocol):
     def tick_times(self, duration: int) -> range: ...
     def tick(self, state: ClusterState, now: int) -> ControllerDecision: ...
     def on_event(self, state: ClusterState, ev: SimEvent) -> dict | None: ...
-    def active_floor(self) -> dict[str, int] | None: ...
+    def active_floor(self) -> int | None: ...
 
 
 class HierarchicalController:
@@ -183,19 +184,19 @@ class HierarchicalController:
         self,
         policies: dict[str, Policy],
         schedule: StrategicSchedule,
-        traces: dict[str, DemandTrace],
-        pod_requests: dict[str, int],
+        trace: DemandTrace,
+        pod_request: int,
         other_requests: RequestSet,
         config: MasConfig,
     ):
         self.policies = policies
         self.schedule = schedule
-        self.traces = traces
-        self.pod_requests = pod_requests
+        self.trace = trace
+        self.pod_request = pod_request
         self.other_requests = other_requests
         self.config = config
         self.migration = MigrationState()
-        self.desired: dict[str, int] = {}
+        self.desired = 0
         self.completed_migrations: list[dict] = []
         # The pool the managed workload lives on (or is migrating onto);
         # a dequeued switch compares against this, not the schedule.
@@ -203,8 +204,8 @@ class HierarchicalController:
 
     @classmethod
     def from_config(cls, config: ScenarioConfig, trace: DemandTrace) -> HierarchicalController:
-        return cls(config.policies, config.schedule, {config.workload_id: trace},
-                   {config.workload_id: config.pod_request}, config.other_requests, config.mas)
+        return cls(config.policies, config.schedule, trace, config.pod_request,
+                   config.other_requests, config.mas)
 
     def initial(self, replicas: int | None) -> tuple[str, int]:
         policy = self.policies[self.schedule.active_at(0)]
@@ -236,42 +237,32 @@ class HierarchicalController:
             {"phase": "strategic", "policy": policy.name, "migration": self.migration.phase.value}
         ]
 
-        plans: dict[str, PodPlan] = {}
-        wpa: list[dict] = []
-        for workload_id in sorted(self.traces):
-            trace = self.traces[workload_id]
-            end = min(now, trace.duration)
-            history = trace.demand_window(0, end)
-            if not history:
-                wpa.append({"workload": workload_id, "skipped": "no history"})
-                continue
-            raw = [(t, float(d)) for t, d in history]
-            smoothed = smoothed_history(raw, self.config.smoothing_half_life)
-            kind, basis = self._forecaster_for(raw, smoothed)
-            horizon = self.config.horizon
-            fc = forecast(kind, basis, now,
-                          self.config.control_interval if horizon is None else horizon)
-            plan = plan_replicas(
-                fc.peak_demand_millicores, self.pod_requests[workload_id], policy, workload_id
-            )
-            plans[workload_id] = plan
-            wpa.append({
-                "workload": workload_id,
-                "forecaster": type(kind).__name__,
-                "forecast_peak": fc.peak_demand_millicores,
-                "raw_replicas": plan.raw_replicas,
-                "planned_replicas": plan.planned_replicas,
-            })
-        phases.append({"phase": "workload-planning", "plans": wpa})
-
-        decision = ControllerDecision(tick_at=now, controller=self.name, phases=phases,
-                                      pod_plans=plans)
-        if not plans:
+        workload_id = self.trace.workload_id
+        decision = ControllerDecision(tick_at=now, controller=self.name, phases=phases)
+        raw = self.trace.demand[:now]
+        if not raw:
+            phases.append({"phase": "workload-planning",
+                           "plans": [{"workload": workload_id, "skipped": "no history"}]})
             phases.append({"phase": "node-planning", "skipped": "no plans"})
             phases.append({"phase": "execution", "actions": []})
             return decision
 
-        node_plan = plan_nodes(list(plans.values()), self.other_requests, policy)
+        smoothed = smoothed_history(raw, self.config.smoothing_half_life)
+        kind, basis = self._forecaster_for(raw, smoothed)
+        horizon = self.config.horizon
+        peak = forecast(kind, basis, now,
+                        self.config.control_interval if horizon is None else horizon)
+        plan = plan_replicas(peak, self.pod_request, policy, workload_id)
+        decision.pod_plan = plan
+        phases.append({"phase": "workload-planning", "plans": [{
+            "workload": workload_id,
+            "forecaster": type(kind).__name__,
+            "forecast_peak": peak,
+            "raw_replicas": plan.raw_replicas,
+            "planned_replicas": plan.planned_replicas,
+        }]})
+
+        node_plan = plan_nodes([plan], self.other_requests, policy)
         current_nodes = len(state.pools[policy.node_pool].live_nodes())
         phases.append({
             "phase": "node-planning",
@@ -291,12 +282,15 @@ class HierarchicalController:
             decision.actions.append(
                 Action("nodes", policy.node_pool, node_plan.required_nodes - current_nodes)
             )
-        for workload_id, plan in sorted(plans.items()):
-            delta = plan.planned_replicas - state.replicas(workload_id)
-            if delta != 0:
-                self._apply_replica_delta(state, workload_id, delta)
-                decision.actions.append(Action("pods", workload_id, delta))
-            self.desired[workload_id] = plan.planned_replicas
+        delta = plan.planned_replicas - state.replicas(workload_id)
+        if delta > 0:
+            for _ in range(delta):
+                state.create_pod(workload_id, self.pod_request)
+        elif delta < 0:
+            _shrink(state, state.pods_of(workload_id), -delta)
+        if delta != 0:
+            decision.actions.append(Action("pods", workload_id, delta))
+        self.desired = plan.planned_replicas
         state.schedule_pending_pods()
         phases.append({
             "phase": "execution",
@@ -304,7 +298,7 @@ class HierarchicalController:
         })
         return decision
 
-    def _forecaster_for(self, raw: list[tuple[int, float]], smoothed: list[tuple[int, float]]):
+    def _forecaster_for(self, raw: list[int], smoothed: list[float]):
         """The forecaster and the history it reads. A seasonal planner with
         no full period to replay falls back to the last raw demand: the last
         smoothed level trails a ramp, and planning for it under-provisions
@@ -316,19 +310,10 @@ class HierarchicalController:
             return MovingAverage(cfg.moving_average_window), smoothed
         period = cfg.seasonal_period
         if period is None:
-            period = detect_period(
-                [v for _, v in smoothed], cfg.period_min_lag, cfg.period_min_correlation
-            )
-        if period is None or raw[-1][0] - raw[0][0] + 1 < period:
+            period = detect_period(smoothed, cfg.period_min_lag, cfg.period_min_correlation)
+        if period is None or len(raw) < period:
             return Naive(), raw
         return SeasonalPeak(period=period, quantile=cfg.seasonal_quantile), smoothed
-
-    def _apply_replica_delta(self, state: ClusterState, workload_id: str, delta: int) -> None:
-        if delta > 0:
-            for _ in range(delta):
-                state.create_pod(workload_id, self.pod_requests[workload_id])
-        else:
-            _shrink(state, state.pods_of(workload_id), -delta)
 
     # ------------------------------------------------------------- migration
 
@@ -342,20 +327,16 @@ class HierarchicalController:
         return self._begin_migration(state, now, self._active_pool, new)
 
     def _begin_migration(self, state: ClusterState, now: int, old_pool: str, new: Policy) -> dict:
-        floor = {
-            w: self.desired.get(w, state.replicas(w)) for w in sorted(self.traces)
-        }
-        sizing_plans = [
-            PodPlan(
-                workload_id=w,
-                raw_replicas=max(1, floor[w]),
-                planned_replicas=max(1, floor[w]),
-                basis_peak_millicores=0,
-                pod_request_millicores=self.pod_requests[w],
-            )
-            for w in sorted(floor)
-        ]
-        node_plan = plan_nodes(sizing_plans, self.other_requests, new)
+        workload_id = self.trace.workload_id
+        floor = self.desired
+        sizing_plan = PodPlan(
+            workload_id=workload_id,
+            raw_replicas=max(1, floor),
+            planned_replicas=max(1, floor),
+            basis_peak_millicores=0,
+            pod_request_millicores=self.pod_request,
+        )
+        node_plan = plan_nodes([sizing_plan], self.other_requests, new)
         self.migration = MigrationState(
             phase=MigrationPhase.PROVISIONING_NEW,
             from_pool=old_pool,
@@ -363,7 +344,7 @@ class HierarchicalController:
             started_at=now,
             target_nodes=node_plan.required_nodes,
             floor=floor,
-            old_pods={w: [p for p in state.pods_of(w) if p.state in ALIVE] for w in sorted(floor)},
+            old_pods=[p for p in state.pods_of(workload_id) if p.state in ALIVE],
         )
         state.preferred_pool_id = new.node_pool
         self._active_pool = new.node_pool
@@ -376,7 +357,7 @@ class HierarchicalController:
             "from_pool": old_pool,
             "to_pool": new.node_pool,
             "new_pool_nodes": node_plan.required_nodes,
-            "floor": dict(self.migration.floor),
+            "floor": {workload_id: floor},
         }
 
     def advance_migration(self, state: ClusterState, now: int) -> None:
@@ -388,15 +369,14 @@ class HierarchicalController:
             ready = len(pool.ready_nodes())
             if ready >= mig.target_nodes:
                 mig.phase = MigrationPhase.MIGRATING_WORKLOAD
-                for w in sorted(mig.floor):
-                    mig.replacements[w] = [
-                        state.create_pod(w, self.pod_requests[w]) for _ in range(mig.floor[w])
-                    ]
+                mig.replacements = [
+                    state.create_pod(self.trace.workload_id, self.pod_request)
+                    for _ in range(mig.floor)
+                ]
                 state.schedule_pending_pods()
         if mig.phase is MigrationPhase.MIGRATING_WORKLOAD:
             self._handoff_replicas(state)
-            still_old = any(p.state in ALIVE for pods in mig.old_pods.values() for p in pods)
-            if not still_old:
+            if not any(p.state in ALIVE for p in mig.old_pods):
                 mig.phase = MigrationPhase.DECOMMISSIONING_OLD
         if mig.phase is MigrationPhase.DECOMMISSIONING_OLD:
             residual = self._residual_old_pool_nodes(state)
@@ -406,7 +386,7 @@ class HierarchicalController:
                 "completed_at": now,
                 "from_pool": mig.from_pool,
                 "to_pool": mig.to_pool,
-                "floor": dict(mig.floor),
+                "floor": {self.trace.workload_id: mig.floor},
             })
             pending = mig.pending_switch
             self.migration = MigrationState()
@@ -417,15 +397,11 @@ class HierarchicalController:
         """Per-replica make-before-break: one old pod is released for every
         replacement that reached Running."""
         mig = self.migration
-        running_new = sum(
-            1 for pods in mig.replacements.values() for p in pods if p.state is PodState.RUNNING
-        )
+        running_new = sum(1 for p in mig.replacements if p.state is PodState.RUNNING)
         to_release = running_new - mig.terminated_old
         if to_release <= 0:
             return
-        mig.terminated_old += _shrink(
-            state, (p for pods in mig.old_pods.values() for p in pods), to_release
-        )
+        mig.terminated_old += _shrink(state, mig.old_pods, to_release)
 
     def _residual_old_pool_nodes(self, state: ClusterState) -> int:
         old_pool = state.pools[self.migration.from_pool]
@@ -433,16 +409,16 @@ class HierarchicalController:
         for node in old_pool.nodes:
             for pid in sorted(node.bound_pods):
                 pod = state.pods[pid]
-                if pod.workload_id not in self.traces and pod.state is not PodState.TERMINATING:
+                if pod.workload_id != self.trace.workload_id and pod.state is not PodState.TERMINATING:
                     unmanaged.add(pod.pod_id, pod.cpu_request_millicores)
         if not unmanaged.items:
             return 0
         return pack_ffd(unmanaged, old_pool.node_capacity_millicores).required_nodes
 
-    def active_floor(self) -> dict[str, int] | None:
+    def active_floor(self) -> int | None:
         if self.migration.phase is MigrationPhase.IDLE:
             return None
-        return dict(self.migration.floor)
+        return self.migration.floor
 
 
 class ReactiveController:
@@ -451,26 +427,19 @@ class ReactiveController:
     name = "hpa_ca"
     migrating = False
 
-    def __init__(
-        self,
-        traces: dict[str, DemandTrace],
-        pod_requests: dict[str, int],
-        pool_id: str,
-        config: HpaConfig,
-    ):
-        self.traces = traces
-        self.pod_requests = pod_requests
+    def __init__(self, trace: DemandTrace, pod_request: int, pool_id: str, config: HpaConfig):
+        self.trace = trace
+        self.pod_request = pod_request
         self.pool_id = pool_id
         self.config = config
-        self.desired: dict[str, int] = {}
+        self.desired = 0
         self.completed_migrations: list[dict] = []
-        self._below_since: dict[str, int | None] = {w: None for w in traces}
+        self._below_since: int | None = None
         self._empty_since: dict[str, int] = {}
 
     @classmethod
     def from_config(cls, config: ScenarioConfig, trace: DemandTrace) -> ReactiveController:
-        return cls({config.workload_id: trace}, {config.workload_id: config.pod_request},
-                   config.hpa.pool, config.hpa)
+        return cls(trace, config.pod_request, config.hpa.pool, config.hpa)
 
     def initial(self, replicas: int | None) -> tuple[str, int]:
         return self.pool_id, self.config.min_replicas if replicas is None else replicas
@@ -489,47 +458,42 @@ class ReactiveController:
         phases: list[dict] = []
         decision = ControllerDecision(tick_at=now, controller=self.name, phases=phases)
 
-        hpa_records = []
-        for workload_id in sorted(self.traces):
-            trace = self.traces[workload_id]
-            demand = trace.demand_at(now) if now < trace.duration else 0
-            running = state.running_replicas(workload_id)
-            current = state.replicas(workload_id)
-            request = self.pod_requests[workload_id]
-            utilization = (min(Fraction(demand, running * request), cfg.saturation_ceiling)
-                           if running else Fraction(0))
-            # Pods without a node yet report no usage, so the scale-up basis
-            # is the running count; the result reconciles the full replica set.
-            desired = math.ceil(running * utilization / cfg.target_utilization)
-            desired = max(cfg.min_replicas, min(cfg.max_replicas, desired))
-            applied = current
-            if desired > current:
-                for _ in range(desired - current):
-                    state.create_pod(workload_id, request)
-                self._below_since[workload_id] = None
+        workload_id = self.trace.workload_id
+        demand = self.trace.demand_at(now) if now < self.trace.duration else 0
+        running = state.running_replicas(workload_id)
+        current = state.replicas(workload_id)
+        utilization = (min(Fraction(demand, running * self.pod_request), cfg.saturation_ceiling)
+                       if running else Fraction(0))
+        # Pods without a node yet report no usage, so the scale-up basis is
+        # the running count; the result reconciles the full replica set.
+        desired = math.ceil(running * utilization / cfg.target_utilization)
+        desired = max(cfg.min_replicas, min(cfg.max_replicas, desired))
+        applied = current
+        if desired > current:
+            for _ in range(desired - current):
+                state.create_pod(workload_id, self.pod_request)
+            self._below_since = None
+            applied = desired
+        elif desired < current:
+            if self._below_since is None:
+                self._below_since = now
+            if now - self._below_since >= cfg.scale_down_stabilization:
+                _shrink(state, state.pods_of(workload_id), current - desired)
+                self._below_since = None
                 applied = desired
-            elif desired < current:
-                since = self._below_since[workload_id]
-                if since is None:
-                    since = self._below_since[workload_id] = now
-                if now - since >= cfg.scale_down_stabilization:
-                    _shrink(state, state.pods_of(workload_id), current - desired)
-                    self._below_since[workload_id] = None
-                    applied = desired
-            else:
-                self._below_since[workload_id] = None
-            if applied != current:
-                decision.actions.append(Action("pods", workload_id, applied - current))
-            self.desired[workload_id] = applied
-            hpa_records.append({
-                "workload": workload_id,
-                "demand": demand,
-                "running": running,
-                "utilization": float(utilization),
-                "desired": desired,
-                "applied": applied,
-            })
-        phases.append({"phase": "hpa", "workloads": hpa_records})
+        else:
+            self._below_since = None
+        if applied != current:
+            decision.actions.append(Action("pods", workload_id, applied - current))
+        self.desired = applied
+        phases.append({"phase": "hpa", "workloads": [{
+            "workload": workload_id,
+            "demand": demand,
+            "running": running,
+            "utilization": float(utilization),
+            "desired": desired,
+            "applied": applied,
+        }]})
 
         phases.append({"phase": "ca", **self._cluster_autoscaler(state, now, decision.actions)})
         state.schedule_pending_pods()

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-Sample = tuple[int, float]
-
 
 @dataclass(frozen=True)
 class Naive:
@@ -45,59 +43,35 @@ class SeasonalPeak:
 ForecasterKind = Naive | MovingAverage | SeasonalPeak
 
 
-@dataclass
-class Forecast:
-    issued_at: int
-    horizon_seconds: int
-    predicted: list[tuple[int, int]]   # covers (issued_at, issued_at + horizon]
-    peak_demand_millicores: int
-
-
-def forecast(kind: ForecasterKind, history: list[Sample], now: int, horizon: int) -> Forecast:
-    """Predict demand for every second in (now, now + horizon]."""
+def forecast(kind: ForecasterKind, history: list[float], now: int, horizon: int) -> int:
+    """Peak demand over (now, now + horizon], from a history that holds the
+    demand of second t at index t."""
     if not history:
         raise ValueError("history must be non-empty")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if history[-1][0] >= now:
-        raise ValueError(f"history reaches t={history[-1][0]}, not strictly before now={now}")
+    if len(history) > now:
+        raise ValueError(f"history reaches t={len(history) - 1}, not strictly before now={now}")
 
-    future = range(now + 1, now + horizon + 1)
     if isinstance(kind, Naive):
-        level = _round(history[-1][1])
-        predicted = [(t, level) for t in future]
-    elif isinstance(kind, MovingAverage):
-        tail = [v for _, v in history[-kind.window:]]
-        level = _round(sum(tail) / len(tail))
-        predicted = [(t, level) for t in future]
-    elif isinstance(kind, SeasonalPeak):
-        predicted = _seasonal(kind, history, future)
-    else:
-        raise TypeError(f"unknown forecaster kind {kind!r}")
-
-    peak = max(v for _, v in predicted)
-    return Forecast(
-        issued_at=now,
-        horizon_seconds=horizon,
-        predicted=predicted,
-        peak_demand_millicores=peak,
-    )
+        return _round(history[-1])
+    if isinstance(kind, MovingAverage):
+        tail = history[-kind.window:]
+        return _round(sum(tail) / len(tail))
+    if isinstance(kind, SeasonalPeak):
+        return _seasonal(kind, history, now, horizon)
+    raise TypeError(f"unknown forecaster kind {kind!r}")
 
 
-def _seasonal(kind: SeasonalPeak, history: list[Sample], future: range) -> list[tuple[int, int]]:
-    span = history[-1][0] - history[0][0] + 1
-    last = _round(history[-1][1])
-    if span < kind.period:
+def _seasonal(kind: SeasonalPeak, history: list[float], now: int, horizon: int) -> int:
+    """The largest same-phase quantile over the phases that (now, now +
+    horizon] visits."""
+    period = kind.period
+    if len(history) < period:
         # Not a full period observed yet; behave like Naive.
-        return [(t, last) for t in future]
-    by_offset: dict[int, list[float]] = {}
-    for t, v in history:
-        by_offset.setdefault(t % kind.period, []).append(v)
-    predicted = []
-    for t in future:
-        values = by_offset.get(t % kind.period)
-        predicted.append((t, _round(_quantile(values, kind.quantile)) if values else last))
-    return predicted
+        return _round(history[-1])
+    phases = {t % period for t in range(now + 1, now + 1 + min(horizon, period))}
+    return max(_round(_quantile(history[p::period], kind.quantile)) for p in phases)
 
 
 def _quantile(values: list[float], q: float) -> float:
@@ -111,7 +85,7 @@ def _round(x: float) -> int:
     return int(round(x))
 
 
-def smoothed_history(history: list[Sample], half_life: int) -> list[tuple[int, float]]:
+def smoothed_history(history: list[float], half_life: int) -> list[float]:
     """Exponentially weighted smoothing: half of any level gap closes every
     half_life seconds. Constant input is a fixed point; the output never
     exceeds the input's max nor undercuts its min."""
@@ -120,12 +94,11 @@ def smoothed_history(history: list[Sample], half_life: int) -> list[tuple[int, f
     if not history:
         return []
     alpha = 1.0 - 2.0 ** (-1.0 / half_life)
-    out: list[tuple[int, float]] = []
-    level = float(history[0][1])
-    out.append((history[0][0], level))
-    for t, v in history[1:]:
+    level = float(history[0])
+    out = [level]
+    for v in history[1:]:
         level = alpha * v + (1.0 - alpha) * level
-        out.append((t, level))
+        out.append(level)
     return out
 
 

@@ -110,24 +110,22 @@ def utility_score(
 class Observer:
     def __init__(
         self,
-        pod_requests: dict[str, int],
+        workload_id: str,
+        pod_request: int,
         cost: CostAccumulator,
         normalizers: Normalizers,
         saturation_ceiling: Fraction = Fraction(11, 10),
     ):
-        self.pod_requests = pod_requests
+        self.workload_id = workload_id
+        self.pod_request = pod_request
         self.cost = cost
         self.normalizers = normalizers
         self.saturation_ceiling = saturation_ceiling
         self.samples: list[MetricSample] = []
 
     def observe(self, state: ClusterState, demand: int, policy: Policy, t: int) -> MetricSample:
-        running_capacity = 0
-        running = 0
-        for workload_id, request in self.pod_requests.items():
-            n = state.running_replicas(workload_id)
-            running += n
-            running_capacity += n * request
+        running = state.running_replicas(self.workload_id)
+        running_capacity = running * self.pod_request
         pending = sum(1 for p in state.pods.values() if p.state is PodState.PENDING)
 
         utilization = (min(Fraction(demand, running_capacity), self.saturation_ceiling)

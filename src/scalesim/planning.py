@@ -69,7 +69,7 @@ def ceil_div(a: int, b: int) -> int:
 def plan_replicas(
     forecast_peak: int, pod_request: int, policy: Policy, workload_id: str = ""
 ) -> PodPlan:
-    """Replica count for a predicted peak: ceil(peak / per-pod request),
+    """Replica count for a forecast peak: ceil(peak / per-pod request),
     at least 1, floored by the policy's strategic minimum."""
     if pod_request <= 0:
         raise ValueError(f"pod_request must be positive, got {pod_request}")

@@ -48,20 +48,19 @@ def format_event(ev: SimEvent) -> str:
 
 
 class _DowntimeMeter:
-    """Seconds during migrations where some managed workload ran below its
+    """Seconds during migrations where the managed workload ran below its
     pre-switch replica floor, integrated over event boundaries."""
 
-    def __init__(self, state: ClusterState):
+    def __init__(self, state: ClusterState, workload_id: str):
         self.state = state
+        self.workload_id = workload_id
         self.seconds = 0
         self._last_t = 0
 
-    def advance(self, now: int, floor: dict[str, int] | None) -> None:
+    def advance(self, now: int, floor: int | None) -> None:
         dt = now - self._last_t
         self._last_t = now
-        if dt > 0 and floor is not None and any(
-            self.state.running_replicas(w) < want for w, want in floor.items()
-        ):
+        if dt > 0 and floor is not None and self.state.running_replicas(self.workload_id) < floor:
             self.seconds += dt
 
 
@@ -88,7 +87,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
     state.preferred_pool_id, initial = controller.initial(config.initial_replicas)
     for _ in range(initial):
         state.create_pod(config.workload_id, config.pod_request)
-    controller.desired[config.workload_id] = initial
+    controller.desired = initial
     state.schedule_pending_pods()
 
     for t in controller.tick_times(duration):
@@ -108,13 +107,14 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
     )
     cost = CostAccumulator(cost_model)
     observer = Observer(
-        pod_requests={config.workload_id: config.pod_request},
+        workload_id=config.workload_id,
+        pod_request=config.pod_request,
         cost=cost,
         normalizers=config.normalizers,
         saturation_ceiling=config.hpa.saturation_ceiling,
     )
     checker = InvariantChecker()
-    downtime = _DowntimeMeter(state)
+    downtime = _DowntimeMeter(state, config.workload_id)
 
     event_lines: list[str] = []
     decision_lines: list[str] = []
@@ -147,7 +147,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
             decision_lines.append(json.dumps(record))
 
         event_lines.append(format_event(ev))
-        checker.check(state, desired=controller.desired, migration_active=controller.migrating)
+        checker.check(state, desired={config.workload_id: controller.desired},
+                      migration_active=controller.migrating)
         checker.check_costs(cost.node_cost, cost.pod_cost)
 
     cost.advance(state, duration)

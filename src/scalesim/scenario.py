@@ -144,10 +144,6 @@ def _default_pools(controller: str) -> dict[str, PoolSpec]:
 
 def _default_policies(controller: str, pools: dict[str, PoolSpec]) -> dict[str, Policy]:
     if controller == "mas_h2":
-        if "staging" not in pools or "performance" not in pools:
-            raise ScenarioError(
-                "policy.* entries are required when mas_h2 runs on custom pools"
-            )
         specs = {"COST_SAVING": PolicySpec("staging", 1, 0.2, 0.8),
                  "PERFORMANCE": PolicySpec("performance", 2, 0.8, 0.2)}
     else:
@@ -281,6 +277,12 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
                 line_of(f"policy.{name}.w_perf", f"policy.{name}.w_cost"),
             )
     if not policies:
+        if controller == "mas_h2" and not {"staging", "performance"} <= pools.keys():
+            key = next(k for k in entries if k.startswith("pool."))
+            raise ScenarioError(
+                f"field {key!r}: policy.* entries are required when mas_h2 runs on custom pools",
+                line_of(key),
+            )
         policies = _default_policies(controller, pools)
 
     if schedule_default is None:
@@ -315,7 +317,9 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
     noisy: set[int] = set()
     if top["workload"] == "custom":
         if not values["phase.*."]:
-            raise ScenarioError("workload = custom requires phase.N.* entries")
+            raise ScenarioError(
+                "field 'workload': custom requires phase.N.* entries", line_of("workload")
+            )
         for i, idx in enumerate(sorted(values["phase.*."])):
             spec = PhaseSpec(**knobs_of(PhaseSpec, "phase.*.", idx))
             phases.append(

@@ -7,11 +7,9 @@ computed downstream against whatever capacity the controllers provisioned.
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 
 class Ramp(Enum):
@@ -30,27 +28,17 @@ class WorkloadPhase:
 @dataclass
 class DemandTrace:
     workload_id: str
-    samples: list[tuple[int, int]]          # (t, demand millicores), one per second
-    vus_per_sample: list[tuple[int, int]]   # (t, virtual users)
-    noise_seed: int
+    demand: list[int]                       # millicores at second t = index
     phase_boundaries: list[tuple[int, str]] = field(default_factory=list)
 
     @property
     def duration(self) -> int:
-        return len(self.samples)
+        return len(self.demand)
 
     def demand_at(self, t: int) -> int:
         if not 0 <= t < self.duration:
             raise ValueError(f"t={t} outside trace [0, {self.duration})")
-        return self.samples[t][1]
-
-    def demand_window(self, start: int, end: int) -> list[tuple[int, int]]:
-        """Samples in [start, end); empty when start == end."""
-        if not (0 <= start <= end <= self.duration):
-            raise ValueError(
-                f"window [{start}, {end}) out of range for trace of {self.duration}s"
-            )
-        return self.samples[start:end]
+        return self.demand[t]
 
 
 def vus_profile(phases: list[WorkloadPhase]) -> list[int]:
@@ -73,17 +61,17 @@ def build_trace(
     workload_id: str,
     phases: list[WorkloadPhase],
     vu_cost: float,
-    noise_seed: int,
+    seed: int,
     noise_amplitude: float = 0.0,
     noisy_phases: set[int] | None = None,
 ) -> DemandTrace:
     """Materialize a demand trace: demand(t) = round(vus * vu_cost * (1 + eps)).
 
     Noise eps is uniform in [-amplitude, amplitude], drawn per second from
-    noise_seed, and applied only inside `noisy_phases` (all phases if None).
+    `seed`, and applied only inside `noisy_phases` (all phases if None).
     """
     vus = vus_profile(phases)
-    rng = random.Random(noise_seed)
+    rng = random.Random(seed)
     noisy_index: list[bool] = []
     boundaries: list[tuple[int, str]] = []
     t0 = 0
@@ -93,21 +81,12 @@ def build_trace(
         noisy_index.extend([noisy] * phase.duration_seconds)
         t0 += phase.duration_seconds
 
-    samples: list[tuple[int, int]] = []
-    vus_samples: list[tuple[int, int]] = []
+    demand: list[int] = []
     for t, v in enumerate(vus):
         eps = rng.uniform(-noise_amplitude, noise_amplitude) \
             if (noise_amplitude > 0 and noisy_index[t]) else 0.0
-        demand = max(0, round(v * vu_cost * (1.0 + eps)))
-        samples.append((t, demand))
-        vus_samples.append((t, v))
-    return DemandTrace(
-        workload_id=workload_id,
-        samples=samples,
-        vus_per_sample=vus_samples,
-        noise_seed=noise_seed,
-        phase_boundaries=boundaries,
-    )
+        demand.append(max(0, round(v * vu_cost * (1.0 + eps))))
+    return DemandTrace(workload_id=workload_id, demand=demand, phase_boundaries=boundaries)
 
 
 def heartbeat_phases() -> list[WorkloadPhase]:
@@ -154,32 +133,25 @@ FLASH_SALE_NOISY_PHASES = {0, 1, 2}
 
 def build_heartbeat_trace(
     vu_cost: float,
-    noise_seed: int,
+    seed: int,
     noise_amplitude: float = 0.0,
     workload_id: str = "web",
 ) -> DemandTrace:
     return build_trace(
-        workload_id, heartbeat_phases(), vu_cost, noise_seed,
+        workload_id, heartbeat_phases(), vu_cost, seed,
         noise_amplitude=noise_amplitude,
     )
 
 
 def build_flash_sale_trace(
     vu_cost: float,
-    noise_seed: int,
+    seed: int,
     noise_amplitude: float = 0.10,
     workload_id: str = "web",
 ) -> DemandTrace:
     return build_trace(
-        workload_id, flash_sale_phases(), vu_cost, noise_seed,
+        workload_id, flash_sale_phases(), vu_cost, seed,
         noise_amplitude=noise_amplitude,
         noisy_phases=FLASH_SALE_NOISY_PHASES,
     )
 
-
-def write_trace_csv(trace: DemandTrace, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "vus", "demand_millicores"])
-        for (t, demand), (_, vus) in zip(trace.samples, trace.vus_per_sample):
-            writer.writerow([t, vus, demand])

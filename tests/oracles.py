@@ -1,12 +1,23 @@
 """Test oracles for bin packing: an exhaustive branch-and-bound packer for
 small instances, the classical FFD quality bound, and the structural
 postcondition every packing must satisfy. Also the full lag scan that
-period detection must reproduce."""
+period detection must reproduce, and the per-second forecaster and smoother
+whose peak and levels the production ones must reproduce."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from scalesim.forecasting import (
+    ForecasterKind,
+    MovingAverage,
+    Naive,
+    SeasonalPeak,
+    _quantile,
+    _round,
+)
 from scalesim.planning import NodePlan, Request, RequestSet, _check_sizes, ceil_div, pack_ffd
 
 
@@ -113,3 +124,81 @@ def detect_period_scan(values: list[float], min_lag: int = 60, min_correlation: 
         if corr > best_corr:
             best_lag, best_corr = lag, corr
     return best_lag
+
+
+# The former forecasting API, kept as the reference: histories are (t, value)
+# pairs and a forecast lists its prediction for every second of the horizon.
+Sample = tuple[int, float]
+
+
+@dataclass
+class Forecast:
+    issued_at: int
+    horizon_seconds: int
+    predicted: list[tuple[int, int]]   # covers (issued_at, issued_at + horizon]
+    peak_demand_millicores: int
+
+
+def forecast_per_second(kind: ForecasterKind, history: list[Sample], now: int, horizon: int) -> Forecast:
+    """Predict demand for every second in (now, now + horizon]."""
+    if not history:
+        raise ValueError("history must be non-empty")
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    if history[-1][0] >= now:
+        raise ValueError(f"history reaches t={history[-1][0]}, not strictly before now={now}")
+
+    future = range(now + 1, now + horizon + 1)
+    if isinstance(kind, Naive):
+        level = _round(history[-1][1])
+        predicted = [(t, level) for t in future]
+    elif isinstance(kind, MovingAverage):
+        tail = [v for _, v in history[-kind.window:]]
+        level = _round(sum(tail) / len(tail))
+        predicted = [(t, level) for t in future]
+    elif isinstance(kind, SeasonalPeak):
+        predicted = _seasonal_per_second(kind, history, future)
+    else:
+        raise TypeError(f"unknown forecaster kind {kind!r}")
+
+    peak = max(v for _, v in predicted)
+    return Forecast(
+        issued_at=now,
+        horizon_seconds=horizon,
+        predicted=predicted,
+        peak_demand_millicores=peak,
+    )
+
+
+def _seasonal_per_second(kind: SeasonalPeak, history: list[Sample], future: range) -> list[tuple[int, int]]:
+    span = history[-1][0] - history[0][0] + 1
+    last = _round(history[-1][1])
+    if span < kind.period:
+        # Not a full period observed yet; behave like Naive.
+        return [(t, last) for t in future]
+    by_offset: dict[int, list[float]] = {}
+    for t, v in history:
+        by_offset.setdefault(t % kind.period, []).append(v)
+    predicted = []
+    for t in future:
+        values = by_offset.get(t % kind.period)
+        predicted.append((t, _round(_quantile(values, kind.quantile)) if values else last))
+    return predicted
+
+
+def smoothed_pairs(history: list[Sample], half_life: int) -> list[tuple[int, float]]:
+    """Exponentially weighted smoothing: half of any level gap closes every
+    half_life seconds. Constant input is a fixed point; the output never
+    exceeds the input's max nor undercuts its min."""
+    if half_life <= 0:
+        raise ValueError("half_life must be positive")
+    if not history:
+        return []
+    alpha = 1.0 - 2.0 ** (-1.0 / half_life)
+    out: list[tuple[int, float]] = []
+    level = float(history[0][1])
+    out.append((history[0][0], level))
+    for t, v in history[1:]:
+        level = alpha * v + (1.0 - alpha) * level
+        out.append((t, level))
+    return out

@@ -111,7 +111,7 @@ def max_peak_plan(result):
 def peak_demand(config, windows):
     """D: the highest demand the run's own trace puts inside the windows."""
     trace = config.build_trace()
-    return max(d for lo, hi in windows for _, d in trace.demand_window(lo, hi))
+    return max(d for lo, hi in windows for d in trace.demand[lo:hi])
 
 
 def ceiling_oracle(peak, request):
@@ -254,13 +254,11 @@ def chatter_probe_plan(config):
     """What the planner would order from chatter-only history: smoothing plus
     the quantile forecast must filter the chatter spikes."""
     trace = config.build_trace()
-    history = [(t, float(d)) for t, d in trace.demand_window(0, 200)]
+    history = [float(d) for d in trace.demand[:200]]
     smoothed = smoothed_history(history, config.mas.smoothing_half_life)
-    fc = forecast(SeasonalPeak(period=60, quantile=0.95), smoothed, 200, 300)
+    peak = forecast(SeasonalPeak(period=60, quantile=0.95), smoothed, 200, 300)
     policy = config.policies[config.schedule.active_at(200)]
-    return plan_replicas(
-        fc.peak_demand_millicores, config.pod_request, policy
-    ).planned_replicas
+    return plan_replicas(peak, config.pod_request, policy).planned_replicas
 
 
 def criterion_2_clauses(mas, hpa):
@@ -394,13 +392,13 @@ def test_criterion_5_replica_formula_oracle():
 
 
 def test_criterion_6_forecaster_exactness():
-    trace = build_heartbeat_trace(vu_cost=2, noise_seed=1, noise_amplitude=0.0)
+    trace = build_heartbeat_trace(vu_cost=2, seed=1, noise_amplitude=0.0)
     exact = True
     for now in (240, 480):
-        history = [(t, float(d)) for t, d in trace.demand_window(0, now)]
-        fc = forecast(SeasonalPeak(period=240, quantile=0.95), history, now, 240)
-        realized = max(d for _, d in trace.demand_window(now, now + 240))
-        exact = exact and fc.peak_demand_millicores == realized
+        history = [float(d) for d in trace.demand[:now]]
+        peak = forecast(SeasonalPeak(period=240, quantile=0.95), history, now, 240)
+        realized = max(trace.demand[now:now + 240])
+        exact = exact and peak == realized
 
     rng = random.Random(66)
     fixed_point = True
@@ -409,15 +407,13 @@ def test_criterion_6_forecaster_exactness():
         level = float(rng.randint(1, 2000))
         n = rng.randint(2, 300)
         half_life = rng.randint(1, 60)
-        constant = [(t, level) for t in range(n)]
+        constant = [level] * n
         fixed_point = fixed_point and all(
-            v == level for _, v in smoothed_history(constant, half_life)
+            v == level for v in smoothed_history(constant, half_life)
         )
         spike_at = rng.randrange(1, n)
-        spiky = [
-            (t, level + (1000.0 if t == spike_at else 0.0)) for t in range(n)
-        ]
-        smoothed_max = max(v for _, v in smoothed_history(spiky, half_life + 1))
+        spiky = [level + (1000.0 if t == spike_at else 0.0) for t in range(n)]
+        smoothed_max = max(smoothed_history(spiky, half_life + 1))
         attenuated = attenuated and smoothed_max < level + 1000.0
 
     assert_clauses("6", [

@@ -23,9 +23,7 @@ POLICIES = {"COST_SAVING": COST, "PERFORMANCE": PERF}
 
 
 def flat_trace(demand, duration, workload_id="web"):
-    samples = [(t, demand) for t in range(duration)]
-    vus = [(t, demand // 2) for t in range(duration)]
-    return DemandTrace(workload_id=workload_id, samples=samples, vus_per_sample=vus, noise_seed=0)
+    return DemandTrace(workload_id=workload_id, demand=[demand] * duration)
 
 
 def two_pool_state(staging_nodes=1, perf_nodes=0):
@@ -70,8 +68,8 @@ def start_running(state, workload, count, request=250):
 def make_hpa(trace, state, **overrides):
     cfg = HpaConfig(**overrides)
     return ReactiveController(
-        traces={trace.workload_id: trace},
-        pod_requests={trace.workload_id: 250},
+        trace=trace,
+        pod_request=250,
         pool_id="baseline",
         config=cfg,
     )
@@ -133,9 +131,9 @@ class TestReactiveHpa:
         low, ontarget = flat_trace(400, 600), flat_trace(800, 600)
         hpa = make_hpa(low, state, scale_down_stabilization=60)
         tick_at(hpa, state, 15)
-        hpa.traces = {"web": ontarget}              # back at target mid-window
+        hpa.trace = ontarget                        # back at target mid-window
         tick_at(hpa, state, 30)
-        hpa.traces = {"web": low}
+        hpa.trace = low
         tick_at(hpa, state, 60)
         assert state.replicas("web") == 4           # streak restarted at 60
         tick_at(hpa, state, 105)
@@ -177,8 +175,7 @@ class TestReactiveHpa:
 
     def test_no_future_observations(self):
         # Demand explodes one second after the tick; the decision must not see it.
-        samples = [(t, 100) for t in range(100)] + [(t, 99999) for t in range(100, 200)]
-        trace = DemandTrace("web", samples, [(t, 0) for t in range(200)], 0)
+        trace = DemandTrace("web", [100] * 100 + [99999] * 100)
         state = baseline_state(capacity=2000)
         start_running(state, "web", 1)
         hpa = make_hpa(trace, state)
@@ -216,29 +213,22 @@ class TestReactiveHpa:
         ]
 
 
-def make_mas(traces, state=None, schedule=None, other=None, **cfg):
+def make_mas(trace, state=None, schedule=None, other=None, **cfg):
     config = MasConfig(**cfg)
     return HierarchicalController(
         policies=POLICIES,
         schedule=schedule or StrategicSchedule(default_policy="COST_SAVING"),
-        traces=traces,
-        pod_requests={w: 250 for w in traces},
+        trace=trace,
+        pod_request=250,
         other_requests=other or RequestSet(),
         config=config,
     )
 
 
 class TestHierarchicalTick:
-    def test_empty_workload_set_no_actions(self):
-        state = two_pool_state()
-        mas = make_mas({})
-        decision = mas.tick(state, 300)
-        assert decision.actions == []
-        assert decision.pod_plans == {}
-
     def test_phase_order_matches_control_loop(self):
         state = two_pool_state()
-        mas = make_mas({"web": flat_trace(800, 900)}, forecaster="naive")
+        mas = make_mas(flat_trace(800, 900), forecaster="naive")
         for now in (0, 300):
             decision = mas.tick(state, now)
             labels = [p["phase"] for p in decision.phases]
@@ -251,9 +241,9 @@ class TestHierarchicalTick:
         state = two_pool_state(perf_nodes=1)
         start_running(state, "web", 3)
         schedule = StrategicSchedule(default_policy="PERFORMANCE")
-        mas = make_mas({"web": flat_trace(2000, 900)}, schedule=schedule, forecaster="naive")
+        mas = make_mas(flat_trace(2000, 900), schedule=schedule, forecaster="naive")
         decision = mas.tick(state, 300)
-        assert decision.pod_plans["web"].planned_replicas == 8
+        assert decision.pod_plan.planned_replicas == 8
         pod_actions = [a for a in decision.actions if a.kind == "pods"]
         assert [a.delta for a in pod_actions] == [5]
         assert state.replicas("web") == 8
@@ -262,23 +252,23 @@ class TestHierarchicalTick:
         # Forecast peak 800m at 250m requests: the planner needs one staging
         # node, which already exists, so only the pod action appears.
         state = two_pool_state(staging_nodes=1)
-        mas = make_mas({"web": flat_trace(800, 900)}, forecaster="naive")
+        mas = make_mas(flat_trace(800, 900), forecaster="naive")
         decision = mas.tick(state, 300)
         assert decision.node_plan.required_nodes == 1
         kinds = {a.kind for a in decision.actions}
         assert kinds == {"pods"}
-        assert decision.pod_plans["web"].planned_replicas == 4
+        assert decision.pod_plan.planned_replicas == 4
 
     def test_node_scaling_issued_before_pod_scaling(self):
         state = two_pool_state(staging_nodes=0)
-        mas = make_mas({"web": flat_trace(800, 900)}, forecaster="naive")
+        mas = make_mas(flat_trace(800, 900), forecaster="naive")
         decision = mas.tick(state, 300)
         kinds = [a.kind for a in decision.actions]
         assert kinds == ["nodes", "pods"]
 
     def test_cold_start_skips_workload(self):
         state = two_pool_state()
-        mas = make_mas({"web": flat_trace(800, 900)})
+        mas = make_mas(flat_trace(800, 900))
         decision = mas.tick(state, 0)
         assert decision.actions == []
         assert decision.phases[1]["plans"][0]["skipped"] == "no history"
@@ -286,10 +276,10 @@ class TestHierarchicalTick:
     def test_policy_floor_after_tick(self):
         state = two_pool_state(perf_nodes=1)
         schedule = StrategicSchedule(default_policy="PERFORMANCE")
-        mas = make_mas({"web": flat_trace(10, 900)}, schedule=schedule, forecaster="naive")
+        mas = make_mas(flat_trace(10, 900), schedule=schedule, forecaster="naive")
         decision = mas.tick(state, 300)
-        assert decision.pod_plans["web"].planned_replicas == PERF.min_replicas
-        assert mas.desired["web"] == 2
+        assert decision.pod_plan.planned_replicas == PERF.min_replicas
+        assert mas.desired == 2
 
     def test_scale_down_terminates_pending_first_then_youngest(self):
         state = two_pool_state(staging_nodes=1)     # room for 4 x 250m
@@ -305,9 +295,9 @@ class TestHierarchicalTick:
             (p for p in state.pods.values() if p.state is PodState.RUNNING),
             key=lambda p: p.creation_seq,
         )[:2]
-        mas = make_mas({"web": flat_trace(500, 900)}, forecaster="naive")
+        mas = make_mas(flat_trace(500, 900), forecaster="naive")
         decision = mas.tick(state, 300)             # plan = 2: three must go
-        assert decision.pod_plans["web"].planned_replicas == 2
+        assert decision.pod_plan.planned_replicas == 2
         for pod in pending_before:
             assert pod.pod_id not in state.pods
             assert pod.state is PodState.DELETED
@@ -322,33 +312,31 @@ class TestHierarchicalTick:
         start_running(state, "web", 2)
         twin = copy.deepcopy(state)
         trace = flat_trace(800, 900)
-        da = make_mas({"web": trace}).tick(state, 600)
-        db = make_mas({"web": trace}).tick(twin, 600)
+        da = make_mas(trace).tick(state, 600)
+        db = make_mas(trace).tick(twin, 600)
         assert da.phases == db.phases
         assert [(a.kind, a.target, a.delta) for a in da.actions] == [
             (a.kind, a.target, a.delta) for a in db.actions
         ]
 
     def test_no_future_peeking_in_forecast(self):
-        samples = [(t, 100) for t in range(300)] + [(t, 99999) for t in range(300, 900)]
-        trace = DemandTrace("web", samples, [(t, 0) for t in range(900)], 0)
+        trace = DemandTrace("web", [100] * 300 + [99999] * 600)
         state = two_pool_state()
-        mas = make_mas({"web": trace}, forecaster="naive")
+        mas = make_mas(trace, forecaster="naive")
         decision = mas.tick(state, 300)
-        assert decision.pod_plans["web"].basis_peak_millicores <= 100
+        assert decision.pod_plan.basis_peak_millicores <= 100
 
     def test_seasonal_fallback_plans_the_last_raw_demand(self):
         # A step from 100m to 800m at t=270. At t=300 no period is visible
         # (min_lag above n/2), and the smoothed level still trails the step
         # at ~450m; the fallback plans for the 800m already seen.
-        samples = [(t, 100) for t in range(270)] + [(t, 800) for t in range(270, 900)]
-        trace = DemandTrace("web", samples, [(t, 0) for t in range(900)], 0)
+        trace = DemandTrace("web", [100] * 270 + [800] * 630)
         for cfg in ({"period_min_lag": 200}, {"seasonal_period": 600}):
-            mas = make_mas({"web": trace}, **cfg)
+            mas = make_mas(trace, **cfg)
             decision = mas.tick(two_pool_state(), 300)
             plan = decision.phases[1]["plans"][0]
             assert (plan["forecaster"], plan["forecast_peak"]) == ("Naive", 800)
-            assert decision.pod_plans["web"].planned_replicas == 4
+            assert decision.pod_plan.planned_replicas == 4
 
 
 class TestMigration:
@@ -358,8 +346,8 @@ class TestMigration:
         schedule = StrategicSchedule(
             default_policy="COST_SAVING", entries=[(450, "PERFORMANCE")]
         )
-        mas = make_mas({"web": flat_trace(700, 900)}, schedule=schedule, forecaster="naive")
-        mas.desired["web"] = replicas
+        mas = make_mas(flat_trace(700, 900), schedule=schedule, forecaster="naive")
+        mas.desired = replicas
         return state, mas
 
     def test_switch_to_same_pool_policy_is_noop(self):
@@ -430,10 +418,9 @@ class TestMigration:
         other.add("monitoring", 600)
         schedule = StrategicSchedule(default_policy="COST_SAVING")
         mas = make_mas(
-            {"web": flat_trace(400, 900)}, schedule=schedule, other=other,
-            forecaster="naive",
+            flat_trace(400, 900), schedule=schedule, other=other, forecaster="naive",
         )
-        mas.desired["web"] = 2
+        mas.desired = 2
         state.clock.advance_to(100)
         mas.on_policy_switch(state, 100, "PERFORMANCE")
         run_until_quiet(state, mas)
@@ -448,8 +435,8 @@ class TestMigration:
         start_running(state, "web", 2)
         other = RequestSet()
         other.add("legacy", 1800)
-        mas = make_mas({"web": flat_trace(400, 900)}, other=other, forecaster="naive")
-        mas.desired["web"] = 2
+        mas = make_mas(flat_trace(400, 900), other=other, forecaster="naive")
+        mas.desired = 2
         record = mas._begin_migration(state, 10, "staging", PERF)
         # 2 x 250m + 1800m cannot share one 2000m node.
         assert record["new_pool_nodes"] == 2

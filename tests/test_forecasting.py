@@ -1,5 +1,6 @@
-"""Forecaster and smoothing tests, including the zero-error seasonal replay
-and the equivalence of screened period detection with the full lag scan."""
+"""Forecaster and smoothing tests, including the zero-error seasonal replay,
+the equivalence of the peak forecast with the max of the per-second one, and
+the equivalence of screened period detection with the full lag scan."""
 
 import math
 import random
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import detect_period_scan
+from oracles import detect_period_scan, forecast_per_second, smoothed_pairs
 
 from scalesim import control, forecasting
 from scalesim.forecasting import (
@@ -27,75 +28,123 @@ from scalesim.workload import build_heartbeat_trace
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def series(values, start=0):
-    return [(start + i, v) for i, v in enumerate(values)]
+def per_second(kind, history, now, horizon):
+    """The forecast for each second of (now, now + horizon], one horizon-1
+    forecast per second from the same history."""
+    return [forecast(kind, history, t, 1) for t in range(now, now + horizon)]
+
+
+def assert_matches_oracle(kind, history, now, horizon):
+    pairs = list(enumerate(history))
+    oracle = forecast_per_second(kind, pairs, now, horizon)
+    assert forecast(kind, history, now, horizon) == max(v for _, v in oracle.predicted)
+
+
+@st.composite
+def forecast_cases(draw):
+    """A dense history, a forecaster, and a (now, horizon) to ask it about:
+    seasonal periods above and below the history length, quantiles up to
+    1.0, now at or past the end, horizons up to 3 periods."""
+    history = draw(st.lists(
+        st.one_of(st.integers(0, 5000), st.floats(0.0, 1e6, allow_nan=False)),
+        min_size=1, max_size=150,
+    ))
+    n = len(history)
+    kind = draw(st.one_of(
+        st.just(Naive()),
+        st.builds(MovingAverage, st.integers(1, 2 * n)),
+        st.builds(SeasonalPeak, st.integers(1, 2 * n),
+                  st.one_of(st.sampled_from([0.05, 0.5, 0.95, 1.0]),
+                            st.floats(0.0, 1.0, exclude_min=True))),
+    ))
+    period = kind.period if isinstance(kind, SeasonalPeak) else 50
+    now = n + draw(st.integers(0, 2 * period))
+    horizon = draw(st.integers(1, 3 * period))
+    return kind, history, now, horizon
 
 
 class TestForecasters:
     def test_naive_flat_line_at_last_value(self):
-        fc = forecast(Naive(), series([600, 700, 800]), now=3, horizon=5)
-        assert fc.peak_demand_millicores == 800
-        assert [v for _, v in fc.predicted] == [800] * 5
-        assert [t for t, _ in fc.predicted] == [4, 5, 6, 7, 8]
+        history = [600, 700, 800]
+        assert forecast(Naive(), history, now=3, horizon=5) == 800
+        assert per_second(Naive(), history, now=3, horizon=5) == [800] * 5
 
     def test_moving_average_mean_of_window(self):
-        fc = forecast(MovingAverage(window=3), series([200, 600, 800, 1000]), now=4, horizon=3)
-        assert fc.peak_demand_millicores == 800
+        assert forecast(MovingAverage(window=3), [200, 600, 800, 1000], now=4, horizon=3) == 800
 
     def test_moving_average_short_history_uses_all(self):
-        fc = forecast(MovingAverage(window=10), series([100, 300]), now=2, horizon=2)
-        assert fc.peak_demand_millicores == 200
+        assert forecast(MovingAverage(window=10), [100, 300], now=2, horizon=2) == 200
 
     def test_seasonal_peak_replays_prior_cycle(self):
         # History: one full heartbeat cycle plus change; horizon spans the
         # next peak. The realized next-cycle max is the oracle.
-        trace = build_heartbeat_trace(vu_cost=2, noise_seed=1)
-        history = [(t, float(d)) for t, d in trace.demand_window(0, 300)]
-        fc = forecast(SeasonalPeak(period=300, quantile=1.0), history, now=300, horizon=300)
-        realized_peak = max(d for _, d in trace.demand_window(301, 601))
+        trace = build_heartbeat_trace(vu_cost=2, seed=1)
+        history = [float(d) for d in trace.demand[:300]]
+        peak = forecast(SeasonalPeak(period=300, quantile=1.0), history, now=300, horizon=300)
+        realized_peak = max(trace.demand[301:601])
         assert realized_peak == 800
-        assert fc.peak_demand_millicores == realized_peak
+        assert peak == realized_peak
 
     def test_seasonal_peak_zero_error_after_one_period(self):
         # Post-first-cycle peaks of the noise-free heartbeat are predicted
         # exactly once one 240 s period of history exists.
-        trace = build_heartbeat_trace(vu_cost=2, noise_seed=1)
+        trace = build_heartbeat_trace(vu_cost=2, seed=1)
         for now in (240, 480):
-            history = [(t, float(d)) for t, d in trace.demand_window(0, now)]
-            fc = forecast(SeasonalPeak(period=240, quantile=0.95), history, now=now, horizon=240)
-            realized = max(d for _, d in trace.demand_window(now, now + 240))
-            assert fc.peak_demand_millicores == realized == 800
+            history = [float(d) for d in trace.demand[:now]]
+            peak = forecast(SeasonalPeak(period=240, quantile=0.95), history, now=now, horizon=240)
+            realized = max(trace.demand[now:now + 240])
+            assert peak == realized == 800
 
     def test_seasonal_exact_on_perfectly_periodic_trace(self):
         pattern = [100, 400, 900, 400, 100, 50]
         values = pattern * 4
-        history = series(values)
-        fc = forecast(
-            SeasonalPeak(period=6, quantile=1.0), history, now=len(values), horizon=12
-        )
-        for t, v in fc.predicted:
-            assert v == pattern[t % 6]
-        assert fc.peak_demand_millicores == 900
+        kind = SeasonalPeak(period=6, quantile=1.0)
+        predicted = per_second(kind, values, now=len(values), horizon=12)
+        assert predicted == [pattern[t % 6] for t in range(25, 37)]
+        assert forecast(kind, values, now=len(values), horizon=12) == 900
 
     def test_seasonal_falls_back_to_naive_below_one_period(self):
-        fc = forecast(SeasonalPeak(period=100, quantile=1.0), series([10, 20, 999]), now=3, horizon=4)
-        assert [v for _, v in fc.predicted] == [999] * 4
+        kind = SeasonalPeak(period=100, quantile=1.0)
+        assert per_second(kind, [10, 20, 999], now=3, horizon=4) == [999] * 4
 
-    def test_peak_equals_max_of_predicted(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            values = [rng.randint(0, 2000) for _ in range(rng.randint(3, 120))]
-            kind = rng.choice([
-                Naive(),
-                MovingAverage(rng.randint(1, 10)),
-                SeasonalPeak(rng.randint(2, 30), rng.choice([0.5, 0.9, 0.95, 1.0])),
-            ])
-            fc = forecast(kind, series(values), now=len(values), horizon=rng.randint(1, 50))
-            assert fc.peak_demand_millicores == max(v for _, v in fc.predicted)
-            assert len(fc.predicted) == fc.horizon_seconds
+    @settings(max_examples=300, deadline=None)
+    @given(case=forecast_cases(), half_life=st.integers(1, 60))
+    def test_peak_equals_max_of_predicted(self, case, half_life):
+        # The peak is the max of what the per-second reference predicts, and
+        # smoothing a list gives the reference's levels, bit for bit.
+        kind, history, now, horizon = case
+        assert_matches_oracle(kind, history, now, horizon)
+        pairs = list(enumerate(history))
+        assert smoothed_history(history, half_life) == [
+            x for _, x in smoothed_pairs(pairs, half_life)
+        ]
+
+    def test_every_mas_fixture_tick_matches_per_second_oracle(self, monkeypatch):
+        forecasts, smooths = [], []
+
+        def record_forecast(kind, history, now, horizon):
+            forecasts.append((kind, list(history), now, horizon))
+            return forecast(kind, history, now, horizon)
+
+        def record_smoothing(history, half_life):
+            smooths.append((list(history), half_life))
+            return smoothed_history(history, half_life)
+
+        monkeypatch.setattr(control, "forecast", record_forecast)
+        monkeypatch.setattr(control, "smoothed_history", record_smoothing)
+        for name in ("heartbeat-mas", "flash-sale-mas"):
+            run_scenario(load_scenario(FIXTURES / f"{name}.scn"))
+        assert forecasts and len(forecasts) == len(smooths)
+        for kind, history, now, horizon in forecasts:
+            assert_matches_oracle(kind, history, now, horizon)
+        for history, half_life in smooths:
+            assert smoothed_history(history, half_life) == [
+                x for _, x in smoothed_pairs(list(enumerate(history)), half_life)
+            ]
 
     def test_deterministic(self):
-        values = series([random.Random(3).randint(0, 999) for _ in range(50)])
+        rng = random.Random(3)
+        values = [rng.randint(0, 999) for _ in range(50)]
         a = forecast(SeasonalPeak(10, 0.9), values, now=50, horizon=20)
         b = forecast(SeasonalPeak(10, 0.9), values, now=50, horizon=20)
         assert a == b
@@ -106,7 +155,7 @@ class TestForecasters:
 
     def test_history_must_precede_now(self):
         with pytest.raises(ValueError):
-            forecast(Naive(), series([1, 2, 3]), now=2, horizon=10)
+            forecast(Naive(), [1, 2, 3], now=2, horizon=10)
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -121,52 +170,50 @@ class TestForecasters:
 
 class TestSmoothing:
     def test_constant_series_is_fixed_point(self):
-        smoothed = smoothed_history(series([500.0] * 40), half_life=7)
-        assert all(v == 500.0 for _, v in smoothed)
+        smoothed = smoothed_history([500.0] * 40, half_life=7)
+        assert all(v == 500.0 for v in smoothed)
 
     def test_single_spike_attenuated(self):
         values = [100.0] * 20 + [1000.0] + [100.0] * 20
-        smoothed = smoothed_history(series(values), half_life=10)
-        peak = max(v for _, v in smoothed)
+        peak = max(smoothed_history(values, half_life=10))
         assert peak < 1000.0
         assert peak > 100.0
 
     def test_step_closes_half_gap_per_half_life(self):
         half_life = 8
         values = [0.0] + [1000.0] * 100
-        smoothed = smoothed_history(series(values), half_life=half_life)
-        by_t = dict(smoothed)
+        smoothed = smoothed_history(values, half_life=half_life)
         # After exactly k half-lives the remaining gap is 1000 / 2^k.
         for k in (1, 2, 3):
             expected = 1000.0 * (1.0 - 0.5 ** k)
-            assert by_t[k * half_life] == pytest.approx(expected, abs=1e-9)
+            assert smoothed[k * half_life] == pytest.approx(expected, abs=1e-9)
 
     def test_never_exceeds_max_nor_undercuts_min(self):
         rng = random.Random(23)
         for _ in range(20):
             values = [float(rng.randint(0, 5000)) for _ in range(rng.randint(2, 200))]
-            smoothed = smoothed_history(series(values), half_life=rng.randint(1, 60))
-            assert max(v for _, v in smoothed) <= max(values)
-            assert min(v for _, v in smoothed) >= min(values)
+            smoothed = smoothed_history(values, half_life=rng.randint(1, 60))
+            assert max(smoothed) <= max(values)
+            assert min(smoothed) >= min(values)
 
     def test_length_preserved(self):
-        smoothed = smoothed_history(series([1.0, 2.0, 3.0]), half_life=5)
+        smoothed = smoothed_history([1.0, 2.0, 3.0], half_life=5)
         assert len(smoothed) == 3
 
     def test_bad_half_life_rejected(self):
         with pytest.raises(ValueError):
-            smoothed_history(series([1.0]), half_life=0)
+            smoothed_history([1.0], half_life=0)
 
 
 class TestPeriodDetection:
     def test_detects_heartbeat_cycle(self):
-        trace = build_heartbeat_trace(vu_cost=2, noise_seed=1)
-        values = [float(d) for _, d in trace.demand_window(0, 480)]
+        trace = build_heartbeat_trace(vu_cost=2, seed=1)
+        values = [float(d) for d in trace.demand[:480]]
         assert detect_period(values) == 240
 
     def test_detects_with_more_history(self):
-        trace = build_heartbeat_trace(vu_cost=2, noise_seed=1)
-        values = [float(d) for _, d in trace.demand_window(0, 600)]
+        trace = build_heartbeat_trace(vu_cost=2, seed=1)
+        values = [float(d) for d in trace.demand[:600]]
         assert detect_period(values) == 240
 
     def test_cold_start_returns_none(self):
@@ -262,7 +309,7 @@ class TestPeriodDetectionMatchesScan:
         # of the 3541 lags. Falling back to the full scan fails here.
         rng = random.Random(7)
         raw = [v + rng.uniform(-50.0, 50.0) for v in square_wave(240, 7200)]
-        values = [v for _, v in smoothed_history(series(raw), half_life=10)]
+        values = smoothed_history(raw, half_life=10)
         exact = forecasting._lag_correlation
         lags = []
 

@@ -1,21 +1,25 @@
 """Golden-artifact oracle: the four fixtures' run artifacts, the two mas
-fixtures run with `--controller hpa_ca`, and the comparison of each mas run
-with its override run, pinned by sha256.
+fixtures run with `--controller hpa_ca`, the comparison of each mas run
+with its override run, and the four benchmark workloads at seed 1, pinned by
+sha256.
 
 A refactor must leave every byte as it is. A change in behaviour updates the
 digests here on purpose and says why in CHANGES.md.
 """
 
 import hashlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 from scalesim.cli import EXIT_OK, main
 from scalesim.runner import OUTPUT_FILES, run_scenario
-from scalesim.scenario import load_scenario
+from scalesim.scenario import load_scenario, parse_scenario_text
 
-FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "scenarios"
 
 GOLDEN = {
     "heartbeat-mas": {
@@ -97,3 +101,52 @@ def test_override_run_and_comparison_match_golden_digests(tmp_path, name):
     assert main(["compare", str(mas), str(hpa), "--out", str(cmp)]) == EXIT_OK
     assert _digests(hpa, OUTPUT_FILES) == GOLDEN_OVERRIDE[name]
     assert _digests(cmp, GOLDEN_COMPARE[name]) == GOLDEN_COMPARE[name]
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded from its file without importing the rest
+    of the benchmark. Its dataclass needs the module registered first."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name].WORKLOADS
+
+
+# The benchmark workloads generated at seed 1, under the scenario id
+# `<name>-1` that the benchmark's file name gives them. They reach ~400
+# replicas and repeated pool migrations, which the fixtures never do.
+GOLDEN_BENCH = {
+    "mas-seasonal": {
+        "events.log": "da339bc385e12154831c7252a34cf8065212c40b1c9619dd47dc84d6073ef407",
+        "decisions.log": "69cba4c4e4034b3017aa3e400fe975c0a20416bbd7b1c1aa9c00c208af06c27b",
+        "metrics.csv": "804cfefc1f825c176e1123fa6233b0a01430bf40edbdace2b66a3f9cabd58d4c",
+        "summary.txt": "9c57750ee10605ebee55e7840e907d679fbc36d4e9d9325e2d7921ff0c25fb56",
+    },
+    "hpa-wide": {
+        "events.log": "9b6a795239bff4502ecdd933d812f2b6fc23c239ca76616a53ed43aca010a54f",
+        "decisions.log": "73ce77ceb11a9ec86ec23f8df68f4b327db651cf176212e3ea702066b787094f",
+        "metrics.csv": "df75583a7c00f6fefca6169332ca7efca26544c1eab1f5620f992cdbcb4b02e9",
+        "summary.txt": "f13cced0994c97408fb6916d31b3be8b81d0732b80f790907d04842b62a7f3f5",
+    },
+    "mas-migrate": {
+        "events.log": "5f0a3446b69ad5e6d257e2c56ffa8f032c38cb16d5060ab6702bb13bb90beb5d",
+        "decisions.log": "2bed883779ad0bdfa7b13dda16fef863f257c17d4fb67958857aec7711cc824d",
+        "metrics.csv": "a1eadf396800f710694201049c7ab116292a66b5cfccb4c889a845a35fd3e256",
+        "summary.txt": "7aa8295c0c5d9aba84031efb2b4e307c0aa12c0b4d18aa58b8eb6cb7cb99e0f7",
+    },
+    "hpa-long": {
+        "events.log": "bbd1c9c912938bdf52fa65cd3f5ac02d99ee9a2f35b1281c4118dc9f172d8d7c",
+        "decisions.log": "a429b64d4f2887fad64220839a4bcf68260329ce5f9e8298502ea1ff2e35ecb7",
+        "metrics.csv": "349f29c52946188c34cf95e47719c7109da374a1b4d52e4fa2f8af7b29d00933",
+        "summary.txt": "0d9a7571dae614c7c77591bb328e85004ce191ab4250bcf7278f740fdd935a1d",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BENCH))
+def test_bench_workload_artifacts_match_golden_digests(tmp_path, name):
+    config = parse_scenario_text(_bench_workloads()[name].generate(1), f"{name}-1")
+    run_scenario(config, out_dir=tmp_path)
+    assert _digests(tmp_path, OUTPUT_FILES) == GOLDEN_BENCH[name]

@@ -33,7 +33,8 @@ def make_state(capacity=2000):
 def make_observer(state, pod_request=250, cost_rate=1.0):
     model = CostModel(node_rate_micro={"main": to_micro(cost_rate)}, pod_rate_micro=to_micro(0.1))
     return Observer(
-        pod_requests={"web": pod_request},
+        workload_id="web",
+        pod_request=pod_request,
         cost=CostAccumulator(model),
         normalizers=Normalizers(),
     )

@@ -145,6 +145,22 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="phase"):
             parse_scenario_text("workload = custom\ncontroller = hpa_ca\n", "x")
 
+    def test_custom_workload_without_phases_names_field_and_line(self):
+        with pytest.raises(ScenarioError, match=r"^line 2: field 'workload': custom requires phase"):
+            parse_scenario_text("controller = hpa_ca\nworkload = custom\n", "x")
+
+    def test_mas_on_custom_pools_without_policies_names_field_and_line(self):
+        text = (
+            "workload = heartbeat\n"
+            "controller = mas_h2\n"
+            "pool.small.capacity = 4000\n"
+            "pool.large.capacity = 8000\n"
+        )
+        with pytest.raises(
+            ScenarioError, match=r"^line 3: field 'pool\.small\.capacity': policy\.\* entries are required"
+        ):
+            parse_scenario_text(text, "x")
+
     def test_phases_only_for_custom(self):
         text = (
             "workload = heartbeat\n"

@@ -14,7 +14,6 @@ from scalesim.workload import (
     flash_sale_phases,
     heartbeat_phases,
     vus_profile,
-    write_trace_csv,
 )
 
 # Benchmark profiles, frozen field-for-field: (duration s, target VUs).
@@ -39,29 +38,29 @@ class TestHeartbeat:
         assert got == HEARTBEAT_TABLE
 
     def test_total_length_780(self):
-        trace = build_heartbeat_trace(vu_cost=2, noise_seed=1)
+        trace = build_heartbeat_trace(vu_cost=2, seed=1)
         assert trace.duration == 780
         assert sum(d for d, _ in HEARTBEAT_TABLE) == 780
 
     def test_one_sample_per_second(self):
-        trace = build_heartbeat_trace(vu_cost=2, noise_seed=1)
-        assert [t for t, _ in trace.samples] == list(range(780))
+        trace = build_heartbeat_trace(vu_cost=2, seed=1)
+        assert len(trace.demand) == 780
 
     def test_vus_at_mid_first_peak_hold(self):
-        trace = build_heartbeat_trace(vu_cost=2, noise_seed=1)
-        assert dict(trace.vus_per_sample)[45] == 400
+        assert vus_profile(heartbeat_phases())[45] == 400
 
     def test_demand_is_vus_times_cost(self):
-        trace = build_heartbeat_trace(vu_cost=2, noise_seed=3, noise_amplitude=0.0)
+        trace = build_heartbeat_trace(vu_cost=2, seed=3, noise_amplitude=0.0)
         assert trace.demand_at(45) == 800
-        for t, demand in trace.samples:
-            assert demand == dict(trace.vus_per_sample)[t] * 2
+        vus = vus_profile(heartbeat_phases())
+        for t, demand in enumerate(trace.demand):
+            assert demand == vus[t] * 2
 
     def test_cycles_identical_after_first_ramp(self):
-        trace = build_heartbeat_trace(vu_cost=2, noise_seed=1)
+        trace = build_heartbeat_trace(vu_cost=2, seed=1)
         # Cycles 2 and 3 are byte-identical (cycle 1 ramps up from 0, not 10).
-        cycle2 = [d for _, d in trace.samples[240:480]]
-        cycle3 = [d for _, d in trace.samples[480:720]]
+        cycle2 = trace.demand[240:480]
+        cycle3 = trace.demand[480:720]
         assert cycle2 == cycle3
 
 
@@ -71,56 +70,43 @@ class TestFlashSale:
         assert got == FLASH_SALE_TABLE
 
     def test_total_length_900(self):
-        trace = build_flash_sale_trace(vu_cost=2, noise_seed=1)
+        trace = build_flash_sale_trace(vu_cost=2, seed=1)
         assert trace.duration == 900
         assert sum(d for d, _ in FLASH_SALE_TABLE) == 900
 
     def test_sustained_peak_holds_700_for_240s(self):
-        trace = build_flash_sale_trace(vu_cost=2, noise_seed=1)
-        vus = dict(trace.vus_per_sample)
+        vus = vus_profile(flash_sale_phases())
         assert all(vus[t] == 700 for t in range(420, 660))
 
     def test_drop_off_trends_toward_50(self):
-        trace = build_flash_sale_trace(vu_cost=2, noise_seed=1)
-        vus = [v for t, v in trace.vus_per_sample if 660 <= t < 720]
+        vus = vus_profile(flash_sale_phases())[660:720]
         assert vus[0] < 700
         assert all(a >= b for a, b in zip(vus, vus[1:]))
         assert vus[-1] == 50
 
     def test_noise_only_in_chatter_phases(self):
-        trace = build_flash_sale_trace(vu_cost=2, noise_seed=9, noise_amplitude=0.10)
-        vus = dict(trace.vus_per_sample)
-        for t, demand in trace.samples:
+        trace = build_flash_sale_trace(vu_cost=2, seed=9, noise_amplitude=0.10)
+        vus = vus_profile(flash_sale_phases())
+        for t, demand in enumerate(trace.demand):
             if t >= 240:
                 assert demand == vus[t] * 2, f"t={t} outside chatter must be noise-free"
 
     def test_chatter_noise_within_amplitude(self):
-        trace = build_flash_sale_trace(vu_cost=2, noise_seed=9, noise_amplitude=0.10)
-        vus = dict(trace.vus_per_sample)
-        for t, demand in trace.samples[:240]:
+        trace = build_flash_sale_trace(vu_cost=2, seed=9, noise_amplitude=0.10)
+        vus = vus_profile(flash_sale_phases())
+        for t, demand in enumerate(trace.demand[:240]):
             clean = vus[t] * 2
             assert abs(demand - clean) <= clean * 0.10 + 0.5
 
 
 class TestDemandWindow:
-    def test_empty_window(self):
-        trace = build_heartbeat_trace(vu_cost=2, noise_seed=1)
-        assert trace.demand_window(0, 0) == []
-
-    def test_window_arithmetic(self):
-        trace = build_heartbeat_trace(vu_cost=2, noise_seed=1)
-        window = trace.demand_window(10, 13)
-        assert len(window) == 3
-        assert [t for t, _ in window] == [10, 11, 12]
-
     def test_out_of_range_rejected(self):
-        trace = build_heartbeat_trace(vu_cost=2, noise_seed=1)
+        trace = build_heartbeat_trace(vu_cost=2, seed=1)
+        assert trace.demand_at(779) == trace.demand[-1]
         with pytest.raises(ValueError):
-            trace.demand_window(-1, 10)
+            trace.demand_at(-1)
         with pytest.raises(ValueError):
-            trace.demand_window(0, 781)
-        with pytest.raises(ValueError):
-            trace.demand_window(20, 10)
+            trace.demand_at(780)
 
     def test_linear_ramp_interpolates_monotonically(self):
         # Closed form: vus(k) = round(10 + 390 * (k+1) / 30) within the ramp.
@@ -135,28 +121,23 @@ class TestDemandWindow:
 
 class TestNoiseAndDeterminism:
     def test_same_seed_same_trace(self):
-        a = build_flash_sale_trace(vu_cost=2, noise_seed=5)
-        b = build_flash_sale_trace(vu_cost=2, noise_seed=5)
-        assert a.samples == b.samples
+        a = build_flash_sale_trace(vu_cost=2, seed=5)
+        b = build_flash_sale_trace(vu_cost=2, seed=5)
+        assert a.demand == b.demand
 
     def test_different_seed_different_chatter(self):
-        a = build_flash_sale_trace(vu_cost=2, noise_seed=5)
-        b = build_flash_sale_trace(vu_cost=2, noise_seed=6)
-        assert a.samples[:240] != b.samples[:240]
+        a = build_flash_sale_trace(vu_cost=2, seed=5)
+        b = build_flash_sale_trace(vu_cost=2, seed=6)
+        assert a.demand[:240] != b.demand[:240]
 
     def test_zero_vus_zero_demand(self):
         rng = random.Random(0)
+        phases = [WorkloadPhase("dead", 40, 0, Ramp.STEP), WorkloadPhase("live", 20, 100)]
+        vus = vus_profile(phases)
         for seed in range(5):
             amplitude = rng.choice([0.0, 0.05, 0.10, 0.3])
-            trace = build_trace(
-                "w",
-                [WorkloadPhase("dead", 40, 0, Ramp.STEP), WorkloadPhase("live", 20, 100)],
-                vu_cost=2.5,
-                noise_seed=seed,
-                noise_amplitude=amplitude,
-            )
-            vus = dict(trace.vus_per_sample)
-            for t, demand in trace.samples:
+            trace = build_trace("w", phases, vu_cost=2.5, seed=seed, noise_amplitude=amplitude)
+            for t, demand in enumerate(trace.demand):
                 if vus[t] == 0:
                     assert demand == 0
 
@@ -169,21 +150,10 @@ class TestNoiseAndDeterminism:
                 for i in range(4)
             ]
             trace = build_trace("w", phases, 2, seed, noise_amplitude=amplitude)
-            vus = dict(trace.vus_per_sample)
-            for t, demand in trace.samples:
+            vus = vus_profile(phases)
+            for t, demand in enumerate(trace.demand):
                 clean = vus[t] * 2
                 assert abs(demand - clean) <= clean * amplitude + 0.5
-
-
-def test_trace_csv_round_trip(tmp_path):
-    trace = build_heartbeat_trace(vu_cost=2, noise_seed=1)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,vus,demand_millicores"
-    assert len(lines) == 781
-    t, vus, demand = lines[46].split(",")
-    assert (int(t), int(vus), int(demand)) == (45, 400, 800)
 
 
 def test_flash_noisy_phase_indices_cover_chatter_only():
