@@ -32,15 +32,7 @@ from .forecasting import (
     smoothed_history,
 )
 from .knobs import check_knobs, knob
-from .planning import (
-    NodePlan,
-    PodPlan,
-    Policy,
-    RequestSet,
-    pack_ffd,
-    plan_nodes,
-    plan_replicas,
-)
+from .planning import Policy, Request, pack_ffd, plan_nodes, plan_replicas
 from .workload import DemandTrace
 
 if TYPE_CHECKING:
@@ -127,23 +119,6 @@ class MasConfig:
     period_min_correlation: float = knob(0.5, ge=-1, le=1)   # a Pearson threshold
 
 
-@dataclass
-class Action:
-    kind: str     # "pods" | "nodes"
-    target: str   # workload id or pool id
-    delta: int
-
-
-@dataclass
-class ControllerDecision:
-    tick_at: int
-    controller: str
-    phases: list[dict]
-    pod_plan: PodPlan | None = None
-    node_plan: NodePlan | None = None
-    actions: list[Action] = field(default_factory=list)
-
-
 def _shrink(state: ClusterState, pods: Iterable, count: int) -> int:
     """Terminate up to `count` of the alive `pods`: Pending pods first, then
     the youngest bound pods. Returns how many were terminated."""
@@ -159,9 +134,12 @@ def _shrink(state: ClusterState, pods: Iterable, count: int) -> int:
 class Controller(Protocol):
     """All the runner knows of a controller. `initial` gives the pool to
     schedule onto at t=0 and the replicas to create there: the configured
-    count, or the controller's own floor for None. `on_event` sees every fired
-    event and may return a decision-log record. `active_floor` is the replica
-    floor that a migration must hold, and None outside migrations."""
+    count, or the controller's own floor for None. `tick` acts on the cluster
+    and returns the tick's decision-log record: {"t", "controller", "phases",
+    "actions"}, each action a (kind, target, delta) tuple with kind "pods" or
+    "nodes". `on_event` sees every fired event and may return a decision-log
+    record. `active_floor` is the replica floor that a migration must hold,
+    and None outside migrations."""
 
     name: ClassVar[str]
     desired: int                        # replicas asked for
@@ -172,7 +150,7 @@ class Controller(Protocol):
     def from_config(cls, config: ScenarioConfig, trace: DemandTrace) -> Controller: ...
     def initial(self, replicas: int | None) -> tuple[str, int]: ...
     def tick_times(self, duration: int) -> range: ...
-    def tick(self, state: ClusterState, now: int) -> ControllerDecision: ...
+    def tick(self, state: ClusterState, now: int) -> dict: ...
     def on_event(self, state: ClusterState, ev: SimEvent) -> dict | None: ...
     def active_floor(self) -> int | None: ...
 
@@ -186,7 +164,7 @@ class HierarchicalController:
         schedule: StrategicSchedule,
         trace: DemandTrace,
         pod_request: int,
-        other_requests: RequestSet,
+        other_requests: list[Request],
         config: MasConfig,
     ):
         self.policies = policies
@@ -229,7 +207,7 @@ class HierarchicalController:
 
     # ----------------------------------------------------------------- ticks
 
-    def tick(self, state: ClusterState, now: int) -> ControllerDecision:
+    def tick(self, state: ClusterState, now: int) -> dict:
         policy = self.policies[self.schedule.active_at(now)]
         state.preferred_pool_id = policy.node_pool
         deferred = self.migration.phase is not MigrationPhase.IDLE
@@ -237,23 +215,23 @@ class HierarchicalController:
             {"phase": "strategic", "policy": policy.name, "migration": self.migration.phase.value}
         ]
 
+        actions: list[tuple[str, str, int]] = []
+        record = {"t": now, "controller": self.name, "phases": phases, "actions": actions}
         workload_id = self.trace.workload_id
-        decision = ControllerDecision(tick_at=now, controller=self.name, phases=phases)
         raw = self.trace.demand[:now]
         if not raw:
             phases.append({"phase": "workload-planning",
                            "plans": [{"workload": workload_id, "skipped": "no history"}]})
             phases.append({"phase": "node-planning", "skipped": "no plans"})
-            phases.append({"phase": "execution", "actions": []})
-            return decision
+            phases.append({"phase": "execution", "actions": actions})
+            return record
 
         smoothed = smoothed_history(raw, self.config.smoothing_half_life)
         kind, basis = self._forecaster_for(raw, smoothed)
         horizon = self.config.horizon
         peak = forecast(kind, basis, now,
                         self.config.control_interval if horizon is None else horizon)
-        plan = plan_replicas(peak, self.pod_request, policy, workload_id)
-        decision.pod_plan = plan
+        plan = plan_replicas(peak, self.pod_request, policy)
         phases.append({"phase": "workload-planning", "plans": [{
             "workload": workload_id,
             "forecaster": type(kind).__name__,
@@ -262,7 +240,7 @@ class HierarchicalController:
             "planned_replicas": plan.planned_replicas,
         }]})
 
-        node_plan = plan_nodes([plan], self.other_requests, policy)
+        node_plan = plan_nodes(plan.planned_replicas, self.pod_request, self.other_requests, policy)
         current_nodes = len(state.pools[policy.node_pool].live_nodes())
         phases.append({
             "phase": "node-planning",
@@ -270,18 +248,15 @@ class HierarchicalController:
             "required_nodes": node_plan.required_nodes,
             "current_nodes": current_nodes,
         })
-        decision.node_plan = node_plan
 
         if deferred:
-            phases.append({"phase": "execution", "deferred": "migration active", "actions": []})
-            return decision
+            phases.append({"phase": "execution", "deferred": "migration active", "actions": actions})
+            return record
 
         # Node scaling is issued before pod scaling within the same tick.
         if node_plan.required_nodes != current_nodes:
             state.resize_pool(policy.node_pool, node_plan.required_nodes)
-            decision.actions.append(
-                Action("nodes", policy.node_pool, node_plan.required_nodes - current_nodes)
-            )
+            actions.append(("nodes", policy.node_pool, node_plan.required_nodes - current_nodes))
         delta = plan.planned_replicas - state.replicas(workload_id)
         if delta > 0:
             for _ in range(delta):
@@ -289,14 +264,11 @@ class HierarchicalController:
         elif delta < 0:
             _shrink(state, state.pods_of(workload_id), -delta)
         if delta != 0:
-            decision.actions.append(Action("pods", workload_id, delta))
+            actions.append(("pods", workload_id, delta))
         self.desired = plan.planned_replicas
         state.schedule_pending_pods()
-        phases.append({
-            "phase": "execution",
-            "actions": [(a.kind, a.target, a.delta) for a in decision.actions],
-        })
-        return decision
+        phases.append({"phase": "execution", "actions": actions})
+        return record
 
     def _forecaster_for(self, raw: list[int], smoothed: list[float]):
         """The forecaster and the history it reads. A seasonal planner with
@@ -329,14 +301,7 @@ class HierarchicalController:
     def _begin_migration(self, state: ClusterState, now: int, old_pool: str, new: Policy) -> dict:
         workload_id = self.trace.workload_id
         floor = self.desired
-        sizing_plan = PodPlan(
-            workload_id=workload_id,
-            raw_replicas=max(1, floor),
-            planned_replicas=max(1, floor),
-            basis_peak_millicores=0,
-            pod_request_millicores=self.pod_request,
-        )
-        node_plan = plan_nodes([sizing_plan], self.other_requests, new)
+        node_plan = plan_nodes(max(1, floor), self.pod_request, self.other_requests, new)
         self.migration = MigrationState(
             phase=MigrationPhase.PROVISIONING_NEW,
             from_pool=old_pool,
@@ -405,13 +370,13 @@ class HierarchicalController:
 
     def _residual_old_pool_nodes(self, state: ClusterState) -> int:
         old_pool = state.pools[self.migration.from_pool]
-        unmanaged = RequestSet()
+        unmanaged: list[Request] = []
         for node in old_pool.nodes:
             for pid in sorted(node.bound_pods):
                 pod = state.pods[pid]
                 if pod.workload_id != self.trace.workload_id and pod.state is not PodState.TERMINATING:
-                    unmanaged.add(pod.pod_id, pod.cpu_request_millicores)
-        if not unmanaged.items:
+                    unmanaged.append(Request(pod.pod_id, pod.cpu_request_millicores))
+        if not unmanaged:
             return 0
         return pack_ffd(unmanaged, old_pool.node_capacity_millicores).required_nodes
 
@@ -453,11 +418,10 @@ class ReactiveController:
     def active_floor(self) -> None:
         return None
 
-    def tick(self, state: ClusterState, now: int) -> ControllerDecision:
+    def tick(self, state: ClusterState, now: int) -> dict:
         cfg = self.config
         phases: list[dict] = []
-        decision = ControllerDecision(tick_at=now, controller=self.name, phases=phases)
-
+        actions: list[tuple[str, str, int]] = []
         workload_id = self.trace.workload_id
         demand = self.trace.demand_at(now) if now < self.trace.duration else 0
         running = state.running_replicas(workload_id)
@@ -484,7 +448,7 @@ class ReactiveController:
         else:
             self._below_since = None
         if applied != current:
-            decision.actions.append(Action("pods", workload_id, applied - current))
+            actions.append(("pods", workload_id, applied - current))
         self.desired = applied
         phases.append({"phase": "hpa", "workloads": [{
             "workload": workload_id,
@@ -495,11 +459,13 @@ class ReactiveController:
             "applied": applied,
         }]})
 
-        phases.append({"phase": "ca", **self._cluster_autoscaler(state, now, decision.actions)})
+        phases.append({"phase": "ca", **self._cluster_autoscaler(state, now, actions)})
         state.schedule_pending_pods()
-        return decision
+        return {"t": now, "controller": self.name, "phases": phases, "actions": actions}
 
-    def _cluster_autoscaler(self, state: ClusterState, now: int, actions: list[Action]) -> dict:
+    def _cluster_autoscaler(
+        self, state: ClusterState, now: int, actions: list[tuple[str, str, int]]
+    ) -> dict:
         """Add or remove a node when due, appending to `actions`; returns the
         decision-log record."""
         cfg = self.config
@@ -514,7 +480,7 @@ class ReactiveController:
         if pending_ages and max(pending_ages) > cfg.ca_trigger_delay and not provisioning:
             # One node at a time; wait for in-flight capacity before adding more.
             state.resize_pool(self.pool_id, len(pool.live_nodes()) + 1)
-            actions.append(Action("nodes", self.pool_id, 1))
+            actions.append(("nodes", self.pool_id, 1))
             record["added_node"] = True
 
         ready = pool.ready_nodes()
@@ -532,7 +498,7 @@ class ReactiveController:
         if idle_expired and len(pool.live_nodes()) > 1:
             # Shrink by one; the resize victim rule picks an empty node.
             state.resize_pool(self.pool_id, len(pool.live_nodes()) - 1)
-            actions.append(Action("nodes", self.pool_id, -1))
+            actions.append(("nodes", self.pool_id, -1))
             record["removed_idle_node"] = True
         return record
 

@@ -82,7 +82,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
     controller = make_controller(config, trace)
 
     # Unmanaged pods exist from the start and occupy whatever fits.
-    for req in config.other_requests.items:
+    for req in config.other_requests:
         state.create_pod(req.owner, req.millicores, pod_id=req.owner)
     state.preferred_pool_id, initial = controller.initial(config.initial_replicas)
     for _ in range(initial):
@@ -135,13 +135,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
                 active_policy = config.policies[schedule.active_at(now)]
                 observer.observe(state, demand, active_policy, now)
             else:
-                decision = controller.tick(state, now)
-                decision_lines.append(json.dumps({
-                    "t": decision.tick_at,
-                    "controller": decision.controller,
-                    "phases": decision.phases,
-                    "actions": [(a.kind, a.target, a.delta) for a in decision.actions],
-                }))
+                decision_lines.append(json.dumps(controller.tick(state, now)))
         record = controller.on_event(state, ev)
         if record is not None:
             decision_lines.append(json.dumps(record))

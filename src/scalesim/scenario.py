@@ -17,7 +17,7 @@ from .control import CONTROLLER_TYPES, HpaConfig, MasConfig, StrategicSchedule
 from .errors import ScenarioError
 from .knobs import Range, declared, knob
 from .metrics import Normalizers
-from .planning import Policy, RequestSet
+from .planning import Policy, Request
 from .workload import (
     DemandTrace,
     Ramp,
@@ -91,7 +91,7 @@ class ScenarioConfig:
     schedule: StrategicSchedule | None = None
     mas: MasConfig = field(default_factory=MasConfig)
     hpa: HpaConfig = field(default_factory=HpaConfig)
-    other_requests: RequestSet = field(default_factory=RequestSet)
+    other_requests: list[Request] = field(default_factory=list)
     normalizers: Normalizers = field(default_factory=Normalizers)
     custom_phases: list[WorkloadPhase] = field(default_factory=list)
     custom_noisy_phases: set[int] | None = None
@@ -218,7 +218,7 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
     group_lines: dict[tuple[str, object], int] = {}
     schedule_default: str | None = None
     schedule_entries: list[tuple[int, str, int]] = []
-    other = RequestSet()
+    other: list[Request] = []
 
     for key, (raw, line) in entries.items():
         parts = key.split(".")
@@ -235,7 +235,7 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
             value = _knob_value(key, template, raw, line)
             group = parts[1] if grouped else ""
             if parts[0] == "other":
-                other.add(group, value)
+                other.append(Request(group, value))
                 continue
             if parts[0] == "phase":
                 group = _key_number(group, key, line)
@@ -296,9 +296,9 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
         if name not in policies:
             raise ScenarioError(f"field 'schedule.at.{at}': undefined policy {name!r}", line)
     if schedule_entries and controller != "mas_h2":
+        at, _, line = schedule_entries[0]
         raise ScenarioError(
-            "schedule.at entries require controller = mas_h2",
-            schedule_entries[0][2],
+            f"field 'schedule.at.{at}': schedule.at entries require controller = mas_h2", line
         )
     schedule = StrategicSchedule(
         default_policy=schedule_default,
@@ -328,8 +328,10 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
             if spec.noisy:
                 noisy.add(i)
     elif values["phase.*."]:
-        line = min(group_lines["phase.*.", idx] for idx in values["phase.*."])
-        raise ScenarioError("phase.N.* entries are only valid for workload = custom", line)
+        key = next(k for k in entries if k.startswith("phase."))
+        raise ScenarioError(
+            f"field {key!r}: phase.N.* entries are only valid for workload = custom", line_of(key)
+        )
 
     config = ScenarioConfig(
         scenario_id=scenario_id,
@@ -372,7 +374,7 @@ def _validate(config: ScenarioConfig, line_of) -> None:
                 f"'pool.{pool_id}.capacity' ({pool_caps[pool_id]}m)",
                 line_of("pod_request", f"pool.{pool_id}.capacity"),
             )
-    for req in config.other_requests.items:
+    for req in config.other_requests:
         if req.millicores > max(pool_caps.values()):
             raise ScenarioError(
                 f"field 'other.{req.owner}': request {req.millicores}m exceeds "

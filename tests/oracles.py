@@ -18,7 +18,7 @@ from scalesim.forecasting import (
     _quantile,
     _round,
 )
-from scalesim.planning import NodePlan, Request, RequestSet, _check_sizes, ceil_div, pack_ffd
+from scalesim.planning import NodePlan, Request, _check_sizes, ceil_div, pack_ffd
 
 
 class InstanceTooLargeError(ValueError):
@@ -26,12 +26,12 @@ class InstanceTooLargeError(ValueError):
 
 
 def validate_assignment(
-    requests: RequestSet, assignment: list[tuple[Request, int]], bin_capacity: int
+    requests: list[Request], assignment: list[tuple[Request, int]], bin_capacity: int
 ) -> None:
     # Structural checks mirroring the packing constraints: every request in
     # exactly one bin, no bin over capacity.
     if sorted((r.owner, r.millicores) for r, _ in assignment) != sorted(
-        (r.owner, r.millicores) for r in requests.items
+        (r.owner, r.millicores) for r in requests
     ):
         raise AssertionError("packing assignment does not cover the request multiset exactly")
     loads: dict[int, int] = {}
@@ -45,7 +45,7 @@ def validate_assignment(
 MAX_EXACT_ITEMS = 12
 
 
-def pack_exact(requests: RequestSet, bin_capacity: int, pool_id: str = "") -> NodePlan:
+def pack_exact(requests: list[Request], bin_capacity: int) -> NodePlan:
     """Provably minimal bin count by branch and bound. Only for small
     instances (<= 12 items); larger ones must use the FFD heuristic."""
     _check_sizes(requests, bin_capacity)
@@ -53,9 +53,9 @@ def pack_exact(requests: RequestSet, bin_capacity: int, pool_id: str = "") -> No
         raise InstanceTooLargeError(
             f"{len(requests)} items exceeds exact-solver limit of {MAX_EXACT_ITEMS}"
         )
-    items = sorted(requests.items, key=lambda r: (-r.millicores, r.owner))
+    items = sorted(requests, key=lambda r: (-r.millicores, r.owner))
     if not items:
-        return NodePlan(pool_id=pool_id, required_nodes=0, assignment=[])
+        return NodePlan(required_nodes=0, assignment=[])
 
     ffd = pack_ffd(requests, bin_capacity)
     best_count = ffd.required_nodes
@@ -94,7 +94,7 @@ def pack_exact(requests: RequestSet, bin_capacity: int, pool_id: str = "") -> No
 
     recurse(0, total)
     assignment = [(r, best_assign[id(r)]) for r in items]
-    plan = NodePlan(pool_id=pool_id, required_nodes=best_count, assignment=assignment)
+    plan = NodePlan(required_nodes=best_count, assignment=assignment)
     validate_assignment(requests, plan.assignment, bin_capacity)
     return plan
 

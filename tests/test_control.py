@@ -13,7 +13,7 @@ from scalesim.control import (
     make_controller,
 )
 from scalesim.engine import ClusterState, EventKind, NodePool, NodeState, PodState
-from scalesim.planning import Policy, RequestSet
+from scalesim.planning import Policy, Request
 from scalesim.scenario import parse_scenario_text
 from scalesim.workload import DemandTrace
 
@@ -83,16 +83,25 @@ def tick_at(controller, state, t):
     return controller.tick(state, t)
 
 
+def deltas(record, kind):
+    """The deltas of the `kind` ("pods" or "nodes") actions a tick record logs."""
+    return [delta for k, _, delta in record["actions"] if k == kind]
+
+
+def plan_of(record):
+    """The workload plan a mas tick record logs."""
+    return record["phases"][1]["plans"][0]
+
+
 class TestReactiveHpa:
     def test_saturated_two_replicas_scale_to_three(self):
         trace = flat_trace(800, 600)
         state = baseline_state()
         start_running(state, "web", 2)
         hpa = make_hpa(trace, state)
-        decision = hpa.tick(state, 0)
-        record = decision.phases[0]["workloads"][0]
-        assert record["utilization"] == 1.1
-        assert record["desired"] == 3
+        hpa_phase = hpa.tick(state, 0)["phases"][0]["workloads"][0]
+        assert hpa_phase["utilization"] == 1.1
+        assert hpa_phase["desired"] == 3
         assert state.replicas("web") == 3
 
     def test_exact_fixpoint_is_four_replicas(self):
@@ -102,11 +111,9 @@ class TestReactiveHpa:
         state = baseline_state(capacity=2000)
         start_running(state, "web", 3)
         hpa = make_hpa(trace, state)
-        decision = hpa.tick(state, 0)
-        assert decision.phases[0]["workloads"][0]["desired"] == 4
+        assert hpa.tick(state, 0)["phases"][0]["workloads"][0]["desired"] == 4
         run_until_quiet(state)
-        decision = hpa.tick(state, 15)
-        assert decision.phases[0]["workloads"][0]["desired"] == 4
+        assert hpa.tick(state, 15)["phases"][0]["workloads"][0]["desired"] == 4
         assert state.replicas("web") == 4
 
     def test_scale_down_deferred_by_stabilization(self):
@@ -114,10 +121,9 @@ class TestReactiveHpa:
         state = baseline_state(capacity=2000)
         start_running(state, "web", 4)
         hpa = make_hpa(trace, state, scale_down_stabilization=300)
-        decision = hpa.tick(state, 0)
-        record = decision.phases[0]["workloads"][0]
-        assert record["utilization"] == 0.4
-        assert record["desired"] == 2
+        hpa_phase = hpa.tick(state, 0)["phases"][0]["workloads"][0]
+        assert hpa_phase["utilization"] == 0.4
+        assert hpa_phase["desired"] == 2
         assert state.replicas("web") == 4          # deferred
         for t in range(15, 300, 15):
             hpa.tick(state, t)
@@ -150,15 +156,14 @@ class TestReactiveHpa:
         assert state.replicas("web") == 3
         pending = [p for p in state.pods.values() if p.state is PodState.PENDING]
         assert len(pending) == 1
-        decision = tick_at(hpa, state, 30)          # age 15: no trigger yet
-        assert not any(a.kind == "nodes" for a in decision.actions)
-        decision = tick_at(hpa, state, 50)          # age 35 > 30: one node
-        node_actions = [a for a in decision.actions if a.kind == "nodes"]
-        assert [a.delta for a in node_actions] == [1]
+        record = tick_at(hpa, state, 30)            # age 15: no trigger yet
+        assert deltas(record, "nodes") == []
+        record = tick_at(hpa, state, 50)            # age 35 > 30: one node
+        assert deltas(record, "nodes") == [1]
         pool = state.pools["baseline"]
         assert sum(1 for n in pool.nodes if n.state is NodeState.PROVISIONING) == 1
-        decision = tick_at(hpa, state, 65)          # in-flight node: no second add
-        assert not any(a.kind == "nodes" for a in decision.actions)
+        record = tick_at(hpa, state, 65)            # in-flight node: no second add
+        assert deltas(record, "nodes") == []
 
     def test_idle_node_removed_after_delay(self):
         trace = flat_trace(100, 2000)
@@ -167,10 +172,8 @@ class TestReactiveHpa:
         hpa = make_hpa(trace, state, ca_idle_delay=600)
         tick_at(hpa, state, 15)
         assert len(state.pools["baseline"].live_nodes()) == 2
-        decision = tick_at(hpa, state, 600)
-        assert not any(a.kind == "nodes" for a in decision.actions)
-        decision = tick_at(hpa, state, 630)
-        assert any(a.kind == "nodes" and a.delta == -1 for a in decision.actions)
+        assert deltas(tick_at(hpa, state, 600), "nodes") == []
+        assert -1 in deltas(tick_at(hpa, state, 630), "nodes")
         assert len(state.pools["baseline"].live_nodes()) == 1
 
     def test_no_future_observations(self):
@@ -179,8 +182,7 @@ class TestReactiveHpa:
         state = baseline_state(capacity=2000)
         start_running(state, "web", 1)
         hpa = make_hpa(trace, state)
-        decision = hpa.tick(state, 99)
-        assert decision.phases[0]["workloads"][0]["demand"] == 100
+        assert hpa.tick(state, 99)["phases"][0]["workloads"][0]["demand"] == 100
         assert state.replicas("web") == 1
 
     def test_min_replicas_floor(self):
@@ -205,12 +207,7 @@ class TestReactiveHpa:
         state = baseline_state()
         start_running(state, "web", 2)
         twin = copy.deepcopy(state)
-        da = make_hpa(trace, state).tick(state, 15)
-        db = make_hpa(trace, twin).tick(twin, 15)
-        assert da.phases == db.phases
-        assert [(a.kind, a.target, a.delta) for a in da.actions] == [
-            (a.kind, a.target, a.delta) for a in db.actions
-        ]
+        assert make_hpa(trace, state).tick(state, 15) == make_hpa(trace, twin).tick(twin, 15)
 
 
 def make_mas(trace, state=None, schedule=None, other=None, **cfg):
@@ -220,7 +217,7 @@ def make_mas(trace, state=None, schedule=None, other=None, **cfg):
         schedule=schedule or StrategicSchedule(default_policy="COST_SAVING"),
         trace=trace,
         pod_request=250,
-        other_requests=other or RequestSet(),
+        other_requests=other or [],
         config=config,
     )
 
@@ -230,8 +227,7 @@ class TestHierarchicalTick:
         state = two_pool_state()
         mas = make_mas(flat_trace(800, 900), forecaster="naive")
         for now in (0, 300):
-            decision = mas.tick(state, now)
-            labels = [p["phase"] for p in decision.phases]
+            labels = [p["phase"] for p in mas.tick(state, now)["phases"]]
             assert labels == [
                 "strategic", "workload-planning", "node-planning", "execution",
             ]
@@ -242,10 +238,9 @@ class TestHierarchicalTick:
         start_running(state, "web", 3)
         schedule = StrategicSchedule(default_policy="PERFORMANCE")
         mas = make_mas(flat_trace(2000, 900), schedule=schedule, forecaster="naive")
-        decision = mas.tick(state, 300)
-        assert decision.pod_plan.planned_replicas == 8
-        pod_actions = [a for a in decision.actions if a.kind == "pods"]
-        assert [a.delta for a in pod_actions] == [5]
+        record = mas.tick(state, 300)
+        assert plan_of(record)["planned_replicas"] == 8
+        assert deltas(record, "pods") == [5]
         assert state.replicas("web") == 8
 
     def test_node_action_absent_when_nodes_satisfy_plan(self):
@@ -253,32 +248,29 @@ class TestHierarchicalTick:
         # node, which already exists, so only the pod action appears.
         state = two_pool_state(staging_nodes=1)
         mas = make_mas(flat_trace(800, 900), forecaster="naive")
-        decision = mas.tick(state, 300)
-        assert decision.node_plan.required_nodes == 1
-        kinds = {a.kind for a in decision.actions}
-        assert kinds == {"pods"}
-        assert decision.pod_plan.planned_replicas == 4
+        record = mas.tick(state, 300)
+        assert record["phases"][2]["required_nodes"] == 1
+        assert {kind for kind, _, _ in record["actions"]} == {"pods"}
+        assert plan_of(record)["planned_replicas"] == 4
 
     def test_node_scaling_issued_before_pod_scaling(self):
         state = two_pool_state(staging_nodes=0)
         mas = make_mas(flat_trace(800, 900), forecaster="naive")
-        decision = mas.tick(state, 300)
-        kinds = [a.kind for a in decision.actions]
+        kinds = [kind for kind, _, _ in mas.tick(state, 300)["actions"]]
         assert kinds == ["nodes", "pods"]
 
     def test_cold_start_skips_workload(self):
         state = two_pool_state()
         mas = make_mas(flat_trace(800, 900))
-        decision = mas.tick(state, 0)
-        assert decision.actions == []
-        assert decision.phases[1]["plans"][0]["skipped"] == "no history"
+        record = mas.tick(state, 0)
+        assert record["actions"] == []
+        assert plan_of(record)["skipped"] == "no history"
 
     def test_policy_floor_after_tick(self):
         state = two_pool_state(perf_nodes=1)
         schedule = StrategicSchedule(default_policy="PERFORMANCE")
         mas = make_mas(flat_trace(10, 900), schedule=schedule, forecaster="naive")
-        decision = mas.tick(state, 300)
-        assert decision.pod_plan.planned_replicas == PERF.min_replicas
+        assert plan_of(mas.tick(state, 300))["planned_replicas"] == PERF.min_replicas
         assert mas.desired == 2
 
     def test_scale_down_terminates_pending_first_then_youngest(self):
@@ -296,8 +288,8 @@ class TestHierarchicalTick:
             key=lambda p: p.creation_seq,
         )[:2]
         mas = make_mas(flat_trace(500, 900), forecaster="naive")
-        decision = mas.tick(state, 300)             # plan = 2: three must go
-        assert decision.pod_plan.planned_replicas == 2
+        record = mas.tick(state, 300)               # plan = 2: three must go
+        assert plan_of(record)["planned_replicas"] == 2
         for pod in pending_before:
             assert pod.pod_id not in state.pods
             assert pod.state is PodState.DELETED
@@ -312,19 +304,13 @@ class TestHierarchicalTick:
         start_running(state, "web", 2)
         twin = copy.deepcopy(state)
         trace = flat_trace(800, 900)
-        da = make_mas(trace).tick(state, 600)
-        db = make_mas(trace).tick(twin, 600)
-        assert da.phases == db.phases
-        assert [(a.kind, a.target, a.delta) for a in da.actions] == [
-            (a.kind, a.target, a.delta) for a in db.actions
-        ]
+        assert make_mas(trace).tick(state, 600) == make_mas(trace).tick(twin, 600)
 
     def test_no_future_peeking_in_forecast(self):
         trace = DemandTrace("web", [100] * 300 + [99999] * 600)
         state = two_pool_state()
         mas = make_mas(trace, forecaster="naive")
-        decision = mas.tick(state, 300)
-        assert decision.pod_plan.basis_peak_millicores <= 100
+        assert plan_of(mas.tick(state, 300))["forecast_peak"] <= 100
 
     def test_seasonal_fallback_plans_the_last_raw_demand(self):
         # A step from 100m to 800m at t=270. At t=300 no period is visible
@@ -333,10 +319,9 @@ class TestHierarchicalTick:
         trace = DemandTrace("web", [100] * 270 + [800] * 630)
         for cfg in ({"period_min_lag": 200}, {"seasonal_period": 600}):
             mas = make_mas(trace, **cfg)
-            decision = mas.tick(two_pool_state(), 300)
-            plan = decision.phases[1]["plans"][0]
+            plan = plan_of(mas.tick(two_pool_state(), 300))
             assert (plan["forecaster"], plan["forecast_peak"]) == ("Naive", 800)
-            assert decision.pod_plan.planned_replicas == 4
+            assert plan["planned_replicas"] == 4
 
 
 class TestMigration:
@@ -414,8 +399,7 @@ class TestMigration:
         state.schedule_pending_pods()
         run_until_quiet(state)
         start_running(state, "web", 2)
-        other = RequestSet()
-        other.add("monitoring", 600)
+        other = [Request("monitoring", 600)]
         schedule = StrategicSchedule(default_policy="COST_SAVING")
         mas = make_mas(
             flat_trace(400, 900), schedule=schedule, other=other, forecaster="naive",
@@ -433,13 +417,31 @@ class TestMigration:
     def test_migration_sizes_new_pool_for_other_requests_too(self):
         state = two_pool_state(staging_nodes=1)
         start_running(state, "web", 2)
-        other = RequestSet()
-        other.add("legacy", 1800)
+        other = [Request("legacy", 1800)]
         mas = make_mas(flat_trace(400, 900), other=other, forecaster="naive")
         mas.desired = 2
         record = mas._begin_migration(state, 10, "staging", PERF)
         # 2 x 250m + 1800m cannot share one 2000m node.
         assert record["new_pool_nodes"] == 2
+
+    def test_zero_floor_migration_sizes_one_node_and_completes(self):
+        # Nothing to move: the new pool still gets one node, and the
+        # migration completes once it is ready.
+        state = two_pool_state(staging_nodes=1)
+        mas = make_mas(flat_trace(400, 900), forecaster="naive")
+        mas.desired = 0
+        state.clock.advance_to(10)
+        record = mas._begin_migration(state, 10, "staging", PERF)
+        assert record["new_pool_nodes"] == 1
+        assert record["floor"] == {"web": 0}
+        run_until_quiet(state, mas)
+        assert mas.migration.phase is MigrationPhase.IDLE
+        assert mas.completed_migrations == [{
+            "started_at": 10, "completed_at": 130, "from_pool": "staging",
+            "to_pool": "performance", "floor": {"web": 0},
+        }]
+        assert len(state.pools["performance"].ready_nodes()) == 1
+        assert state.pools["staging"].live_nodes() == []
 
 
 class TestControllerProtocol:

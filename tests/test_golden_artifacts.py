@@ -1,7 +1,7 @@
 """Golden-artifact oracle: the four fixtures' run artifacts, the two mas
 fixtures run with `--controller hpa_ca`, the comparison of each mas run
-with its override run, and the four benchmark workloads at seed 1, pinned by
-sha256.
+with its override run, the two mas fixtures with unmanaged pods added, and
+the four benchmark workloads at seed 1, pinned by sha256.
 
 A refactor must leave every byte as it is. A change in behaviour updates the
 digests here on purpose and says why in CHANGES.md.
@@ -150,3 +150,31 @@ def test_bench_workload_artifacts_match_golden_digests(tmp_path, name):
     config = parse_scenario_text(_bench_workloads()[name].generate(1), f"{name}-1")
     run_scenario(config, out_dir=tmp_path)
     assert _digests(tmp_path, OUTPUT_FILES) == GOLDEN_BENCH[name]
+
+
+# The two mas fixtures with three unmanaged pods appended, under the scenario
+# id `<name>-other`. Their requests enter every node plan and the migration's
+# sizing, and the ones left on the old pool keep it sized after the switch.
+OTHER_PODS = "\nother.monitoring = 250\nother.legacy = 600\nother.cache = 250\n"
+
+GOLDEN_OTHER = {
+    "heartbeat-mas": {
+        "events.log": "e5b86ed58be92064cf87d4a62a6db1d7b8334a9ef17772db050493ebec671da9",
+        "decisions.log": "80eb3dc0376d9c72a2b2c9def3caf5e8cac62fcbbf07d7446a0ae1dd78e8d20c",
+        "metrics.csv": "60492af4789b55417ce5fcf6b5b48a0564e79e4bcebd695b9cae15a5b0a54bc4",
+        "summary.txt": "eb4a8ca907de3c5b895fea90f969c62a9908654277892c60435d4c2fcec51f86",
+    },
+    "flash-sale-mas": {
+        "events.log": "19f3001b90df107894f000c2272a35f4f90ea07fdaf18c6427c715d7f63ea9f2",
+        "decisions.log": "f3eccc3f6c3fa04ad948e881d6b71471587defb752115a8a0efbd83a06ee1766",
+        "metrics.csv": "c27e4c6053d54b465f8e20fbee9d85f7c2a9afa27a0ea2c84d2c982e6b9462e2",
+        "summary.txt": "6d454431678e37500c1ed76489701dc94fd32c4e5874ca91ee3ec70849511a29",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OTHER))
+def test_unmanaged_pod_runs_match_golden_digests(tmp_path, name):
+    text = (FIXTURES / f"{name}.scn").read_text() + OTHER_PODS
+    run_scenario(parse_scenario_text(text, f"{name}-other"), out_dir=tmp_path)
+    assert _digests(tmp_path, OUTPUT_FILES) == GOLDEN_OTHER[name]

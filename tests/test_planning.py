@@ -8,7 +8,7 @@ from oracles import InstanceTooLargeError, ffd_bound_holds, pack_exact, validate
 from scalesim.planning import (
     OversizedRequestError,
     Policy,
-    RequestSet,
+    Request,
     ceil_div,
     pack_ffd,
     plan_nodes,
@@ -20,10 +20,7 @@ PERF = Policy("PERFORMANCE", "performance", 2000, 2, 0.8, 0.2)
 
 
 def requests(*sizes, prefix="r"):
-    rs = RequestSet()
-    for i, size in enumerate(sizes):
-        rs.add(f"{prefix}{i}", size)
-    return rs
+    return [Request(f"{prefix}{i}", size) for i, size in enumerate(sizes)]
 
 
 def min_replicas_oracle(peak: int, request: int) -> int:
@@ -120,10 +117,7 @@ class TestPackFfd:
             pack_ffd(requests(2500), 2000)
 
     def test_deterministic_tie_break_on_owner(self):
-        rs = RequestSet()
-        rs.add("b", 600)
-        rs.add("a", 600)
-        rs.add("c", 400)
+        rs = [Request("b", 600), Request("a", 600), Request("c", 400)]
         plan = pack_ffd(rs, 1000)
         # Sorted by (-size, owner): a then b then c.
         assert [(r.owner, b) for r, b in plan.assignment] == [
@@ -168,37 +162,32 @@ class TestPackExact:
 
 class TestPlanNodes:
     def test_eight_quarter_pods_fill_one_node(self):
-        plan = plan_replicas(2000, 250, PERF, workload_id="web")
+        plan = plan_replicas(2000, 250, PERF)
         assert plan.planned_replicas == 8
-        node_plan = plan_nodes([plan], RequestSet(), PERF)
+        node_plan = plan_nodes(plan.planned_replicas, 250, [], PERF)
         assert node_plan.required_nodes == 1
 
     def test_other_requests_force_second_node(self):
         # 8 x 250m plus one 1500m request: the exact solver on the 9-item
         # instance confirms two bins.
-        plan = plan_replicas(2000, 250, PERF, workload_id="web")
-        other = RequestSet()
-        other.add("legacy", 1500)
+        plan = plan_replicas(2000, 250, PERF)
         combined = requests(*([250] * 8), 1500)
         assert pack_exact(combined, 2000).required_nodes == 2
-        node_plan = plan_nodes([plan], other, PERF)
+        node_plan = plan_nodes(plan.planned_replicas, 250, [Request("legacy", 1500)], PERF)
         assert node_plan.required_nodes == 2
 
     def test_empty_inputs_zero_nodes(self):
-        node_plan = plan_nodes([], RequestSet(), PERF)
+        node_plan = plan_nodes(0, 250, [], PERF)
         assert node_plan.required_nodes == 0
-        assert node_plan.pool_id == "performance"
 
     def test_oversized_other_request_propagates(self):
-        other = RequestSet()
-        other.add("huge", 3000)
         with pytest.raises(OversizedRequestError):
-            plan_nodes([], other, PERF)
+            plan_nodes(0, 250, [Request("huge", 3000)], PERF)
 
     def test_plan_idempotence(self):
-        plan = plan_replicas(1700, 250, COST, workload_id="web")
-        a = plan_nodes([plan], RequestSet(), COST)
-        b = plan_nodes([plan], RequestSet(), COST)
+        plan = plan_replicas(1700, 250, COST)
+        a = plan_nodes(plan.planned_replicas, 250, [], COST)
+        b = plan_nodes(plan.planned_replicas, 250, [], COST)
         assert a.required_nodes == b.required_nodes
         assert a.assignment == b.assignment
 
@@ -217,7 +206,7 @@ class TestAssignmentValidation:
                 for req, b in plan.assignment:
                     loads[b] = loads.get(b, 0) + req.millicores
                     seen.append((req.owner, req.millicores))
-                assert sorted(seen) == sorted((r.owner, r.millicores) for r in rs.items)
+                assert sorted(seen) == sorted((r.owner, r.millicores) for r in rs)
                 assert all(load <= cap for load in loads.values())
                 assert set(loads) == set(range(plan.required_nodes))
                 validate_assignment(rs, plan.assignment, cap)

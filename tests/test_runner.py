@@ -9,7 +9,7 @@ from scalesim.cli import EXIT_INVARIANT, main
 from scalesim.errors import InvariantViolation
 from scalesim.invariants import InvariantChecker
 from scalesim.runner import run_scenario
-from scalesim.scenario import load_scenario
+from scalesim.scenario import load_scenario, parse_scenario_text
 
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -33,6 +33,18 @@ def test_mas_fixture_migrations_complete_with_zero_downtime(fixture_runs):
         result = fixture_runs[name]
         assert result.summary.migrations == 1, name
         assert result.summary.migration_downtime == 0, name
+
+
+def test_zero_floor_migration_completes_with_zero_downtime():
+    # No replicas at the t=0 switch: the new pool is sized for one.
+    text = (FIXTURES / "heartbeat-mas.scn").read_text()
+    text += "initial_replicas = 0\nschedule.at.0 = PERFORMANCE\n"
+    result = run_scenario(parse_scenario_text(text, "zero-floor"))
+    started = json.loads(next(line for line in result.decision_lines if '"t": 0, "switch"' in line))
+    assert started["new_pool_nodes"] == 1
+    assert started["floor"] == {"web": 0}
+    assert result.summary.migrations == 1
+    assert result.summary.migration_downtime == 0
 
 
 def test_hpa_fixtures_never_migrate(fixture_runs):

@@ -161,6 +161,34 @@ class TestValidation:
         ):
             parse_scenario_text(text, "x")
 
+    def test_schedule_entries_without_mas_name_first_entry_and_line(self):
+        text = (
+            "workload = heartbeat\n"
+            "policy.A.pool = baseline\n"
+            "schedule.at.300 = A\n"
+            "schedule.at.100 = A\n"
+            "controller = hpa_ca\n"
+        )
+        with pytest.raises(
+            ScenarioError,
+            match=r"^line 3: field 'schedule\.at\.300': schedule\.at entries require controller = mas_h2",
+        ):
+            parse_scenario_text(text, "x")
+
+    def test_phase_entries_without_custom_name_first_key_and_line(self):
+        text = (
+            "workload = heartbeat\n"
+            "controller = hpa_ca\n"
+            "phase.2.duration = 60\n"
+            "phase.1.duration = 60\n"
+            "phase.1.target_vus = 10\n"
+        )
+        with pytest.raises(
+            ScenarioError,
+            match=r"^line 3: field 'phase\.2\.duration': phase\.N\.\* entries are only valid",
+        ):
+            parse_scenario_text(text, "x")
+
     def test_phases_only_for_custom(self):
         text = (
             "workload = heartbeat\n"
