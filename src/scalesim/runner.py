@@ -93,11 +93,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
     for t in controller.tick_times(duration):
         state.enqueue(t, EventKind.CONTROL_TICK, {"controller": controller.name})
     for t, policy_name in schedule.entries:
-        if t <= duration:
-            state.enqueue(t, EventKind.POLICY_SWITCH, {"policy": policy_name})
+        state.enqueue(t, EventKind.POLICY_SWITCH, {"policy": policy_name})
     for t, phase_name in trace.phase_boundaries:
-        if t <= duration:
-            state.enqueue(t, EventKind.WORKLOAD_PHASE_CHANGE, {"phase": phase_name})
+        state.enqueue(t, EventKind.WORKLOAD_PHASE_CHANGE, {"phase": phase_name})
     for t in range(0, duration, config.sampling_interval):
         state.enqueue(t, EventKind.CONTROL_TICK, {"controller": "sampler"})
 

@@ -18,16 +18,9 @@ from .errors import ScenarioError
 from .knobs import Range, declared, knob
 from .metrics import Normalizers
 from .planning import Policy, Request
-from .workload import (
-    DemandTrace,
-    Ramp,
-    WorkloadPhase,
-    build_trace,
-    build_flash_sale_trace,
-    build_heartbeat_trace,
-)
+from .workload import NAMED_WORKLOADS, DemandTrace, WorkloadPhase, build_trace
 
-WORKLOADS = ("heartbeat", "flash_sale", "custom")
+WORKLOADS = (*NAMED_WORKLOADS, "custom")
 CONTROLLERS = tuple(CONTROLLER_TYPES)
 
 
@@ -62,16 +55,6 @@ class PolicySpec:
 
 
 @dataclass
-class PhaseSpec:
-    """The phase.<n>.* knobs of a custom workload."""
-
-    duration: int = knob(ge=0)                    # seconds
-    target_vus: int = knob(ge=0)
-    ramp: str = knob("linear", choices=("linear", "step"))
-    noisy: bool = knob(False)                     # apply noise_amplitude inside this phase
-
-
-@dataclass
 class ScenarioConfig:
     scenario_id: str
     workload: str = knob(choices=WORKLOADS)
@@ -93,20 +76,11 @@ class ScenarioConfig:
     hpa: HpaConfig = field(default_factory=HpaConfig)
     other_requests: list[Request] = field(default_factory=list)
     normalizers: Normalizers = field(default_factory=Normalizers)
-    custom_phases: list[WorkloadPhase] = field(default_factory=list)
-    custom_noisy_phases: set[int] | None = None
+    phases: list[WorkloadPhase] = field(default_factory=list)
 
     def build_trace(self) -> DemandTrace:
-        amplitude = self.noise_amplitude
-        if self.workload == "custom":
-            return build_trace(
-                self.workload_id, self.custom_phases, self.vu_cost, self.seed,
-                noise_amplitude=amplitude or 0.0, noisy_phases=self.custom_noisy_phases,
-            )
-        builder, default = {"heartbeat": (build_heartbeat_trace, 0.0),
-                            "flash_sale": (build_flash_sale_trace, 0.10)}[self.workload]
-        return builder(self.vu_cost, self.seed, default if amplitude is None else amplitude,
-                       workload_id=self.workload_id)
+        return build_trace(self.workload_id, self.phases, self.vu_cost, self.seed,
+                           self.noise_amplitude)
 
 
 # Key prefix -> the dataclasses that declare the knobs under it. "*" stands
@@ -118,7 +92,7 @@ _SECTIONS = {
     "hpa.": (HpaConfig,),
     "pool.*.": (PoolSpec,),
     "policy.*.": (PolicySpec,),
-    "phase.*.": (PhaseSpec,),
+    "phase.*.": (WorkloadPhase,),
 }
 _GROUPED = ("pool", "policy", "phase", "other")
 
@@ -313,25 +287,23 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
     elif hpa.pool not in pools:
         raise ScenarioError(f"field 'hpa.pool': undefined pool {hpa.pool!r}", line_of("hpa.pool"))
 
-    phases: list[WorkloadPhase] = []
-    noisy: set[int] = set()
     if top["workload"] == "custom":
         if not values["phase.*."]:
             raise ScenarioError(
                 "field 'workload': custom requires phase.N.* entries", line_of("workload")
             )
-        for i, idx in enumerate(sorted(values["phase.*."])):
-            spec = PhaseSpec(**knobs_of(PhaseSpec, "phase.*.", idx))
-            phases.append(
-                WorkloadPhase(f"phase-{idx}", spec.duration, spec.target_vus, Ramp(spec.ramp))
-            )
-            if spec.noisy:
-                noisy.add(i)
+        phases = [WorkloadPhase(f"phase-{idx}", **knobs_of(WorkloadPhase, "phase.*.", idx))
+                  for idx in sorted(values["phase.*."])]
+        default_amplitude = 0.0
     elif values["phase.*."]:
         key = next(k for k in entries if k.startswith("phase."))
         raise ScenarioError(
             f"field {key!r}: phase.N.* entries are only valid for workload = custom", line_of(key)
         )
+    else:
+        named_phases, default_amplitude = NAMED_WORKLOADS[top["workload"]]
+        phases = named_phases()
+    top.setdefault("noise_amplitude", default_amplitude)
 
     config = ScenarioConfig(
         scenario_id=scenario_id,
@@ -343,8 +315,7 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
         hpa=hpa,
         other_requests=other,
         normalizers=Normalizers(**knobs_of(Normalizers, "")),
-        custom_phases=phases,
-        custom_noisy_phases=noisy if noisy else None,
+        phases=phases,
     )
     _validate(config, line_of)
     return config
@@ -375,12 +346,14 @@ def _validate(config: ScenarioConfig, line_of) -> None:
                 line_of("pod_request", f"pool.{pool_id}.capacity"),
             )
     for req in config.other_requests:
-        if req.millicores > max(pool_caps.values()):
-            raise ScenarioError(
-                f"field 'other.{req.owner}': request {req.millicores}m exceeds "
-                "every pool's node capacity",
-                line_of(f"other.{req.owner}"),
-            )
+        # The node planner packs every unmanaged pod into the active policy's pool.
+        for pool_id in (p.node_pool for p in config.policies.values()):
+            if req.millicores > pool_caps[pool_id]:
+                raise ScenarioError(
+                    f"field 'other.{req.owner}': {req.millicores}m exceeds "
+                    f"'pool.{pool_id}.capacity' ({pool_caps[pool_id]}m)",
+                    line_of(f"other.{req.owner}", f"pool.{pool_id}.capacity"),
+                )
         if req.owner == config.workload_id:
             raise ScenarioError(
                 f"field 'other.{req.owner}': owner collides with managed workload id",

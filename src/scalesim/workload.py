@@ -9,20 +9,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 
-
-class Ramp(Enum):
-    LINEAR = "linear"
-    STEP = "step"
+from .knobs import knob
 
 
 @dataclass(frozen=True)
 class WorkloadPhase:
+    """One phase of a VU profile; its knobs are the phase.<n>.* keys of a
+    custom workload."""
+
     name: str
-    duration_seconds: int
-    target_vus: int
-    ramp: Ramp = Ramp.LINEAR
+    duration: int = knob(ge=0)                    # seconds
+    target_vus: int = knob(ge=0)
+    ramp: str = knob("linear", choices=("linear", "step"))
+    noisy: bool = knob(False)                     # apply noise_amplitude inside this phase
 
 
 @dataclass
@@ -47,11 +47,11 @@ def vus_profile(phases: list[WorkloadPhase]) -> list[int]:
     out: list[int] = []
     prev = 0
     for phase in phases:
-        for k in range(phase.duration_seconds):
-            if phase.ramp is Ramp.STEP:
-                out.append(phase.target_vus)
-            else:
-                frac = (k + 1) / phase.duration_seconds
+        if phase.ramp == "step":
+            out.extend([phase.target_vus] * phase.duration)
+        else:
+            for k in range(phase.duration):
+                frac = (k + 1) / phase.duration
                 out.append(round(prev + (phase.target_vus - prev) * frac))
         prev = phase.target_vus
     return out
@@ -63,23 +63,23 @@ def build_trace(
     vu_cost: float,
     seed: int,
     noise_amplitude: float = 0.0,
-    noisy_phases: set[int] | None = None,
 ) -> DemandTrace:
     """Materialize a demand trace: demand(t) = round(vus * vu_cost * (1 + eps)).
 
     Noise eps is uniform in [-amplitude, amplitude], drawn per second from
-    `seed`, and applied only inside `noisy_phases` (all phases if None).
+    `seed`, and applied only inside the phases marked noisy (every phase
+    when none is).
     """
     vus = vus_profile(phases)
     rng = random.Random(seed)
+    all_noisy = not any(phase.noisy for phase in phases)
     noisy_index: list[bool] = []
     boundaries: list[tuple[int, str]] = []
     t0 = 0
-    for i, phase in enumerate(phases):
+    for phase in phases:
         boundaries.append((t0, phase.name))
-        noisy = noisy_phases is None or i in noisy_phases
-        noisy_index.extend([noisy] * phase.duration_seconds)
-        t0 += phase.duration_seconds
+        noisy_index.extend([all_noisy or phase.noisy] * phase.duration)
+        t0 += phase.duration
 
     demand: list[int] = []
     for t, v in enumerate(vus):
@@ -108,50 +108,28 @@ def flash_sale_phases() -> list[WorkloadPhase]:
     """Pre-sale chatter, chaotic ramp-up, a 240 s sustained peak at 700 VUs,
     abrupt drop-off, and cool-down. 900 s total.
 
-    The sustained-peak phase is a Step so the full 240 s sits at 700 VUs;
-    every other phase ramps linearly from the previous target.
+    The sustained-peak phase is a step so the full 240 s sits at 700 VUs;
+    every other phase ramps linearly from the previous target. Chatter is the
+    only noisy stretch; the scaling phases stay clean so forecast behavior is
+    attributable.
     """
     return [
-        WorkloadPhase("chatter-baseline", 120, 20),
-        WorkloadPhase("chatter-spike", 60, 50),
-        WorkloadPhase("chatter-return", 60, 20),
+        WorkloadPhase("chatter-baseline", 120, 20, noisy=True),
+        WorkloadPhase("chatter-spike", 60, 50, noisy=True),
+        WorkloadPhase("chatter-return", 60, 20, noisy=True),
         WorkloadPhase("surge-1", 30, 200),
         WorkloadPhase("lull", 60, 150),
         WorkloadPhase("surge-2", 30, 400),
         WorkloadPhase("settle", 60, 300),
-        WorkloadPhase("sustained-peak", 240, 700, Ramp.STEP),
+        WorkloadPhase("sustained-peak", 240, 700, "step"),
         WorkloadPhase("drop-off", 60, 50),
         WorkloadPhase("lingering", 120, 50),
         WorkloadPhase("final-cool-down", 60, 0),
     ]
 
 
-# Chatter is the only noisy stretch of the flash sale; the scaling phases stay
-# clean so forecast behavior is attributable.
-FLASH_SALE_NOISY_PHASES = {0, 1, 2}
-
-
-def build_heartbeat_trace(
-    vu_cost: float,
-    seed: int,
-    noise_amplitude: float = 0.0,
-    workload_id: str = "web",
-) -> DemandTrace:
-    return build_trace(
-        workload_id, heartbeat_phases(), vu_cost, seed,
-        noise_amplitude=noise_amplitude,
-    )
-
-
-def build_flash_sale_trace(
-    vu_cost: float,
-    seed: int,
-    noise_amplitude: float = 0.10,
-    workload_id: str = "web",
-) -> DemandTrace:
-    return build_trace(
-        workload_id, flash_sale_phases(), vu_cost, seed,
-        noise_amplitude=noise_amplitude,
-        noisy_phases=FLASH_SALE_NOISY_PHASES,
-    )
-
+# Named workload -> (its phases, its default noise amplitude).
+NAMED_WORKLOADS = {
+    "heartbeat": (heartbeat_phases, 0.0),
+    "flash_sale": (flash_sale_phases, 0.10),
+}

@@ -45,7 +45,7 @@ from scalesim.forecasting import SeasonalPeak, forecast, smoothed_history
 from scalesim.planning import Policy, Request, pack_ffd, plan_replicas
 from scalesim.runner import run_scenario
 from scalesim.scenario import load_scenario
-from scalesim.workload import build_heartbeat_trace
+from scalesim.workload import build_trace, heartbeat_phases
 
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -388,7 +388,7 @@ def test_criterion_5_replica_formula_oracle():
 
 
 def test_criterion_6_forecaster_exactness():
-    trace = build_heartbeat_trace(vu_cost=2, seed=1, noise_amplitude=0.0)
+    trace = build_trace("web", heartbeat_phases(), 2, 1)
     exact = True
     for now in (240, 480):
         history = [float(d) for d in trace.demand[:now]]

@@ -23,7 +23,7 @@ from scalesim.forecasting import (
 )
 from scalesim.runner import run_scenario
 from scalesim.scenario import load_scenario
-from scalesim.workload import build_heartbeat_trace
+from scalesim.workload import build_trace, heartbeat_phases
 
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -78,7 +78,7 @@ class TestForecasters:
     def test_seasonal_peak_replays_prior_cycle(self):
         # History: one full heartbeat cycle plus change; horizon spans the
         # next peak. The realized next-cycle max is the oracle.
-        trace = build_heartbeat_trace(vu_cost=2, seed=1)
+        trace = build_trace("web", heartbeat_phases(), 2, 1)
         history = [float(d) for d in trace.demand[:300]]
         peak = forecast(SeasonalPeak(period=300, quantile=1.0), history, now=300, horizon=300)
         realized_peak = max(trace.demand[301:601])
@@ -88,7 +88,7 @@ class TestForecasters:
     def test_seasonal_peak_zero_error_after_one_period(self):
         # Post-first-cycle peaks of the noise-free heartbeat are predicted
         # exactly once one 240 s period of history exists.
-        trace = build_heartbeat_trace(vu_cost=2, seed=1)
+        trace = build_trace("web", heartbeat_phases(), 2, 1)
         for now in (240, 480):
             history = [float(d) for d in trace.demand[:now]]
             peak = forecast(SeasonalPeak(period=240, quantile=0.95), history, now=now, horizon=240)
@@ -207,12 +207,12 @@ class TestSmoothing:
 
 class TestPeriodDetection:
     def test_detects_heartbeat_cycle(self):
-        trace = build_heartbeat_trace(vu_cost=2, seed=1)
+        trace = build_trace("web", heartbeat_phases(), 2, 1)
         values = [float(d) for d in trace.demand[:480]]
         assert detect_period(values) == 240
 
     def test_detects_with_more_history(self):
-        trace = build_heartbeat_trace(vu_cost=2, seed=1)
+        trace = build_trace("web", heartbeat_phases(), 2, 1)
         values = [float(d) for d in trace.demand[:600]]
         assert detect_period(values) == 240
 

@@ -1,7 +1,8 @@
 """Golden-artifact oracle: the four fixtures' run artifacts, the two mas
 fixtures run with `--controller hpa_ca`, the comparison of each mas run
-with its override run, the two mas fixtures with unmanaged pods added, and
-the four benchmark workloads at seed 1, pinned by sha256.
+with its override run, the two mas fixtures with unmanaged pods added, the
+four benchmark workloads at seed 1, and a custom workload with one noisy
+phase under each controller, pinned by sha256.
 
 A refactor must leave every byte as it is. A change in behaviour updates the
 digests here on purpose and says why in CHANGES.md.
@@ -57,6 +58,13 @@ def test_fixture_artifacts_match_golden_digests(tmp_path, name):
         for artifact in OUTPUT_FILES
     }
     assert digests == GOLDEN[name]
+
+
+def test_switch_after_the_run_leaves_fixture_artifacts_unchanged(tmp_path):
+    # A schedule entry past the run's end never fires and leaves no trace.
+    text = (FIXTURES / "heartbeat-mas.scn").read_text() + "schedule.at.5000 = COST_SAVING\n"
+    run_scenario(parse_scenario_text(text, "heartbeat-mas"), out_dir=tmp_path)
+    assert _digests(tmp_path, OUTPUT_FILES) == GOLDEN["heartbeat-mas"]
 
 
 # The mas fixtures run with `scalesim run --controller hpa_ca`.
@@ -178,3 +186,55 @@ def test_unmanaged_pod_runs_match_golden_digests(tmp_path, name):
     text = (FIXTURES / f"{name}.scn").read_text() + OTHER_PODS
     run_scenario(parse_scenario_text(text, f"{name}-other"), out_dir=tmp_path)
     assert _digests(tmp_path, OUTPUT_FILES) == GOLDEN_OTHER[name]
+
+
+# A three-phase custom workload whose middle phase alone is noisy, run under
+# each controller with the scenario id `noisy-custom-<controller>`.
+NOISY_CUSTOM = (
+    "workload = custom\n"
+    "seed = 11\n"
+    "noise_amplitude = 0.2\n"
+    "phase.1.duration = 120\n"
+    "phase.1.target_vus = 200\n"
+    "phase.2.duration = 240\n"
+    "phase.2.target_vus = 400\n"
+    "phase.2.ramp = step\n"
+    "phase.2.noisy = true\n"
+    "phase.3.duration = 120\n"
+    "phase.3.target_vus = 50\n"
+)
+
+GOLDEN_NOISY_CUSTOM = {
+    "hpa_ca": {
+        "events.log": "2b60b4511d31a419eefeeb2e20a8b9436f0842f8dd6f8db9bc75557d253b9769",
+        "decisions.log": "b18a33fd226b3a00cf8268edbcf6e75f2c1ac0eb4664671d9d9995dc1cca1348",
+        "metrics.csv": "2bd74368edf4eefa9f9cd7967ded54b50ed254040922c2c14c244a337f5e3df4",
+        "summary.txt": "ddea1007a9f191d57283fa6ee43193ea7454ad4bb7be7e35eee5c0df51433f18",
+    },
+    "mas_h2": {
+        "events.log": "f3d3305f181f4eae6b735b53a6d1ad2cc117be80b95156698d02a8eaf3254fab",
+        "decisions.log": "a3b33ac0b2e8814e58b0f17bdba2ff0fe5bab7b629f80c005bec6f79dd44f93a",
+        "metrics.csv": "749c91f2e63b50c077471a81972fd370233f39b831ab42df63d0eb779dfbe2f2",
+        "summary.txt": "fc4f8c8842bee51276c1c17ab2496351080d12a5cdabd5f0ee0c786fdb0f89bc",
+    },
+}
+
+
+@pytest.mark.parametrize("controller", sorted(GOLDEN_NOISY_CUSTOM))
+def test_noisy_custom_runs_match_golden_digests(tmp_path, controller):
+    text = NOISY_CUSTOM + f"controller = {controller}\n"
+    run_scenario(parse_scenario_text(text, f"noisy-custom-{controller}"), out_dir=tmp_path)
+    assert _digests(tmp_path, OUTPUT_FILES) == GOLDEN_NOISY_CUSTOM[controller]
+
+
+def test_noise_lands_in_flagged_phases_or_in_every_phase_when_none_is():
+    def noisy_phases(text):
+        """Per phase, whether any second differs from the noise-free trace."""
+        trace = parse_scenario_text(text + "controller = hpa_ca\n", "x").build_trace()
+        clean_text = text.replace("noise_amplitude = 0.2", "noise_amplitude = 0")
+        clean = parse_scenario_text(clean_text + "controller = hpa_ca\n", "x").build_trace()
+        return [trace.demand[start:end] != clean.demand[start:end]
+                for start, end in ((0, 120), (120, 360), (360, 480))]
+
+    assert noisy_phases(NOISY_CUSTOM) == [False, True, False]
+    assert noisy_phases(NOISY_CUSTOM.replace("phase.2.noisy = true\n", "")) == [True, True, True]

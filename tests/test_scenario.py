@@ -210,7 +210,7 @@ class TestValidation:
             "phase.1.target_vus = 5\n"
         )
         config = parse_scenario_text(text, "x")
-        assert [(p.duration_seconds, p.target_vus) for p in config.custom_phases] == [
+        assert [(p.duration, p.target_vus) for p in config.phases] == [
             (10, 5), (20, 50),
         ]
         trace = config.build_trace()
@@ -224,6 +224,17 @@ class TestValidation:
     def test_noise_amplitude_bounds(self):
         text = "workload = heartbeat\ncontroller = hpa_ca\nnoise_amplitude = 1.5\n"
         with pytest.raises(ScenarioError, match="noise_amplitude"):
+            parse_scenario_text(text, "x")
+
+    def test_other_request_must_fit_every_policy_pool(self):
+        # 1500m fits the performance pool, but the node planner packs every
+        # unmanaged pod into the active policy's pool: staging's 1000m nodes.
+        text = (FIXTURES / "heartbeat-mas.scn").read_text() + "other.big = 1500\n"
+        line = text.count("\n")
+        with pytest.raises(
+            ScenarioError,
+            match=rf"^line {line}: field 'other\.big': 1500m exceeds 'pool\.staging\.capacity'",
+        ):
             parse_scenario_text(text, "x")
 
     def test_other_owner_collision(self):

@@ -5,11 +5,8 @@ import random
 import pytest
 
 from scalesim.workload import (
-    FLASH_SALE_NOISY_PHASES,
-    Ramp,
+    NAMED_WORKLOADS,
     WorkloadPhase,
-    build_flash_sale_trace,
-    build_heartbeat_trace,
     build_trace,
     flash_sale_phases,
     heartbeat_phases,
@@ -32,32 +29,38 @@ FLASH_SALE_TABLE = [
 ]
 
 
+def named_trace(name: str, seed: int):
+    """The trace of a named workload at vu_cost 2 and its default noise."""
+    phases, noise_amplitude = NAMED_WORKLOADS[name]
+    return build_trace("web", phases(), 2, seed, noise_amplitude)
+
+
 class TestHeartbeat:
     def test_phase_table_matches(self):
-        got = [(p.duration_seconds, p.target_vus) for p in heartbeat_phases()]
+        got = [(p.duration, p.target_vus) for p in heartbeat_phases()]
         assert got == HEARTBEAT_TABLE
 
     def test_total_length_780(self):
-        trace = build_heartbeat_trace(vu_cost=2, seed=1)
+        trace = named_trace("heartbeat", 1)
         assert trace.duration == 780
         assert sum(d for d, _ in HEARTBEAT_TABLE) == 780
 
     def test_one_sample_per_second(self):
-        trace = build_heartbeat_trace(vu_cost=2, seed=1)
+        trace = named_trace("heartbeat", 1)
         assert len(trace.demand) == 780
 
     def test_vus_at_mid_first_peak_hold(self):
         assert vus_profile(heartbeat_phases())[45] == 400
 
     def test_demand_is_vus_times_cost(self):
-        trace = build_heartbeat_trace(vu_cost=2, seed=3, noise_amplitude=0.0)
+        trace = named_trace("heartbeat", 3)
         assert trace.demand_at(45) == 800
         vus = vus_profile(heartbeat_phases())
         for t, demand in enumerate(trace.demand):
             assert demand == vus[t] * 2
 
     def test_cycles_identical_after_first_ramp(self):
-        trace = build_heartbeat_trace(vu_cost=2, seed=1)
+        trace = named_trace("heartbeat", 1)
         # Cycles 2 and 3 are byte-identical (cycle 1 ramps up from 0, not 10).
         cycle2 = trace.demand[240:480]
         cycle3 = trace.demand[480:720]
@@ -66,11 +69,11 @@ class TestHeartbeat:
 
 class TestFlashSale:
     def test_phase_table_matches(self):
-        got = [(p.duration_seconds, p.target_vus) for p in flash_sale_phases()]
+        got = [(p.duration, p.target_vus) for p in flash_sale_phases()]
         assert got == FLASH_SALE_TABLE
 
     def test_total_length_900(self):
-        trace = build_flash_sale_trace(vu_cost=2, seed=1)
+        trace = named_trace("flash_sale", 1)
         assert trace.duration == 900
         assert sum(d for d, _ in FLASH_SALE_TABLE) == 900
 
@@ -85,14 +88,14 @@ class TestFlashSale:
         assert vus[-1] == 50
 
     def test_noise_only_in_chatter_phases(self):
-        trace = build_flash_sale_trace(vu_cost=2, seed=9, noise_amplitude=0.10)
+        trace = named_trace("flash_sale", 9)
         vus = vus_profile(flash_sale_phases())
         for t, demand in enumerate(trace.demand):
             if t >= 240:
                 assert demand == vus[t] * 2, f"t={t} outside chatter must be noise-free"
 
     def test_chatter_noise_within_amplitude(self):
-        trace = build_flash_sale_trace(vu_cost=2, seed=9, noise_amplitude=0.10)
+        trace = named_trace("flash_sale", 9)
         vus = vus_profile(flash_sale_phases())
         for t, demand in enumerate(trace.demand[:240]):
             clean = vus[t] * 2
@@ -101,7 +104,7 @@ class TestFlashSale:
 
 class TestDemandWindow:
     def test_out_of_range_rejected(self):
-        trace = build_heartbeat_trace(vu_cost=2, seed=1)
+        trace = named_trace("heartbeat", 1)
         assert trace.demand_at(779) == trace.demand[-1]
         with pytest.raises(ValueError):
             trace.demand_at(-1)
@@ -121,18 +124,18 @@ class TestDemandWindow:
 
 class TestNoiseAndDeterminism:
     def test_same_seed_same_trace(self):
-        a = build_flash_sale_trace(vu_cost=2, seed=5)
-        b = build_flash_sale_trace(vu_cost=2, seed=5)
+        a = named_trace("flash_sale", 5)
+        b = named_trace("flash_sale", 5)
         assert a.demand == b.demand
 
     def test_different_seed_different_chatter(self):
-        a = build_flash_sale_trace(vu_cost=2, seed=5)
-        b = build_flash_sale_trace(vu_cost=2, seed=6)
+        a = named_trace("flash_sale", 5)
+        b = named_trace("flash_sale", 6)
         assert a.demand[:240] != b.demand[:240]
 
     def test_zero_vus_zero_demand(self):
         rng = random.Random(0)
-        phases = [WorkloadPhase("dead", 40, 0, Ramp.STEP), WorkloadPhase("live", 20, 100)]
+        phases = [WorkloadPhase("dead", 40, 0, "step"), WorkloadPhase("live", 20, 100)]
         vus = vus_profile(phases)
         for seed in range(5):
             amplitude = rng.choice([0.0, 0.05, 0.10, 0.3])
@@ -157,7 +160,6 @@ class TestNoiseAndDeterminism:
 
 
 def test_flash_noisy_phase_indices_cover_chatter_only():
-    names = [p.name for p in flash_sale_phases()]
-    assert [names[i] for i in sorted(FLASH_SALE_NOISY_PHASES)] == [
+    assert [p.name for p in flash_sale_phases() if p.noisy] == [
         "chatter-baseline", "chatter-spike", "chatter-return",
     ]
