@@ -472,10 +472,7 @@ class ReactiveController:
         pool = state.pools[self.pool_id]
         record: dict = {}
 
-        pending_ages = [
-            now - p.pending_since
-            for p in state.pods.values() if p.state is PodState.PENDING
-        ]
+        pending_ages = [now - p.pending_since for p in state.pending.values()]
         provisioning = any(n.state is NodeState.PROVISIONING for n in pool.nodes)
         if pending_ages and max(pending_ages) > cfg.ca_trigger_delay and not provisioning:
             # One node at a time; wait for in-flight capacity before adding more.

@@ -30,6 +30,8 @@ class PodState(Enum):
 
 # Pods that count as replicas: alive and not on their way out.
 ALIVE = (PodState.PENDING, PodState.STARTING, PodState.RUNNING)
+# Pods that hold a node's reservation.
+BOUND = (PodState.STARTING, PodState.RUNNING, PodState.TERMINATING)
 
 
 # Forward-only ordering of node lifecycle states. A transition may skip a
@@ -79,18 +81,22 @@ class SimEvent:
     kind: EventKind
     payload: dict
     seq: int = 0
+    rank: int = 0       # orders events of one kind in one second, before seq
 
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.fire_at, _KIND_RANK[self.kind], self.seq)
+    def sort_key(self) -> tuple[int, int, int, int]:
+        return (self.fire_at, _KIND_RANK[self.kind], self.rank, self.seq)
 
 
-@dataclass
+# Pods and nodes compare by identity: the engine keeps them in sets of
+# touched objects, and two distinct objects are never the same pod or node.
+@dataclass(eq=False)
 class Node:
     node_id: str
     pool_id: str
     state: NodeState = NodeState.PROVISIONING
     ready_at: int = 0
     bound_pods: set[str] = field(default_factory=set)
+    used: int = 0       # millicores requested by the pods in bound_pods
 
     def transition(self, new_state: NodeState) -> None:
         if _NODE_ORDER[new_state] < _NODE_ORDER[self.state]:
@@ -118,7 +124,7 @@ class NodePool:
         return [n for n in self.nodes if n.state is NodeState.READY]
 
 
-@dataclass
+@dataclass(eq=False)
 class Pod:
     pod_id: str
     workload_id: str
@@ -139,6 +145,13 @@ class ClusterState:
     Only live objects are kept: a pod or node that reaches Deleted leaves
     `pods`, `nodes` and its pool's `nodes` at that moment. Callers that hold
     the object still see its Deleted state.
+
+    Every change to a pod's state or binding, and to a node's state or bound
+    pods, is made here, by `_set_pod_state`, `_place` and `_set_node_state`.
+    They keep the counts that readers use in place of scans (`pending`, the
+    per-workload alive and running counts, `bound_count` and each node's
+    `used`) and add each object they change to `touched_pods` or
+    `touched_nodes`, which the invariant checker reads and empties.
     """
 
     def __init__(self, pools: list[NodePool], pod_startup_delay: int = 10):
@@ -155,15 +168,24 @@ class ClusterState:
         self._next_seq = 0
         self._pod_counters: dict[str, int] = {}
         self._pods_created = 0
+        self.pending: dict[str, Pod] = {}    # Pending pods, by id
+        self.bound_count = 0                 # pods bound to a node
+        # Per workload: pods Pending, Starting or Running, and pods Running.
+        self.alive_by_workload: dict[str, int] = {}
+        self.running_by_workload: dict[str, int] = {}
+        # Objects changed since the checker last looked; dicts keep the order.
+        self.touched_pods: dict[Pod, None] = {}
+        self.touched_nodes: dict[Node, None] = {}
 
     # ------------------------------------------------------------------ events
 
-    def enqueue(self, fire_at: int, kind: EventKind, payload: dict) -> SimEvent:
+    def enqueue(self, fire_at: int, kind: EventKind, payload: dict, rank: int = 0) -> SimEvent:
         if fire_at < self.clock.now:
             raise SimulationError(
                 f"event {kind.value} scheduled in the past ({fire_at} < {self.clock.now})"
             )
-        ev = SimEvent(fire_at=fire_at, kind=kind, payload=payload, seq=self._next_seq)
+        ev = SimEvent(fire_at=fire_at, kind=kind, payload=payload, seq=self._next_seq,
+                      rank=rank)
         self._next_seq += 1
         heapq.heappush(self._queue, (ev.sort_key(), ev))
         return ev
@@ -207,7 +229,7 @@ class ClusterState:
         if node is None or node.state is not NodeState.PROVISIONING:
             ev.payload["stale"] = True
             return
-        node.transition(NodeState.READY)
+        self._set_node_state(node, NodeState.READY)
         self.schedule_pending_pods()
 
     def _apply_pod_started(self, ev: SimEvent) -> None:
@@ -216,7 +238,7 @@ class ClusterState:
                 or pod.binding_seq != ev.payload["binding"]:
             ev.payload["stale"] = True
             return
-        pod.state = PodState.RUNNING
+        self._set_pod_state(pod, PodState.RUNNING)
 
     def _apply_pod_terminated(self, ev: SimEvent) -> None:
         pod = self.pods.get(ev.payload["pod"])
@@ -224,8 +246,7 @@ class ClusterState:
             ev.payload["stale"] = True
             return
         node = self.nodes[pod.bound_node]
-        node.bound_pods.discard(pod.pod_id)
-        pod.bound_node = None
+        self._place(pod, None)
         self._retire(pod)
         self._maybe_finish_drain(node)
 
@@ -248,10 +269,42 @@ class ClusterState:
         )
         self._pods_created += 1
         self.pods[pod_id] = pod
+        self.pending[pod_id] = pod
+        self.alive_by_workload[workload_id] = self.alive_by_workload.get(workload_id, 0) + 1
+        self.running_by_workload.setdefault(workload_id, 0)
+        self.touched_pods[pod] = None
         return pod
 
+    def _set_pod_state(self, pod: Pod, new: PodState) -> None:
+        """The one place a pod changes state; keeps the pod counts in step."""
+        old = pod.state
+        workload = pod.workload_id
+        if old is PodState.PENDING:
+            del self.pending[pod.pod_id]
+        elif new is PodState.PENDING:
+            self.pending[pod.pod_id] = pod
+        self.alive_by_workload[workload] += (new in ALIVE) - (old in ALIVE)
+        self.running_by_workload[workload] += (new is PodState.RUNNING) - (old is PodState.RUNNING)
+        self.bound_count += (new in BOUND) - (old in BOUND)
+        pod.state = new
+        self.touched_pods[pod] = None
+
+    def _place(self, pod: Pod, node: Node | None) -> None:
+        """Bind `pod` to `node`, or with None unbind it from its node."""
+        if node is None:
+            node = self.nodes[pod.bound_node]
+            node.bound_pods.discard(pod.pod_id)
+            node.used -= pod.cpu_request_millicores
+            pod.bound_node = None
+        else:
+            node.bound_pods.add(pod.pod_id)
+            node.used += pod.cpu_request_millicores
+            pod.bound_node = node.node_id
+        self.touched_pods[pod] = None
+        self.touched_nodes[node] = None
+
     def _retire(self, pod: Pod) -> None:
-        pod.state = PodState.DELETED
+        self._set_pod_state(pod, PodState.DELETED)
         del self.pods[pod.pod_id]
 
     def terminate_pod(self, pod_id: str) -> None:
@@ -262,30 +315,23 @@ class ClusterState:
         if pod.state is PodState.PENDING:
             self._retire(pod)
         elif pod.state is not PodState.TERMINATING:
-            pod.state = PodState.TERMINATING
+            self._set_pod_state(pod, PodState.TERMINATING)
             self.enqueue(self.clock.now, EventKind.POD_TERMINATED, {"pod": pod.pod_id})
 
     def replicas(self, workload_id: str) -> int:
         """R_w: pods of the workload not yet on their way out."""
-        return sum(
-            1 for p in self.pods.values() if p.workload_id == workload_id and p.state in ALIVE
-        )
+        return self.alive_by_workload.get(workload_id, 0)
 
     def pods_of(self, workload_id: str) -> list[Pod]:
         return [p for p in self.pods.values() if p.workload_id == workload_id]
 
     def running_replicas(self, workload_id: str) -> int:
-        return sum(
-            1 for p in self.pods.values()
-            if p.workload_id == workload_id and p.state is PodState.RUNNING
-        )
+        return self.running_by_workload.get(workload_id, 0)
 
     # -------------------------------------------------------------- scheduling
 
     def free_capacity(self, node: Node) -> int:
-        pool = self.pools[node.pool_id]
-        used = sum(self.pods[pid].cpu_request_millicores for pid in node.bound_pods)
-        return pool.node_capacity_millicores - used
+        return self.pools[node.pool_id].node_capacity_millicores - node.used
 
     def schedule_pending_pods(self) -> list[tuple[str, str]]:
         """Bind Pending pods to Ready nodes.
@@ -295,11 +341,7 @@ class ClusterState:
         falling back to any other pool. Pods that fit nowhere stay Pending.
         """
         bindings: list[tuple[str, str]] = []
-        pending = sorted(
-            (p for p in self.pods.values() if p.state is PodState.PENDING),
-            key=lambda p: p.creation_seq,
-        )
-        for pod in pending:
+        for pod in sorted(self.pending.values(), key=lambda p: p.creation_seq):
             node = self._pick_node(pod.cpu_request_millicores)
             if node is None:
                 continue
@@ -325,10 +367,9 @@ class ClusterState:
         return None
 
     def _bind(self, pod: Pod, node: Node) -> None:
-        pod.bound_node = node.node_id
-        pod.state = PodState.STARTING
+        self._place(pod, node)
+        self._set_pod_state(pod, PodState.STARTING)
         pod.binding_seq += 1
-        node.bound_pods.add(pod.pod_id)
         self.enqueue(
             self.clock.now + pod.startup_delay,
             EventKind.POD_STARTED,
@@ -364,17 +405,16 @@ class ClusterState:
             self.schedule_pending_pods()
 
     def _drain(self, node: Node) -> None:
-        node.transition(NodeState.DRAINING)
+        self._set_node_state(node, NodeState.DRAINING)
         for pod_id in sorted(node.bound_pods):
             pod = self.pods[pod_id]
-            pod.bound_node = None
+            self._place(pod, None)
             if pod.state is PodState.TERMINATING:
                 # Already dying; finish immediately so the node can go away.
                 self._retire(pod)
             else:
-                pod.state = PodState.PENDING
+                self._set_pod_state(pod, PodState.PENDING)
                 pod.pending_since = self.clock.now
-        node.bound_pods.clear()
         self._maybe_finish_drain(node)
 
     def _new_node(self, pool: NodePool, state: NodeState, ready_at: int) -> Node:
@@ -382,11 +422,16 @@ class ClusterState:
         pool._next_node += 1
         pool.nodes.append(node)
         self.nodes[node.node_id] = node
+        self.touched_nodes[node] = None
         return node
+
+    def _set_node_state(self, node: Node, new: NodeState) -> None:
+        node.transition(new)
+        self.touched_nodes[node] = None
 
     def _maybe_finish_drain(self, node: Node) -> None:
         if node.state is NodeState.DRAINING and not node.bound_pods:
-            node.transition(NodeState.DELETED)
+            self._set_node_state(node, NodeState.DELETED)
             self.pools[node.pool_id].nodes.remove(node)
             del self.nodes[node.node_id]
 

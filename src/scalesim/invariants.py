@@ -2,12 +2,29 @@
 
 A failed check raises InvariantViolation with the property name first, and the
 run aborts with a nonzero exit instead of writing partial outputs.
+
+The first check on a state is a full recount (`recount`): every pool node and
+every kept pod, and every count the engine keeps recomputed from its
+definition. Each later check looks only at the pods and nodes that the engine
+marked touched since the check before. Those are the only objects whose
+properties can have changed, because the engine makes every change through its
+tracked helpers (a test pins that no other module assigns the fields they
+guard). The checker keeps its own tally of the kept pods' states, updated from
+the touched pods alone, and holds the engine's counts and the desired replicas
+to it. The runner ends every run with one more full recount, which also
+catches a change made outside the tracked helpers.
 """
 
 from __future__ import annotations
 
-from .engine import ALIVE, ClusterState, NodeState, PodState
+from .engine import ALIVE, BOUND, ClusterState, Node, NodePool, NodeState, Pod, PodState
 from .errors import InvariantViolation
+
+# States bound once at import: on CPython 3.11 looking a member up on its Enum
+# class costs about eight global lookups, and the checks run on every event.
+PENDING, RUNNING, DELETED = PodState.PENDING, PodState.RUNNING, PodState.DELETED
+NODE_DELETED = NodeState.DELETED
+HOLDS_PODS = (NodeState.READY, NodeState.DRAINING)
 
 
 class InvariantChecker:
@@ -18,15 +35,109 @@ class InvariantChecker:
         self._last_t = 0
         self._last_node_cost = 0
         self._last_pod_cost = 0
+        self._state: ClusterState | None = None    # the state the tally describes
+        # The tally: each kept pod by its state at the last check, and the
+        # counts the engine keeps, taken over those pods.
+        self._seen: dict[Pod, PodState] = {}
+        self._alive: dict[str, int] = {}
+        self._running: dict[str, int] = {}
+        self._pending = 0
+        self._bound = 0
 
     def check(self, state: ClusterState, desired: dict[str, int] | None = None,
               migration_active: bool = False) -> None:
+        """Check the objects touched since the last check, or everything if
+        this checker has not yet seen `state`."""
         self.checks_run += 1
-        self._check_clock(state)
-        self._check_nodes(state)
-        self._check_pods(state)
+        if state.clock.now < self._last_t:
+            raise InvariantViolation(
+                f"clock-monotonicity: {self._last_t} -> {state.clock.now}"
+            )
+        self._last_t = state.clock.now
+        if state is not self._state:
+            self.recount(state, desired, migration_active)
+            return
+        touched_pods, touched_nodes = state.touched_pods, state.touched_nodes
+        if touched_pods:
+            kept, pending, seen = state.pods.get, state.pending.get, self._seen
+            for pod in touched_pods:
+                # A kept pod passes the kept-pod checks, a pod that is not
+                # kept must be Deleted, and the pending set follows the pod.
+                new = pod.state
+                if kept(pod.pod_id) is pod:
+                    self._check_kept_pod(state, pod)
+                    old = seen.get(pod)
+                    seen[pod] = new
+                elif new is DELETED:
+                    old = seen.pop(pod, None)
+                    new = None
+                else:
+                    raise InvariantViolation(
+                        f"pod-index: pod {pod.pod_id} in state {new.value} is not kept"
+                    )
+                if (pending(pod.pod_id) is pod) is not (new is PENDING):
+                    raise InvariantViolation(
+                        f"pod-counts: pod {pod.pod_id} in state {pod.state.value} is "
+                        f"{'' if new is PENDING else 'not '}in the pending set"
+                    )
+                if old is not new:
+                    self._tally_move(pod.workload_id, old, new)
+            touched_pods.clear()
+        if touched_nodes:
+            for node in touched_nodes:
+                pool = state.pools[node.pool_id]
+                if node.state is NODE_DELETED:
+                    self._check_retired_node(state, pool, node)
+                else:
+                    self._check_used(node, self._check_live_node(state, pool, node))
+            touched_nodes.clear()
+        indexed = 0
+        for pool in state.pools.values():
+            indexed += len(pool.nodes)
+        if indexed != len(state.nodes):
+            raise InvariantViolation(
+                f"node-index: {len(state.nodes)} nodes indexed, {indexed} in the pools"
+            )
+        self._check_counts(state)
         if desired is not None and not migration_active:
-            self._check_replica_accounting(state, desired)
+            self._check_replica_accounting(desired)
+
+    def recount(self, state: ClusterState, desired: dict[str, int] | None = None,
+                migration_active: bool = False) -> None:
+        """Full-strength check of the whole state: every pool node, every kept
+        pod, and every count the engine keeps against its definition. Starts
+        the tally afresh from the scan and empties the touched sets. It is not
+        counted in `checks_run`."""
+        used = self._check_nodes(state)
+        for pod in state.pods.values():
+            self._check_kept_pod(state, pod)
+        # After the pods: a node that lost pods from its bound set behind the
+        # engine's back is reported as the binding fault it is.
+        for node, recounted in used:
+            self._check_used(node, recounted)
+        self._seen, self._alive, self._running = {}, {}, {}
+        self._pending = self._bound = 0
+        for pod in state.pods.values():
+            self._seen[pod] = pod.state
+            self._tally_move(pod.workload_id, None, pod.state)
+        pending = [p for p in state.pods.values() if p.state is PENDING]
+        if len(state.pending) != len(pending) or any(
+                state.pending.get(p.pod_id) is not p for p in pending):
+            raise InvariantViolation(
+                f"pod-counts: {len(state.pending)} pods in the pending set, "
+                f"{len(pending)} kept pods are Pending"
+            )
+        bound = sum(1 for p in state.pods.values() if p.bound_node is not None)
+        if state.bound_count != bound:
+            raise InvariantViolation(
+                f"pod-counts: bound count {state.bound_count} but {bound} pods are bound"
+            )
+        self._check_counts(state)
+        self._state = state
+        state.touched_pods.clear()
+        state.touched_nodes.clear()
+        if desired is not None and not migration_active:
+            self._check_replica_accounting(desired)
 
     def check_costs(self, node_cost: int, pod_cost: int) -> None:
         if node_cost < self._last_node_cost or pod_cost < self._last_pod_cost:
@@ -37,80 +148,134 @@ class InvariantChecker:
         self._last_node_cost = node_cost
         self._last_pod_cost = pod_cost
 
-    def _check_clock(self, state: ClusterState) -> None:
-        if state.clock.now < self._last_t:
-            raise InvariantViolation(
-                f"clock-monotonicity: {self._last_t} -> {state.clock.now}"
-            )
-        self._last_t = state.clock.now
+    # ------------------------------------------------------------------ nodes
 
-    def _check_nodes(self, state: ClusterState) -> None:
+    def _check_nodes(self, state: ClusterState) -> list[tuple[Node, int]]:
         """Each pool node is live and indexed in `state.nodes`, which holds
-        nothing else; each pod it lists is live and bound to it."""
-        count = 0
+        nothing else; each pod it lists is live and bound to it. Returns each
+        node with the millicores its pods request."""
+        used = []
         for pool in state.pools.values():
             for node in pool.nodes:
-                count += 1
-                if node.state is NodeState.DELETED:
+                if node.state is NODE_DELETED:
                     raise InvariantViolation(
                         f"node-retirement: Deleted node {node.node_id} is still in "
                         f"pool {pool.pool_id}"
                     )
-                if state.nodes.get(node.node_id) is not node:
-                    raise InvariantViolation(
-                        f"node-index: node {node.node_id} of pool {pool.pool_id} is not indexed"
-                    )
-                used = 0
-                for pid in node.bound_pods:
-                    pod = state.pods.get(pid)
-                    if pod is None or pod.bound_node != node.node_id:
-                        raise InvariantViolation(
-                            f"binding-consistency: node {node.node_id} lists pod {pid}, "
-                            "which is not a live pod bound to it"
-                        )
-                    used += pod.cpu_request_millicores
-                if used > pool.node_capacity_millicores:
-                    raise InvariantViolation(
-                        f"capacity-conservation: node {node.node_id} holds {used}m "
-                        f"> capacity {pool.node_capacity_millicores}m"
-                    )
-                if node.bound_pods and node.state not in (NodeState.READY, NodeState.DRAINING):
-                    raise InvariantViolation(
-                        f"no-teleportation: node {node.node_id} in state {node.state.value} "
-                        "has bound pods"
-                    )
-        if count != len(state.nodes):
+                used.append((node, self._check_live_node(state, pool, node)))
+        if len(used) != len(state.nodes):
             raise InvariantViolation(
-                f"node-index: {len(state.nodes)} nodes indexed, {count} in the pools"
+                f"node-index: {len(state.nodes)} nodes indexed, {len(used)} in the pools"
             )
+        return used
 
-    def _check_pods(self, state: ClusterState) -> None:
-        """Each kept pod is live, and bound exactly when its state says so, to
-        a node that lists it."""
-        for pod in state.pods.values():
-            if pod.state is PodState.DELETED:
-                raise InvariantViolation(f"pod-retirement: Deleted pod {pod.pod_id} is still kept")
-            should_be_bound = pod.state in (
-                PodState.STARTING, PodState.RUNNING, PodState.TERMINATING
+    def _check_live_node(self, state: ClusterState, pool: NodePool, node: Node) -> int:
+        """Index, binding, capacity and no-teleportation of one live node;
+        returns the millicores its pods request."""
+        if state.nodes.get(node.node_id) is not node:
+            raise InvariantViolation(
+                f"node-index: node {node.node_id} of pool {pool.pool_id} is not indexed"
             )
-            if should_be_bound != (pod.bound_node is not None):
+        used = 0
+        kept, node_id = state.pods.get, node.node_id
+        for pid in node.bound_pods:
+            pod = kept(pid)
+            if pod is None or pod.bound_node != node_id:
                 raise InvariantViolation(
-                    f"binding-consistency: pod {pod.pod_id} state {pod.state.value} "
-                    f"with bound_node={pod.bound_node}"
+                    f"binding-consistency: node {node.node_id} lists pod {pid}, "
+                    "which is not a live pod bound to it"
                 )
-            if pod.bound_node is not None:
-                node = state.nodes.get(pod.bound_node)
-                if node is None or pod.pod_id not in node.bound_pods:
-                    raise InvariantViolation(
-                        f"binding-consistency: pod {pod.pod_id} missing from "
-                        f"node {pod.bound_node} bound set"
-                    )
-
-    def _check_replica_accounting(self, state: ClusterState, desired: dict[str, int]) -> None:
-        for workload_id, want in desired.items():
-            have = sum(
-                1 for p in state.pods.values() if p.workload_id == workload_id and p.state in ALIVE
+            used += pod.cpu_request_millicores
+        if used > pool.node_capacity_millicores:
+            raise InvariantViolation(
+                f"capacity-conservation: node {node.node_id} holds {used}m "
+                f"> capacity {pool.node_capacity_millicores}m"
             )
+        if node.bound_pods and node.state not in HOLDS_PODS:
+            raise InvariantViolation(
+                f"no-teleportation: node {node.node_id} in state {node.state.value} "
+                "has bound pods"
+            )
+        return used
+
+    def _check_used(self, node: Node, recounted: int) -> None:
+        if node.used != recounted:
+            raise InvariantViolation(
+                f"capacity-conservation: node {node.node_id} counts {node.used}m "
+                f"but its pods request {recounted}m"
+            )
+
+    def _check_retired_node(self, state: ClusterState, pool: NodePool, node: Node) -> None:
+        if node in pool.nodes:
+            raise InvariantViolation(
+                f"node-retirement: Deleted node {node.node_id} is still in pool {pool.pool_id}"
+            )
+        if state.nodes.get(node.node_id) is node:
+            raise InvariantViolation(
+                f"node-index: Deleted node {node.node_id} is still indexed"
+            )
+
+    # ------------------------------------------------------------------- pods
+
+    def _check_kept_pod(self, state: ClusterState, pod: Pod) -> None:
+        """A kept pod is live, and bound exactly when its state says so, to a
+        node that lists it."""
+        if pod.state is DELETED:
+            raise InvariantViolation(f"pod-retirement: Deleted pod {pod.pod_id} is still kept")
+        bound_node = pod.bound_node
+        if (pod.state in BOUND) is (bound_node is None):
+            raise InvariantViolation(
+                f"binding-consistency: pod {pod.pod_id} state {pod.state.value} "
+                f"with bound_node={pod.bound_node}"
+            )
+        if bound_node is not None:
+            node = state.nodes.get(bound_node)
+            if node is None or pod.pod_id not in node.bound_pods:
+                raise InvariantViolation(
+                    f"binding-consistency: pod {pod.pod_id} missing from "
+                    f"node {pod.bound_node} bound set"
+                )
+
+    # ----------------------------------------------------------------- counts
+
+    def _tally_move(self, workload: str, old: PodState | None, new: PodState | None) -> None:
+        """Move one pod of `workload` in the tally from state `old` to `new`
+        (None: not kept)."""
+        alive = (new in ALIVE) - (old in ALIVE)
+        if alive:
+            self._alive[workload] = self._alive.get(workload, 0) + alive
+        running = (new is RUNNING) - (old is RUNNING)
+        if running:
+            self._running[workload] = self._running.get(workload, 0) + running
+        self._pending += (new is PENDING) - (old is PENDING)
+        self._bound += (new in BOUND) - (old in BOUND)
+
+    def _check_counts(self, state: ClusterState) -> None:
+        """The engine's counts equal the tally's."""
+        if len(state.pods) != len(self._seen):
+            raise InvariantViolation(
+                f"pod-index: {len(state.pods)} pods kept, {len(self._seen)} accounted for"
+            )
+        if state.alive_by_workload != self._alive or state.running_by_workload != self._running:
+            # Equal but for workloads counted at zero on one side only?
+            for name, counted, tallied in (
+                ("alive", state.alive_by_workload, self._alive),
+                ("running", state.running_by_workload, self._running),
+            ):
+                if any(counted.get(w, 0) != tallied.get(w, 0) for w in counted.keys() | tallied):
+                    raise InvariantViolation(
+                        f"pod-counts: {name} pods by workload counted {counted}, "
+                        f"the pods say {tallied}"
+                    )
+        if len(state.pending) != self._pending or state.bound_count != self._bound:
+            raise InvariantViolation(
+                f"pod-counts: {len(state.pending)} pending and {state.bound_count} bound "
+                f"counted, the pods say {self._pending} and {self._bound}"
+            )
+
+    def _check_replica_accounting(self, desired: dict[str, int]) -> None:
+        for workload_id, want in desired.items():
+            have = self._alive.get(workload_id, 0)
             if have != want:
                 raise InvariantViolation(
                     f"replica-accounting: workload {workload_id} desired {want} "

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
-from .engine import ClusterState, NodeState, PodState
+from .engine import ClusterState, NodeState
 from .knobs import check_knobs, knob
 from .planning import Policy
 
@@ -79,8 +79,7 @@ class CostAccumulator:
         )
 
     def pod_rate(self, state: ClusterState) -> int:
-        bound = sum(1 for p in state.pods.values() if p.bound_node is not None)
-        return bound * self.model.pod_rate_micro
+        return state.bound_count * self.model.pod_rate_micro
 
     def advance(self, state: ClusterState, now: int) -> None:
         """Accrue costs for (last_t, now] at the rates that held before any
@@ -126,7 +125,7 @@ class Observer:
     def observe(self, state: ClusterState, demand: int, policy: Policy, t: int) -> MetricSample:
         running = state.running_replicas(self.workload_id)
         running_capacity = running * self.pod_request
-        pending = sum(1 for p in state.pods.values() if p.state is PodState.PENDING)
+        pending = len(state.pending)
 
         utilization = (min(Fraction(demand, running_capacity), self.saturation_ceiling)
                        if running_capacity > 0 else Fraction(0))
@@ -141,9 +140,7 @@ class Observer:
             )
             for node in pool.ready_nodes():
                 ready_capacity += pool.node_capacity_millicores
-                bound_requests += sum(
-                    state.pods[pid].cpu_request_millicores for pid in node.bound_pods
-                )
+                bound_requests += node.used
         packing = bound_requests / ready_capacity if ready_capacity else 0.0
 
         cost_rate = (self.cost.node_rate(state) + self.cost.pod_rate(state)) / MICRO

@@ -28,6 +28,7 @@ from .metrics import (
 from .scenario import ScenarioConfig
 
 OUTPUT_FILES = ("events.log", "decisions.log", "metrics.csv", "summary.txt")
+SAMPLER = "sampler"    # the controller name of the metrics sampler's ticks
 
 
 @dataclass
@@ -51,8 +52,8 @@ class _DowntimeMeter:
     """Seconds during migrations where the managed workload ran below its
     pre-switch replica floor, integrated over event boundaries."""
 
-    def __init__(self, state: ClusterState, workload_id: str):
-        self.state = state
+    def __init__(self, cluster: ClusterState, workload_id: str):
+        self.cluster = cluster
         self.workload_id = workload_id
         self.seconds = 0
         self._last_t = 0
@@ -60,7 +61,7 @@ class _DowntimeMeter:
     def advance(self, now: int, floor: int | None) -> None:
         dt = now - self._last_t
         self._last_t = now
-        if dt > 0 and floor is not None and self.state.running_replicas(self.workload_id) < floor:
+        if dt > 0 and floor is not None and self.cluster.running_replicas(self.workload_id) < floor:
             self.seconds += dt
 
 
@@ -90,14 +91,25 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
     controller.desired = initial
     state.schedule_pending_pods()
 
-    for t in controller.tick_times(duration):
-        state.enqueue(t, EventKind.CONTROL_TICK, {"controller": controller.name})
+    # Each periodic tick enqueues its successor when it fires. In one second
+    # the controller's tick comes before the sampler's.
+    tick_times = {
+        controller.name: controller.tick_times(duration),
+        SAMPLER: range(0, duration, config.sampling_interval),
+    }
+    tick_rank = {controller.name: 0, SAMPLER: 1}
+
+    def enqueue_tick(who: str, t: int) -> None:
+        if t in tick_times[who]:
+            state.enqueue(t, EventKind.CONTROL_TICK, {"controller": who}, rank=tick_rank[who])
+
+    for who, times in tick_times.items():
+        if times:
+            enqueue_tick(who, times[0])
     for t, policy_name in schedule.entries:
         state.enqueue(t, EventKind.POLICY_SWITCH, {"policy": policy_name})
     for t, phase_name in trace.phase_boundaries:
         state.enqueue(t, EventKind.WORKLOAD_PHASE_CHANGE, {"phase": phase_name})
-    for t in range(0, duration, config.sampling_interval):
-        state.enqueue(t, EventKind.CONTROL_TICK, {"controller": "sampler"})
 
     cost_model = CostModel(
         node_rate_micro={spec.pool_id: to_micro(spec.cost_rate) for spec in config.pools},
@@ -128,7 +140,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
 
         if ev.kind is EventKind.CONTROL_TICK:
             who = ev.payload["controller"]
-            if who == "sampler":
+            enqueue_tick(who, now + tick_times[who].step)
+            if who == SAMPLER:
                 demand = trace.demand_at(now) if now < trace.duration else 0
                 active_policy = config.policies[schedule.active_at(now)]
                 observer.observe(state, demand, active_policy, now)
@@ -145,6 +158,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
 
     cost.advance(state, duration)
     downtime.advance(duration, controller.active_floor())
+    # What every event's check took on trust, a full recount proves at the end.
+    checker.recount(state, desired={config.workload_id: controller.desired},
+                    migration_active=controller.migrating)
 
     migrations = controller.completed_migrations
     summary = summarize(

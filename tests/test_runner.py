@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from scalesim.cli import EXIT_INVARIANT, main
+from scalesim.engine import ClusterState
 from scalesim.errors import InvariantViolation
 from scalesim.invariants import InvariantChecker
 from scalesim.runner import run_scenario
@@ -201,3 +202,32 @@ def test_golden_event_trace():
 
     result = run_scenario(parse_scenario_text(GOLDEN_SCENARIO, "golden"))
     assert "\n".join(result.event_lines) == GOLDEN_EVENTS
+
+
+def _enqueued_before_first_event(text, monkeypatch):
+    counts = {"enqueued": 0, "stepped": False}
+    enqueue, step = ClusterState.enqueue, ClusterState.step
+
+    def counting_enqueue(self, *args, **kwargs):
+        counts["enqueued"] += not counts["stepped"]
+        return enqueue(self, *args, **kwargs)
+
+    def first_step(self):
+        counts["stepped"] = True
+        return step(self)
+
+    monkeypatch.setattr(ClusterState, "enqueue", counting_enqueue)
+    monkeypatch.setattr(ClusterState, "step", first_step)
+    run_scenario(parse_scenario_text(text, "lazy"))
+    return counts["enqueued"]
+
+
+@pytest.mark.parametrize("controller", ["hpa_ca", "mas_h2"])
+def test_ticks_enqueued_up_front_do_not_grow_with_duration(monkeypatch, controller):
+    # Each periodic tick enqueues its successor, so before the first event
+    # the queue holds one tick per clock, the phase change and the bindings.
+    text = (f"workload = custom\ncontroller = {controller}\n"
+            "phase.1.duration = 60\nphase.1.target_vus = 100\n")
+    short = _enqueued_before_first_event(text + "duration = 600\n", monkeypatch)
+    long = _enqueued_before_first_event(text + "duration = 60000\n", monkeypatch)
+    assert short == long <= 5
