@@ -83,9 +83,24 @@ class MigrationState:
     # Pod objects, not ids: a pod that reaches Deleted leaves the cluster
     # state, and the migration still needs to see that it did.
     replacements: list[Pod] = field(default_factory=list)
+    started: int = 0            # replacements[:started] have reached Running
+    # The workload's alive pods when the migration began, youngest first,
+    # as a list and as a set.
     old_pods: list[Pod] = field(default_factory=list)
+    old_set: set[Pod] = field(default_factory=set)
+    old_from: int = 0           # no old pod before this index is alive
     terminated_old: int = 0
     pending_switch: str | None = None
+
+    def first_alive_old(self) -> int:
+        """Index of the youngest old pod still alive, or len(old_pods) when
+        none is. A pod that leaves ALIVE never returns to it, so the cursor
+        only moves forward."""
+        old, i = self.old_pods, self.old_from
+        while i < len(old) and old[i].state not in ALIVE:
+            i += 1
+        self.old_from = i
+        return i
 
 
 @dataclass
@@ -176,6 +191,9 @@ class HierarchicalController:
         self.migration = MigrationState()
         self.desired = 0
         self.completed_migrations: list[dict] = []
+        # The smoothed demand of every second read so far, extended by each
+        # tick from the last level: the level of second t at index t.
+        self.smoothed: list[float] = []
         # The pool the managed workload lives on (or is migrating onto);
         # a dequeued switch compares against this, not the schedule.
         self._active_pool = policies[schedule.default_policy].node_pool
@@ -218,16 +236,18 @@ class HierarchicalController:
         actions: list[tuple[str, str, int]] = []
         record = {"t": now, "controller": self.name, "phases": phases, "actions": actions}
         workload_id = self.trace.workload_id
-        raw = self.trace.demand[:now]
-        if not raw:
+        smoothed = self.smoothed
+        smoothed.extend(smoothed_history(self.trace.demand[len(smoothed):now],
+                                         self.config.smoothing_half_life,
+                                         smoothed[-1] if smoothed else None))
+        if not smoothed:
             phases.append({"phase": "workload-planning",
                            "plans": [{"workload": workload_id, "skipped": "no history"}]})
             phases.append({"phase": "node-planning", "skipped": "no plans"})
             phases.append({"phase": "execution", "actions": actions})
             return record
 
-        smoothed = smoothed_history(raw, self.config.smoothing_half_life)
-        kind, basis = self._forecaster_for(raw, smoothed)
+        kind, basis = self._forecaster_for(now)
         horizon = self.config.horizon
         peak = forecast(kind, basis, now,
                         self.config.control_interval if horizon is None else horizon)
@@ -270,12 +290,12 @@ class HierarchicalController:
         phases.append({"phase": "execution", "actions": actions})
         return record
 
-    def _forecaster_for(self, raw: list[int], smoothed: list[float]):
+    def _forecaster_for(self, now: int):
         """The forecaster and the history it reads. A seasonal planner with
         no full period to replay falls back to the last raw demand: the last
         smoothed level trails a ramp, and planning for it under-provisions
         demand that has already been seen."""
-        cfg = self.config
+        cfg, smoothed = self.config, self.smoothed
         if cfg.forecaster == "naive":
             return Naive(), smoothed
         if cfg.forecaster == "moving_average":
@@ -283,8 +303,8 @@ class HierarchicalController:
         period = cfg.seasonal_period
         if period is None:
             period = detect_period(smoothed, cfg.period_min_lag, cfg.period_min_correlation)
-        if period is None or len(raw) < period:
-            return Naive(), raw
+        if period is None or len(smoothed) < period:
+            return Naive(), self.trace.demand[:now]
         return SeasonalPeak(period=period, quantile=cfg.seasonal_quantile), smoothed
 
     # ------------------------------------------------------------- migration
@@ -302,6 +322,8 @@ class HierarchicalController:
         workload_id = self.trace.workload_id
         floor = self.desired
         node_plan = plan_nodes(max(1, floor), self.pod_request, self.other_requests, new)
+        old_pods = sorted((p for p in state.pods_of(workload_id) if p.state in ALIVE),
+                          key=lambda p: -p.creation_seq)
         self.migration = MigrationState(
             phase=MigrationPhase.PROVISIONING_NEW,
             from_pool=old_pool,
@@ -309,7 +331,8 @@ class HierarchicalController:
             started_at=now,
             target_nodes=node_plan.required_nodes,
             floor=floor,
-            old_pods=[p for p in state.pods_of(workload_id) if p.state in ALIVE],
+            old_pods=old_pods,
+            old_set=set(old_pods),
         )
         state.preferred_pool_id = new.node_pool
         self._active_pool = new.node_pool
@@ -341,7 +364,7 @@ class HierarchicalController:
                 state.schedule_pending_pods()
         if mig.phase is MigrationPhase.MIGRATING_WORKLOAD:
             self._handoff_replicas(state)
-            if not any(p.state in ALIVE for p in mig.old_pods):
+            if mig.first_alive_old() == len(mig.old_pods):
                 mig.phase = MigrationPhase.DECOMMISSIONING_OLD
         if mig.phase is MigrationPhase.DECOMMISSIONING_OLD:
             residual = self._residual_old_pool_nodes(state)
@@ -359,14 +382,39 @@ class HierarchicalController:
                 self.on_policy_switch(state, now, pending)
 
     def _handoff_replicas(self, state: ClusterState) -> None:
-        """Per-replica make-before-break: one old pod is released for every
-        replacement that reached Running."""
+        """Per-replica make-before-break: one old pod is released, youngest
+        first, for every replacement that reached Running.
+
+        The replacements are created together with one request and one
+        startup delay, so the scheduler binds them in creation order and
+        they reach Running in that order; while the migration lasts, ticks
+        defer to it, so nothing drains or terminates them. The started ones
+        are therefore a prefix of `replacements`, and each call looks only
+        at the replacements that started since the last one."""
         mig = self.migration
-        running_new = sum(1 for p in mig.replacements if p.state is PodState.RUNNING)
-        to_release = running_new - mig.terminated_old
-        if to_release <= 0:
-            return
-        mig.terminated_old += _shrink(state, mig.old_pods, to_release)
+        replacements = mig.replacements
+        while (mig.started < len(replacements)
+               and replacements[mig.started].state is PodState.RUNNING):
+            mig.started += 1
+        to_release = mig.started - mig.terminated_old
+        if to_release > 0:
+            mig.terminated_old += _shrink(state, self._releasable(state, to_release), to_release)
+
+    def _releasable(self, state: ClusterState, count: int) -> list[Pod]:
+        """The old pods that `_shrink` can pick when it releases `count` of
+        them: it takes Pending pods before bound ones, and bound ones
+        youngest first, so every Pending old pod and the `count` youngest
+        bound ones."""
+        mig = self.migration
+        pods = [p for p in state.pending.values() if p in mig.old_set]
+        old, i, bound = mig.old_pods, mig.first_alive_old(), 0
+        while bound < count and i < len(old):
+            pod = old[i]
+            if pod.state is PodState.STARTING or pod.state is PodState.RUNNING:
+                pods.append(pod)
+                bound += 1
+            i += 1
+        return pods
 
     def _residual_old_pool_nodes(self, state: ClusterState) -> int:
         old_pool = state.pools[self.migration.from_pool]

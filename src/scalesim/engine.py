@@ -350,20 +350,27 @@ class ClusterState:
         return bindings
 
     def _pick_node(self, request: int) -> Node | None:
-        def candidates(pool_ids: list[str]) -> list[Node]:
-            found = []
-            for pid in pool_ids:
-                for node in self.pools[pid].ready_nodes():
-                    if self.free_capacity(node) >= request:
-                        found.append(node)
-            return found
-
+        """The Ready node with the most free capacity (ties: lowest node id)
+        in the first pool group that has one that fits `request`. The node
+        with the most free capacity fits whenever any node fits, so one pass
+        per group finds it."""
         preferred = [self.preferred_pool_id] if self.preferred_pool_id in self.pools else []
         rest = [pid for pid in self.pool_order if pid not in preferred]
+        ready = NodeState.READY
         for group in (preferred, rest):
-            nodes = candidates(group)
-            if nodes:
-                return min(nodes, key=lambda n: (-self.free_capacity(n), n.node_id))
+            best, best_free = None, 0
+            for pid in group:
+                pool = self.pools[pid]
+                capacity = pool.node_capacity_millicores
+                for node in pool.nodes:
+                    if node.state is not ready:
+                        continue
+                    free = capacity - node.used
+                    if best is None or free > best_free or (
+                            free == best_free and node.node_id < best.node_id):
+                        best, best_free = node, free
+            if best is not None and best_free >= request:
+                return best
         return None
 
     def _bind(self, pod: Pod, node: Node) -> None:

@@ -85,18 +85,26 @@ def _round(x: float) -> int:
     return int(round(x))
 
 
-def smoothed_history(history: list[float], half_life: int) -> list[float]:
+def smoothed_history(history: list[float], half_life: int,
+                     level: float | None = None) -> list[float]:
     """Exponentially weighted smoothing: half of any level gap closes every
     half_life seconds. Constant input is a fixed point; the output never
-    exceeds the input's max nor undercuts its min."""
+    exceeds the input's max nor undercuts its min.
+
+    With `level`, the history continues one whose last smoothed level that
+    is: smoothing a list in two parts, the second from the last level of the
+    first, gives the one-shot result bit for bit."""
     if half_life <= 0:
         raise ValueError("half_life must be positive")
     if not history:
         return []
     alpha = 1.0 - 2.0 ** (-1.0 / half_life)
-    level = float(history[0])
-    out = [level]
-    for v in history[1:]:
+    values = iter(history)
+    out: list[float] = []
+    if level is None:
+        level = float(next(values))
+        out.append(level)
+    for v in values:
         level = alpha * v + (1.0 - alpha) * level
         out.append(level)
     return out

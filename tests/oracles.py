@@ -1,8 +1,9 @@
 """Test oracles for bin packing: an exhaustive branch-and-bound packer for
 small instances, the classical FFD quality bound, and the structural
 postcondition every packing must satisfy. Also the full lag scan that
-period detection must reproduce, and the per-second forecaster and smoother
-whose peak and levels the production ones must reproduce."""
+period detection must reproduce, the per-second forecaster and smoother
+whose peak and levels the production ones must reproduce, and the scans of a
+whole migration that the hand-off's carried state must equal."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from scalesim.engine import ALIVE, PodState
 from scalesim.forecasting import (
     ForecasterKind,
     MovingAverage,
@@ -202,3 +204,26 @@ def smoothed_pairs(history: list[Sample], half_life: int) -> list[tuple[int, flo
         level = alpha * v + (1.0 - alpha) * level
         out.append((t, level))
     return out
+
+
+# The migration hand-off as it was computed by scanning the whole migration
+# on every call.
+
+
+def running_replacements_scan(mig) -> int:
+    """Replacements of the migration `mig` that are Running now."""
+    return sum(1 for p in mig.replacements if p.state is PodState.RUNNING)
+
+
+def old_pods_alive_scan(mig) -> bool:
+    """Whether any pod the migration `mig` moves away is still alive."""
+    return any(p.state in ALIVE for p in mig.old_pods)
+
+
+def shrink_victims_scan(pods: list, count: int) -> list:
+    """The pods that releasing `count` of `pods` terminates, in order: alive
+    Pending pods first, then the youngest bound ones."""
+    return sorted(
+        (p for p in pods if p.state in ALIVE),
+        key=lambda p: (0 if p.state is PodState.PENDING else 1, -p.creation_seq),
+    )[:count]

@@ -120,27 +120,53 @@ class TestForecasters:
         ]
 
     def test_every_mas_fixture_tick_matches_per_second_oracle(self, monkeypatch):
+        # Each tick extends the smoothed history it carries; after every
+        # tick the whole of it must equal the reference smoother run over
+        # the whole raw history, and every forecast its per-second oracle.
         forecasts, smooths = [], []
+        tick = control.HierarchicalController.tick
 
         def record_forecast(kind, history, now, horizon):
             forecasts.append((kind, list(history), now, horizon))
             return forecast(kind, history, now, horizon)
 
-        def record_smoothing(history, half_life):
-            smooths.append((list(history), half_life))
-            return smoothed_history(history, half_life)
+        def record_tick(self, state, now):
+            record = tick(self, state, now)
+            smooths.append((list(self.smoothed), self.trace.demand[:now],
+                            self.config.smoothing_half_life))
+            return record
 
         monkeypatch.setattr(control, "forecast", record_forecast)
-        monkeypatch.setattr(control, "smoothed_history", record_smoothing)
+        monkeypatch.setattr(control.HierarchicalController, "tick", record_tick)
         for name in ("heartbeat-mas", "flash-sale-mas"):
             run_scenario(load_scenario(FIXTURES / f"{name}.scn"))
-        assert forecasts and len(forecasts) == len(smooths)
+        assert forecasts and len(forecasts) == sum(1 for _, raw, _ in smooths if raw)
         for kind, history, now, horizon in forecasts:
             assert_matches_oracle(kind, history, now, horizon)
-        for history, half_life in smooths:
-            assert smoothed_history(history, half_life) == [
-                x for _, x in smoothed_pairs(list(enumerate(history)), half_life)
-            ]
+        for smoothed, raw, half_life in smooths:
+            assert smoothed == [x for _, x in smoothed_pairs(list(enumerate(raw)), half_life)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        history=st.lists(
+            st.one_of(st.integers(0, 5000), st.floats(0.0, 1e6, allow_nan=False)),
+            max_size=120,
+        ),
+        cuts=st.lists(st.integers(0, 120), max_size=6),
+        half_life=st.integers(1, 60),
+    )
+    def test_smoothing_continued_from_the_last_level_equals_one_shot(
+            self, history, cuts, half_life):
+        # The history smoothed in parts, each part from the last level of
+        # the ones before it, bit for bit.
+        bounds = sorted({min(c, len(history)) for c in cuts}) + [len(history)]
+        parts, start = [], 0
+        for end in bounds:
+            parts += smoothed_history(history[start:end], half_life,
+                                      parts[-1] if parts else None)
+            start = end
+        one_shot = smoothed_history(history, half_life)
+        assert [x.hex() for x in parts] == [x.hex() for x in one_shot]
 
     def test_deterministic(self):
         rng = random.Random(3)

@@ -1,0 +1,169 @@
+"""The make-before-break hand-off's carried state against the scans it
+replaced.
+
+After every event of every migration, the number of replacements that
+reached Running and whether any old pod is still alive must equal a scan of
+the whole migration, and every release must terminate the same pods, in the
+same order, as releasing from all old pods. A counted guard shows that a
+hand-off after one PodStarted does not walk the migration's pod lists.
+"""
+
+from pathlib import Path
+
+import pytest
+from oracles import old_pods_alive_scan, running_replacements_scan, shrink_victims_scan
+
+from scalesim import control
+from scalesim.control import (
+    HierarchicalController,
+    MasConfig,
+    MigrationPhase,
+    StrategicSchedule,
+)
+from scalesim.engine import ClusterState, EventKind, NodePool
+from scalesim.planning import Policy
+from scalesim.runner import run_scenario
+from scalesim.scenario import load_scenario, parse_scenario_text
+
+from test_control import PERF, flat_trace, make_mas, run_until_quiet, start_running, two_pool_state
+from test_golden_artifacts import OTHER_PODS, _bench_workloads
+
+FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.fixture
+def checked_handoff(monkeypatch):
+    """Hold every hand-off to the scans. Returns the tally of checked
+    advances (while a migration is in flight), checked releases and
+    completed migrations."""
+    advance = HierarchicalController.advance_migration
+    shrink, terminate = control._shrink, ClusterState.terminate_pod
+    tally = {"advances": 0, "releases": 0, "completed": 0}
+    releasing = []          # the migration whose hand-off may be releasing
+    terminated = []
+
+    def recording_terminate(self, pod_id):
+        terminated.append(pod_id)
+        terminate(self, pod_id)
+
+    def checked_shrink(state, pods, count):
+        if not releasing:
+            return shrink(state, pods, count)
+        expected = [p.pod_id for p in shrink_victims_scan(releasing[-1].old_pods, count)]
+        terminated.clear()
+        released = shrink(state, pods, count)
+        assert terminated == expected
+        assert released == len(expected)
+        tally["releases"] += 1
+        return released
+
+    def checked_advance(self, state, now):
+        mig = self.migration
+        if mig.phase is MigrationPhase.IDLE:
+            return advance(self, state, now)
+        releasing.append(mig)
+        try:
+            advance(self, state, now)
+        finally:
+            releasing.pop()
+        assert mig.started == running_replacements_scan(mig)
+        assert (mig.first_alive_old() < len(mig.old_pods)) == old_pods_alive_scan(mig)
+        tally["advances"] += 1
+        tally["completed"] += mig is not self.migration
+
+    monkeypatch.setattr(HierarchicalController, "advance_migration", checked_advance)
+    monkeypatch.setattr(control, "_shrink", checked_shrink)
+    monkeypatch.setattr(ClusterState, "terminate_pod", recording_terminate)
+    return tally
+
+
+def _scenario(name):
+    if name == "mas-migrate-1":
+        return parse_scenario_text(_bench_workloads()["mas-migrate"].generate(1), name)
+    if name.endswith("-other"):
+        base = name.removesuffix("-other")
+        return parse_scenario_text((FIXTURES / f"{base}.scn").read_text() + OTHER_PODS, name)
+    return load_scenario(FIXTURES / f"{name}.scn")
+
+
+@pytest.mark.parametrize("name", ["heartbeat-mas", "flash-sale-mas", "heartbeat-mas-other",
+                                  "flash-sale-mas-other", "mas-migrate-1"])
+def test_handoff_matches_scans_at_every_event(checked_handoff, name):
+    run_scenario(_scenario(name))
+    assert checked_handoff["completed"] > 0 and checked_handoff["releases"] > 0
+
+
+def test_zero_floor_handoff_matches_scans(checked_handoff):
+    state = two_pool_state(staging_nodes=1)
+    mas = make_mas(flat_trace(400, 900), forecaster="naive")
+    state.clock.advance_to(10)
+    mas._begin_migration(state, 10, "staging", PERF)
+    run_until_quiet(state, mas)
+    assert len(mas.completed_migrations) == checked_handoff["completed"] == 1
+    assert checked_handoff["releases"] == 0
+
+
+def test_pending_old_pods_are_released_first(checked_handoff):
+    # Two old pods ask for more than any node holds and stay Pending; the
+    # hand-off must release them before either Running one.
+    state = two_pool_state(staging_nodes=1)
+    start_running(state, "web", 2)
+    pending = [state.create_pod("web", 5000) for _ in range(2)]
+    state.schedule_pending_pods()
+    mas = make_mas(flat_trace(400, 900), forecaster="naive")
+    mas.desired = 4
+    state.clock.advance_to(10)
+    mas.on_policy_switch(state, 10, "PERFORMANCE")
+    run_until_quiet(state, mas)
+    assert checked_handoff["completed"] == 1 and checked_handoff["releases"] > 0
+    assert all(p.pod_id not in state.pods for p in pending)
+
+
+class CountingList(list):
+    """A list that counts the elements its readers reach: one per index read,
+    every element per iteration."""
+
+    reached = 0
+
+    def __getitem__(self, i):
+        item = super().__getitem__(i)
+        self.reached += len(item) if isinstance(i, slice) else 1
+        return item
+
+    def __iter__(self):
+        self.reached += len(self)
+        return super().__iter__()
+
+
+def test_handoff_after_one_start_reaches_few_pods():
+    # Work count, not timing: 240 replicas move between two 64000m pools,
+    # and the hand-off after the first replacement starts must not walk
+    # either list of 240 pods.
+    replicas = 240
+    state = ClusterState([NodePool("old", "m", 64000, 1.0, 60),
+                          NodePool("new", "m", 64000, 1.0, 60)])
+    for _ in range(2):
+        state.add_ready_node("old")
+    state.preferred_pool_id = "old"
+    start_running(state, "web", replicas)
+    policies = {"OLD": Policy("OLD", "old", 64000, 1, 0.5, 0.5),
+                "NEW": Policy("NEW", "new", 64000, 1, 0.5, 0.5)}
+    mas = HierarchicalController(policies, StrategicSchedule(default_policy="OLD"),
+                                 flat_trace(100, 900), 250, [], MasConfig())
+    mas.desired = replicas
+    state.clock.advance_to(10)
+    mas.on_policy_switch(state, 10, "NEW")
+    mig = mas.migration
+    while True:
+        ev = state.step()
+        if ev.kind is EventKind.POD_STARTED and mig.phase is MigrationPhase.MIGRATING_WORKLOAD:
+            break
+        mas.advance_migration(state, ev.fire_at)
+    assert len(mig.replacements) == len(mig.old_pods) == replicas
+    mig.replacements = CountingList(mig.replacements)
+    mig.old_pods = CountingList(mig.old_pods)
+    mas.advance_migration(state, ev.fire_at)
+    assert mig.started == mig.terminated_old == 1
+    # The started replacement and the next; the released old pod and the next.
+    assert mig.replacements.reached <= 2
+    assert mig.old_pods.reached <= 4
