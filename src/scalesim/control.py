@@ -32,7 +32,7 @@ from .forecasting import (
     smoothed_history,
 )
 from .knobs import check_knobs, knob
-from .planning import Policy, Request, pack_ffd, plan_nodes, plan_replicas
+from .planning import Policy, pack_ffd, plan_nodes, plan_replicas
 from .workload import DemandTrace
 
 if TYPE_CHECKING:
@@ -159,7 +159,6 @@ class Controller(Protocol):
     name: ClassVar[str]
     desired: int                        # replicas asked for
     completed_migrations: list[dict]
-    migrating: bool
 
     @classmethod
     def from_config(cls, config: ScenarioConfig, trace: DemandTrace) -> Controller: ...
@@ -179,7 +178,7 @@ class HierarchicalController:
         schedule: StrategicSchedule,
         trace: DemandTrace,
         pod_request: int,
-        other_requests: list[Request],
+        other_requests: dict[str, int],
         config: MasConfig,
     ):
         self.policies = policies
@@ -215,13 +214,9 @@ class HierarchicalController:
         if ev.kind is EventKind.POLICY_SWITCH:
             switch = self.on_policy_switch(state, ev.fire_at, ev.payload["policy"])
             record = {"event": "policy_switch", **switch}
-        if self.migrating:
+        if self.migration.phase is not MigrationPhase.IDLE:
             self.advance_migration(state, ev.fire_at)
         return record
-
-    @property
-    def migrating(self) -> bool:
-        return self.migration.phase is not MigrationPhase.IDLE
 
     # ----------------------------------------------------------------- ticks
 
@@ -260,12 +255,13 @@ class HierarchicalController:
             "planned_replicas": plan.planned_replicas,
         }]})
 
-        node_plan = plan_nodes(plan.planned_replicas, self.pod_request, self.other_requests, policy)
+        required_nodes = plan_nodes(plan.planned_replicas, self.pod_request, self.other_requests,
+                                    policy)
         current_nodes = len(state.pools[policy.node_pool].live_nodes())
         phases.append({
             "phase": "node-planning",
             "pool": policy.node_pool,
-            "required_nodes": node_plan.required_nodes,
+            "required_nodes": required_nodes,
             "current_nodes": current_nodes,
         })
 
@@ -274,9 +270,9 @@ class HierarchicalController:
             return record
 
         # Node scaling is issued before pod scaling within the same tick.
-        if node_plan.required_nodes != current_nodes:
-            state.resize_pool(policy.node_pool, node_plan.required_nodes)
-            actions.append(("nodes", policy.node_pool, node_plan.required_nodes - current_nodes))
+        if required_nodes != current_nodes:
+            state.resize_pool(policy.node_pool, required_nodes)
+            actions.append(("nodes", policy.node_pool, required_nodes - current_nodes))
         delta = plan.planned_replicas - state.replicas(workload_id)
         if delta > 0:
             for _ in range(delta):
@@ -321,7 +317,7 @@ class HierarchicalController:
     def _begin_migration(self, state: ClusterState, now: int, old_pool: str, new: Policy) -> dict:
         workload_id = self.trace.workload_id
         floor = self.desired
-        node_plan = plan_nodes(max(1, floor), self.pod_request, self.other_requests, new)
+        target_nodes = plan_nodes(max(1, floor), self.pod_request, self.other_requests, new)
         old_pods = sorted((p for p in state.pods_of(workload_id) if p.state in ALIVE),
                           key=lambda p: -p.creation_seq)
         self.migration = MigrationState(
@@ -329,14 +325,14 @@ class HierarchicalController:
             from_pool=old_pool,
             to_pool=new.node_pool,
             started_at=now,
-            target_nodes=node_plan.required_nodes,
+            target_nodes=target_nodes,
             floor=floor,
             old_pods=old_pods,
             old_set=set(old_pods),
         )
         state.preferred_pool_id = new.node_pool
         self._active_pool = new.node_pool
-        state.resize_pool(new.node_pool, node_plan.required_nodes)
+        state.resize_pool(new.node_pool, target_nodes)
         self.advance_migration(state, now)
         return {
             "t": now,
@@ -344,7 +340,7 @@ class HierarchicalController:
             "migration": "make-before-break started",
             "from_pool": old_pool,
             "to_pool": new.node_pool,
-            "new_pool_nodes": node_plan.required_nodes,
+            "new_pool_nodes": target_nodes,
             "floor": {workload_id: floor},
         }
 
@@ -417,16 +413,13 @@ class HierarchicalController:
         return pods
 
     def _residual_old_pool_nodes(self, state: ClusterState) -> int:
+        """Nodes the old pool keeps for the unmanaged pods still bound there."""
         old_pool = state.pools[self.migration.from_pool]
-        unmanaged: list[Request] = []
-        for node in old_pool.nodes:
-            for pid in sorted(node.bound_pods):
-                pod = state.pods[pid]
-                if pod.workload_id != self.trace.workload_id and pod.state is not PodState.TERMINATING:
-                    unmanaged.append(Request(pod.pod_id, pod.cpu_request_millicores))
-        if not unmanaged:
-            return 0
-        return pack_ffd(unmanaged, old_pool.node_capacity_millicores).required_nodes
+        pods = (state.pods[pid] for node in old_pool.nodes for pid in node.bound_pods)
+        return pack_ffd([p.cpu_request_millicores for p in pods
+                         if p.workload_id != self.trace.workload_id
+                         and p.state is not PodState.TERMINATING],
+                        old_pool.node_capacity_millicores)
 
     def active_floor(self) -> int | None:
         if self.migration.phase is MigrationPhase.IDLE:
@@ -438,7 +431,6 @@ class ReactiveController:
     """HPA + cluster-autoscaler baseline, ticking on a fast fixed cadence."""
 
     name = "hpa_ca"
-    migrating = False
 
     def __init__(self, trace: DemandTrace, pod_request: int, pool_id: str, config: HpaConfig):
         self.trace = trace

@@ -139,6 +139,11 @@ class Pod:
     binding_seq: int = 0
 
 
+def generated_pod_id(workload_id: str, n: int) -> str:
+    """The id `create_pod` gives the n-th pod (from 1) it names for a workload."""
+    return f"{workload_id}-p{n}"
+
+
 class ClusterState:
     """Mutable cluster snapshot: pools, pods, clock, and the event queue.
 
@@ -256,7 +261,7 @@ class ClusterState:
         if pod_id is None:
             n = self._pod_counters.get(workload_id, 0) + 1
             self._pod_counters[workload_id] = n
-            pod_id = f"{workload_id}-p{n}"
+            pod_id = generated_pod_id(workload_id, n)
         if pod_id in self.pods:
             raise SimulationError(f"duplicate pod id {pod_id}")
         pod = Pod(

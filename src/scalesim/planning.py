@@ -1,4 +1,4 @@
-"""Tactical planning: replica plans from forecast peaks and node plans from
+"""Tactical planning: replica plans from forecast peaks and node counts from
 one-dimensional bin packing (first-fit-decreasing).
 """
 
@@ -26,21 +26,9 @@ class Policy:
 
 
 @dataclass(frozen=True)
-class Request:
-    owner: str
-    millicores: int
-
-
-@dataclass(frozen=True)
 class PodPlan:
     raw_replicas: int
     planned_replicas: int
-
-
-@dataclass
-class NodePlan:
-    required_nodes: int
-    assignment: list[tuple[Request, int]]   # (request, bin index)
 
 
 class OversizedRequestError(ValueError):
@@ -60,41 +48,30 @@ def plan_replicas(forecast_peak: int, pod_request: int, policy: Policy) -> PodPl
     return PodPlan(raw_replicas=raw, planned_replicas=max(raw, policy.min_replicas))
 
 
-def _check_sizes(requests: list[Request], bin_capacity: int) -> None:
+def pack_ffd(sizes: list[int], bin_capacity: int) -> int:
+    """Bins that first-fit-decreasing opens: sizes in descending order, each
+    into the lowest-index bin with room, opening bins as needed."""
     if bin_capacity <= 0:
         raise ValueError("bin_capacity must be positive")
-    for req in requests:
-        if req.millicores > bin_capacity:
-            raise OversizedRequestError(
-                f"request {req.owner} ({req.millicores}m) exceeds bin capacity {bin_capacity}m"
-            )
-
-
-def pack_ffd(requests: list[Request], bin_capacity: int) -> NodePlan:
-    """First-fit-decreasing: items by size descending (ties: owner ascending),
-    each into the lowest-index bin with room, opening bins as needed."""
-    _check_sizes(requests, bin_capacity)
-    order = sorted(requests, key=lambda r: (-r.millicores, r.owner))
+    order = sorted(sizes, reverse=True)
+    if order and order[0] > bin_capacity:
+        raise OversizedRequestError(f"request of {order[0]}m exceeds bin capacity {bin_capacity}m")
     free: list[int] = []
-    assignment: list[tuple[Request, int]] = []
-    for req in order:
+    for size in order:
         for b, slack in enumerate(free):
-            if slack >= req.millicores:
-                free[b] -= req.millicores
-                assignment.append((req, b))
+            if slack >= size:
+                free[b] -= size
                 break
         else:
-            free.append(bin_capacity - req.millicores)
-            assignment.append((req, len(free) - 1))
-    return NodePlan(required_nodes=len(free), assignment=assignment)
+            free.append(bin_capacity - size)
+    return len(free)
 
 
 def plan_nodes(
-    replicas: int, pod_request: int, other_requests: list[Request], policy: Policy
-) -> NodePlan:
+    replicas: int, pod_request: int, other_requests: dict[str, int], policy: Policy
+) -> int:
     """Node count for the policy's pool: `replicas` pods of `pod_request`
-    (named r1...rn) plus all unmanaged requests, first-fit-decreasing into
-    policy-sized bins. Names only break ties between equal sizes, so they
-    never change the bin count."""
-    combined = [Request(f"r{i + 1}", pod_request) for i in range(replicas)]
-    return pack_ffd(combined + other_requests, policy.node_capacity_millicores)
+    plus every unmanaged pod's request (owner -> millicores),
+    first-fit-decreasing into policy-sized bins."""
+    return pack_ffd([pod_request] * replicas + list(other_requests.values()),
+                    policy.node_capacity_millicores)

@@ -83,8 +83,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
     controller = make_controller(config, trace)
 
     # Unmanaged pods exist from the start and occupy whatever fits.
-    for req in config.other_requests:
-        state.create_pod(req.owner, req.millicores, pod_id=req.owner)
+    for owner, millicores in config.other_requests.items():
+        state.create_pod(owner, millicores, pod_id=owner)
     state.preferred_pool_id, initial = controller.initial(config.initial_replicas)
     for _ in range(initial):
         state.create_pod(config.workload_id, config.pod_request)
@@ -129,11 +129,13 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
     event_lines: list[str] = []
     decision_lines: list[str] = []
 
+    # The migration floor as the last event left it; it holds until the next.
+    floor = controller.active_floor()
     while state.has_events() and state.peek_time() <= duration:
         t_next = state.peek_time()
         # Accrue costs and downtime at the rates that held before this event.
         cost.advance(state, t_next)
-        downtime.advance(t_next, controller.active_floor())
+        downtime.advance(t_next, floor)
 
         ev = state.step()
         now = ev.fire_at
@@ -152,15 +154,16 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
             decision_lines.append(json.dumps(record))
 
         event_lines.append(format_event(ev))
+        floor = controller.active_floor()
         checker.check(state, desired={config.workload_id: controller.desired},
-                      migration_active=controller.migrating)
+                      migration_active=floor is not None)
         checker.check_costs(cost.node_cost, cost.pod_cost)
 
     cost.advance(state, duration)
-    downtime.advance(duration, controller.active_floor())
+    downtime.advance(duration, floor)
     # What every event's check took on trust, a full recount proves at the end.
     checker.recount(state, desired={config.workload_id: controller.desired},
-                    migration_active=controller.migrating)
+                    migration_active=floor is not None)
 
     migrations = controller.completed_migrations
     summary = summarize(

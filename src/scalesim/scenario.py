@@ -14,10 +14,11 @@ from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
 from .control import CONTROLLER_TYPES, HpaConfig, MasConfig, StrategicSchedule
+from .engine import generated_pod_id
 from .errors import ScenarioError
 from .knobs import Range, declared, knob
 from .metrics import Normalizers
-from .planning import Policy, Request
+from .planning import Policy
 from .workload import NAMED_WORKLOADS, DemandTrace, WorkloadPhase, build_trace
 
 WORKLOADS = (*NAMED_WORKLOADS, "custom")
@@ -74,7 +75,7 @@ class ScenarioConfig:
     schedule: StrategicSchedule | None = None
     mas: MasConfig = field(default_factory=MasConfig)
     hpa: HpaConfig = field(default_factory=HpaConfig)
-    other_requests: list[Request] = field(default_factory=list)
+    other_requests: dict[str, int] = field(default_factory=dict)   # owner -> millicores
     normalizers: Normalizers = field(default_factory=Normalizers)
     phases: list[WorkloadPhase] = field(default_factory=list)
 
@@ -192,7 +193,7 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
     group_lines: dict[tuple[str, object], int] = {}
     schedule_default: str | None = None
     schedule_entries: list[tuple[int, str, int]] = []
-    other: list[Request] = []
+    other: dict[str, int] = {}
 
     for key, (raw, line) in entries.items():
         parts = key.split(".")
@@ -209,7 +210,7 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
             value = _knob_value(key, template, raw, line)
             group = parts[1] if grouped else ""
             if parts[0] == "other":
-                other.append(Request(group, value))
+                other[group] = value
                 continue
             if parts[0] == "phase":
                 group = _key_number(group, key, line)
@@ -345,19 +346,29 @@ def _validate(config: ScenarioConfig, line_of) -> None:
                 f"'pool.{pool_id}.capacity' ({pool_caps[pool_id]}m)",
                 line_of("pod_request", f"pool.{pool_id}.capacity"),
             )
-    for req in config.other_requests:
+    for owner, millicores in config.other_requests.items():
         # The node planner packs every unmanaged pod into the active policy's pool.
         for pool_id in (p.node_pool for p in config.policies.values()):
-            if req.millicores > pool_caps[pool_id]:
+            if millicores > pool_caps[pool_id]:
                 raise ScenarioError(
-                    f"field 'other.{req.owner}': {req.millicores}m exceeds "
+                    f"field 'other.{owner}': {millicores}m exceeds "
                     f"'pool.{pool_id}.capacity' ({pool_caps[pool_id]}m)",
-                    line_of(f"other.{req.owner}", f"pool.{pool_id}.capacity"),
+                    line_of(f"other.{owner}", f"pool.{pool_id}.capacity"),
                 )
-        if req.owner == config.workload_id:
+        if owner == config.workload_id:
             raise ScenarioError(
-                f"field 'other.{req.owner}': owner collides with managed workload id",
-                line_of(f"other.{req.owner}"),
+                f"field 'other.{owner}': owner collides with managed workload id",
+                line_of(f"other.{owner}"),
+            )
+        # The unmanaged pod's id is its owner, so it must not be an id that
+        # create_pod gives a managed pod.
+        digits = owner[len(owner.rstrip("0123456789")):]
+        n = int(digits) if digits else 0
+        if n > 0 and owner == generated_pod_id(config.workload_id, n):
+            raise ScenarioError(
+                f"field 'other.{owner}': owner collides with the id of a managed "
+                f"{config.workload_id!r} pod",
+                line_of(f"other.{owner}"),
             )
     trace_len = config.build_trace().duration
     if config.duration is not None and config.duration < trace_len:

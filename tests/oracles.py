@@ -1,9 +1,10 @@
-"""Test oracles for bin packing: an exhaustive branch-and-bound packer for
-small instances, the classical FFD quality bound, and the structural
-postcondition every packing must satisfy. Also the full lag scan that
-period detection must reproduce, the per-second forecaster and smoother
-whose peak and levels the production ones must reproduce, and the scans of a
-whole migration that the hand-off's carried state must equal."""
+"""Test oracles for bin packing: the per-item first-fit-decreasing packer
+whose bin count the production one must reproduce, an exhaustive
+branch-and-bound packer for small instances, the classical FFD quality bound,
+and the structural postcondition every packing must satisfy. Also the full
+lag scan that period detection must reproduce, the per-second forecaster and
+smoother whose peak and levels the production ones must reproduce, and the
+scans of a whole migration that the hand-off's carried state must equal."""
 
 from __future__ import annotations
 
@@ -20,11 +21,54 @@ from scalesim.forecasting import (
     _quantile,
     _round,
 )
-from scalesim.planning import NodePlan, Request, _check_sizes, ceil_div, pack_ffd
+from scalesim.planning import OversizedRequestError, ceil_div
 
 
 class InstanceTooLargeError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class Request:
+    owner: str
+    millicores: int
+
+
+@dataclass
+class NodePlan:
+    required_nodes: int
+    assignment: list[tuple[Request, int]]   # (request, bin index)
+
+
+def _check_sizes(requests: list[Request], bin_capacity: int) -> None:
+    if bin_capacity <= 0:
+        raise ValueError("bin_capacity must be positive")
+    for req in requests:
+        if req.millicores > bin_capacity:
+            raise OversizedRequestError(
+                f"request {req.owner} ({req.millicores}m) exceeds bin capacity {bin_capacity}m"
+            )
+
+
+def pack_ffd_assign(requests: list[Request], bin_capacity: int) -> NodePlan:
+    """Reference for `planning.pack_ffd`, which returns only the bin count:
+    first-fit-decreasing over named items, by size descending (ties: owner
+    ascending), each into the lowest-index bin with room, opening bins as
+    needed, with the bin of every item."""
+    _check_sizes(requests, bin_capacity)
+    order = sorted(requests, key=lambda r: (-r.millicores, r.owner))
+    free: list[int] = []
+    assignment: list[tuple[Request, int]] = []
+    for req in order:
+        for b, slack in enumerate(free):
+            if slack >= req.millicores:
+                free[b] -= req.millicores
+                assignment.append((req, b))
+                break
+        else:
+            free.append(bin_capacity - req.millicores)
+            assignment.append((req, len(free) - 1))
+    return NodePlan(required_nodes=len(free), assignment=assignment)
 
 
 def validate_assignment(
@@ -59,7 +103,7 @@ def pack_exact(requests: list[Request], bin_capacity: int) -> NodePlan:
     if not items:
         return NodePlan(required_nodes=0, assignment=[])
 
-    ffd = pack_ffd(requests, bin_capacity)
+    ffd = pack_ffd_assign(requests, bin_capacity)
     best_count = ffd.required_nodes
     best_assign = {id(r): b for r, b in ffd.assignment}
     total = sum(r.millicores for r in items)

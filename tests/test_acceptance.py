@@ -39,10 +39,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import ffd_bound_holds, pack_exact
+from oracles import Request, ffd_bound_holds, pack_exact
 
 from scalesim.forecasting import SeasonalPeak, forecast, smoothed_history
-from scalesim.planning import Policy, Request, pack_ffd, plan_replicas
+from scalesim.planning import Policy, pack_ffd, plan_replicas
 from scalesim.runner import run_scenario
 from scalesim.scenario import load_scenario
 from scalesim.workload import build_trace, heartbeat_phases
@@ -351,14 +351,14 @@ def test_criterion_4_bin_packing_oracle_equivalence():
         capacity = rng.randint(10, 200)
         sizes = [rng.randint(1, capacity) for _ in range(rng.randint(0, 8))]
         rs = [Request(f"r{i}", size) for i, size in enumerate(sizes)]
-        ffd = pack_ffd(rs, capacity).required_nodes
+        ffd = pack_ffd(sizes, capacity)
         exact = pack_exact(rs, capacity).required_nodes
         dominated = dominated and ffd >= exact
         bounded = bounded and ffd_bound_holds(ffd, exact)
     elapsed = time.perf_counter() - t0
 
     worked = [Request(f"w{i}", size) for i, size in enumerate([3, 3, 2, 2, 2])]
-    ffd_worked = pack_ffd(worked, 5).required_nodes
+    ffd_worked = pack_ffd([3, 3, 2, 2, 2], 5)
     exact_worked = pack_exact(worked, 5).required_nodes
 
     assert_clauses("4", [

@@ -6,6 +6,8 @@ would be wrapped where its callers do not look it up."""
 import importlib.util
 from pathlib import Path
 
+from scalesim import planning
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -25,3 +27,21 @@ def test_every_traced_entry_point_is_defined_by_its_owner():
     missing = [(getattr(owner, "__name__", owner), attr)
                for owner, attr, *_ in targets if attr not in vars(owner)]
     assert missing == []
+
+
+def test_pack_ffd_items_are_the_packed_pods(monkeypatch):
+    """`planning.pack_ffd.mean_items` is the `len()` of pack_ffd's first
+    argument, so that argument must hold one item per pod plan_nodes packs:
+    every replica and every unmanaged pod."""
+    tracing = _tracing()
+    seen = []
+    pack_ffd = planning.pack_ffd
+
+    def recording(sizes, bin_capacity):
+        seen.append(sizes)
+        return pack_ffd(sizes, bin_capacity)
+
+    monkeypatch.setattr(planning, "pack_ffd", recording)
+    policy = planning.Policy("P", "pool", 2000, 1, 0.5, 0.5)
+    planning.plan_nodes(264, 250, {"legacy": 600}, policy)
+    assert [tracing._first_arg_len(sizes) for sizes in seen] == [265]

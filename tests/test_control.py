@@ -13,7 +13,7 @@ from scalesim.control import (
     make_controller,
 )
 from scalesim.engine import ClusterState, EventKind, NodePool, NodeState, PodState
-from scalesim.planning import Policy, Request
+from scalesim.planning import Policy
 from scalesim.scenario import parse_scenario_text
 from scalesim.workload import DemandTrace
 
@@ -217,7 +217,7 @@ def make_mas(trace, state=None, schedule=None, other=None, **cfg):
         schedule=schedule or StrategicSchedule(default_policy="COST_SAVING"),
         trace=trace,
         pod_request=250,
-        other_requests=other or [],
+        other_requests=other or {},
         config=config,
     )
 
@@ -399,7 +399,7 @@ class TestMigration:
         state.schedule_pending_pods()
         run_until_quiet(state)
         start_running(state, "web", 2)
-        other = [Request("monitoring", 600)]
+        other = {"monitoring": 600}
         schedule = StrategicSchedule(default_policy="COST_SAVING")
         mas = make_mas(
             flat_trace(400, 900), schedule=schedule, other=other, forecaster="naive",
@@ -417,7 +417,7 @@ class TestMigration:
     def test_migration_sizes_new_pool_for_other_requests_too(self):
         state = two_pool_state(staging_nodes=1)
         start_running(state, "web", 2)
-        other = [Request("legacy", 1800)]
+        other = {"legacy": 1800}
         mas = make_mas(flat_trace(400, 900), other=other, forecaster="naive")
         mas.desired = 2
         record = mas._begin_migration(state, 10, "staging", PERF)
@@ -485,5 +485,5 @@ class TestControllerProtocol:
         hpa = make_hpa(flat_trace(100, 60), state)
         state.enqueue(0, EventKind.POLICY_SWITCH, {"policy": "PERFORMANCE"})
         assert hpa.on_event(state, state.step()) is None
-        assert not hpa.migrating and hpa.active_floor() is None
+        assert hpa.active_floor() is None
         assert hpa.completed_migrations == []

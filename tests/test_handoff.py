@@ -149,7 +149,7 @@ def test_handoff_after_one_start_reaches_few_pods():
     policies = {"OLD": Policy("OLD", "old", 64000, 1, 0.5, 0.5),
                 "NEW": Policy("NEW", "new", 64000, 1, 0.5, 0.5)}
     mas = HierarchicalController(policies, StrategicSchedule(default_policy="OLD"),
-                                 flat_trace(100, 900), 250, [], MasConfig())
+                                 flat_trace(100, 900), 250, {}, MasConfig())
     mas.desired = replicas
     state.clock.advance_to(10)
     mas.on_policy_switch(state, 10, "NEW")

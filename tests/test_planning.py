@@ -3,12 +3,20 @@
 import random
 
 import pytest
-from oracles import InstanceTooLargeError, ffd_bound_holds, pack_exact, validate_assignment
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import (
+    InstanceTooLargeError,
+    Request,
+    ffd_bound_holds,
+    pack_exact,
+    pack_ffd_assign,
+    validate_assignment,
+)
 
 from scalesim.planning import (
     OversizedRequestError,
     Policy,
-    Request,
     ceil_div,
     pack_ffd,
     plan_nodes,
@@ -90,35 +98,37 @@ class TestPlanReplicas:
 
 class TestPackFfd:
     def test_empty_input_zero_bins(self):
-        plan = pack_ffd(requests(), 1000)
-        assert plan.required_nodes == 0
-        assert plan.assignment == []
+        assert pack_ffd([], 1000) == 0
+        assert pack_ffd_assign(requests(), 1000).assignment == []
 
     def test_worked_instance(self):
         # {3,3,2,2,2} into capacity 5: FFD gives [3,2],[3,2],[2]; the exact
         # solver confirms 3 is optimal.
         rs = requests(3, 3, 2, 2, 2)
-        plan = pack_ffd(rs, 5)
-        assert plan.required_nodes == 3
+        assert pack_ffd([3, 3, 2, 2, 2], 5) == 3
         assert pack_exact(rs, 5).required_nodes == 3
         loads = {}
-        for req, b in plan.assignment:
+        for req, b in pack_ffd_assign(rs, 5).assignment:
             loads.setdefault(b, []).append(req.millicores)
         assert sorted(tuple(sorted(v, reverse=True)) for v in loads.values()) == [
             (2,), (3, 2), (3, 2)
         ]
 
     def test_all_fit_one_bin(self):
-        plan = pack_ffd(requests(250, 250, 250, 250, 250), 2000)
-        assert plan.required_nodes == 1
+        assert pack_ffd([250, 250, 250, 250, 250], 2000) == 1
 
     def test_oversized_item_rejected(self):
         with pytest.raises(OversizedRequestError):
-            pack_ffd(requests(2500), 2000)
+            pack_ffd([2500], 2000)
+
+    def test_non_positive_capacity_rejected(self):
+        for capacity in (0, -1000):
+            with pytest.raises(ValueError, match="bin_capacity"):
+                pack_ffd([], capacity)
 
     def test_deterministic_tie_break_on_owner(self):
         rs = [Request("b", 600), Request("a", 600), Request("c", 400)]
-        plan = pack_ffd(rs, 1000)
+        plan = pack_ffd_assign(rs, 1000)
         # Sorted by (-size, owner): a then b then c.
         assert [(r.owner, b) for r, b in plan.assignment] == [
             ("a", 0), ("b", 1), ("c", 0),
@@ -135,7 +145,7 @@ class TestPackExact:
     def test_beats_ffd_on_adversarial_instance(self):
         # FFD opens 3 bins for this one; the optimum is 2 ([12,3,3],[11,4,3]).
         rs = requests(12, 11, 4, 3, 3, 3)
-        assert pack_ffd(rs, 18).required_nodes == 3
+        assert pack_ffd([12, 11, 4, 3, 3, 3], 18) == 3
         assert pack_exact(rs, 18).required_nodes == 2
 
     def test_instance_too_large_rejected(self):
@@ -153,7 +163,7 @@ class TestPackExact:
             sizes = [rng.randint(1, capacity) for _ in range(rng.randint(0, 8))]
             rs = requests(*sizes)
             exact = pack_exact(rs, capacity).required_nodes
-            ffd = pack_ffd(rs, capacity).required_nodes
+            ffd = pack_ffd(sizes, capacity)
             assert exact <= ffd
             assert ffd_bound_holds(ffd, exact)
             # Lower bound sanity: no packing beats total volume.
@@ -164,8 +174,7 @@ class TestPlanNodes:
     def test_eight_quarter_pods_fill_one_node(self):
         plan = plan_replicas(2000, 250, PERF)
         assert plan.planned_replicas == 8
-        node_plan = plan_nodes(plan.planned_replicas, 250, [], PERF)
-        assert node_plan.required_nodes == 1
+        assert plan_nodes(plan.planned_replicas, 250, {}, PERF) == 1
 
     def test_other_requests_force_second_node(self):
         # 8 x 250m plus one 1500m request: the exact solver on the 9-item
@@ -173,23 +182,63 @@ class TestPlanNodes:
         plan = plan_replicas(2000, 250, PERF)
         combined = requests(*([250] * 8), 1500)
         assert pack_exact(combined, 2000).required_nodes == 2
-        node_plan = plan_nodes(plan.planned_replicas, 250, [Request("legacy", 1500)], PERF)
-        assert node_plan.required_nodes == 2
+        assert plan_nodes(plan.planned_replicas, 250, {"legacy": 1500}, PERF) == 2
 
     def test_empty_inputs_zero_nodes(self):
-        node_plan = plan_nodes(0, 250, [], PERF)
-        assert node_plan.required_nodes == 0
+        assert plan_nodes(0, 250, {}, PERF) == 0
 
     def test_oversized_other_request_propagates(self):
         with pytest.raises(OversizedRequestError):
-            plan_nodes(0, 250, [Request("huge", 3000)], PERF)
+            plan_nodes(0, 250, {"huge": 3000}, PERF)
 
     def test_plan_idempotence(self):
         plan = plan_replicas(1700, 250, COST)
-        a = plan_nodes(plan.planned_replicas, 250, [], COST)
-        b = plan_nodes(plan.planned_replicas, 250, [], COST)
-        assert a.required_nodes == b.required_nodes
-        assert a.assignment == b.assignment
+        a = plan_nodes(plan.planned_replicas, 250, {}, COST)
+        b = plan_nodes(plan.planned_replicas, 250, {}, COST)
+        assert a == b
+
+
+@st.composite
+def packing_instances(draw):
+    """A bin capacity and item sizes in [1, capacity], drawn as runs of equal
+    sizes so that ties, items of size 1 and items that fill a bin all occur,
+    in any order."""
+    capacity = draw(st.integers(1, 120))
+    size = st.one_of(st.just(1), st.just(capacity), st.integers(1, capacity))
+    runs = draw(st.lists(st.tuples(size, st.integers(1, 5)), max_size=8))
+    sizes = [s for s, count in runs for _ in range(count)]
+    return draw(st.permutations(sizes)), capacity
+
+
+class TestCountMatchesReference:
+    """The count-only packer against the per-item reference it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=packing_instances())
+    @example(case=([], 7))
+    @example(case=([7, 7, 7], 7))
+    @example(case=([1, 1, 1, 1, 1], 2))
+    # Best-fit packs this one into 2 bins, first-fit into 3.
+    @example(case=([2, 10, 3, 2, 6, 5], 14))
+    # Taken in ascending order, this one needs 3 bins, not 2.
+    @example(case=([2, 3, 5, 6], 9))
+    def test_pack_ffd_count_equals_reference(self, case):
+        sizes, capacity = case
+        reference = pack_ffd_assign(requests(*sizes), capacity)
+        assert pack_ffd(sizes, capacity) == reference.required_nodes
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=packing_instances(), replicas=st.integers(0, 12), data=st.data())
+    def test_plan_nodes_equals_reference(self, case, replicas, data):
+        # The reference names the replicas r1...rn, as plan_nodes once did.
+        sizes, capacity = case
+        pod_request = data.draw(st.integers(1, capacity), label="pod_request")
+        other = {f"o{i}": size for i, size in enumerate(sizes)}
+        policy = Policy("P", "pool", capacity, 1, 0.5, 0.5)
+        reference = [Request(f"r{i + 1}", pod_request) for i in range(replicas)]
+        reference += [Request(owner, size) for owner, size in other.items()]
+        assert (plan_nodes(replicas, pod_request, other, policy)
+                == pack_ffd_assign(reference, capacity).required_nodes)
 
 
 class TestAssignmentValidation:
@@ -198,7 +247,7 @@ class TestAssignmentValidation:
         for _ in range(100):
             cap = rng.randint(20, 100)
             rs = requests(*[rng.randint(1, cap) for _ in range(rng.randint(1, 10))])
-            for plan in (pack_ffd(rs, cap), pack_exact(rs, cap) if len(rs) <= 12 else None):
+            for plan in (pack_ffd_assign(rs, cap), pack_exact(rs, cap) if len(rs) <= 12 else None):
                 if plan is None:
                     continue
                 loads: dict[int, int] = {}
@@ -213,7 +262,7 @@ class TestAssignmentValidation:
 
     def test_validator_rejects_broken_assignment(self):
         rs = requests(600, 600)
-        plan = pack_ffd(rs, 1000)
+        plan = pack_ffd_assign(rs, 1000)
         overfull = [(req, 0) for req, _ in plan.assignment]
         with pytest.raises(AssertionError, match="overfull"):
             validate_assignment(rs, overfull, 1000)

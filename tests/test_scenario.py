@@ -246,6 +246,17 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="web"):
             parse_scenario_text(text, "x")
 
+    def test_other_owner_named_like_a_managed_pod_names_field_and_line(self):
+        # An unmanaged pod's id is its owner; web-p1 is the id the first
+        # managed web replica gets, so the run would stop on a duplicate id.
+        for owner in ("web-p1", "web-p12"):
+            text = f"workload = heartbeat\ncontroller = hpa_ca\nother.{owner} = 100\n"
+            with pytest.raises(ScenarioError, match=rf"^line 3: field 'other\.{owner}'"):
+                parse_scenario_text(text, "x")
+        for owner in ("web-proxy", "web-p0", "api-p1"):
+            text = f"workload = heartbeat\ncontroller = hpa_ca\nother.{owner} = 100\n"
+            assert parse_scenario_text(text, "x").other_requests == {owner: 100}
+
     def test_hpa_min_above_max_names_field_and_line(self):
         text = (
             "workload = heartbeat\n"
