@@ -32,6 +32,7 @@ from .forecasting import (
     smoothed_history,
 )
 from .knobs import check_knobs, knob
+from .metrics import utilization
 from .planning import Policy, pack_ffd, plan_nodes, plan_replicas
 from .workload import DemandTrace
 
@@ -132,6 +133,9 @@ class MasConfig:
     seasonal_period: int | None = knob(None, gt=0)     # None -> autocorrelation detection
     period_min_lag: int = knob(60, ge=1)
     period_min_correlation: float = knob(0.5, ge=-1, le=1)   # a Pearson threshold
+
+    def __post_init__(self) -> None:
+        check_knobs(self)
 
 
 def _shrink(state: ClusterState, pods: Iterable, count: int) -> int:
@@ -300,7 +304,8 @@ class HierarchicalController:
         if period is None:
             period = detect_period(smoothed, cfg.period_min_lag, cfg.period_min_correlation)
         if period is None or len(smoothed) < period:
-            return Naive(), self.trace.demand[:now]
+            # Naive reads only the last second, the trace's last one past its end.
+            return Naive(), self.trace.demand[min(now, self.trace.duration) - 1:now]
         return SeasonalPeak(period=period, quantile=cfg.seasonal_quantile), smoothed
 
     # ------------------------------------------------------------- migration
@@ -466,11 +471,10 @@ class ReactiveController:
         demand = self.trace.demand_at(now) if now < self.trace.duration else 0
         running = state.running_replicas(workload_id)
         current = state.replicas(workload_id)
-        utilization = (min(Fraction(demand, running * self.pod_request), cfg.saturation_ceiling)
-                       if running else Fraction(0))
+        util = utilization(demand, running, self.pod_request, cfg.saturation_ceiling)
         # Pods without a node yet report no usage, so the scale-up basis is
         # the running count; the result reconciles the full replica set.
-        desired = math.ceil(running * utilization / cfg.target_utilization)
+        desired = math.ceil(running * util / cfg.target_utilization)
         desired = max(cfg.min_replicas, min(cfg.max_replicas, desired))
         applied = current
         if desired > current:
@@ -494,7 +498,7 @@ class ReactiveController:
             "workload": workload_id,
             "demand": demand,
             "running": running,
-            "utilization": float(utilization),
+            "utilization": float(util),
             "desired": desired,
             "applied": applied,
         }]})

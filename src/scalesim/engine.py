@@ -34,15 +34,10 @@ ALIVE = (PodState.PENDING, PodState.STARTING, PodState.RUNNING)
 BOUND = (PodState.STARTING, PodState.RUNNING, PodState.TERMINATING)
 
 
-# Forward-only ordering of node lifecycle states. A transition may skip a
-# state (a cancelled Provisioning node drains without ever serving) but may
-# never move backwards.
-_NODE_ORDER = {
-    NodeState.PROVISIONING: 0,
-    NodeState.READY: 1,
-    NodeState.DRAINING: 2,
-    NodeState.DELETED: 3,
-}
+# Forward-only ordering of node lifecycle states: NodeState's declaration
+# order is the lifecycle order. A transition may skip a state (a cancelled
+# Provisioning node drains without ever serving) but may never move backwards.
+_NODE_ORDER = {s: i for i, s in enumerate(NodeState)}
 
 
 class EventKind(Enum):
@@ -54,15 +49,9 @@ class EventKind(Enum):
     CONTROL_TICK = "ControlTick"
 
 
-# Tie-break rank for events sharing a fire_at second.
-_KIND_RANK = {
-    EventKind.NODE_READY: 0,
-    EventKind.POD_STARTED: 1,
-    EventKind.POD_TERMINATED: 2,
-    EventKind.WORKLOAD_PHASE_CHANGE: 3,
-    EventKind.POLICY_SWITCH: 4,
-    EventKind.CONTROL_TICK: 5,
-}
+# Tie-break rank for events sharing a fire_at second: EventKind's
+# declaration order.
+_KIND_RANK = {k: i for i, k in enumerate(EventKind)}
 
 
 @dataclass
@@ -109,9 +98,7 @@ class Node:
 @dataclass
 class NodePool:
     pool_id: str
-    machine_type: str
     node_capacity_millicores: int
-    cost_rate: float           # currency units per node-second
     provisioning_delay: int    # seconds from resize to Ready
     nodes: list[Node] = field(default_factory=list)
     _next_node: int = 1

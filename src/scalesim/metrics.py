@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import statistics
+import typing
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -93,6 +94,12 @@ class CostAccumulator:
         self._last_t = now
 
 
+def utilization(demand: int, running: int, pod_request: int, ceiling: Fraction) -> Fraction:
+    """Demand over the running replicas' requests, capped at `ceiling`; 0
+    with no replica running."""
+    return min(Fraction(demand, running * pod_request), ceiling) if running else Fraction(0)
+
+
 def utility_score(
     utilization: float,
     cost_rate_units_per_s: float,
@@ -126,9 +133,7 @@ class Observer:
         running = state.running_replicas(self.workload_id)
         running_capacity = running * self.pod_request
         pending = len(state.pending)
-
-        utilization = (min(Fraction(demand, running_capacity), self.saturation_ceiling)
-                       if running_capacity > 0 else Fraction(0))
+        util = utilization(demand, running, self.pod_request, self.saturation_ceiling)
 
         bound_requests = 0
         ready_capacity = 0
@@ -150,13 +155,13 @@ class Observer:
             running_replicas=running,
             pending_pods=pending,
             nodes_by_pool=nodes_by_pool,
-            utilization=round(float(utilization), 6),
+            utilization=round(float(util), 6),
             cpu_waste_millicores=max(0, running_capacity - demand),
             cumulative_pod_cost=self.cost.pod_cost,
             cumulative_node_cost=self.cost.node_cost,
             packing_efficiency=round(packing, 6),
             utility=round(
-                utility_score(float(utilization), cost_rate, policy, self.normalizers), 6
+                utility_score(float(util), cost_rate, policy, self.normalizers), 6
             ),
         )
         self.samples.append(sample)
@@ -165,28 +170,23 @@ class Observer:
 
 # --------------------------------------------------------------------- files
 
-# metrics.csv columns in order: a MetricSample attribute and its type (floats
-# are written with 6 decimals). nodes_by_pool expands to one column per pool
-# and node state.
-_COLUMNS = {
-    "t": int,
-    "demand_millicores": int,
-    "running_replicas": int,
-    "pending_pods": int,
-    "nodes_by_pool": None,
-    "utilization": float,
-    "cpu_waste_millicores": int,
-    "cumulative_pod_cost": int,
-    "cumulative_node_cost": int,
-    "packing_efficiency": float,
-    "utility": float,
-}
+def _field_types(cls) -> dict[str, type]:
+    """Field name -> type, in field order; a generic type reads as its origin
+    (dict[str, tuple] as dict)."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: typing.get_origin(hints[f.name]) or hints[f.name] for f in fields(cls)}
+
+
+# metrics.csv has one column per MetricSample field, in field order. A float is
+# written with 6 decimals, and the dict field (nodes_by_pool) expands to one
+# column per pool and node state.
+_SAMPLE_TYPES = _field_types(MetricSample)
 
 
 def metrics_header(pool_order: list[str]) -> list[str]:
     cols = []
-    for name, typ in _COLUMNS.items():
-        if typ is None:
+    for name, typ in _SAMPLE_TYPES.items():
+        if typ is dict:
             cols += [f"nodes_{p}_{s.value.lower()}" for p in pool_order for s in _NODE_STATES]
         else:
             cols.append(name)
@@ -195,14 +195,14 @@ def metrics_header(pool_order: list[str]) -> list[str]:
 
 def _cell(sample: MetricSample, name: str) -> str:
     value = getattr(sample, name)
-    return f"{value:.6f}" if _COLUMNS[name] is float else str(value)
+    return f"{value:.6f}" if _SAMPLE_TYPES[name] is float else str(value)
 
 
 def sample_row(sample: MetricSample, pool_order: list[str]) -> list[str]:
     row = []
-    for name, typ in _COLUMNS.items():
-        if typ is None:
-            row += [str(n) for p in pool_order for n in sample.nodes_by_pool[p]]
+    for name, typ in _SAMPLE_TYPES.items():
+        if typ is dict:
+            row += [str(n) for p in pool_order for n in getattr(sample, name)[p]]
         else:
             row.append(_cell(sample, name))
     return row
@@ -228,21 +228,28 @@ def read_metrics_csv(path: Path) -> tuple[list[str], list[MetricSample]]:
         for row in reader:
             vals = dict(zip(header, row))
             samples.append(MetricSample(**{
-                name: typ(vals[name]) if typ else {
+                name: {
                     p: tuple(int(vals[f"nodes_{p}_{s.value.lower()}"]) for s in _NODE_STATES)
                     for p in pool_order
-                }
-                for name, typ in _COLUMNS.items()
+                } if typ is dict else typ(vals[name])
+                for name, typ in _SAMPLE_TYPES.items()
             }))
     return header, samples
 
 
+# Marks a RunSummary field that compare leaves out of its table.
+_NOT_COMPARED = {"compared": False}
+
+
 @dataclass
 class RunSummary:
+    """summary.txt, one line per field. compare tabulates every int or float
+    field not marked _NOT_COMPARED."""
+
     scenario_id: str
     controller: str
-    seed: int
-    duration: int
+    seed: int = field(metadata=_NOT_COMPARED)
+    duration: int = field(metadata=_NOT_COMPARED)
     mean_utilization: float
     median_utilization: float
     p95_utilization: float
@@ -251,10 +258,10 @@ class RunSummary:
     total_node_cost: int       # micro-units
     total_pod_cost: int        # micro-units
     time_above_threshold: int  # seconds with utilization > threshold
-    utilization_threshold: float
+    utilization_threshold: float = field(metadata=_NOT_COMPARED)
     utility_integral: float    # sum of per-sample utility x sampling interval
     migration_downtime: int    # seconds of capacity deficit during switches
-    migrations: int
+    migrations: int = field(metadata=_NOT_COMPARED)
 
 
 def summarize(
@@ -298,8 +305,15 @@ def write_summary(summary: RunSummary, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def read_summary(path: Path) -> dict[str, str]:
-    return dict(line.split(": ", 1) for line in path.read_text().splitlines() if ": " in line)
+_SUMMARY_TYPES = _field_types(RunSummary)
+
+
+def read_summary(path: Path) -> RunSummary:
+    lines = dict(line.split(": ", 1) for line in path.read_text().splitlines() if ": " in line)
+    missing = [name for name in _SUMMARY_TYPES if name not in lines]
+    if missing:
+        raise ValueError(f"{path}: no {', '.join(missing)} line")
+    return RunSummary(**{name: typ(lines[name]) for name, typ in _SUMMARY_TYPES.items()})
 
 
 # ----------------------------------------------------------------- comparison
@@ -319,9 +333,8 @@ _ALIGNED = ("utilization", "running_replicas", "pending_pods",
             "cumulative_node_cost", "cumulative_pod_cost")
 
 _NUMERIC_SUMMARY_FIELDS = [
-    "mean_utilization", "median_utilization", "p95_utilization", "max_utilization",
-    "max_replicas", "total_node_cost", "total_pod_cost",
-    "time_above_threshold", "utility_integral", "migration_downtime",
+    f.name for f in fields(RunSummary)
+    if _SUMMARY_TYPES[f.name] in (int, float) and f.metadata.get("compared", True)
 ]
 
 
@@ -331,24 +344,19 @@ def compare_runs(run_a: Path, run_b: Path) -> ComparisonReport:
     run_a, run_b = Path(run_a), Path(run_b)
     summary_a = read_summary(run_a / "summary.txt")
     summary_b = read_summary(run_b / "summary.txt")
-    if summary_a.get("scenario_id") != summary_b.get("scenario_id"):
+    if summary_a.scenario_id != summary_b.scenario_id:
         raise ValueError(
-            "scenario mismatch: "
-            f"{summary_a.get('scenario_id')!r} vs {summary_b.get('scenario_id')!r}"
+            f"scenario mismatch: {summary_a.scenario_id!r} vs {summary_b.scenario_id!r}"
         )
-    if summary_a.get("seed") != summary_b.get("seed"):
-        raise ValueError(
-            f"seed mismatch: {summary_a.get('seed')} vs {summary_b.get('seed')}"
-        )
+    if summary_a.seed != summary_b.seed:
+        raise ValueError(f"seed mismatch: {summary_a.seed} vs {summary_b.seed}")
 
-    deltas = {
-        name: float(summary_b[name]) - float(summary_a[name])
-        for name in _NUMERIC_SUMMARY_FIELDS
-    }
-    mean_a = float(summary_a["mean_utilization"])
-    max_a = float(summary_a["max_utilization"])
-    stress_ratio = float(summary_b["mean_utilization"]) / mean_a if mean_a else 0.0
-    peak_ratio = float(summary_b["max_utilization"]) / max_a if max_a else 0.0
+    values = {name: (getattr(summary_a, name), getattr(summary_b, name))
+              for name in _NUMERIC_SUMMARY_FIELDS}
+    deltas = {name: float(b) - float(a) for name, (a, b) in values.items()}
+    mean_a, max_a = summary_a.mean_utilization, summary_a.max_utilization
+    stress_ratio = summary_b.mean_utilization / mean_a if mean_a else 0.0
+    peak_ratio = summary_b.max_utilization / max_a if max_a else 0.0
 
     _, samples_a = read_metrics_csv(run_a / "metrics.csv")
     _, samples_b = read_metrics_csv(run_b / "metrics.csv")
@@ -361,15 +369,13 @@ def compare_runs(run_a: Path, run_b: Path) -> ComparisonReport:
     ]
 
     lines = [
-        f"run A: {summary_a['controller']} | run B: {summary_b['controller']} "
-        f"| scenario {summary_a['scenario_id']} seed {summary_a['seed']}",
+        f"run A: {summary_a.controller} | run B: {summary_b.controller} "
+        f"| scenario {summary_a.scenario_id} seed {summary_a.seed}",
         "",
         f"{'metric':<28}{'A':>16}{'B':>16}{'delta (B-A)':>16}",
     ]
-    for name in _NUMERIC_SUMMARY_FIELDS:
-        lines.append(
-            f"{name:<28}{summary_a[name]:>16}{summary_b[name]:>16}{deltas[name]:>16.6f}"
-        )
+    for name, (a, b) in values.items():
+        lines.append(f"{name:<28}{a:>16}{b:>16}{deltas[name]:>16.6f}")
     lines += [
         "",
         "headline ratios (interpretation-dependent; definitions documented in README):",

@@ -69,11 +69,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
     trace = config.build_trace()
     duration = config.duration if config.duration is not None else trace.duration
 
-    pools = [
-        NodePool(spec.pool_id, spec.machine_type, spec.capacity, spec.cost_rate,
-                 spec.provisioning_delay)
-        for spec in config.pools
-    ]
+    pools = [NodePool(spec.pool_id, spec.capacity, spec.provisioning_delay)
+             for spec in config.pools]
     state = ClusterState(pools, pod_startup_delay=config.pod_startup_delay)
     for spec in config.pools:
         for _ in range(spec.initial_nodes):

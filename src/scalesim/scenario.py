@@ -16,7 +16,7 @@ from pathlib import Path
 from .control import CONTROLLER_TYPES, HpaConfig, MasConfig, StrategicSchedule
 from .engine import generated_pod_id
 from .errors import ScenarioError
-from .knobs import Range, declared, knob
+from .knobs import Range, check_knobs, declared, knob
 from .metrics import Normalizers
 from .planning import Policy
 from .workload import NAMED_WORKLOADS, DemandTrace, WorkloadPhase, build_trace
@@ -33,6 +33,9 @@ class PoolSpec:
     cost_rate: float = knob(1.0, ge=0)            # currency units per node-second
     provisioning_delay: int = knob(120, ge=0)     # seconds from resize to Ready
     initial_nodes: int = knob(0, ge=0)
+
+    def __post_init__(self) -> None:
+        check_knobs(self)
 
 
 @dataclass

@@ -2,6 +2,8 @@
 
 import copy
 
+import pytest
+
 from scalesim.control import (
     CONTROLLER_TYPES,
     HierarchicalController,
@@ -28,8 +30,8 @@ def flat_trace(demand, duration, workload_id="web"):
 
 def two_pool_state(staging_nodes=1, perf_nodes=0):
     state = ClusterState([
-        NodePool("staging", "e2-medium", 1000, 1.0, 120),
-        NodePool("performance", "n2-standard-2", 2000, 3.0, 120),
+        NodePool("staging", 1000, 120),
+        NodePool("performance", 2000, 120),
     ])
     for _ in range(staging_nodes):
         state.add_ready_node("staging")
@@ -39,7 +41,7 @@ def two_pool_state(staging_nodes=1, perf_nodes=0):
 
 
 def baseline_state(nodes=1, capacity=1000):
-    state = ClusterState([NodePool("baseline", "e2-medium", capacity, 1.0, 120)])
+    state = ClusterState([NodePool("baseline", capacity, 120)])
     for _ in range(nodes):
         state.add_ready_node("baseline")
     state.preferred_pool_id = "baseline"
@@ -223,6 +225,10 @@ def make_mas(trace, state=None, schedule=None, other=None, **cfg):
 
 
 class TestHierarchicalTick:
+    def test_config_checks_its_range(self):
+        with pytest.raises(ValueError, match="control_interval"):
+            MasConfig(control_interval=0)
+
     def test_phase_order_matches_control_loop(self):
         state = two_pool_state()
         mas = make_mas(flat_trace(800, 900), forecaster="naive")

@@ -16,7 +16,7 @@ from scalesim.invariants import InvariantChecker
 
 
 def make_state(pools=None, startup_delay=10):
-    pools = pools or [NodePool("main", "e2-medium", 2000, 1.0, 120)]
+    pools = pools or [NodePool("main", 2000, 120)]
     return ClusterState(pools, pod_startup_delay=startup_delay)
 
 
@@ -48,7 +48,7 @@ class TestScheduling:
     def test_two_pods_one_slot(self):
         # Node with 1000m free, two 600m pods: every placement enumeration
         # admits exactly one of them.
-        state = make_state([NodePool("main", "e2-medium", 1000, 1.0, 120)])
+        state = make_state([NodePool("main", 1000, 120)])
         ready_node(state)
         first = state.create_pod("web", 600)
         second = state.create_pod("web", 600)
@@ -59,8 +59,8 @@ class TestScheduling:
 
     def test_prefers_policy_pool_then_falls_back(self):
         pools = [
-            NodePool("a", "m", 1000, 1.0, 120),
-            NodePool("b", "m", 2000, 1.0, 120),
+            NodePool("a", 1000, 120),
+            NodePool("b", 2000, 120),
         ]
         state = make_state(pools)
         node_a = ready_node(state, "a")
@@ -286,7 +286,7 @@ class TestPodLifecycle:
         assert state.replicas("web") == 1
 
     def test_node_never_oversubscribed(self):
-        state = make_state([NodePool("main", "m", 1000, 1.0, 120)])
+        state = make_state([NodePool("main", 1000, 120)])
         node = ready_node(state)
         for _ in range(6):
             state.create_pod("web", 250)
@@ -300,7 +300,7 @@ def test_scheduling_reaches_fixpoint_liveness():
     # After one pass, no pod left Pending fits on any Ready node.
     rng = random.Random(42)
     for _ in range(50):
-        state = make_state([NodePool("main", "m", 1000, 1.0, 120)])
+        state = make_state([NodePool("main", 1000, 120)])
         for _ in range(rng.randint(0, 4)):
             state.add_ready_node("main")
         for _ in range(rng.randint(0, 12)):
@@ -379,7 +379,7 @@ class TestLifetime:
 
     def test_churn_keeps_only_live_objects(self):
         rng = random.Random(7)
-        state = make_state([NodePool("main", "m", 1000, 1.0, 30)], startup_delay=5)
+        state = make_state([NodePool("main", 1000, 30)], startup_delay=5)
         pool = state.pools["main"]
         checker = InvariantChecker()
         made = []

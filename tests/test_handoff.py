@@ -140,8 +140,8 @@ def test_handoff_after_one_start_reaches_few_pods():
     # and the hand-off after the first replacement starts must not walk
     # either list of 240 pods.
     replicas = 240
-    state = ClusterState([NodePool("old", "m", 64000, 1.0, 60),
-                          NodePool("new", "m", 64000, 1.0, 60)])
+    state = ClusterState([NodePool("old", 64000, 60),
+                          NodePool("new", 64000, 60)])
     for _ in range(2):
         state.add_ready_node("old")
     state.preferred_pool_id = "old"

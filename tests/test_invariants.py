@@ -17,7 +17,7 @@ from scalesim.invariants import InvariantChecker
 def small_cluster():
     """Two Ready nodes, two Running pods and one Pending pod; plus a pod and
     a node that have been retired, returned for corrupting with."""
-    state = ClusterState([NodePool("main", "m", 1000, 1.0, 60)], pod_startup_delay=5)
+    state = ClusterState([NodePool("main", 1000, 60)], pod_startup_delay=5)
     node = state.add_ready_node("main")
     spare = state.add_ready_node("main")
     doomed = state.add_ready_node("main")
@@ -224,7 +224,7 @@ class CountingDict(dict):
 
 
 def test_check_after_a_one_pod_event_does_not_walk_the_pods():
-    state = ClusterState([NodePool("main", "m", 16000, 1.0, 60)], pod_startup_delay=5)
+    state = ClusterState([NodePool("main", 16000, 60)], pod_startup_delay=5)
     for _ in range(7):
         state.add_ready_node("main")
     for _ in range(400):

@@ -1,5 +1,7 @@
 """Observation, cost accounting, utility, CSV round-trip, and comparison."""
 
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from scalesim.metrics import (
     CostModel,
     Normalizers,
     Observer,
+    RunSummary,
     compare_runs,
     read_metrics_csv,
     read_summary,
@@ -27,7 +30,7 @@ NEUTRAL = Policy("NEUTRAL", "main", 2000, 1, 0.5, 0.5)
 
 
 def make_state(capacity=2000):
-    return ClusterState([NodePool("main", "m", capacity, 1.0, 120)])
+    return ClusterState([NodePool("main", capacity, 120)])
 
 
 def make_observer(state, pod_request=250, cost_rate=1.0):
@@ -228,10 +231,7 @@ class TestCsvAndSummary:
 
     def test_summary_round_trip(self, tmp_path):
         result, out = mini_run(tmp_path, "a")
-        parsed = read_summary(out / "summary.txt")
-        assert parsed["scenario_id"] == "mini"
-        assert int(parsed["seed"]) == 3
-        assert float(parsed["mean_utilization"]) == result.summary.mean_utilization
+        assert read_summary(out / "summary.txt") == result.summary
 
     def test_summary_of_empty_samples(self):
         summary = summarize("x", "hpa_ca", 1, 0, [], 5, 0, 0, 0, 0)
@@ -262,6 +262,15 @@ class TestCompareRuns:
         with pytest.raises(ValueError, match="scenario mismatch"):
             compare_runs(out_a, out_b)
 
+    def test_summary_missing_a_field_names_it(self, tmp_path):
+        _, out_a = mini_run(tmp_path, "a")
+        _, out_b = mini_run(tmp_path, "b")
+        summary = out_b / "summary.txt"
+        summary.write_text("".join(line for line in summary.read_text().splitlines(True)
+                                   if not line.startswith("migrations:")))
+        with pytest.raises(ValueError, match="no migrations line"):
+            compare_runs(out_a, out_b)
+
     def test_aligned_csv_has_both_series(self, tmp_path):
         _, out_a = mini_run(tmp_path, "a")
         _, out_b = mini_run(tmp_path, "b")
@@ -269,3 +278,18 @@ class TestCompareRuns:
         assert "utilization_a" in report.aligned_header
         assert "utilization_b" in report.aligned_header
         assert len(report.aligned_rows) == 12   # 60 s at 5 s sampling
+
+    def test_table_rows_are_the_compared_numeric_summary_fields(self, tmp_path):
+        _, out_a = mini_run(tmp_path, "a")
+        _, out_b = mini_run(tmp_path, "b")
+        report = compare_runs(out_a, out_b)
+        marked = {f.name for f in fields(RunSummary) if not f.metadata.get("compared", True)}
+        assert marked == {"seed", "duration", "utilization_threshold", "migrations"}
+        hints = typing.get_type_hints(RunSummary)
+        expected = [f.name for f in fields(RunSummary)
+                    if hints[f.name] in (int, float) and f.name not in marked]
+        lines = report.text.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("metric")) + 1
+        rows = [line.split()[0] for line in lines[start:lines.index("", start)]]
+        assert rows == expected
+        assert list(report.deltas) == expected

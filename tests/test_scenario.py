@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from scalesim.errors import ScenarioError
-from scalesim.scenario import KNOBS, load_scenario, parse_scenario_text
+from scalesim.scenario import KNOBS, PoolSpec, load_scenario, parse_scenario_text
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "scenarios"
@@ -120,6 +120,10 @@ class TestParsing:
 
 
 class TestValidation:
+    def test_pool_spec_checks_its_range(self):
+        with pytest.raises(ValueError, match="provisioning_delay"):
+            PoolSpec("p", provisioning_delay=-5)
+
     def test_pod_request_exceeding_capacity(self):
         text = (
             "workload = heartbeat\n"
