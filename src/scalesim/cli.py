@@ -81,13 +81,16 @@ def _parse_seeds(spec: str) -> list[int]:
     seeds: list[int] = []
     for part in spec.split(","):
         part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            seeds.append(int(part))
+        try:
+            if ".." in part:
+                lo, hi = part.split("..", 1)
+                seeds.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                seeds.append(int(part))
+        except ValueError:
+            raise ScenarioError(f"--seeds: {part!r} is neither a seed nor a lo..hi range") from None
     if not seeds:
-        raise ScenarioError(f"no seeds in {spec!r}")
+        raise ScenarioError(f"--seeds: no seeds in {spec!r}")
     return seeds
 
 

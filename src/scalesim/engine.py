@@ -331,11 +331,18 @@ class ClusterState:
         Each pod goes to the Ready node with the most free request capacity
         that still fits it, considering the preferred pool's nodes first and
         falling back to any other pool. Pods that fit nowhere stay Pending.
+        A failed pick changes nothing and a bind only takes capacity away, so
+        once a request fits nowhere, no later request as large is tried.
         """
         bindings: list[tuple[str, str]] = []
+        unplaceable = None      # the smallest request that fit nowhere
         for pod in sorted(self.pending.values(), key=lambda p: p.creation_seq):
-            node = self._pick_node(pod.cpu_request_millicores)
+            request = pod.cpu_request_millicores
+            if unplaceable is not None and request >= unplaceable:
+                continue
+            node = self._pick_node(request)
             if node is None:
+                unplaceable = request
                 continue
             self._bind(pod, node)
             bindings.append((pod.pod_id, node.node_id))

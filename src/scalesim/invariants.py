@@ -3,16 +3,16 @@
 A failed check raises InvariantViolation with the property name first, and the
 run aborts with a nonzero exit instead of writing partial outputs.
 
-The first check on a state is a full recount (`recount`): every pool node and
-every kept pod, and every count the engine keeps recomputed from its
-definition. Each later check looks only at the pods and nodes that the engine
-marked touched since the check before. Those are the only objects whose
-properties can have changed, because the engine makes every change through its
-tracked helpers (a test pins that no other module assigns the fields they
-guard). The checker keeps its own tally of the kept pods' states, updated from
-the touched pods alone, and holds the engine's counts and the desired replicas
-to it. The runner ends every run with one more full recount, which also
-catches a change made outside the tracked helpers.
+Each check looks at the pods and nodes that the engine marked touched since the
+check before. Those are the only objects whose properties can have changed,
+because the engine makes every change through its tracked helpers (a test pins
+that no other module assigns the fields they guard). The checker keeps its own
+tally of the kept pods' states, updated from the touched pods alone, and holds
+the engine's counts and the desired replicas to it. A full recount (`recount`)
+is the same check run with the tally emptied and every pool node and every
+kept pod marked touched, so every count is recomputed from its definition. It
+runs on a checker's first look at a state, and the runner ends every run with
+one more, which also catches a change made outside the tracked helpers.
 """
 
 from __future__ import annotations
@@ -57,7 +57,55 @@ class InvariantChecker:
         if state is not self._state:
             self.recount(state, desired, migration_active)
             return
+        self._check_touched(state, desired, migration_active)
+
+    def recount(self, state: ClusterState, desired: dict[str, int] | None = None,
+                migration_active: bool = False) -> None:
+        """Full-strength check of the whole state: starts the tally afresh and
+        checks every pool node and every kept pod as touched, so every count
+        the engine keeps is held to its definition. It is not counted in
+        `checks_run`."""
+        self._seen, self._alive, self._running = {}, {}, {}
+        self._pending = self._bound = 0
+        for pool in state.pools.values():
+            state.touched_nodes.update(dict.fromkeys(pool.nodes))
+        state.touched_pods.update(dict.fromkeys(state.pods.values()))
+        self._check_touched(state, desired, migration_active)
+        self._state = state
+
+    def check_costs(self, node_cost: int, pod_cost: int) -> None:
+        if node_cost < self._last_node_cost or pod_cost < self._last_pod_cost:
+            raise InvariantViolation(
+                "cost-monotonicity: cumulative cost decreased "
+                f"(node {self._last_node_cost}->{node_cost}, pod {self._last_pod_cost}->{pod_cost})"
+            )
+        self._last_node_cost = node_cost
+        self._last_pod_cost = pod_cost
+
+    def _check_touched(self, state: ClusterState, desired: dict[str, int] | None,
+                       migration_active: bool) -> None:
+        """Check the touched nodes and the node index, then the touched pods,
+        moving each in the tally, then each touched node's `used` and the
+        engine's counts. Empties the touched sets."""
         touched_pods, touched_nodes = state.touched_pods, state.touched_nodes
+        miscounted = None       # the first live node whose `used` is off
+        if touched_nodes:
+            for node in touched_nodes:
+                pool = state.pools[node.pool_id]
+                if node.state is NODE_DELETED:
+                    self._check_retired_node(state, pool, node)
+                    continue
+                recounted = self._check_live_node(state, pool, node)
+                if node.used != recounted and miscounted is None:
+                    miscounted = node, recounted
+            touched_nodes.clear()
+        indexed = 0
+        for pool in state.pools.values():
+            indexed += len(pool.nodes)
+        if indexed != len(state.nodes):
+            raise InvariantViolation(
+                f"node-index: {len(state.nodes)} nodes indexed, {indexed} in the pools"
+            )
         if touched_pods:
             kept, pending, seen = state.pods.get, state.pending.get, self._seen
             for pod in touched_pods:
@@ -83,91 +131,19 @@ class InvariantChecker:
                 if old is not new:
                     self._tally_move(pod.workload_id, old, new)
             touched_pods.clear()
-        if touched_nodes:
-            for node in touched_nodes:
-                pool = state.pools[node.pool_id]
-                if node.state is NODE_DELETED:
-                    self._check_retired_node(state, pool, node)
-                else:
-                    self._check_used(node, self._check_live_node(state, pool, node))
-            touched_nodes.clear()
-        indexed = 0
-        for pool in state.pools.values():
-            indexed += len(pool.nodes)
-        if indexed != len(state.nodes):
-            raise InvariantViolation(
-                f"node-index: {len(state.nodes)} nodes indexed, {indexed} in the pools"
-            )
-        self._check_counts(state)
-        if desired is not None and not migration_active:
-            self._check_replica_accounting(desired)
-
-    def recount(self, state: ClusterState, desired: dict[str, int] | None = None,
-                migration_active: bool = False) -> None:
-        """Full-strength check of the whole state: every pool node, every kept
-        pod, and every count the engine keeps against its definition. Starts
-        the tally afresh from the scan and empties the touched sets. It is not
-        counted in `checks_run`."""
-        used = self._check_nodes(state)
-        for pod in state.pods.values():
-            self._check_kept_pod(state, pod)
         # After the pods: a node that lost pods from its bound set behind the
         # engine's back is reported as the binding fault it is.
-        for node, recounted in used:
-            self._check_used(node, recounted)
-        self._seen, self._alive, self._running = {}, {}, {}
-        self._pending = self._bound = 0
-        for pod in state.pods.values():
-            self._seen[pod] = pod.state
-            self._tally_move(pod.workload_id, None, pod.state)
-        pending = [p for p in state.pods.values() if p.state is PENDING]
-        if len(state.pending) != len(pending) or any(
-                state.pending.get(p.pod_id) is not p for p in pending):
+        if miscounted is not None:
+            node, recounted = miscounted
             raise InvariantViolation(
-                f"pod-counts: {len(state.pending)} pods in the pending set, "
-                f"{len(pending)} kept pods are Pending"
-            )
-        bound = sum(1 for p in state.pods.values() if p.bound_node is not None)
-        if state.bound_count != bound:
-            raise InvariantViolation(
-                f"pod-counts: bound count {state.bound_count} but {bound} pods are bound"
+                f"capacity-conservation: node {node.node_id} counts {node.used}m "
+                f"but its pods request {recounted}m"
             )
         self._check_counts(state)
-        self._state = state
-        state.touched_pods.clear()
-        state.touched_nodes.clear()
         if desired is not None and not migration_active:
             self._check_replica_accounting(desired)
 
-    def check_costs(self, node_cost: int, pod_cost: int) -> None:
-        if node_cost < self._last_node_cost or pod_cost < self._last_pod_cost:
-            raise InvariantViolation(
-                "cost-monotonicity: cumulative cost decreased "
-                f"(node {self._last_node_cost}->{node_cost}, pod {self._last_pod_cost}->{pod_cost})"
-            )
-        self._last_node_cost = node_cost
-        self._last_pod_cost = pod_cost
-
     # ------------------------------------------------------------------ nodes
-
-    def _check_nodes(self, state: ClusterState) -> list[tuple[Node, int]]:
-        """Each pool node is live and indexed in `state.nodes`, which holds
-        nothing else; each pod it lists is live and bound to it. Returns each
-        node with the millicores its pods request."""
-        used = []
-        for pool in state.pools.values():
-            for node in pool.nodes:
-                if node.state is NODE_DELETED:
-                    raise InvariantViolation(
-                        f"node-retirement: Deleted node {node.node_id} is still in "
-                        f"pool {pool.pool_id}"
-                    )
-                used.append((node, self._check_live_node(state, pool, node)))
-        if len(used) != len(state.nodes):
-            raise InvariantViolation(
-                f"node-index: {len(state.nodes)} nodes indexed, {len(used)} in the pools"
-            )
-        return used
 
     def _check_live_node(self, state: ClusterState, pool: NodePool, node: Node) -> int:
         """Index, binding, capacity and no-teleportation of one live node;
@@ -197,13 +173,6 @@ class InvariantChecker:
                 "has bound pods"
             )
         return used
-
-    def _check_used(self, node: Node, recounted: int) -> None:
-        if node.used != recounted:
-            raise InvariantViolation(
-                f"capacity-conservation: node {node.node_id} counts {node.used}m "
-                f"but its pods request {recounted}m"
-            )
 
     def _check_retired_node(self, state: ClusterState, pool: NodePool, node: Node) -> None:
         if node in pool.nodes:

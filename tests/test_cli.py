@@ -140,6 +140,15 @@ def test_sweep_runs_each_seed(tmp_path, capsys):
         assert (out / d / "summary.txt").exists()
 
 
+def test_sweep_bad_seeds_named(tmp_path, capsys):
+    scn = write_mini(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(scn), "--out", str(out), "--seeds", "1..x"]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "--seeds" in err and "'1..x'" in err
+
+
 def test_fixture_scenarios_run_via_cli(tmp_path):
     # Spot-check one bundled fixture end to end through the CLI.
     out = tmp_path / "hb"

@@ -87,6 +87,24 @@ class TestScheduling:
         state.schedule_pending_pods()
         assert pod.bound_node == empty.node_id
 
+    def test_equal_pods_that_fit_nowhere_cost_one_pick(self, monkeypatch):
+        state = make_state([NodePool("main", 1000, 120)])
+        ready_node(state)
+        big = [state.create_pod("web", 1200) for _ in range(5)]
+        small = state.create_pod("web", 300)
+        picks = []
+        pick = ClusterState._pick_node
+
+        def counted_pick(self, request):
+            picks.append(request)
+            return pick(self, request)
+
+        monkeypatch.setattr(ClusterState, "_pick_node", counted_pick)
+        state.schedule_pending_pods()
+        assert picks == [1200, 300]
+        assert all(p.state is PodState.PENDING for p in big)
+        assert small.state is PodState.STARTING
+
 
 class TestStep:
     def test_single_node_ready_event(self):

@@ -1,7 +1,8 @@
 """Negative controls for the live invariant checker: a small cluster built by
 hand, corrupted in one way per case, must raise InvariantViolation naming the
-broken property, both on a checker's first look (a full recount) and on a
-later check that sees the corrupted objects as touched. A change made behind
+broken property. Each case runs the one check path twice: on a checker's
+first look, a full recount that marks every kept pod and pool node touched,
+and on a later check that sees only the corrupted objects as touched. A change made behind
 the engine's back mid-run is caught by the recount at the end of the run, and
 a check after a one-pod event does not walk the whole cluster."""
 
@@ -108,6 +109,22 @@ def _bound_pod_not_listed(state, node, spare, pod, doomed):
     return (node, *unlisted)
 
 
+def _pending_set_holds_retired_pod(state, node, spare, pod, doomed):
+    state.pending[pod.pod_id] = pod
+    return (pod,)
+
+
+def _pending_set_misses_pending_pod(state, node, spare, pod, doomed):
+    pending = next(p for p in state.pods.values() if p.state is PodState.PENDING)
+    del state.pending[pending.pod_id]
+    return (pending,)
+
+
+def _bound_count_drifts(state, node, spare, pod, doomed):
+    state.bound_count += 1
+    return ()
+
+
 CORRUPTIONS = [
     (_retired_pod_listed_by_node, "binding-consistency"),
     (_deleted_pod_kept, "pod-retirement"),
@@ -120,6 +137,9 @@ CORRUPTIONS = [
     (_bound_pods_on_provisioning_node, "no-teleportation"),
     (_pending_pod_with_node, "binding-consistency"),
     (_bound_pod_not_listed, "binding-consistency"),
+    (_pending_set_holds_retired_pod, "pod-counts"),
+    (_pending_set_misses_pending_pod, "pod-counts"),
+    (_bound_count_drifts, "pod-counts"),
 ]
 
 
