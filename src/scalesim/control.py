@@ -199,7 +199,7 @@ class HierarchicalController:
         self.smoothed: list[float] = []
         # The pool the managed workload lives on (or is migrating onto);
         # a dequeued switch compares against this, not the schedule.
-        self._active_pool = policies[schedule.default_policy].node_pool
+        self._active_pool = policies[schedule.default_policy].pool
 
     @classmethod
     def from_config(cls, config: ScenarioConfig, trace: DemandTrace) -> HierarchicalController:
@@ -208,7 +208,7 @@ class HierarchicalController:
 
     def initial(self, replicas: int | None) -> tuple[str, int]:
         policy = self.policies[self.schedule.active_at(0)]
-        return policy.node_pool, policy.min_replicas if replicas is None else replicas
+        return policy.pool, policy.min_replicas if replicas is None else replicas
 
     def tick_times(self, duration: int) -> range:
         return range(0, duration + 1, self.config.control_interval)
@@ -226,7 +226,7 @@ class HierarchicalController:
 
     def tick(self, state: ClusterState, now: int) -> dict:
         policy = self.policies[self.schedule.active_at(now)]
-        state.preferred_pool_id = policy.node_pool
+        state.preferred_pool_id = policy.pool
         deferred = self.migration.phase is not MigrationPhase.IDLE
         phases: list[dict] = [
             {"phase": "strategic", "policy": policy.name, "migration": self.migration.phase.value}
@@ -259,12 +259,13 @@ class HierarchicalController:
             "planned_replicas": plan.planned_replicas,
         }]})
 
+        pool = state.pools[policy.pool]
         required_nodes = plan_nodes(plan.planned_replicas, self.pod_request, self.other_requests,
-                                    policy)
-        current_nodes = len(state.pools[policy.node_pool].live_nodes())
+                                    pool.node_capacity_millicores)
+        current_nodes = len(pool.live_nodes())
         phases.append({
             "phase": "node-planning",
-            "pool": policy.node_pool,
+            "pool": policy.pool,
             "required_nodes": required_nodes,
             "current_nodes": current_nodes,
         })
@@ -275,8 +276,8 @@ class HierarchicalController:
 
         # Node scaling is issued before pod scaling within the same tick.
         if required_nodes != current_nodes:
-            state.resize_pool(policy.node_pool, required_nodes)
-            actions.append(("nodes", policy.node_pool, required_nodes - current_nodes))
+            state.resize_pool(policy.pool, required_nodes)
+            actions.append(("nodes", policy.pool, required_nodes - current_nodes))
         delta = plan.planned_replicas - state.replicas(workload_id)
         if delta > 0:
             for _ in range(delta):
@@ -315,36 +316,37 @@ class HierarchicalController:
         if self.migration.phase is not MigrationPhase.IDLE:
             self.migration.pending_switch = new_policy_name
             return {"t": now, "switch": new.name, "migration": "queued (switch in flight)"}
-        if new.node_pool == self._active_pool:
+        if new.pool == self._active_pool:
             return {"t": now, "switch": new.name, "migration": "none (same pool)"}
         return self._begin_migration(state, now, self._active_pool, new)
 
     def _begin_migration(self, state: ClusterState, now: int, old_pool: str, new: Policy) -> dict:
         workload_id = self.trace.workload_id
         floor = self.desired
-        target_nodes = plan_nodes(max(1, floor), self.pod_request, self.other_requests, new)
+        target_nodes = plan_nodes(max(1, floor), self.pod_request, self.other_requests,
+                                  state.pools[new.pool].node_capacity_millicores)
         old_pods = sorted((p for p in state.pods_of(workload_id) if p.state in ALIVE),
                           key=lambda p: -p.creation_seq)
         self.migration = MigrationState(
             phase=MigrationPhase.PROVISIONING_NEW,
             from_pool=old_pool,
-            to_pool=new.node_pool,
+            to_pool=new.pool,
             started_at=now,
             target_nodes=target_nodes,
             floor=floor,
             old_pods=old_pods,
             old_set=set(old_pods),
         )
-        state.preferred_pool_id = new.node_pool
-        self._active_pool = new.node_pool
-        state.resize_pool(new.node_pool, target_nodes)
+        state.preferred_pool_id = new.pool
+        self._active_pool = new.pool
+        state.resize_pool(new.pool, target_nodes)
         self.advance_migration(state, now)
         return {
             "t": now,
             "switch": new.name,
             "migration": "make-before-break started",
             "from_pool": old_pool,
-            "to_pool": new.node_pool,
+            "to_pool": new.pool,
             "new_pool_nodes": target_nodes,
             "floor": {workload_id: floor},
         }

@@ -349,10 +349,10 @@ class ClusterState:
         return bindings
 
     def _pick_node(self, request: int) -> Node | None:
-        """The Ready node with the most free capacity (ties: lowest node id)
-        in the first pool group that has one that fits `request`. The node
-        with the most free capacity fits whenever any node fits, so one pass
-        per group finds it."""
+        """The Ready node with the most free capacity in the first pool group
+        that has one that fits `request`; ties go to the node id first in
+        string order, so p-n10 before p-n2. The node with the most free
+        capacity fits whenever any node fits, so one pass per group finds it."""
         preferred = [self.preferred_pool_id] if self.preferred_pool_id in self.pools else []
         rest = [pid for pid in self.pool_order if pid not in preferred]
         ready = NodeState.READY

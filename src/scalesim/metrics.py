@@ -216,22 +216,40 @@ def write_metrics_csv(samples: list[MetricSample], pool_order: list[str], path: 
             writer.writerow(sample_row(sample, pool_order))
 
 
+def _read_field(path: Path, values: dict[str, str], name: str, typ: type):
+    """values[name] read as `typ`, or a ValueError naming the file and field."""
+    try:
+        return typ(values[name])
+    except ValueError:
+        raise ValueError(
+            f"{path}: {name}: cannot read {values[name]!r} as {typ.__name__}") from None
+
+
 def read_metrics_csv(path: Path) -> tuple[list[str], list[MetricSample]]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty, no header line")
         pool_order = [
             c[len("nodes_"):-len("_provisioning")]
             for c in header if c.startswith("nodes_") and c.endswith("_provisioning")
         ]
+        missing = [c for c in metrics_header(pool_order) if c not in header]
+        if missing:
+            raise ValueError(f"{path}: no {', '.join(missing)} column")
         samples = []
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(row)} cells, not {len(header)}")
             vals = dict(zip(header, row))
             samples.append(MetricSample(**{
                 name: {
-                    p: tuple(int(vals[f"nodes_{p}_{s.value.lower()}"]) for s in _NODE_STATES)
+                    p: tuple(_read_field(path, vals, f"nodes_{p}_{s.value.lower()}", int)
+                             for s in _NODE_STATES)
                     for p in pool_order
-                } if typ is dict else typ(vals[name])
+                } if typ is dict else _read_field(path, vals, name, typ)
                 for name, typ in _SAMPLE_TYPES.items()
             }))
     return header, samples
@@ -313,7 +331,8 @@ def read_summary(path: Path) -> RunSummary:
     missing = [name for name in _SUMMARY_TYPES if name not in lines]
     if missing:
         raise ValueError(f"{path}: no {', '.join(missing)} line")
-    return RunSummary(**{name: typ(lines[name]) for name, typ in _SUMMARY_TYPES.items()})
+    return RunSummary(**{name: _read_field(path, lines, name, typ)
+                         for name, typ in _SUMMARY_TYPES.items()})
 
 
 # ----------------------------------------------------------------- comparison

@@ -6,23 +6,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .knobs import check_knobs, knob
 
-@dataclass(frozen=True)
+
+@dataclass
 class Policy:
-    """Strategic parameter tuple constraining the lower planning tiers."""
+    """Strategic parameter tuple constraining the lower planning tiers; its
+    knobs are the policy.<name>.* keys."""
 
     name: str
-    node_pool: str
-    node_capacity_millicores: int
-    min_replicas: int
-    w_perf: float
-    w_cost: float
+    pool: str = knob()
+    min_replicas: int = knob(1, ge=1)
+    w_perf: float | None = knob(None, ge=0, le=1)   # None -> 1 - w_cost (both unset: 0.5)
+    w_cost: float | None = knob(None, ge=0, le=1)   # None -> 1 - w_perf (both unset: 0.5)
 
     def __post_init__(self) -> None:
-        if self.min_replicas < 1:
-            raise ValueError(f"policy {self.name}: min_replicas must be >= 1")
-        if self.w_perf < 0 or self.w_cost < 0 or abs(self.w_perf + self.w_cost - 1.0) > 1e-9:
-            raise ValueError(f"policy {self.name}: weights must be non-negative and sum to 1")
+        check_knobs(self)
+        if self.w_perf is None:
+            self.w_perf = 0.5 if self.w_cost is None else round(1.0 - self.w_cost, 9)
+        if self.w_cost is None:
+            self.w_cost = round(1.0 - self.w_perf, 9)
+        if abs(self.w_perf + self.w_cost - 1.0) > 1e-9:
+            raise ValueError(f"policy {self.name}: weights must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -68,10 +73,9 @@ def pack_ffd(sizes: list[int], bin_capacity: int) -> int:
 
 
 def plan_nodes(
-    replicas: int, pod_request: int, other_requests: dict[str, int], policy: Policy
+    replicas: int, pod_request: int, other_requests: dict[str, int], node_capacity: int
 ) -> int:
-    """Node count for the policy's pool: `replicas` pods of `pod_request`
-    plus every unmanaged pod's request (owner -> millicores),
-    first-fit-decreasing into policy-sized bins."""
-    return pack_ffd([pod_request] * replicas + list(other_requests.values()),
-                    policy.node_capacity_millicores)
+    """Node count for one pool: `replicas` pods of `pod_request` plus every
+    unmanaged pod's request (owner -> millicores), first-fit-decreasing into
+    bins of the pool's `node_capacity` millicores."""
+    return pack_ffd([pod_request] * replicas + list(other_requests.values()), node_capacity)

@@ -39,26 +39,6 @@ class PoolSpec:
 
 
 @dataclass
-class PolicySpec:
-    """The policy.<name>.* knobs, from which the planner's Policy is built."""
-
-    pool: str = knob()
-    min_replicas: int = knob(1, ge=1)
-    w_perf: float | None = knob(None, ge=0, le=1)   # None -> 1 - w_cost (both unset: 0.5)
-    w_cost: float | None = knob(None, ge=0, le=1)   # None -> 1 - w_perf (both unset: 0.5)
-
-    def policy(self, name: str, pools: dict[str, PoolSpec]) -> Policy:
-        w_perf, w_cost = self.w_perf, self.w_cost
-        if w_perf is None:
-            w_perf = 0.5 if w_cost is None else round(1.0 - w_cost, 9)
-        if w_cost is None:
-            w_cost = round(1.0 - w_perf, 9)
-        return Policy(
-            name, self.pool, pools[self.pool].capacity, self.min_replicas, w_perf, w_cost
-        )
-
-
-@dataclass
 class ScenarioConfig:
     scenario_id: str
     workload: str = knob(choices=WORKLOADS)
@@ -82,6 +62,9 @@ class ScenarioConfig:
     normalizers: Normalizers = field(default_factory=Normalizers)
     phases: list[WorkloadPhase] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        check_knobs(self)
+
     def build_trace(self) -> DemandTrace:
         return build_trace(self.workload_id, self.phases, self.vu_cost, self.seed,
                            self.noise_amplitude)
@@ -95,7 +78,7 @@ _SECTIONS = {
     "mas.": (MasConfig,),
     "hpa.": (HpaConfig,),
     "pool.*.": (PoolSpec,),
-    "policy.*.": (PolicySpec,),
+    "policy.*.": (Policy,),
     "phase.*.": (WorkloadPhase,),
 }
 _GROUPED = ("pool", "policy", "phase", "other")
@@ -122,11 +105,11 @@ def _default_pools(controller: str) -> dict[str, PoolSpec]:
 
 def _default_policies(controller: str, pools: dict[str, PoolSpec]) -> dict[str, Policy]:
     if controller == "mas_h2":
-        specs = {"COST_SAVING": PolicySpec("staging", 1, 0.2, 0.8),
-                 "PERFORMANCE": PolicySpec("performance", 2, 0.8, 0.2)}
+        policies = [Policy("COST_SAVING", "staging", 1, 0.2, 0.8),
+                    Policy("PERFORMANCE", "performance", 2, 0.8, 0.2)]
     else:
-        specs = {"BASELINE": PolicySpec(next(iter(pools)))}
-    return {name: spec.policy(name, pools) for name, spec in specs.items()}
+        policies = [Policy("BASELINE", next(iter(pools)))]
+    return {p.name: p for p in policies}
 
 
 # ------------------------------------------------------------------- parsing
@@ -241,14 +224,14 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
 
     policies: dict[str, Policy] = {}
     for name in values["policy.*."]:
-        spec = PolicySpec(**knobs_of(PolicySpec, "policy.*.", name))
-        if spec.pool not in pools:
+        given = knobs_of(Policy, "policy.*.", name)
+        if given["pool"] not in pools:
             raise ScenarioError(
-                f"field 'policy.{name}.pool': undefined pool {spec.pool!r}",
+                f"field 'policy.{name}.pool': undefined pool {given['pool']!r}",
                 line_of(f"policy.{name}.pool"),
             )
         try:
-            policies[name] = spec.policy(name, pools)
+            policies[name] = Policy(name, **given)
         except ValueError as exc:
             raise ScenarioError(
                 f"fields 'policy.{name}.w_perf' and 'policy.{name}.w_cost': {exc}",
@@ -342,7 +325,7 @@ def _validate(config: ScenarioConfig, line_of) -> None:
             line_of("hpa.saturation_ceiling", "hpa.target_utilization"),
         )
     pool_caps = {p.pool_id: p.capacity for p in config.pools}
-    for pool_id in [*(p.node_pool for p in config.policies.values()), hpa.pool]:
+    for pool_id in [*(p.pool for p in config.policies.values()), hpa.pool]:
         if config.pod_request > pool_caps[pool_id]:
             raise ScenarioError(
                 f"field 'pod_request': {config.pod_request}m exceeds "
@@ -351,7 +334,7 @@ def _validate(config: ScenarioConfig, line_of) -> None:
             )
     for owner, millicores in config.other_requests.items():
         # The node planner packs every unmanaged pod into the active policy's pool.
-        for pool_id in (p.node_pool for p in config.policies.values()):
+        for pool_id in (p.pool for p in config.policies.values()):
             if millicores > pool_caps[pool_id]:
                 raise ScenarioError(
                     f"field 'other.{owner}': {millicores}m exceeds "

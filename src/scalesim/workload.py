@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .knobs import knob
+from .knobs import check_knobs, knob
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,9 @@ class WorkloadPhase:
     target_vus: int = knob(ge=0)
     ramp: str = knob("linear", choices=("linear", "step"))
     noisy: bool = knob(False)                     # apply noise_amplitude inside this phase
+
+    def __post_init__(self) -> None:
+        check_knobs(self)
 
 
 @dataclass

@@ -377,7 +377,7 @@ def test_criterion_5_replica_formula_oracle():
         peak = rng.randint(0, 8000)
         request = rng.randint(50, 500)
         r_min = rng.randint(1, 10)
-        policy = Policy("P", "pool", 10 ** 6, r_min, 0.5, 0.5)
+        policy = Policy("P", "pool", r_min, 0.5, 0.5)
         plan = plan_replicas(peak, request, policy)
         oracle = ceiling_oracle(peak, request)
         if plan.raw_replicas != oracle or plan.planned_replicas != max(oracle, r_min):
@@ -450,7 +450,7 @@ def test_criterion_9_cost_ordering():
     for policy_name in ("COST_SAVING", "PERFORMANCE"):
         schedule = replace(base.schedule, entries=[], default_policy=policy_name)
         pools = [
-            replace(spec, initial_nodes=1 if spec.pool_id == base.policies[policy_name].node_pool else 0)
+            replace(spec, initial_nodes=1 if spec.pool_id == base.policies[policy_name].pool else 0)
             for spec in base.pools
         ]
         config = replace(base, schedule=schedule, pools=pools,

@@ -42,6 +42,5 @@ def test_pack_ffd_items_are_the_packed_pods(monkeypatch):
         return pack_ffd(sizes, bin_capacity)
 
     monkeypatch.setattr(planning, "pack_ffd", recording)
-    policy = planning.Policy("P", "pool", 2000, 1, 0.5, 0.5)
-    planning.plan_nodes(264, 250, {"legacy": 600}, policy)
+    planning.plan_nodes(264, 250, {"legacy": 600}, 2000)
     assert [tracing._first_arg_len(sizes) for sizes in seen] == [265]

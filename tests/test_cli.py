@@ -120,6 +120,16 @@ def test_compare_incomplete_run_rejected(tmp_path):
     assert main(["compare", str(out_a), str(empty), "--out", str(tmp_path / "c")]) == EXIT_CONFIG
 
 
+def test_compare_damaged_metrics_named(tmp_path, capsys):
+    scn = write_mini(tmp_path)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    main(["run", "--scenario", str(scn), "--out", str(out_a)])
+    main(["run", "--scenario", str(scn), "--out", str(out_b)])
+    (out_b / "metrics.csv").write_text("")
+    assert main(["compare", str(out_a), str(out_b), "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+    assert f"error: {out_b / 'metrics.csv'}: empty" in capsys.readouterr().err
+
+
 def test_compare_mismatched_seeds_fails(tmp_path, capsys):
     scn = write_mini(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

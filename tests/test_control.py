@@ -19,8 +19,8 @@ from scalesim.planning import Policy
 from scalesim.scenario import parse_scenario_text
 from scalesim.workload import DemandTrace
 
-COST = Policy("COST_SAVING", "staging", 1000, 1, 0.2, 0.8)
-PERF = Policy("PERFORMANCE", "performance", 2000, 2, 0.8, 0.2)
+COST = Policy("COST_SAVING", "staging", 1, 0.2, 0.8)
+PERF = Policy("PERFORMANCE", "performance", 2, 0.8, 0.2)
 POLICIES = {"COST_SAVING": COST, "PERFORMANCE": PERF}
 
 

@@ -87,6 +87,17 @@ class TestScheduling:
         state.schedule_pending_pods()
         assert pod.bound_node == empty.node_id
 
+    def test_most_free_tie_compares_node_ids_as_strings(self):
+        state = make_state()
+        nodes = [ready_node(state) for _ in range(10)]
+        filler = state.create_pod("x", 2000)
+        state.schedule_pending_pods()
+        assert filler.bound_node == nodes[0].node_id == "main-n1"
+        # Nine nodes tie, all empty: "main-n10" sorts before "main-n2".
+        pod = state.create_pod("web", 100)
+        state.schedule_pending_pods()
+        assert pod.bound_node == nodes[9].node_id == "main-n10"
+
     def test_equal_pods_that_fit_nowhere_cost_one_pick(self, monkeypatch):
         state = make_state([NodePool("main", 1000, 120)])
         ready_node(state)

@@ -146,8 +146,8 @@ def test_handoff_after_one_start_reaches_few_pods():
         state.add_ready_node("old")
     state.preferred_pool_id = "old"
     start_running(state, "web", replicas)
-    policies = {"OLD": Policy("OLD", "old", 64000, 1, 0.5, 0.5),
-                "NEW": Policy("NEW", "new", 64000, 1, 0.5, 0.5)}
+    policies = {"OLD": Policy("OLD", "old", 1, 0.5, 0.5),
+                "NEW": Policy("NEW", "new", 1, 0.5, 0.5)}
     mas = HierarchicalController(policies, StrategicSchedule(default_policy="OLD"),
                                  flat_trace(100, 900), 250, {}, MasConfig())
     mas.desired = replicas

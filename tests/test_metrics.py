@@ -1,5 +1,6 @@
 """Observation, cost accounting, utility, CSV round-trip, and comparison."""
 
+import re
 import typing
 from dataclasses import fields
 from pathlib import Path
@@ -24,9 +25,9 @@ from scalesim.planning import Policy
 from scalesim.runner import run_scenario
 from scalesim.scenario import parse_scenario_text
 
-COST = Policy("COST_SAVING", "staging", 1000, 1, 0.2, 0.8)
-PERF = Policy("PERFORMANCE", "performance", 2000, 2, 0.8, 0.2)
-NEUTRAL = Policy("NEUTRAL", "main", 2000, 1, 0.5, 0.5)
+COST = Policy("COST_SAVING", "staging", 1, 0.2, 0.8)
+PERF = Policy("PERFORMANCE", "performance", 2, 0.8, 0.2)
+NEUTRAL = Policy("NEUTRAL", "main", 1, 0.5, 0.5)
 
 
 def make_state(capacity=2000):
@@ -145,11 +146,11 @@ class TestCostAccumulator:
 
 class TestUtility:
     def test_pure_performance_weight_idle_cluster(self):
-        policy = Policy("P", "main", 1000, 1, 1.0, 0.0)
+        policy = Policy("P", "main", 1, 1.0, 0.0)
         assert utility_score(0.0, 0.0, policy, Normalizers()) == 1.0
 
     def test_pure_cost_weight_zero_cost(self):
-        policy = Policy("P", "main", 1000, 1, 0.0, 1.0)
+        policy = Policy("P", "main", 1, 0.0, 1.0)
         assert utility_score(0.0, 0.0, policy, Normalizers()) == 0.0
 
     def test_policy_weights_order_fixed_sample(self):
@@ -163,8 +164,8 @@ class TestUtility:
 
     def test_monotonicity_directions(self):
         norm = Normalizers()
-        perf_only = Policy("P", "main", 1000, 1, 1.0, 0.0)
-        cost_only = Policy("C", "main", 1000, 1, 0.0, 1.0)
+        perf_only = Policy("P", "main", 1, 1.0, 0.0)
+        cost_only = Policy("C", "main", 1, 0.0, 1.0)
         for lo, hi in [(0.0, 0.3), (0.3, 0.9), (0.9, 1.1)]:
             assert utility_score(hi, 1.0, perf_only, norm) <= utility_score(lo, 1.0, perf_only, norm)
         for lo, hi in [(0.0, 1.0), (1.0, 4.0)]:
@@ -269,6 +270,24 @@ class TestCompareRuns:
         summary.write_text("".join(line for line in summary.read_text().splitlines(True)
                                    if not line.startswith("migrations:")))
         with pytest.raises(ValueError, match="no migrations line"):
+            compare_runs(out_a, out_b)
+
+    @pytest.mark.parametrize("name, damage, message", [
+        ("summary.txt", lambda text: re.sub(r"(?m)^seed: .*$", "seed: abc", text),
+         "summary.txt: seed: cannot read 'abc' as int"),
+        # utility is the last column of every line.
+        ("metrics.csv", lambda text: re.sub(r"(?m),[^,\n]*$", "", text),
+         "metrics.csv: no utility column"),
+        ("metrics.csv", lambda text: "", "metrics.csv: empty"),
+        ("metrics.csv", lambda text: re.sub(r"^(.*\n.*),[^,\n]*", r"\1", text),
+         "metrics.csv: line 2 has"),
+    ], ids=["summary-value", "metrics-column", "metrics-empty", "metrics-short-row"])
+    def test_damaged_artifact_names_file_and_field(self, tmp_path, name, damage, message):
+        _, out_a = mini_run(tmp_path, "a")
+        _, out_b = mini_run(tmp_path, "b")
+        path = out_b / name
+        path.write_text(damage(path.read_text()))
+        with pytest.raises(ValueError, match="^" + re.escape(str(out_b / message))):
             compare_runs(out_a, out_b)
 
     def test_aligned_csv_has_both_series(self, tmp_path):

@@ -23,8 +23,8 @@ from scalesim.planning import (
     plan_replicas,
 )
 
-COST = Policy("COST_SAVING", "staging", 1000, 1, 0.2, 0.8)
-PERF = Policy("PERFORMANCE", "performance", 2000, 2, 0.8, 0.2)
+COST = Policy("COST_SAVING", "staging", 1, 0.2, 0.8)
+PERF = Policy("PERFORMANCE", "performance", 2, 0.8, 0.2)
 
 
 def requests(*sizes, prefix="r"):
@@ -47,7 +47,7 @@ class TestPlanReplicas:
         assert plan.planned_replicas == 4
 
     def test_zero_peak_floored_by_policy(self):
-        policy = Policy("X", "staging", 1000, 2, 0.5, 0.5)
+        policy = Policy("X", "staging", 2, 0.5, 0.5)
         plan = plan_replicas(0, 250, policy)
         assert plan.raw_replicas == 1
         assert plan.planned_replicas == 2
@@ -68,7 +68,7 @@ class TestPlanReplicas:
             peak = rng.randint(0, 8000)
             request = rng.randint(50, 500)
             r_min = rng.randint(1, 10)
-            policy = Policy("P", "staging", 100000, r_min, 0.5, 0.5)
+            policy = Policy("P", "staging", r_min, 0.5, 0.5)
             plan = plan_replicas(peak, request, policy)
             assert plan.raw_replicas == min_replicas_oracle(peak, request)
             assert plan.planned_replicas == max(plan.raw_replicas, r_min)
@@ -88,7 +88,7 @@ class TestPlanReplicas:
         rng = random.Random(99)
         for _ in range(200):
             r_min = rng.randint(1, 12)
-            policy = Policy("P", "staging", 100000, r_min, 0.0, 1.0)
+            policy = Policy("P", "staging", r_min, 0.0, 1.0)
             plan = plan_replicas(rng.randint(0, 4000), rng.randint(50, 500), policy)
             assert plan.planned_replicas >= r_min
 
@@ -174,7 +174,7 @@ class TestPlanNodes:
     def test_eight_quarter_pods_fill_one_node(self):
         plan = plan_replicas(2000, 250, PERF)
         assert plan.planned_replicas == 8
-        assert plan_nodes(plan.planned_replicas, 250, {}, PERF) == 1
+        assert plan_nodes(plan.planned_replicas, 250, {}, 2000) == 1
 
     def test_other_requests_force_second_node(self):
         # 8 x 250m plus one 1500m request: the exact solver on the 9-item
@@ -182,19 +182,19 @@ class TestPlanNodes:
         plan = plan_replicas(2000, 250, PERF)
         combined = requests(*([250] * 8), 1500)
         assert pack_exact(combined, 2000).required_nodes == 2
-        assert plan_nodes(plan.planned_replicas, 250, {"legacy": 1500}, PERF) == 2
+        assert plan_nodes(plan.planned_replicas, 250, {"legacy": 1500}, 2000) == 2
 
     def test_empty_inputs_zero_nodes(self):
-        assert plan_nodes(0, 250, {}, PERF) == 0
+        assert plan_nodes(0, 250, {}, 2000) == 0
 
     def test_oversized_other_request_propagates(self):
         with pytest.raises(OversizedRequestError):
-            plan_nodes(0, 250, {"huge": 3000}, PERF)
+            plan_nodes(0, 250, {"huge": 3000}, 2000)
 
     def test_plan_idempotence(self):
         plan = plan_replicas(1700, 250, COST)
-        a = plan_nodes(plan.planned_replicas, 250, {}, COST)
-        b = plan_nodes(plan.planned_replicas, 250, {}, COST)
+        a = plan_nodes(plan.planned_replicas, 250, {}, 1000)
+        b = plan_nodes(plan.planned_replicas, 250, {}, 1000)
         assert a == b
 
 
@@ -234,10 +234,9 @@ class TestCountMatchesReference:
         sizes, capacity = case
         pod_request = data.draw(st.integers(1, capacity), label="pod_request")
         other = {f"o{i}": size for i, size in enumerate(sizes)}
-        policy = Policy("P", "pool", capacity, 1, 0.5, 0.5)
         reference = [Request(f"r{i + 1}", pod_request) for i in range(replicas)]
         reference += [Request(owner, size) for owner, size in other.items()]
-        assert (plan_nodes(replicas, pod_request, other, policy)
+        assert (plan_nodes(replicas, pod_request, other, capacity)
                 == pack_ffd_assign(reference, capacity).required_nodes)
 
 
@@ -273,12 +272,12 @@ class TestAssignmentValidation:
 class TestPolicy:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            Policy("BAD", "p", 1000, 1, 0.5, 0.6)
+            Policy("BAD", "p", 1, 0.5, 0.6)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            Policy("BAD", "p", 1000, 1, -0.2, 1.2)
+            Policy("BAD", "p", 1, -0.2, 1.2)
 
     def test_min_replicas_at_least_one(self):
         with pytest.raises(ValueError):
-            Policy("BAD", "p", 1000, 0, 0.5, 0.5)
+            Policy("BAD", "p", 0, 0.5, 0.5)

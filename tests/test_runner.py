@@ -1,6 +1,7 @@
 """Full-run integration: live invariants, migration accounting, log shapes."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,17 @@ def test_zero_floor_migration_completes_with_zero_downtime():
     assert started["floor"] == {"web": 0}
     assert result.summary.migrations == 1
     assert result.summary.migration_downtime == 0
+
+
+def test_node_plan_reads_the_capacity_of_the_pool_it_resizes():
+    # Pools rebuilt in code with 4000m nodes: 13 x 250m = 3250m fits one node.
+    base = load_scenario(FIXTURES / "heartbeat-mas.scn")
+    config = replace(base, vu_cost=8, pools=[replace(p, capacity=4000) for p in base.pools])
+    tick = next(rec for rec in map(json.loads, run_scenario(config).decision_lines)
+                if rec.get("t") == 300 and rec.get("controller") == "mas_h2")
+    assert tick["phases"][1]["plans"][0]["planned_replicas"] == 13
+    assert tick["phases"][2] == {"phase": "node-planning", "pool": "staging",
+                                 "required_nodes": 1, "current_nodes": 1}
 
 
 def test_hpa_fixtures_never_migrate(fixture_runs):

@@ -2,12 +2,24 @@
 
 import re
 from dataclasses import MISSING
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from scalesim.control import HpaConfig, MasConfig
 from scalesim.errors import ScenarioError
-from scalesim.scenario import KNOBS, PoolSpec, load_scenario, parse_scenario_text
+from scalesim.metrics import Normalizers
+from scalesim.planning import Policy
+from scalesim.scenario import (
+    _SECTIONS,
+    KNOBS,
+    PoolSpec,
+    ScenarioConfig,
+    load_scenario,
+    parse_scenario_text,
+)
+from scalesim.workload import WorkloadPhase
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "scenarios"
@@ -60,7 +72,8 @@ class TestParsing:
         )
         assert [p.pool_id for p in config.pools] == ["staging", "performance"]
         assert config.policies["COST_SAVING"].min_replicas == 1
-        assert config.policies["PERFORMANCE"].node_capacity_millicores == 2000
+        assert config.policies["PERFORMANCE"].pool == "performance"
+        assert {p.pool_id: p.capacity for p in config.pools}["performance"] == 2000
         assert config.mas.control_interval == 300
 
     def test_unknown_field_rejected_with_line(self):
@@ -119,10 +132,27 @@ class TestParsing:
         assert config.workload == "heartbeat"
 
 
+# Knob class -> (a knob, a build of the class with that knob out of range).
+_OUT_OF_RANGE = {
+    ScenarioConfig: ("sampling_interval",
+                     lambda: ScenarioConfig("s", "heartbeat", "mas_h2", sampling_interval=0)),
+    Normalizers: ("cost_scale", lambda: Normalizers(cost_scale=0)),
+    MasConfig: ("control_interval", lambda: MasConfig(control_interval=0)),
+    HpaConfig: ("saturation_ceiling", lambda: HpaConfig(saturation_ceiling=Fraction(1, 2))),
+    PoolSpec: ("provisioning_delay", lambda: PoolSpec("p", provisioning_delay=-5)),
+    Policy: ("min_replicas", lambda: Policy("P", "p", min_replicas=0)),
+    WorkloadPhase: ("duration", lambda: WorkloadPhase("b", -50, 10)),
+}
+
+
 class TestValidation:
-    def test_pool_spec_checks_its_range(self):
-        with pytest.raises(ValueError, match="provisioning_delay"):
-            PoolSpec("p", provisioning_delay=-5)
+    @pytest.mark.parametrize("cls", [cls for classes in _SECTIONS.values() for cls in classes],
+                             ids=lambda cls: cls.__name__)
+    def test_knob_class_checks_its_range(self, cls):
+        # Built in code, not parsed: the class itself names the field.
+        name, build = _OUT_OF_RANGE[cls]
+        with pytest.raises(ValueError, match=rf"^{name}: "):
+            build()
 
     def test_pod_request_exceeding_capacity(self):
         text = (
@@ -345,6 +375,12 @@ class TestDocs:
         for key in KNOBS:
             pattern = re.escape(key).replace(r"\*", r"[^.\s=]+")
             assert re.search(rf"^#?\s*{pattern}\s*=", example, re.M), key
+
+    def test_knob_classes_named_are_the_declaring_classes(self):
+        named = re.search(r"holds it \(([^)]*)\)", " ".join(DOC.read_text().split())).group(1)
+        assert re.findall(r"`(\w+)`", named) == [
+            cls.__name__ for classes in _SECTIONS.values() for cls in classes
+        ]
 
     def test_knob_table_states_declared_defaults_and_ranges(self):
         rows = {
