@@ -27,9 +27,21 @@ def _load(args: argparse.Namespace):
     return config
 
 
+def _check_out(out: str | Path) -> Path:
+    """`out` as a path, rejected before any run if it, or the nearest of its
+    parents that exists, is not a directory: the run's outputs could not be
+    written there."""
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ScenarioError(f"--out: {existing} exists and is not a directory")
+    return path
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    out = _check_out(args.out)
     config = _load(args)
-    result = run_scenario(config, out_dir=args.out)
+    result = run_scenario(config, out_dir=out)
     print(
         f"run complete: scenario={config.scenario_id} controller={config.controller} "
         f"seed={config.seed} duration={result.summary.duration}s "
@@ -37,7 +49,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"max_replicas={result.summary.max_replicas} "
         f"migration_downtime={result.summary.migration_downtime}s"
     )
-    print(f"outputs: {', '.join(str(Path(args.out) / f) for f in OUTPUT_FILES)}")
+    print(f"outputs: {', '.join(str(out / f) for f in OUTPUT_FILES)}")
     return EXIT_OK
 
 
@@ -57,8 +69,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         missing = [f for f in ("summary.txt", "metrics.csv") if not (Path(run_dir) / f).exists()]
         if missing:
             raise ScenarioError(f"run directory {run_dir} is incomplete: missing {missing}")
+    out = _check_out(args.out)
     report = compare_runs(Path(args.run_a), Path(args.run_b))
-    write_comparison(report, Path(args.out))
+    write_comparison(report, out)
     print(report.text)
     return EXIT_OK
 
@@ -66,9 +79,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     seeds = _parse_seeds(args.seeds)
     config = _load(args)
-    for seed in seeds:
+    outs = [_check_out(Path(args.out) / f"{config.scenario_id}-seed{seed}") for seed in seeds]
+    for seed, out in zip(seeds, outs):
         seeded = replace(config, seed=seed)
-        out = Path(args.out) / f"{config.scenario_id}-seed{seed}"
         result = run_scenario(seeded, out_dir=out)
         print(
             f"seed {seed}: mean_utilization={result.summary.mean_utilization} "

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -139,11 +141,16 @@ def detect_period(values: list[float], min_lag: int = 60, min_correlation: float
       minus its slack can win, and only they are scored exactly: one or a
       few on periodic demand, every tied lag on a ramp, every lag on a
       constant.
+
+    numpy is imported here, not with the module: only period autodetection
+    needs it, so runs that never detect a period never load it.
     """
     n = len(values)
     max_lag = n // 2
     if max_lag < min_lag:
         return None
+    import numpy as np
+
     x = np.asarray(values, dtype=float)
     y = x - x.mean()
     lags = np.arange(min_lag, max_lag + 1)

@@ -369,4 +369,12 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
-    return parse_scenario_text(path.read_text(), scenario_id=path.stem)
+    if not path.is_file():
+        raise ScenarioError(f"scenario path is not a file: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ScenarioError(f"{path}: line {line}: not UTF-8 text "
+                            f"(byte 0x{exc.object[exc.start]:02x} at offset {exc.start})") from None
+    return parse_scenario_text(text, scenario_id=path.stem)

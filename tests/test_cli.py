@@ -195,3 +195,44 @@ def test_controller_override_on_two_pool_scenario(tmp_path, capsys):
     ])
     assert code == EXIT_OK
     assert "controller=hpa_ca" in capsys.readouterr().out
+
+
+def test_directory_as_scenario_named(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(FIXTURES), "--out", str(out)]) == EXIT_CONFIG
+    assert f"scenario path is not a file: {FIXTURES}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_undecodable_scenario_named(tmp_path, capsys):
+    scn = tmp_path / "latin1.scn"
+    scn.write_bytes(b"workload = heartbeat\n# caf\xe9\ncontroller = hpa_ca\n")
+    assert main(["validate", "--scenario", str(scn)]) == EXIT_CONFIG
+    assert f"{scn}: line 2: not UTF-8 text (byte 0xe9" in capsys.readouterr().err
+
+
+def test_out_that_is_a_file_rejected_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before checking --out")
+
+    monkeypatch.setattr("scalesim.cli.run_scenario", no_run)
+    scn = write_mini(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    for argv in (["run", "--scenario", str(scn), "--out", str(taken)],
+                 ["run", "--scenario", str(scn), "--out", str(taken / "sub")],
+                 ["sweep", "--scenario", str(scn), "--out", str(taken), "--seeds", "1..2"]):
+        assert main(argv) == EXIT_CONFIG, argv
+        assert f"--out: {taken} exists and is not a directory" in capsys.readouterr().err
+    assert taken.read_text() == "keep me\n"
+
+
+def test_compare_out_that_is_a_file_rejected(tmp_path, capsys):
+    scn = write_mini(tmp_path)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    main(["run", "--scenario", str(scn), "--out", str(out_a)])
+    main(["run", "--scenario", str(scn), "--out", str(out_b)])
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    assert main(["compare", str(out_a), str(out_b), "--out", str(taken)]) == EXIT_CONFIG
+    assert f"--out: {taken} exists and is not a directory" in capsys.readouterr().err
