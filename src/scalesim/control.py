@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, ClassVar, Iterable, Protocol
 
 from .engine import ALIVE, ClusterState, EventKind, NodeState, Pod, PodState, SimEvent
+from .errors import ConfigError
 from .forecasting import (
     MovingAverage,
     Naive,
@@ -45,7 +46,7 @@ class StrategicSchedule:
     """Scenario-scripted policy timeline: the active policy at time t is the
     last entry at or before t, or the default before any entry."""
 
-    default_policy: str
+    default_policy: str = ""                # "" -> the scenario's first policy
     entries: list[tuple[int, str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -116,10 +117,22 @@ class HpaConfig:
     saturation_ceiling: Fraction = knob(Fraction(11, 10), ge=1)
     ca_trigger_delay: int = knob(30, ge=0)
     ca_idle_delay: int = knob(600, ge=0)
-    pool: str = knob("")                    # "" -> the first pool, resolved at parse time
+    pool: str = knob("")                    # "" -> the scenario's first pool
 
     def __post_init__(self) -> None:
         check_knobs(self)
+        if self.min_replicas > self.max_replicas:
+            raise ConfigError(
+                f"field 'hpa.min_replicas': {self.min_replicas} exceeds "
+                f"hpa.max_replicas ({self.max_replicas})",
+                "hpa.min_replicas", "hpa.max_replicas",
+            )
+        if self.saturation_ceiling <= self.target_utilization:
+            raise ConfigError(
+                f"field 'hpa.saturation_ceiling': {self.saturation_ceiling} must exceed "
+                f"hpa.target_utilization ({self.target_utilization}), or the HPA never scales up",
+                "hpa.saturation_ceiling", "hpa.target_utilization",
+            )
 
 
 @dataclass
@@ -526,18 +539,10 @@ class ReactiveController:
             actions.append(("nodes", self.pool_id, 1))
             record["added_node"] = True
 
-        ready = pool.ready_nodes()
-        ready_ids = {n.node_id for n in ready}
-        for stale in [nid for nid in self._empty_since if nid not in ready_ids]:
-            del self._empty_since[stale]
-        idle_expired = False
-        for node in ready:
-            if node.bound_pods:
-                self._empty_since.pop(node.node_id, None)
-                continue
-            since = self._empty_since.setdefault(node.node_id, now)
-            if now - since > cfg.ca_idle_delay:
-                idle_expired = True
+        old = self._empty_since
+        self._empty_since = {n.node_id: old.get(n.node_id, now)
+                             for n in pool.ready_nodes() if not n.bound_pods}
+        idle_expired = any(now - since > cfg.ca_idle_delay for since in self._empty_since.values())
         if idle_expired and len(pool.live_nodes()) > 1:
             # Shrink by one; the resize victim rule picks an empty node.
             state.resize_pool(self.pool_id, len(pool.live_nodes()) - 1)

@@ -20,6 +20,15 @@ class InvariantViolation(SimulationError):
     """
 
 
+class ConfigError(ValueError):
+    """A rule that ties several knobs together failed. `keys` are the scenario
+    keys it names, so a parser can point at the line that set one."""
+
+    def __init__(self, message: str, *keys: str):
+        self.keys = keys
+        super().__init__(message)
+
+
 class ScenarioError(Exception):
     """Scenario file could not be parsed or validated."""
 

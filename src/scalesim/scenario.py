@@ -2,20 +2,22 @@
 
 Every key is a knob declared once, on the dataclass field that holds it, with
 its type, default and allowed range (see knobs.py); KNOBS lists them all.
-Unknown keys are hard errors, and every parse or validation error names the
-offending field and line. See docs/scenario-format.md for the annotated
-reference example.
+The parser reads, converts and range-checks each value and rejects unknown
+keys. ScenarioConfig fills in the remaining defaults and checks the rules that
+tie knobs together, so a config built or replaced in code gets them too. Every
+error in a file names the offending field and line. See docs/scenario-format.md
+for the annotated reference example.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field
+from dataclasses import MISSING, dataclass, field, replace
 from pathlib import Path
 
 from .control import CONTROLLER_TYPES, HpaConfig, MasConfig, StrategicSchedule
 from .engine import generated_pod_id
-from .errors import ScenarioError
+from .errors import ConfigError, ScenarioError
 from .knobs import Range, check_knobs, declared, knob
 from .metrics import Normalizers
 from .planning import Policy
@@ -55,7 +57,7 @@ class ScenarioConfig:
     pod_cost_rate: float = knob(0.1, ge=0)
     pools: list[PoolSpec] = field(default_factory=list)
     policies: dict[str, Policy] = field(default_factory=dict)
-    schedule: StrategicSchedule | None = None
+    schedule: StrategicSchedule = field(default_factory=StrategicSchedule)
     mas: MasConfig = field(default_factory=MasConfig)
     hpa: HpaConfig = field(default_factory=HpaConfig)
     other_requests: dict[str, int] = field(default_factory=dict)   # owner -> millicores
@@ -63,7 +65,28 @@ class ScenarioConfig:
     phases: list[WorkloadPhase] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        """Fill in what is left unset, then check the rules that tie knobs
+        together, for a parsed config and one built in code alike."""
         check_knobs(self)
+        if self.workload == "custom":
+            if not self.phases:
+                raise ConfigError("field 'workload': custom requires phase.N.* entries",
+                                  "workload")
+            default_amplitude = 0.0
+        else:
+            named_phases, default_amplitude = NAMED_WORKLOADS[self.workload]
+            self.phases = self.phases or named_phases()
+        if self.noise_amplitude is None:
+            self.noise_amplitude = default_amplitude
+        self.pools = self.pools or _default_pools(self.controller)
+        self.policies = self.policies or _default_policies(self.controller, self.pools)
+        if not self.schedule.default_policy:
+            self.schedule = replace(self.schedule, default_policy=next(iter(self.policies)))
+        # The baseline's pool is resolved for every controller, so a scenario
+        # run with a controller override finds it too.
+        if not self.hpa.pool:
+            self.hpa = replace(self.hpa, pool=self.pools[0].pool_id)
+        _check(self)
 
     def build_trace(self) -> DemandTrace:
         return build_trace(self.workload_id, self.phases, self.vu_cost, self.seed,
@@ -94,22 +117,81 @@ KNOBS: dict[str, tuple[type, object, Range]] = {
 KNOBS["other.*"] = (int, MISSING, Range(gt=0))
 
 
-def _default_pools(controller: str) -> dict[str, PoolSpec]:
+def _default_pools(controller: str) -> list[PoolSpec]:
     if controller == "mas_h2":
-        pools = [PoolSpec("staging", initial_nodes=1),
-                 PoolSpec("performance", "n2-standard-2", 2000, 3.0)]
-    else:
-        pools = [PoolSpec("baseline", initial_nodes=1)]
-    return {p.pool_id: p for p in pools}
+        return [PoolSpec("staging", initial_nodes=1),
+                PoolSpec("performance", "n2-standard-2", 2000, 3.0)]
+    return [PoolSpec("baseline", initial_nodes=1)]
 
 
-def _default_policies(controller: str, pools: dict[str, PoolSpec]) -> dict[str, Policy]:
+def _default_policies(controller: str, pools: list[PoolSpec]) -> dict[str, Policy]:
     if controller == "mas_h2":
         policies = [Policy("COST_SAVING", "staging", 1, 0.2, 0.8),
                     Policy("PERFORMANCE", "performance", 2, 0.8, 0.2)]
     else:
-        policies = [Policy("BASELINE", next(iter(pools)))]
+        policies = [Policy("BASELINE", pools[0].pool_id)]
     return {p.name: p for p in policies}
+
+
+def _check(config: ScenarioConfig) -> None:
+    """Rules that tie several knobs together; each knob's own range is
+    checked by the class that declares it."""
+    pool_caps = {p.pool_id: p.capacity for p in config.pools}
+    for name, policy in config.policies.items():
+        if policy.pool not in pool_caps:
+            raise ConfigError(f"field 'policy.{name}.pool': undefined pool {policy.pool!r}",
+                              f"policy.{name}.pool")
+    schedule = config.schedule
+    if schedule.default_policy not in config.policies:
+        raise ConfigError(
+            f"field 'schedule.default': undefined policy {schedule.default_policy!r}",
+            "schedule.default",
+        )
+    for at, name in schedule.entries:
+        if name not in config.policies:
+            raise ConfigError(f"field 'schedule.at.{at}': undefined policy {name!r}",
+                              f"schedule.at.{at}")
+    hpa = config.hpa
+    if hpa.pool not in pool_caps:
+        raise ConfigError(f"field 'hpa.pool': undefined pool {hpa.pool!r}", "hpa.pool")
+    for pool_id in [*(p.pool for p in config.policies.values()), hpa.pool]:
+        if config.pod_request > pool_caps[pool_id]:
+            raise ConfigError(
+                f"field 'pod_request': {config.pod_request}m exceeds "
+                f"'pool.{pool_id}.capacity' ({pool_caps[pool_id]}m)",
+                "pod_request", f"pool.{pool_id}.capacity",
+            )
+    for owner, millicores in config.other_requests.items():
+        # The node planner packs every unmanaged pod into the active policy's pool.
+        for pool_id in (p.pool for p in config.policies.values()):
+            if millicores > pool_caps[pool_id]:
+                raise ConfigError(
+                    f"field 'other.{owner}': {millicores}m exceeds "
+                    f"'pool.{pool_id}.capacity' ({pool_caps[pool_id]}m)",
+                    f"other.{owner}", f"pool.{pool_id}.capacity",
+                )
+        if owner == config.workload_id:
+            raise ConfigError(
+                f"field 'other.{owner}': owner collides with managed workload id",
+                f"other.{owner}",
+            )
+        # The unmanaged pod's id is its owner, so it must not be an id that
+        # create_pod gives a managed pod.
+        digits = owner[len(owner.rstrip("0123456789")):]
+        n = int(digits) if digits else 0
+        if n > 0 and owner == generated_pod_id(config.workload_id, n):
+            raise ConfigError(
+                f"field 'other.{owner}': owner collides with the id of a managed "
+                f"{config.workload_id!r} pod",
+                f"other.{owner}",
+            )
+    trace_len = config.build_trace().duration
+    if config.duration is not None and config.duration < trace_len:
+        raise ConfigError(
+            f"field 'duration': {config.duration} is shorter than the "
+            f"workload trace ({trace_len}s)",
+            "duration",
+        )
 
 
 # ------------------------------------------------------------------- parsing
@@ -177,8 +259,8 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
     # section -> group -> field -> value; the group is "" outside grouped sections.
     values: dict[str, dict] = {section: {} for section in _SECTIONS}
     group_lines: dict[tuple[str, object], int] = {}
-    schedule_default: str | None = None
-    schedule_entries: list[tuple[int, str, int]] = []
+    schedule_default = ""
+    schedule_entries: list[tuple[int, str]] = []
     other: dict[str, int] = {}
 
     for key, (raw, line) in entries.items():
@@ -189,7 +271,7 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
             at = _key_number(parts[2], key, line)
             if at < 0:
                 raise ScenarioError(f"field {key!r}: switch time {at} is before the run", line)
-            schedule_entries.append((at, raw, line))
+            schedule_entries.append((at, raw))
         else:
             grouped = parts[0] in _GROUPED and len(parts) > 1
             template = ".".join([parts[0], "*", *parts[2:]]) if grouped else key
@@ -217,152 +299,41 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
         return {name: value for name, value in given.items() if name in declared(cls)}
 
     top = knobs_of(ScenarioConfig, "")
-    controller = top["controller"]
+    # Rules about what the file says, each naming the first key of its group;
+    # the rules that tie knobs together belong to ScenarioConfig.
+    pool_ids = values["pool.*."].keys()
+    file_rules = [
+        ("schedule.at.", schedule_entries and top["controller"] != "mas_h2",
+         "schedule.at entries require controller = mas_h2"),
+        ("phase.", values["phase.*."] and top["workload"] != "custom",
+         "phase.N.* entries are only valid for workload = custom"),
+        ("pool.", pool_ids and top["controller"] == "mas_h2" and not values["policy.*."]
+         and not {"staging", "performance"} <= pool_ids,
+         "policy.* entries are required when mas_h2 runs on custom pools"),
+    ]
+    for prefix, broken, problem in file_rules:
+        if broken:
+            key = next(k for k in entries if k.startswith(prefix))
+            raise ScenarioError(f"field {key!r}: {problem}", line_of(key))
 
-    pools = {pool_id: PoolSpec(pool_id, **knobs_of(PoolSpec, "pool.*.", pool_id))
-             for pool_id in values["pool.*."]} or _default_pools(controller)
-
-    policies: dict[str, Policy] = {}
-    for name in values["policy.*."]:
-        given = knobs_of(Policy, "policy.*.", name)
-        if given["pool"] not in pools:
-            raise ScenarioError(
-                f"field 'policy.{name}.pool': undefined pool {given['pool']!r}",
-                line_of(f"policy.{name}.pool"),
-            )
-        try:
-            policies[name] = Policy(name, **given)
-        except ValueError as exc:
-            raise ScenarioError(
-                f"fields 'policy.{name}.w_perf' and 'policy.{name}.w_cost': {exc}",
-                line_of(f"policy.{name}.w_perf", f"policy.{name}.w_cost"),
-            )
-    if not policies:
-        if controller == "mas_h2" and not {"staging", "performance"} <= pools.keys():
-            key = next(k for k in entries if k.startswith("pool."))
-            raise ScenarioError(
-                f"field {key!r}: policy.* entries are required when mas_h2 runs on custom pools",
-                line_of(key),
-            )
-        policies = _default_policies(controller, pools)
-
-    if schedule_default is None:
-        schedule_default = next(iter(policies))
-    if schedule_default not in policies:
-        raise ScenarioError(
-            f"field 'schedule.default': undefined policy {schedule_default!r}",
-            line_of("schedule.default"),
+    try:
+        return ScenarioConfig(
+            scenario_id=scenario_id,
+            **top,
+            pools=[PoolSpec(pool_id, **knobs_of(PoolSpec, "pool.*.", pool_id))
+                   for pool_id in pool_ids],
+            policies={name: Policy(name, **knobs_of(Policy, "policy.*.", name))
+                      for name in values["policy.*."]},
+            schedule=StrategicSchedule(schedule_default, schedule_entries),
+            mas=MasConfig(**knobs_of(MasConfig, "mas.")),
+            hpa=HpaConfig(**knobs_of(HpaConfig, "hpa.")),
+            other_requests=other,
+            normalizers=Normalizers(**knobs_of(Normalizers, "")),
+            phases=[WorkloadPhase(f"phase-{idx}", **knobs_of(WorkloadPhase, "phase.*.", idx))
+                    for idx in sorted(values["phase.*."])],
         )
-    for at, name, line in schedule_entries:
-        if name not in policies:
-            raise ScenarioError(f"field 'schedule.at.{at}': undefined policy {name!r}", line)
-    if schedule_entries and controller != "mas_h2":
-        at, _, line = schedule_entries[0]
-        raise ScenarioError(
-            f"field 'schedule.at.{at}': schedule.at entries require controller = mas_h2", line
-        )
-    schedule = StrategicSchedule(
-        default_policy=schedule_default,
-        entries=[(at, name) for at, name, _ in schedule_entries],
-    )
-
-    # The baseline's pool is resolved for every controller, so a scenario
-    # run with a controller override finds it too.
-    hpa = HpaConfig(**knobs_of(HpaConfig, "hpa."))
-    if not hpa.pool:
-        hpa.pool = next(iter(pools))
-    elif hpa.pool not in pools:
-        raise ScenarioError(f"field 'hpa.pool': undefined pool {hpa.pool!r}", line_of("hpa.pool"))
-
-    if top["workload"] == "custom":
-        if not values["phase.*."]:
-            raise ScenarioError(
-                "field 'workload': custom requires phase.N.* entries", line_of("workload")
-            )
-        phases = [WorkloadPhase(f"phase-{idx}", **knobs_of(WorkloadPhase, "phase.*.", idx))
-                  for idx in sorted(values["phase.*."])]
-        default_amplitude = 0.0
-    elif values["phase.*."]:
-        key = next(k for k in entries if k.startswith("phase."))
-        raise ScenarioError(
-            f"field {key!r}: phase.N.* entries are only valid for workload = custom", line_of(key)
-        )
-    else:
-        named_phases, default_amplitude = NAMED_WORKLOADS[top["workload"]]
-        phases = named_phases()
-    top.setdefault("noise_amplitude", default_amplitude)
-
-    config = ScenarioConfig(
-        scenario_id=scenario_id,
-        **top,
-        pools=list(pools.values()),
-        policies=policies,
-        schedule=schedule,
-        mas=MasConfig(**knobs_of(MasConfig, "mas.")),
-        hpa=hpa,
-        other_requests=other,
-        normalizers=Normalizers(**knobs_of(Normalizers, "")),
-        phases=phases,
-    )
-    _validate(config, line_of)
-    return config
-
-
-def _validate(config: ScenarioConfig, line_of) -> None:
-    """Rules that tie several knobs together; single-knob ranges are
-    checked as each value is read."""
-    hpa = config.hpa
-    if hpa.min_replicas > hpa.max_replicas:
-        raise ScenarioError(
-            f"field 'hpa.min_replicas': {hpa.min_replicas} exceeds "
-            f"hpa.max_replicas ({hpa.max_replicas})",
-            line_of("hpa.min_replicas", "hpa.max_replicas"),
-        )
-    if hpa.saturation_ceiling <= hpa.target_utilization:
-        raise ScenarioError(
-            f"field 'hpa.saturation_ceiling': {hpa.saturation_ceiling} must exceed "
-            f"hpa.target_utilization ({hpa.target_utilization}), or the HPA never scales up",
-            line_of("hpa.saturation_ceiling", "hpa.target_utilization"),
-        )
-    pool_caps = {p.pool_id: p.capacity for p in config.pools}
-    for pool_id in [*(p.pool for p in config.policies.values()), hpa.pool]:
-        if config.pod_request > pool_caps[pool_id]:
-            raise ScenarioError(
-                f"field 'pod_request': {config.pod_request}m exceeds "
-                f"'pool.{pool_id}.capacity' ({pool_caps[pool_id]}m)",
-                line_of("pod_request", f"pool.{pool_id}.capacity"),
-            )
-    for owner, millicores in config.other_requests.items():
-        # The node planner packs every unmanaged pod into the active policy's pool.
-        for pool_id in (p.pool for p in config.policies.values()):
-            if millicores > pool_caps[pool_id]:
-                raise ScenarioError(
-                    f"field 'other.{owner}': {millicores}m exceeds "
-                    f"'pool.{pool_id}.capacity' ({pool_caps[pool_id]}m)",
-                    line_of(f"other.{owner}", f"pool.{pool_id}.capacity"),
-                )
-        if owner == config.workload_id:
-            raise ScenarioError(
-                f"field 'other.{owner}': owner collides with managed workload id",
-                line_of(f"other.{owner}"),
-            )
-        # The unmanaged pod's id is its owner, so it must not be an id that
-        # create_pod gives a managed pod.
-        digits = owner[len(owner.rstrip("0123456789")):]
-        n = int(digits) if digits else 0
-        if n > 0 and owner == generated_pod_id(config.workload_id, n):
-            raise ScenarioError(
-                f"field 'other.{owner}': owner collides with the id of a managed "
-                f"{config.workload_id!r} pod",
-                line_of(f"other.{owner}"),
-            )
-    trace_len = config.build_trace().duration
-    if config.duration is not None and config.duration < trace_len:
-        raise ScenarioError(
-            f"field 'duration': {config.duration} is shorter than the "
-            f"workload trace ({trace_len}s)",
-            line_of("duration"),
-        )
+    except ConfigError as exc:
+        raise ScenarioError(str(exc), line_of(*exc.keys))
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

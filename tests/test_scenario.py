@@ -1,7 +1,7 @@
 """Scenario parsing, validation, and defaulting."""
 
 import re
-from dataclasses import MISSING
+from dataclasses import MISSING, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +11,7 @@ from scalesim.control import HpaConfig, MasConfig
 from scalesim.errors import ScenarioError
 from scalesim.metrics import Normalizers
 from scalesim.planning import Policy
+from scalesim.runner import OUTPUT_FILES, run_scenario
 from scalesim.scenario import (
     _SECTIONS,
     KNOBS,
@@ -365,6 +366,50 @@ class TestValidation:
         )
         with pytest.raises(ScenarioError, match="BAD"):
             parse_scenario_text(text, "x")
+
+
+def _artifacts(config, out: Path) -> dict[str, bytes]:
+    run_scenario(config, out_dir=out)
+    return {name: (out / name).read_bytes() for name in OUTPUT_FILES}
+
+
+# Scenario key -> a replace(...) of the flash-sale-mas fixture that breaks a
+# rule tying that key to others.
+_BROKEN_REPLACES = {
+    "pod_request": lambda c: replace(c, pod_request=5000),
+    "policy.PERFORMANCE.pool": lambda c: replace(
+        c, pools=[p for p in c.pools if p.pool_id != "performance"]),
+    "other.web": lambda c: replace(c, other_requests={"web": 100}),
+    "other.web-p1": lambda c: replace(c, other_requests={"web-p1": 100}),
+    "duration": lambda c: replace(c, duration=100),
+    "hpa.min_replicas": lambda c: replace(c, hpa=replace(c.hpa, min_replicas=5, max_replicas=3)),
+}
+
+
+class TestBuiltInCode:
+    """A config built or replaced in code gets the defaults and the checks of
+    a parsed one."""
+
+    @pytest.mark.parametrize("workload", ["heartbeat", "flash_sale"])
+    @pytest.mark.parametrize("controller", ["mas_h2", "hpa_ca"])
+    def test_built_config_equals_parsed_file_and_runs_alike(self, tmp_path, workload, controller):
+        built = ScenarioConfig("mini", workload, controller)
+        parsed = parse_scenario_text(f"workload = {workload}\ncontroller = {controller}\n", "mini")
+        assert built == parsed
+        assert _artifacts(built, tmp_path / "built") == _artifacts(parsed, tmp_path / "parsed")
+
+    def test_unset_noise_amplitude_is_the_workloads_default(self, tmp_path):
+        fixture = load_scenario(FIXTURES / "flash-sale-mas.scn")
+        assert fixture.noise_amplitude == 0.10
+        unset = replace(fixture, noise_amplitude=None)
+        assert unset == fixture
+        assert _artifacts(unset, tmp_path / "unset") == _artifacts(fixture, tmp_path / "fixture")
+
+    @pytest.mark.parametrize("key", sorted(_BROKEN_REPLACES))
+    def test_broken_replace_fails_when_built_naming_the_field(self, key):
+        fixture = load_scenario(FIXTURES / "flash-sale-mas.scn")
+        with pytest.raises(ValueError, match=rf"^field '{re.escape(key)}'"):
+            _BROKEN_REPLACES[key](fixture)
 
 
 class TestDocs:
