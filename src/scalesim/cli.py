@@ -20,11 +20,10 @@ EXIT_INVARIANT = 3
 
 def _load(args: argparse.Namespace):
     config = load_scenario(args.scenario)
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, seed=args.seed)
-    if getattr(args, "controller", None):
-        config = replace(config, controller=args.controller)
-    return config
+    # One replace for both overrides: each rebuild checks the config again.
+    overrides = {name: value for name in ("seed", "controller")
+                 if (value := getattr(args, name, None)) is not None}
+    return replace(config, **overrides) if overrides else config
 
 
 def _check_out(out: str | Path) -> Path:

@@ -44,10 +44,10 @@ class InvariantChecker:
         self._pending = 0
         self._bound = 0
 
-    def check(self, state: ClusterState, desired: dict[str, int] | None = None,
-              migration_active: bool = False) -> None:
+    def check(self, state: ClusterState, desired: dict[str, int] | None = None) -> None:
         """Check the objects touched since the last check, or everything if
-        this checker has not yet seen `state`."""
+        this checker has not yet seen `state`. Each workload in `desired`
+        must have that many live pods; None skips replica accounting."""
         self.checks_run += 1
         if state.clock.now < self._last_t:
             raise InvariantViolation(
@@ -55,12 +55,11 @@ class InvariantChecker:
             )
         self._last_t = state.clock.now
         if state is not self._state:
-            self.recount(state, desired, migration_active)
+            self.recount(state, desired)
             return
-        self._check_touched(state, desired, migration_active)
+        self._check_touched(state, desired)
 
-    def recount(self, state: ClusterState, desired: dict[str, int] | None = None,
-                migration_active: bool = False) -> None:
+    def recount(self, state: ClusterState, desired: dict[str, int] | None = None) -> None:
         """Full-strength check of the whole state: starts the tally afresh and
         checks every pool node and every kept pod as touched, so every count
         the engine keeps is held to its definition. It is not counted in
@@ -70,7 +69,7 @@ class InvariantChecker:
         for pool in state.pools.values():
             state.touched_nodes.update(dict.fromkeys(pool.nodes))
         state.touched_pods.update(dict.fromkeys(state.pods.values()))
-        self._check_touched(state, desired, migration_active)
+        self._check_touched(state, desired)
         self._state = state
 
     def check_costs(self, node_cost: int, pod_cost: int) -> None:
@@ -82,8 +81,7 @@ class InvariantChecker:
         self._last_node_cost = node_cost
         self._last_pod_cost = pod_cost
 
-    def _check_touched(self, state: ClusterState, desired: dict[str, int] | None,
-                       migration_active: bool) -> None:
+    def _check_touched(self, state: ClusterState, desired: dict[str, int] | None) -> None:
         """Check the touched nodes and the node index, then the touched pods,
         moving each in the tally, then each touched node's `used` and the
         engine's counts. Empties the touched sets."""
@@ -140,7 +138,7 @@ class InvariantChecker:
                 f"but its pods request {recounted}m"
             )
         self._check_counts(state)
-        if desired is not None and not migration_active:
+        if desired is not None:
             self._check_replica_accounting(desired)
 
     # ------------------------------------------------------------------ nodes

@@ -26,12 +26,6 @@ def to_micro(rate: float) -> int:
 
 
 @dataclass
-class CostModel:
-    node_rate_micro: dict[str, int]   # pool id -> micro-units per node-second
-    pod_rate_micro: int               # micro-units per pod-second
-
-
-@dataclass
 class Normalizers:
     perf_scale: float = knob(1.0, gt=0)
     cost_scale: float = knob(5.0, gt=0)   # units/second that count as "full" cost pressure
@@ -60,37 +54,45 @@ class MetricSample:
 
 
 class CostAccumulator:
-    """Integrates cost rates over event-to-event intervals.
+    """Integrates, over event-to-event intervals, node-seconds and pod-seconds
+    at their cost rates, and the seconds during a migration in which the
+    workload runs fewer replicas than the migration floor.
 
     Every node in a pool accrues, from Provisioning (capacity you pay for
     before it serves) until it is Deleted and leaves the pool; pods accrue
     only while bound to a node. Pending pods are free.
     """
 
-    def __init__(self, cost_model: CostModel):
-        self.model = cost_model
+    def __init__(self, node_rate_micro: dict[str, int], pod_rate_micro: int,
+                 workload_id: str):
+        self.node_rate_micro = node_rate_micro   # pool id -> micro-units per node-second
+        self.pod_rate_micro = pod_rate_micro     # micro-units per pod-second
+        self.workload_id = workload_id
         self.node_cost: int = 0
         self.pod_cost: int = 0
+        self.downtime: int = 0                   # seconds below the migration floor
         self._last_t: int = 0
 
     def node_rate(self, state: ClusterState) -> int:
         return sum(
-            len(pool.nodes) * self.model.node_rate_micro[pool.pool_id]
+            len(pool.nodes) * self.node_rate_micro[pool.pool_id]
             for pool in state.pools.values()
         )
 
     def pod_rate(self, state: ClusterState) -> int:
-        return state.bound_count * self.model.pod_rate_micro
+        return state.bound_count * self.pod_rate_micro
 
-    def advance(self, state: ClusterState, now: int) -> None:
-        """Accrue costs for (last_t, now] at the rates that held before any
-        transition at `now` is applied."""
+    def advance(self, state: ClusterState, now: int, floor: int | None = None) -> None:
+        """Accrue (last_t, now] from the state before any transition at `now`
+        is applied; `floor` is the migration floor that held over it, if any."""
         dt = now - self._last_t
         if dt < 0:
             raise ValueError("cost accumulator cannot move backwards")
         if dt:
             self.node_cost += dt * self.node_rate(state)
             self.pod_cost += dt * self.pod_rate(state)
+            if floor is not None and state.running_replicas(self.workload_id) < floor:
+                self.downtime += dt
         self._last_t = now
 
 

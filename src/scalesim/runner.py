@@ -16,7 +16,6 @@ from .engine import ClusterState, EventKind, NodePool, SimEvent
 from .invariants import InvariantChecker
 from .metrics import (
     CostAccumulator,
-    CostModel,
     MetricSample,
     Observer,
     RunSummary,
@@ -46,23 +45,6 @@ class RunResult:
 def format_event(ev: SimEvent) -> str:
     payload = " ".join(f"{k}={v}" for k, v in sorted(ev.payload.items()))
     return f"t={ev.fire_at} kind={ev.kind.value}" + (f" {payload}" if payload else "")
-
-
-class _DowntimeMeter:
-    """Seconds during migrations where the managed workload ran below its
-    pre-switch replica floor, integrated over event boundaries."""
-
-    def __init__(self, cluster: ClusterState, workload_id: str):
-        self.cluster = cluster
-        self.workload_id = workload_id
-        self.seconds = 0
-        self._last_t = 0
-
-    def advance(self, now: int, floor: int | None) -> None:
-        dt = now - self._last_t
-        self._last_t = now
-        if dt > 0 and floor is not None and self.cluster.running_replicas(self.workload_id) < floor:
-            self.seconds += dt
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> RunResult:
@@ -108,11 +90,11 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
     for t, phase_name in trace.phase_boundaries:
         state.enqueue(t, EventKind.WORKLOAD_PHASE_CHANGE, {"phase": phase_name})
 
-    cost_model = CostModel(
+    cost = CostAccumulator(
         node_rate_micro={spec.pool_id: to_micro(spec.cost_rate) for spec in config.pools},
         pod_rate_micro=to_micro(config.pod_cost_rate),
+        workload_id=config.workload_id,
     )
-    cost = CostAccumulator(cost_model)
     observer = Observer(
         workload_id=config.workload_id,
         pod_request=config.pod_request,
@@ -121,18 +103,21 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
         saturation_ceiling=config.hpa.saturation_ceiling,
     )
     checker = InvariantChecker()
-    downtime = _DowntimeMeter(state, config.workload_id)
 
     event_lines: list[str] = []
     decision_lines: list[str] = []
+
+    def desired(floor: int | None) -> dict[str, int] | None:
+        """The replicas the checker holds the workload to: none while a
+        migration keeps old pods running beside their replacements."""
+        return None if floor is not None else {config.workload_id: controller.desired}
 
     # The migration floor as the last event left it; it holds until the next.
     floor = controller.active_floor()
     while state.has_events() and state.peek_time() <= duration:
         t_next = state.peek_time()
         # Accrue costs and downtime at the rates that held before this event.
-        cost.advance(state, t_next)
-        downtime.advance(t_next, floor)
+        cost.advance(state, t_next, floor)
 
         ev = state.step()
         now = ev.fire_at
@@ -152,15 +137,12 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
 
         event_lines.append(format_event(ev))
         floor = controller.active_floor()
-        checker.check(state, desired={config.workload_id: controller.desired},
-                      migration_active=floor is not None)
+        checker.check(state, desired(floor))
         checker.check_costs(cost.node_cost, cost.pod_cost)
 
-    cost.advance(state, duration)
-    downtime.advance(duration, floor)
+    cost.advance(state, duration, floor)
     # What every event's check took on trust, a full recount proves at the end.
-    checker.recount(state, desired={config.workload_id: controller.desired},
-                    migration_active=floor is not None)
+    checker.recount(state, desired(floor))
 
     migrations = controller.completed_migrations
     summary = summarize(
@@ -170,7 +152,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
         duration=duration,
         samples=observer.samples,
         sampling_interval=config.sampling_interval,
-        migration_downtime=downtime.seconds,
+        migration_downtime=cost.downtime,
         migrations=len(migrations),
         total_node_cost=cost.node_cost,
         total_pod_cost=cost.pod_cost,

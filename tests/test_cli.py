@@ -6,6 +6,7 @@ from pathlib import Path
 
 from scalesim.cli import EXIT_CONFIG, EXIT_OK, main
 from scalesim.runner import OUTPUT_FILES
+from scalesim.scenario import ScenarioConfig
 
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -195,6 +196,26 @@ def test_controller_override_on_two_pool_scenario(tmp_path, capsys):
     ])
     assert code == EXIT_OK
     assert "controller=hpa_ca" in capsys.readouterr().out
+
+
+def test_overrides_rebuild_the_config_once(tmp_path, monkeypatch, capsys):
+    # Parsing builds the trace once to check the duration, both overrides
+    # together once more, and the run once to drive it.
+    build_trace = ScenarioConfig.build_trace
+    calls = []
+
+    def counting(self):
+        calls.append(self.scenario_id)
+        return build_trace(self)
+
+    monkeypatch.setattr(ScenarioConfig, "build_trace", counting)
+    overrides = ["--scenario", str(FIXTURES / "heartbeat-mas.scn"),
+                 "--seed", "3", "--controller", "hpa_ca"]
+    for argv, builds in ((["validate", *overrides], 2),
+                         (["run", *overrides, "--out", str(tmp_path / "out")], 3)):
+        calls.clear()
+        assert main(argv) == EXIT_OK, capsys.readouterr().err
+        assert len(calls) == builds, argv
 
 
 def test_directory_as_scenario_named(tmp_path, capsys):

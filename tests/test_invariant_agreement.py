@@ -30,9 +30,9 @@ def recount_every_event(monkeypatch):
     check = InvariantChecker.check
     recounts = []
 
-    def check_and_recount(self, state, desired=None, migration_active=False):
-        check(self, state, desired, migration_active)
-        InvariantChecker().recount(state, desired, migration_active)
+    def check_and_recount(self, state, desired=None):
+        check(self, state, desired)
+        InvariantChecker().recount(state, desired)
         recounts.append(state.clock.now)
 
     monkeypatch.setattr(InvariantChecker, "check", check_and_recount)

@@ -10,7 +10,6 @@ import pytest
 from scalesim.engine import ClusterState, NodePool
 from scalesim.metrics import (
     CostAccumulator,
-    CostModel,
     Normalizers,
     Observer,
     RunSummary,
@@ -35,11 +34,10 @@ def make_state(capacity=2000):
 
 
 def make_observer(state, pod_request=250, cost_rate=1.0):
-    model = CostModel(node_rate_micro={"main": to_micro(cost_rate)}, pod_rate_micro=to_micro(0.1))
     return Observer(
         workload_id="web",
         pod_request=pod_request,
-        cost=CostAccumulator(model),
+        cost=CostAccumulator({"main": to_micro(cost_rate)}, to_micro(0.1), "web"),
         normalizers=Normalizers(),
     )
 
@@ -94,8 +92,7 @@ class TestCostAccumulator:
         state = make_state()
         state.resize_pool("main", 1)          # provisioning: costs, no capacity
         state.create_pod("web", 250)          # pending: free
-        model = CostModel(node_rate_micro={"main": to_micro(2.0)}, pod_rate_micro=to_micro(0.5))
-        cost = CostAccumulator(model)
+        cost = CostAccumulator({"main": to_micro(2.0)}, to_micro(0.5), "web")
         cost.advance(state, 50)
         assert cost.node_cost == 50 * to_micro(2.0)
         assert cost.pod_cost == 0
@@ -105,8 +102,7 @@ class TestCostAccumulator:
         state.add_ready_node("main")
         state.create_pod("web", 250)
         state.schedule_pending_pods()         # bound at t=0 (Starting)
-        model = CostModel(node_rate_micro={"main": 0}, pod_rate_micro=to_micro(0.1))
-        cost = CostAccumulator(model)
+        cost = CostAccumulator({"main": 0}, to_micro(0.1), "web")
         cost.advance(state, 40)
         assert cost.pod_cost == 40 * to_micro(0.1)
 
@@ -114,8 +110,7 @@ class TestCostAccumulator:
         # Integrate a hand-built timeline and recompute the identity
         # sum(node-seconds x rate) from the segment durations.
         state = make_state()
-        model = CostModel(node_rate_micro={"main": to_micro(1.5)}, pod_rate_micro=0)
-        cost = CostAccumulator(model)
+        cost = CostAccumulator({"main": to_micro(1.5)}, 0, "web")
         cost.advance(state, 10)               # 10 s x 0 nodes
         state.clock.advance_to(10)
         state.add_ready_node("main")
@@ -128,8 +123,7 @@ class TestCostAccumulator:
     def test_monotone_and_exact_integers(self):
         state = make_state()
         state.add_ready_node("main")
-        model = CostModel(node_rate_micro={"main": to_micro(0.1)}, pod_rate_micro=0)
-        cost = CostAccumulator(model)
+        cost = CostAccumulator({"main": to_micro(0.1)}, 0, "web")
         last = 0
         for t in range(1, 50):
             cost.advance(state, t)
@@ -138,10 +132,57 @@ class TestCostAccumulator:
         assert cost.node_cost == 49 * 100000
 
     def test_backwards_time_rejected(self):
-        cost = CostAccumulator(CostModel({"main": 0}, 0))
+        cost = CostAccumulator({"main": 0}, 0, "web")
         cost.advance(make_state(), 10)
         with pytest.raises(ValueError):
             cost.advance(make_state(), 5)
+
+
+    @staticmethod
+    def running(replicas):
+        """A one-node state that runs `replicas` web pods and one other pod."""
+        state = make_state()
+        state.add_ready_node("main")
+        for _ in range(replicas):
+            state.create_pod("web", 250)
+        state.create_pod("other", 250)
+        state.schedule_pending_pods()
+        while state.has_events():
+            state.step()
+        assert state.running_replicas("web") == replicas
+        return state
+
+    def test_downtime_accrues_while_running_below_the_floor(self):
+        state = self.running(3)
+        cost = CostAccumulator({"main": 0}, 0, "web")
+        cost.advance(state, 20, floor=4)
+        assert cost.downtime == 20
+        cost.advance(state, 25, floor=5)
+        assert cost.downtime == 25
+
+    def test_no_downtime_without_a_floor_at_the_floor_or_over_no_time(self, monkeypatch):
+        state = self.running(3)
+        cost = CostAccumulator({"main": 0}, 0, "web")
+        cost.advance(state, 20)
+        cost.advance(state, 30, floor=None)
+        cost.advance(state, 40, floor=3)
+        assert cost.downtime == 0
+        # Over an empty interval the running replicas are not even read.
+        reads = []
+        monkeypatch.setattr(state, "running_replicas", lambda w: reads.append(w) or 0)
+        cost.advance(state, 40, floor=4)
+        assert cost.downtime == 0 and reads == []
+
+    def test_floor_leaves_node_and_pod_cost_unchanged(self):
+        state = self.running(3)
+        with_floor = CostAccumulator({"main": to_micro(2.0)}, to_micro(0.5), "web")
+        without = CostAccumulator({"main": to_micro(2.0)}, to_micro(0.5), "web")
+        for t, floor in ((10, 4), (15, 3), (30, None), (50, 8)):
+            with_floor.advance(state, t, floor)
+            without.advance(state, t)
+        assert with_floor.downtime == 10 + 20
+        assert (with_floor.node_cost, with_floor.pod_cost) == (without.node_cost, without.pod_cost)
+        assert (without.node_cost, without.pod_cost) == (50 * to_micro(2.0), 50 * 4 * to_micro(0.5))
 
 
 class TestUtility:

@@ -7,11 +7,14 @@ from pathlib import Path
 import pytest
 
 from scalesim.cli import EXIT_INVARIANT, main
+from scalesim.control import HierarchicalController
 from scalesim.engine import ClusterState
 from scalesim.errors import InvariantViolation
 from scalesim.invariants import InvariantChecker
 from scalesim.runner import run_scenario
 from scalesim.scenario import load_scenario, parse_scenario_text
+
+from test_golden_artifacts import _bench_workloads
 
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -46,6 +49,58 @@ def test_zero_floor_migration_completes_with_zero_downtime():
     assert started["new_pool_nodes"] == 1
     assert started["floor"] == {"web": 0}
     assert result.summary.migrations == 1
+    assert result.summary.migration_downtime == 0
+
+
+def _downtime_recount(monkeypatch, config):
+    """Run `config` and recount its migration downtime without the cost
+    accumulator: from the running replicas recorded before each event and the
+    floor recorded after each. Returns the run and the intervals below the
+    floor, adjacent ones merged."""
+    before, floors, states = [], [], []
+    step, active_floor = ClusterState.step, HierarchicalController.active_floor
+
+    def recording_step(self):
+        states.append(self)
+        before.append((self.peek_time(), self.running_replicas(config.workload_id)))
+        return step(self)
+
+    def recording_floor(self):
+        floors.append(active_floor(self))
+        return floors[-1]
+
+    monkeypatch.setattr(ClusterState, "step", recording_step)
+    monkeypatch.setattr(HierarchicalController, "active_floor", recording_floor)
+    result = run_scenario(config)
+    # The floor after an event holds until the next one, and the run ends
+    # with the state that its last event left.
+    ends = before + [(result.summary.duration, states[-1].running_replicas(config.workload_id))]
+    assert len(floors) == len(ends)
+    below, last_t = [], 0
+    for floor, (t, running) in zip(floors, ends):
+        if t > last_t and floor is not None and running < floor:
+            if below and below[-1][1] == last_t:
+                below[-1] = (below[-1][0], t)
+            else:
+                below.append((last_t, t))
+        last_t = t
+    return result, below
+
+
+def test_migrate_workload_downtime_is_the_wait_for_pending_replicas(monkeypatch):
+    # Seed 1 switches pools at t=900 and t=2700 while 12 and 10 of the planned
+    # replicas still wait Pending for a node that turns Ready at the switch:
+    # the floor counts them, and they run 10 s later.
+    config = parse_scenario_text(_bench_workloads()["mas-migrate"].generate(1), "mas-migrate-1")
+    result, below = _downtime_recount(monkeypatch, config)
+    assert below == [(900, 910), (2700, 2710)]
+    assert result.summary.migration_downtime == 20
+
+
+@pytest.mark.parametrize("name", ["heartbeat-mas", "flash-sale-mas"])
+def test_mas_fixture_recount_finds_no_downtime(monkeypatch, name):
+    result, below = _downtime_recount(monkeypatch, load_scenario(FIXTURES / f"{name}.scn"))
+    assert below == []
     assert result.summary.migration_downtime == 0
 
 
@@ -160,7 +215,7 @@ def test_invariant_violation_aborts_without_outputs(tmp_path, monkeypatch, capsy
         "phase.1.duration = 30\nphase.1.target_vus = 50\n"
     )
 
-    def explode(self, state, desired=None, migration_active=False):
+    def explode(self, state, desired=None):
         raise InvariantViolation("capacity-conservation: injected for test")
 
     monkeypatch.setattr(InvariantChecker, "check", explode)

@@ -48,14 +48,33 @@ if job["run"]:
           flush=True)
 """
 
-def _child(mode, load=(), parse=(), run=False):
-    """Run CHILD in a fresh interpreter that imports this checkout's src/.
-    Returns the process and the JSON lines it printed."""
+# Reads a list of command lines from stdin and runs each through the CLI's
+# main in a blocked interpreter. Its last line gives their exit codes and
+# whether numpy is loaded.
+CLI_CHILD = """
+import json, sys
+
+sys.modules["numpy"] = None
+from scalesim.cli import main
+
+codes = [main(argv) for argv in json.load(sys.stdin)]
+print(json.dumps({"numpy": sys.modules.get("numpy") is not None, "codes": codes}))
+"""
+
+
+def _python(script, stdin, *args):
+    """Run `script` in a fresh interpreter that imports this checkout's src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    job = {"load": [str(path) for path in load], "parse": list(parse), "run": run}
-    proc = subprocess.run([sys.executable, "-c", CHILD, mode], input=json.dumps(job),
+    return subprocess.run([sys.executable, "-c", script, *args], input=stdin,
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def _child(mode, load=(), parse=(), run=False):
+    """Run CHILD in a fresh interpreter. Returns the process and the JSON
+    lines it printed."""
+    job = {"load": [str(path) for path in load], "parse": list(parse), "run": run}
+    proc = _python(CHILD, json.dumps(job), mode)
     return proc, [json.loads(line) for line in proc.stdout.splitlines()]
 
 
@@ -80,6 +99,18 @@ def test_bench_workload_runs_without_numpy(name):
     proc, lines = _child("blocked", parse=[(scenario_id, text)], run=True)
     assert proc.returncode == 0, proc.stderr
     assert lines[-1] == {"numpy": False, "digests": {scenario_id: GOLDEN_BENCH[name]}}
+
+
+def test_compare_of_two_runs_needs_no_numpy(tmp_path):
+    scn = str(FIXTURES / "heartbeat-hpa.scn")
+    a, b, report = (str(tmp_path / name) for name in ("a", "b", "report"))
+    commands = [["run", "--scenario", scn, "--out", a],
+                ["run", "--scenario", scn, "--out", b],
+                ["compare", a, b, "--out", report]]
+    proc = _python(CLI_CHILD, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"numpy": False, "codes": [0, 0, 0]}
+    assert any((tmp_path / "report").iterdir())
 
 
 def test_autodetecting_run_needs_numpy_at_its_first_detection():
