@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, ClassVar, Iterable, Protocol
 
-from .engine import ALIVE, ClusterState, EventKind, NodeState, Pod, PodState, SimEvent
+from .engine import ALIVE, PROVISIONING, ClusterState, EventKind, Pod, PodState, SimEvent
 from .errors import ConfigError
 from .forecasting import (
     MovingAverage,
@@ -486,7 +486,7 @@ class ReactiveController:
         demand = self.trace.demand_at(now) if now < self.trace.duration else 0
         running = state.running_replicas(workload_id)
         current = state.replicas(workload_id)
-        util = utilization(demand, running, self.pod_request, cfg.saturation_ceiling)
+        util = Fraction(*utilization(demand, running, self.pod_request, cfg.saturation_ceiling))
         # Pods without a node yet report no usage, so the scale-up basis is
         # the running count; the result reconciles the full replica set.
         desired = math.ceil(running * util / cfg.target_utilization)
@@ -532,7 +532,7 @@ class ReactiveController:
         record: dict = {}
 
         pending_ages = [now - p.pending_since for p in state.pending.values()]
-        provisioning = any(n.state is NodeState.PROVISIONING for n in pool.nodes)
+        provisioning = any(n.state is PROVISIONING for n in pool.nodes)
         if pending_ages and max(pending_ages) > cfg.ca_trigger_delay and not provisioning:
             # One node at a time; wait for in-flight capacity before adding more.
             state.resize_pool(self.pool_id, len(pool.live_nodes()) + 1)

@@ -28,10 +28,21 @@ class PodState(Enum):
     DELETED = "Deleted"
 
 
+# Members bound once at import: on CPython 3.11 looking a member up on its Enum
+# class costs about eight global lookups, and the engine, the checker and the
+# observer test states on every event.
+PROVISIONING, READY, DRAINING, NODE_DELETED = (
+    NodeState.PROVISIONING, NodeState.READY, NodeState.DRAINING, NodeState.DELETED)
+PENDING, STARTING, RUNNING, TERMINATING, POD_DELETED = (
+    PodState.PENDING, PodState.STARTING, PodState.RUNNING, PodState.TERMINATING,
+    PodState.DELETED)
+
 # Pods that count as replicas: alive and not on their way out.
-ALIVE = (PodState.PENDING, PodState.STARTING, PodState.RUNNING)
+ALIVE = (PENDING, STARTING, RUNNING)
 # Pods that hold a node's reservation.
-BOUND = (PodState.STARTING, PodState.RUNNING, PodState.TERMINATING)
+BOUND = (STARTING, RUNNING, TERMINATING)
+# Nodes that count toward their pool's size.
+LIVE = (PROVISIONING, READY)
 
 
 # Forward-only ordering of node lifecycle states: NodeState's declaration
@@ -52,6 +63,9 @@ class EventKind(Enum):
 # Tie-break rank for events sharing a fire_at second: EventKind's
 # declaration order.
 _KIND_RANK = {k: i for i, k in enumerate(EventKind)}
+
+NODE_READY, POD_STARTED, POD_TERMINATED = (
+    EventKind.NODE_READY, EventKind.POD_STARTED, EventKind.POD_TERMINATED)
 
 
 @dataclass
@@ -82,7 +96,7 @@ class SimEvent:
 class Node:
     node_id: str
     pool_id: str
-    state: NodeState = NodeState.PROVISIONING
+    state: NodeState = PROVISIONING
     ready_at: int = 0
     bound_pods: set[str] = field(default_factory=set)
     used: int = 0       # millicores requested by the pods in bound_pods
@@ -105,10 +119,10 @@ class NodePool:
 
     def live_nodes(self) -> list[Node]:
         """Nodes that count toward the pool's size (Provisioning or Ready)."""
-        return [n for n in self.nodes if n.state in (NodeState.PROVISIONING, NodeState.READY)]
+        return [n for n in self.nodes if n.state in LIVE]
 
     def ready_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.state is NodeState.READY]
+        return [n for n in self.nodes if n.state is READY]
 
 
 @dataclass(eq=False)
@@ -116,7 +130,7 @@ class Pod:
     pod_id: str
     workload_id: str
     cpu_request_millicores: int
-    state: PodState = PodState.PENDING
+    state: PodState = PENDING
     bound_node: str | None = None
     startup_delay: int = 10
     creation_seq: int = 0
@@ -195,7 +209,7 @@ class ClusterState:
         pool = self.pools.get(pool_id)
         if pool is None:
             raise UnknownPoolError(f"unknown pool {pool_id!r}")
-        return self._new_node(pool, NodeState.READY, self.clock.now)
+        return self._new_node(pool, READY, self.clock.now)
 
     def step(self) -> SimEvent:
         """Pop the earliest event, advance the clock, apply its transition.
@@ -208,33 +222,34 @@ class ClusterState:
         _, ev = heapq.heappop(self._queue)
         self.clock.advance_to(ev.fire_at)
 
-        if ev.kind is EventKind.NODE_READY:
+        kind = ev.kind
+        if kind is NODE_READY:
             self._apply_node_ready(ev)
-        elif ev.kind is EventKind.POD_STARTED:
+        elif kind is POD_STARTED:
             self._apply_pod_started(ev)
-        elif ev.kind is EventKind.POD_TERMINATED:
+        elif kind is POD_TERMINATED:
             self._apply_pod_terminated(ev)
         return ev
 
     def _apply_node_ready(self, ev: SimEvent) -> None:
         node = self.nodes.get(ev.payload["node"])
-        if node is None or node.state is not NodeState.PROVISIONING:
+        if node is None or node.state is not PROVISIONING:
             ev.payload["stale"] = True
             return
-        self._set_node_state(node, NodeState.READY)
+        self._set_node_state(node, READY)
         self.schedule_pending_pods()
 
     def _apply_pod_started(self, ev: SimEvent) -> None:
         pod = self.pods.get(ev.payload["pod"])
-        if pod is None or pod.state is not PodState.STARTING \
+        if pod is None or pod.state is not STARTING \
                 or pod.binding_seq != ev.payload["binding"]:
             ev.payload["stale"] = True
             return
-        self._set_pod_state(pod, PodState.RUNNING)
+        self._set_pod_state(pod, RUNNING)
 
     def _apply_pod_terminated(self, ev: SimEvent) -> None:
         pod = self.pods.get(ev.payload["pod"])
-        if pod is None or pod.state is not PodState.TERMINATING:
+        if pod is None or pod.state is not TERMINATING:
             ev.payload["stale"] = True
             return
         node = self.nodes[pod.bound_node]
@@ -271,12 +286,12 @@ class ClusterState:
         """The one place a pod changes state; keeps the pod counts in step."""
         old = pod.state
         workload = pod.workload_id
-        if old is PodState.PENDING:
+        if old is PENDING:
             del self.pending[pod.pod_id]
-        elif new is PodState.PENDING:
+        elif new is PENDING:
             self.pending[pod.pod_id] = pod
         self.alive_by_workload[workload] += (new in ALIVE) - (old in ALIVE)
-        self.running_by_workload[workload] += (new is PodState.RUNNING) - (old is PodState.RUNNING)
+        self.running_by_workload[workload] += (new is RUNNING) - (old is RUNNING)
         self.bound_count += (new in BOUND) - (old in BOUND)
         pod.state = new
         self.touched_pods[pod] = None
@@ -296,7 +311,7 @@ class ClusterState:
         self.touched_nodes[node] = None
 
     def _retire(self, pod: Pod) -> None:
-        self._set_pod_state(pod, PodState.DELETED)
+        self._set_pod_state(pod, POD_DELETED)
         del self.pods[pod.pod_id]
 
     def terminate_pod(self, pod_id: str) -> None:
@@ -304,11 +319,11 @@ class ClusterState:
         bound pods pass through Terminating and keep their reservation until
         the PodTerminated event fires."""
         pod = self.pods[pod_id]
-        if pod.state is PodState.PENDING:
+        if pod.state is PENDING:
             self._retire(pod)
-        elif pod.state is not PodState.TERMINATING:
-            self._set_pod_state(pod, PodState.TERMINATING)
-            self.enqueue(self.clock.now, EventKind.POD_TERMINATED, {"pod": pod.pod_id})
+        elif pod.state is not TERMINATING:
+            self._set_pod_state(pod, TERMINATING)
+            self.enqueue(self.clock.now, POD_TERMINATED, {"pod": pod.pod_id})
 
     def replicas(self, workload_id: str) -> int:
         """R_w: pods of the workload not yet on their way out."""
@@ -355,14 +370,13 @@ class ClusterState:
         capacity fits whenever any node fits, so one pass per group finds it."""
         preferred = [self.preferred_pool_id] if self.preferred_pool_id in self.pools else []
         rest = [pid for pid in self.pool_order if pid not in preferred]
-        ready = NodeState.READY
         for group in (preferred, rest):
             best, best_free = None, 0
             for pid in group:
                 pool = self.pools[pid]
                 capacity = pool.node_capacity_millicores
                 for node in pool.nodes:
-                    if node.state is not ready:
+                    if node.state is not READY:
                         continue
                     free = capacity - node.used
                     if best is None or free > best_free or (
@@ -374,11 +388,11 @@ class ClusterState:
 
     def _bind(self, pod: Pod, node: Node) -> None:
         self._place(pod, node)
-        self._set_pod_state(pod, PodState.STARTING)
+        self._set_pod_state(pod, STARTING)
         pod.binding_seq += 1
         self.enqueue(
             self.clock.now + pod.startup_delay,
-            EventKind.POD_STARTED,
+            POD_STARTED,
             {"pod": pod.pod_id, "binding": pod.binding_seq},
         )
 
@@ -401,9 +415,9 @@ class ClusterState:
         if target > len(live):
             for _ in range(target - len(live)):
                 node = self._new_node(
-                    pool, NodeState.PROVISIONING, self.clock.now + pool.provisioning_delay
+                    pool, PROVISIONING, self.clock.now + pool.provisioning_delay
                 )
-                self.enqueue(node.ready_at, EventKind.NODE_READY, {"node": node.node_id})
+                self.enqueue(node.ready_at, NODE_READY, {"node": node.node_id})
         elif target < len(live):
             victims = sorted(live, key=lambda n: (len(n.bound_pods), -_node_index(n.node_id)))
             for node in victims[: len(live) - target]:
@@ -411,15 +425,15 @@ class ClusterState:
             self.schedule_pending_pods()
 
     def _drain(self, node: Node) -> None:
-        self._set_node_state(node, NodeState.DRAINING)
+        self._set_node_state(node, DRAINING)
         for pod_id in sorted(node.bound_pods):
             pod = self.pods[pod_id]
             self._place(pod, None)
-            if pod.state is PodState.TERMINATING:
+            if pod.state is TERMINATING:
                 # Already dying; finish immediately so the node can go away.
                 self._retire(pod)
             else:
-                self._set_pod_state(pod, PodState.PENDING)
+                self._set_pod_state(pod, PENDING)
                 pod.pending_since = self.clock.now
         self._maybe_finish_drain(node)
 
@@ -436,8 +450,8 @@ class ClusterState:
         self.touched_nodes[node] = None
 
     def _maybe_finish_drain(self, node: Node) -> None:
-        if node.state is NodeState.DRAINING and not node.bound_pods:
-            self._set_node_state(node, NodeState.DELETED)
+        if node.state is DRAINING and not node.bound_pods:
+            self._set_node_state(node, NODE_DELETED)
             self.pools[node.pool_id].nodes.remove(node)
             del self.nodes[node.node_id]
 

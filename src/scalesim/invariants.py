@@ -17,14 +17,24 @@ one more, which also catches a change made outside the tracked helpers.
 
 from __future__ import annotations
 
-from .engine import ALIVE, BOUND, ClusterState, Node, NodePool, NodeState, Pod, PodState
+from .engine import (
+    ALIVE,
+    BOUND,
+    DRAINING,
+    NODE_DELETED,
+    PENDING,
+    POD_DELETED,
+    READY,
+    RUNNING,
+    ClusterState,
+    Node,
+    NodePool,
+    Pod,
+    PodState,
+)
 from .errors import InvariantViolation
 
-# States bound once at import: on CPython 3.11 looking a member up on its Enum
-# class costs about eight global lookups, and the checks run on every event.
-PENDING, RUNNING, DELETED = PodState.PENDING, PodState.RUNNING, PodState.DELETED
-NODE_DELETED = NodeState.DELETED
-HOLDS_PODS = (NodeState.READY, NodeState.DRAINING)
+HOLDS_PODS = (READY, DRAINING)
 
 
 class InvariantChecker:
@@ -114,7 +124,7 @@ class InvariantChecker:
                     self._check_kept_pod(state, pod)
                     old = seen.get(pod)
                     seen[pod] = new
-                elif new is DELETED:
+                elif new is POD_DELETED:
                     old = seen.pop(pod, None)
                     new = None
                 else:
@@ -187,7 +197,7 @@ class InvariantChecker:
     def _check_kept_pod(self, state: ClusterState, pod: Pod) -> None:
         """A kept pod is live, and bound exactly when its state says so, to a
         node that lists it."""
-        if pod.state is DELETED:
+        if pod.state is POD_DELETED:
             raise InvariantViolation(f"pod-retirement: Deleted pod {pod.pod_id} is still kept")
         bound_node = pod.bound_node
         if (pod.state in BOUND) is (bound_node is None):

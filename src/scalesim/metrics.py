@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
-from .engine import ClusterState, NodeState
+from .engine import DRAINING, PROVISIONING, READY, ClusterState
 from .knobs import check_knobs, knob
 from .planning import Policy
 
@@ -35,7 +35,7 @@ class Normalizers:
 
 
 # Node states counted per pool, in the order of a nodes_by_pool tuple.
-_NODE_STATES = (NodeState.PROVISIONING, NodeState.READY, NodeState.DRAINING)
+_NODE_STATES = (PROVISIONING, READY, DRAINING)
 
 
 @dataclass
@@ -96,10 +96,19 @@ class CostAccumulator:
         self._last_t = now
 
 
-def utilization(demand: int, running: int, pod_request: int, ceiling: Fraction) -> Fraction:
-    """Demand over the running replicas' requests, capped at `ceiling`; 0
-    with no replica running."""
-    return min(Fraction(demand, running * pod_request), ceiling) if running else Fraction(0)
+def utilization(demand: int, running: int, pod_request: int,
+                ceiling: Fraction) -> tuple[int, int]:
+    """Demand over the running replicas' requests, capped at `ceiling`, as an
+    unreduced (numerator, denominator) pair; (0, 1) with no replica running.
+    The cap is compared in integers: when demand * ceiling.denominator
+    exceeds ceiling.numerator * running * pod_request, the pair is the
+    ceiling's own, and otherwise (demand, running * pod_request)."""
+    if not running:
+        return 0, 1
+    capacity = running * pod_request
+    if demand * ceiling.denominator > ceiling.numerator * capacity:
+        return ceiling.numerator, ceiling.denominator
+    return demand, capacity
 
 
 def utility_score(
@@ -133,21 +142,28 @@ class Observer:
 
     def observe(self, state: ClusterState, demand: int, policy: Policy, t: int) -> MetricSample:
         running = state.running_replicas(self.workload_id)
-        running_capacity = running * self.pod_request
-        pending = len(state.pending)
-        util = utilization(demand, running, self.pod_request, self.saturation_ceiling)
+        num, den = utilization(demand, running, self.pod_request, self.saturation_ceiling)
+        util = num / den    # correctly rounded, as float(Fraction(num, den)) is
 
+        # One pass over each pool's nodes: its node-state counts, and the
+        # requests bound to its Ready nodes.
         bound_requests = 0
         ready_capacity = 0
         nodes_by_pool: dict[str, tuple[int, int, int]] = {}
         for pool_id in state.pool_order:
             pool = state.pools[pool_id]
-            nodes_by_pool[pool_id] = tuple(
-                sum(1 for n in pool.nodes if n.state is s) for s in _NODE_STATES
-            )
-            for node in pool.ready_nodes():
-                ready_capacity += pool.node_capacity_millicores
-                bound_requests += node.used
+            provisioning = ready = draining = 0
+            for node in pool.nodes:
+                node_state = node.state
+                if node_state is READY:
+                    ready += 1
+                    bound_requests += node.used
+                elif node_state is PROVISIONING:
+                    provisioning += 1
+                elif node_state is DRAINING:
+                    draining += 1
+            nodes_by_pool[pool_id] = (provisioning, ready, draining)
+            ready_capacity += ready * pool.node_capacity_millicores
         packing = bound_requests / ready_capacity if ready_capacity else 0.0
 
         cost_rate = (self.cost.node_rate(state) + self.cost.pod_rate(state)) / MICRO
@@ -155,16 +171,14 @@ class Observer:
             t=t,
             demand_millicores=demand,
             running_replicas=running,
-            pending_pods=pending,
+            pending_pods=len(state.pending),
             nodes_by_pool=nodes_by_pool,
-            utilization=round(float(util), 6),
-            cpu_waste_millicores=max(0, running_capacity - demand),
+            utilization=round(util, 6),
+            cpu_waste_millicores=max(0, running * self.pod_request - demand),
             cumulative_pod_cost=self.cost.pod_cost,
             cumulative_node_cost=self.cost.node_cost,
             packing_efficiency=round(packing, 6),
-            utility=round(
-                utility_score(float(util), cost_rate, policy, self.normalizers), 6
-            ),
+            utility=round(utility_score(util, cost_rate, policy, self.normalizers), 6),
         )
         self.samples.append(sample)
         return sample

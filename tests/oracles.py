@@ -3,16 +3,19 @@ whose bin count the production one must reproduce, an exhaustive
 branch-and-bound packer for small instances, the classical FFD quality bound,
 and the structural postcondition every packing must satisfy. Also the full
 lag scan that period detection must reproduce, the per-second forecaster and
-smoother whose peak and levels the production ones must reproduce, and the
-scans of a whole migration that the hand-off's carried state must equal."""
+smoother whose peak and levels the production ones must reproduce, the
+scans of a whole migration that the hand-off's carried state must equal, and
+the per-state scans and Fraction utilization that the observer's one pass must
+reproduce."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from scalesim.engine import ALIVE, PodState
+from scalesim.engine import ALIVE, ClusterState, NodeState, PodState
 from scalesim.forecasting import (
     ForecasterKind,
     MovingAverage,
@@ -21,7 +24,8 @@ from scalesim.forecasting import (
     _quantile,
     _round,
 )
-from scalesim.planning import OversizedRequestError, ceil_div
+from scalesim.metrics import MICRO, MetricSample, Observer, utility_score
+from scalesim.planning import OversizedRequestError, Policy, ceil_div
 
 
 class InstanceTooLargeError(ValueError):
@@ -271,3 +275,49 @@ def shrink_victims_scan(pods: list, count: int) -> list:
         (p for p in pods if p.state in ALIVE),
         key=lambda p: (0 if p.state is PodState.PENDING else 1, -p.creation_seq),
     )[:count]
+
+
+def utilization_fraction(demand: int, running: int, pod_request: int,
+                         ceiling: Fraction) -> Fraction:
+    """Reference for `metrics.utilization`: demand over the running replicas'
+    requests, capped at `ceiling`, as a Fraction; 0 with no replica running."""
+    return min(Fraction(demand, running * pod_request), ceiling) if running else Fraction(0)
+
+
+def observe_scan(observer: Observer, state: ClusterState, demand: int, policy: Policy,
+                 t: int) -> MetricSample:
+    """Reference for `metrics.Observer.observe`, which must return an equal
+    sample: its former body, which scans each pool's nodes once per node state
+    and once more for the Ready ones, and converts a Fraction utilization to
+    float. The sample is not recorded."""
+    running = state.running_replicas(observer.workload_id)
+    running_capacity = running * observer.pod_request
+    util = utilization_fraction(demand, running, observer.pod_request,
+                                observer.saturation_ceiling)
+    bound_requests = 0
+    ready_capacity = 0
+    nodes_by_pool = {}
+    for pool_id in state.pool_order:
+        pool = state.pools[pool_id]
+        nodes_by_pool[pool_id] = tuple(
+            sum(1 for n in pool.nodes if n.state is s)
+            for s in (NodeState.PROVISIONING, NodeState.READY, NodeState.DRAINING)
+        )
+        for node in pool.ready_nodes():
+            ready_capacity += pool.node_capacity_millicores
+            bound_requests += node.used
+    packing = bound_requests / ready_capacity if ready_capacity else 0.0
+    cost_rate = (observer.cost.node_rate(state) + observer.cost.pod_rate(state)) / MICRO
+    return MetricSample(
+        t=t,
+        demand_millicores=demand,
+        running_replicas=running,
+        pending_pods=len(state.pending),
+        nodes_by_pool=nodes_by_pool,
+        utilization=round(float(util), 6),
+        cpu_waste_millicores=max(0, running_capacity - demand),
+        cumulative_pod_cost=observer.cost.pod_cost,
+        cumulative_node_cost=observer.cost.node_cost,
+        packing_efficiency=round(packing, 6),
+        utility=round(utility_score(float(util), cost_rate, policy, observer.normalizers), 6),
+    )

@@ -1,8 +1,10 @@
 """Controller tests: reactive HPA+CA, hierarchical ticks, migration protocol."""
 
 import copy
+import math
 
 import pytest
+from oracles import utilization_fraction
 
 from scalesim.control import (
     CONTROLLER_TYPES,
@@ -117,6 +119,20 @@ class TestReactiveHpa:
         run_until_quiet(state)
         assert hpa.tick(state, 15)["phases"][0]["workloads"][0]["desired"] == 4
         assert state.replicas("web") == 4
+
+    # 8 running x 250m: the 11/10 cap is 2200m, where 8 * 11/10 / (4/5) is
+    # exactly 11, so desired must not round up to 12.
+    @pytest.mark.parametrize("demand, logged", [(2199, 1.0995), (2200, 1.1), (2201, 1.1)])
+    def test_desired_at_the_saturation_cap_is_exact(self, demand, logged):
+        trace = flat_trace(demand, 600)
+        state = baseline_state(capacity=2000)
+        start_running(state, "web", 8)
+        hpa = make_hpa(trace, state)
+        hpa_phase = hpa.tick(state, 0)["phases"][0]["workloads"][0]
+        cfg = hpa.config
+        util = utilization_fraction(demand, 8, 250, cfg.saturation_ceiling)
+        assert hpa_phase["utilization"] == logged == float(util)
+        assert hpa_phase["desired"] == 11 == math.ceil(8 * util / cfg.target_utilization)
 
     def test_scale_down_deferred_by_stabilization(self):
         trace = flat_trace(400, 600)

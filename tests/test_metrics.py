@@ -3,11 +3,15 @@
 import re
 import typing
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import observe_scan
 
-from scalesim.engine import ClusterState, NodePool
+from scalesim.engine import ClusterState, Node, NodePool, NodeState
 from scalesim.metrics import (
     CostAccumulator,
     Normalizers,
@@ -19,6 +23,7 @@ from scalesim.metrics import (
     summarize,
     to_micro,
     utility_score,
+    utilization,
 )
 from scalesim.planning import Policy
 from scalesim.runner import run_scenario
@@ -75,7 +80,15 @@ class TestObserve:
         sample = observer.observe(state, demand=0, policy=NEUTRAL, t=100)
         assert sample.cumulative_node_cost == 100 * to_micro(3.0)
 
-    def test_utilization_capped_at_saturation_ceiling(self):
+    # One 250m replica under the default 11/10 ceiling: the cap is 275m.
+    @pytest.mark.parametrize("demand, pair, expected", [
+        (274, (274, 250), 1.096),
+        (275, (275, 250), 1.1),
+        (276, (11, 10), 1.1),
+        (5000, (11, 10), 1.1),
+    ], ids=["below-cap", "on-cap", "above-cap", "far-above-cap"])
+    def test_utilization_capped_at_saturation_ceiling(self, demand, pair, expected):
+        assert utilization(demand, 1, 250, Fraction(11, 10)) == pair
         state = make_state()
         state.add_ready_node("main")
         state.create_pod("web", 250)
@@ -83,8 +96,80 @@ class TestObserve:
         while state.has_events():
             state.step()
         observer = make_observer(state)
-        sample = observer.observe(state, demand=5000, policy=NEUTRAL, t=0)
-        assert sample.utilization == pytest.approx(1.1)
+        sample = observer.observe(state, demand=demand, policy=NEUTRAL, t=0)
+        assert sample.utilization == expected
+
+    def test_node_states_counted_and_packing_reads_ready_nodes_only(self):
+        state = make_state()
+        for _ in range(2):
+            state.add_ready_node("main")
+        for _ in range(6):
+            state.create_pod("web", 250)
+        state.schedule_pending_pods()     # 3 pods on each Ready node
+        while state.has_events():
+            state.step()
+        # Held Draining with its pods bound, which the engine passes through
+        # only inside a drain.
+        state.nodes["main-n2"].state = NodeState.DRAINING
+        state.resize_pool("main", 2)      # one live node: add a Provisioning one
+        observer = make_observer(state)
+        sample = observer.observe(state, demand=0, policy=NEUTRAL, t=0)
+        assert sample.nodes_by_pool == {"main": (1, 1, 1)}
+        # The Draining node's 750m and the Provisioning node's capacity are
+        # left out: 750m bound on the one Ready node of 2000m.
+        assert sample.packing_efficiency == 0.375
+
+
+# Ceilings whose cap falls on a whole millicore for some capacities and
+# between two for others.
+CEILINGS = (Fraction(1), Fraction(11, 10), Fraction(3, 2), Fraction(7, 3))
+NODE_STATES = (NodeState.PROVISIONING, NodeState.READY, NodeState.DRAINING)
+POLICIES = (COST, PERF, NEUTRAL)
+
+
+@st.composite
+def observed_clusters(draw):
+    """An observer and a cluster it samples: 1-3 pools whose nodes are
+    Provisioning, Ready or Draining with any `used`, 0-50 running replicas,
+    and a demand on the saturation cap, one millicore either side of it, or
+    anywhere in 0-100 000."""
+    pools = [NodePool(f"pool{i}", draw(st.integers(1, 4000)), 120)
+             for i in range(draw(st.integers(1, 3)))]
+    state = ClusterState(pools)
+    for pool in pools:
+        for j in range(draw(st.integers(0, 6))):
+            pool.nodes.append(Node(
+                f"{pool.pool_id}-n{j + 1}", pool.pool_id, draw(st.sampled_from(NODE_STATES)),
+                used=draw(st.integers(0, pool.node_capacity_millicores))))
+    pod_request = draw(st.integers(1, 1000))
+    for _ in range(draw(st.integers(0, 5))):
+        state.create_pod("web", pod_request)
+    running = draw(st.integers(0, 50))
+    state.running_by_workload["web"] = running
+    state.bound_count = draw(st.integers(0, 60))
+
+    ceiling = draw(st.sampled_from(CEILINGS))
+    cap = ceiling.numerator * running * pod_request // ceiling.denominator
+    demand = draw(st.integers(0, 100_000) | st.sampled_from(
+        [max(0, cap + d) for d in (-1, 0, 1)]))
+    cost = CostAccumulator(
+        {p.pool_id: draw(st.integers(0, 5 * 10**6)) for p in pools},
+        draw(st.integers(0, 10**6)), "web")
+    cost.node_cost = draw(st.integers(0, 10**12))
+    cost.pod_cost = draw(st.integers(0, 10**12))
+    observer = Observer("web", pod_request, cost, Normalizers(), ceiling)
+    return observer, state, demand, draw(st.sampled_from(POLICIES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=observed_clusters(), t=st.integers(0, 10**6))
+def test_observe_equals_the_per_state_scans(case, t):
+    observer, state, demand, policy = case
+    expected = observe_scan(observer, state, demand, policy, t)
+    sample = observer.observe(state, demand, policy, t)
+    for f in fields(sample):
+        assert getattr(sample, f.name) == getattr(expected, f.name), f.name
+    assert observer.samples == [sample]
 
 
 class TestCostAccumulator:
