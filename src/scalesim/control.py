@@ -16,7 +16,6 @@ make_controller picks the class a scenario names.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -486,10 +485,12 @@ class ReactiveController:
         demand = self.trace.demand_at(now) if now < self.trace.duration else 0
         running = state.running_replicas(workload_id)
         current = state.replicas(workload_id)
-        util = Fraction(*utilization(demand, running, self.pod_request, cfg.saturation_ceiling))
+        num, den = utilization(demand, running, self.pod_request, cfg.saturation_ceiling)
         # Pods without a node yet report no usage, so the scale-up basis is
         # the running count; the result reconciles the full replica set.
-        desired = math.ceil(running * util / cfg.target_utilization)
+        # ceil(running * (num / den) / target), as an integer ceiling division.
+        target = cfg.target_utilization
+        desired = -(-(running * num * target.denominator) // (den * target.numerator))
         desired = max(cfg.min_replicas, min(cfg.max_replicas, desired))
         applied = current
         if desired > current:
@@ -513,7 +514,7 @@ class ReactiveController:
             "workload": workload_id,
             "demand": demand,
             "running": running,
-            "utilization": float(util),
+            "utilization": num / den,
             "desired": desired,
             "applied": applied,
         }]})

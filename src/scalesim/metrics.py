@@ -10,8 +10,10 @@ from __future__ import annotations
 import csv
 import statistics
 import typing
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 
 from .engine import DRAINING, PROVISIONING, READY, ClusterState
@@ -198,6 +200,11 @@ def _field_types(cls) -> dict[str, type]:
 # column per pool and node state.
 _SAMPLE_TYPES = _field_types(MetricSample)
 
+# The %-format of one cell, by its field's type. compare's aligned cells use it
+# too, so that they read as metrics.csv writes them.
+FLOAT_CELL = "%.6f"
+_CELL = {name: FLOAT_CELL if typ is float else "%s" for name, typ in _SAMPLE_TYPES.items()}
+
 
 def metrics_header(pool_order: list[str]) -> list[str]:
     cols = []
@@ -209,27 +216,30 @@ def metrics_header(pool_order: list[str]) -> list[str]:
     return cols
 
 
-def _cell(sample: MetricSample, name: str) -> str:
-    value = getattr(sample, name)
-    return f"{value:.6f}" if _SAMPLE_TYPES[name] is float else str(value)
+def _row_formatter(pool_order: list[str]) -> Callable[[MetricSample], str]:
+    """The metrics.csv line of a sample, newline included, for one pool order:
+    one %-template for the whole row, filled from the scalar fields before the
+    dict field, its (provisioning, ready, draining) triples in pool order, and
+    the scalar fields after it. No cell needs quoting: every one is a number."""
+    names = list(_SAMPLE_TYPES)
+    split = names.index("nodes_by_pool")
+    head, tail = attrgetter(*names[:split]), attrgetter(*names[split + 1:])
+    cells = [_CELL[name] for name in names]
+    cells[split:split + 1] = ["%s"] * (len(pool_order) * len(_NODE_STATES))
+    template = ",".join(cells) + "\n"
 
+    def row(sample: MetricSample) -> str:
+        nodes = sample.nodes_by_pool
+        return template % (*head(sample), *[n for p in pool_order for n in nodes[p]],
+                           *tail(sample))
 
-def sample_row(sample: MetricSample, pool_order: list[str]) -> list[str]:
-    row = []
-    for name, typ in _SAMPLE_TYPES.items():
-        if typ is dict:
-            row += [str(n) for p in pool_order for n in getattr(sample, name)[p]]
-        else:
-            row.append(_cell(sample, name))
     return row
 
 
 def write_metrics_csv(samples: list[MetricSample], pool_order: list[str], path: Path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(metrics_header(pool_order))
-        for sample in samples:
-            writer.writerow(sample_row(sample, pool_order))
+        csv.writer(fh, lineterminator="\n").writerow(metrics_header(pool_order))
+        fh.writelines(map(_row_formatter(pool_order), samples))
 
 
 def _read_field(path: Path, values: dict[str, str], name: str, typ: type):
@@ -313,14 +323,17 @@ def summarize(
 ) -> RunSummary:
     utils = [s.utilization for s in samples] or [0.0]
     ordered = sorted(utils)
-    p95 = ordered[min(len(ordered) - 1, max(0, -(-95 * len(ordered) // 100) - 1))]
+    n = len(ordered)
+    p95 = ordered[min(n - 1, max(0, -(-95 * n // 100) - 1))]
+    # statistics.median's rule, on the list already sorted.
+    median = ordered[n // 2] if n % 2 else (ordered[n // 2 - 1] + ordered[n // 2]) / 2
     return RunSummary(
         scenario_id=scenario_id,
         controller=controller,
         seed=seed,
         duration=duration,
         mean_utilization=round(statistics.fmean(utils), 6),
-        median_utilization=round(statistics.median(utils), 6),
+        median_utilization=round(median, 6),
         p95_utilization=round(p95, 6),
         max_utilization=round(max(utils), 6),
         max_replicas=max((s.running_replicas for s in samples), default=0),
@@ -399,7 +412,7 @@ def compare_runs(run_a: Path, run_b: Path) -> ComparisonReport:
     header = ["t", "demand_millicores"] + [f"{n}_{run}" for n in _ALIGNED for run in "ab"]
     rows = [
         [str(sa.t), str(sa.demand_millicores)]
-        + [_cell(s, n) for n in _ALIGNED for s in (sa, by_t_b[sa.t])]
+        + [_CELL[n] % getattr(s, n) for n in _ALIGNED for s in (sa, by_t_b[sa.t])]
         for sa in samples_a if sa.t in by_t_b
     ]
 

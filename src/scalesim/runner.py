@@ -42,9 +42,18 @@ class RunResult:
     completed_migrations: list[dict] = field(default_factory=list)
 
 
+# The events.log text of each event kind.
+_KIND_TEXT = {kind: kind.value for kind in EventKind}
+
+
 def format_event(ev: SimEvent) -> str:
-    payload = " ".join(f"{k}={v}" for k, v in sorted(ev.payload.items()))
-    return f"t={ev.fire_at} kind={ev.kind.value}" + (f" {payload}" if payload else "")
+    """`t=<fire_at> kind=<kind>`, then the payload's `key=value` pairs by key."""
+    payload = ev.payload
+    if len(payload) == 1:
+        ((key, value),) = payload.items()
+        return f"t={ev.fire_at} kind={_KIND_TEXT[ev.kind]} {key}={value}"
+    pairs = " ".join(f"{k}={v}" for k, v in sorted(payload.items()))
+    return f"t={ev.fire_at} kind={_KIND_TEXT[ev.kind]}" + (f" {pairs}" if pairs else "")
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> RunResult:

@@ -44,18 +44,22 @@ class DemandTrace:
         return self.demand[t]
 
 
+def _phase_vus(phase: WorkloadPhase, prev: int) -> list[int]:
+    """The phase's per-second VU counts, `prev` being the previous phase's
+    target."""
+    if phase.ramp == "step":
+        return [phase.target_vus] * phase.duration
+    rise, duration = phase.target_vus - prev, phase.duration
+    return [round(prev + rise * ((k + 1) / duration)) for k in range(duration)]
+
+
 def vus_profile(phases: list[WorkloadPhase]) -> list[int]:
     """Per-second VU counts. Linear phases interpolate from the previous
     phase's target; Step phases hold their target for the whole duration."""
     out: list[int] = []
     prev = 0
     for phase in phases:
-        if phase.ramp == "step":
-            out.extend([phase.target_vus] * phase.duration)
-        else:
-            for k in range(phase.duration):
-                frac = (k + 1) / phase.duration
-                out.append(round(prev + (phase.target_vus - prev) * frac))
+        out += _phase_vus(phase, prev)
         prev = phase.target_vus
     return out
 
@@ -71,24 +75,23 @@ def build_trace(
 
     Noise eps is uniform in [-amplitude, amplitude], drawn per second from
     `seed`, and applied only inside the phases marked noisy (every phase
-    when none is).
+    when none is). A draw is `low + span * random()`, which is what
+    `Random.uniform(low, high)` computes.
     """
-    vus = vus_profile(phases)
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
+    low, span = -noise_amplitude, noise_amplitude - -noise_amplitude
     all_noisy = not any(phase.noisy for phase in phases)
-    noisy_index: list[bool] = []
-    boundaries: list[tuple[int, str]] = []
-    t0 = 0
-    for phase in phases:
-        boundaries.append((t0, phase.name))
-        noisy_index.extend([all_noisy or phase.noisy] * phase.duration)
-        t0 += phase.duration
-
     demand: list[int] = []
-    for t, v in enumerate(vus):
-        eps = rng.uniform(-noise_amplitude, noise_amplitude) \
-            if (noise_amplitude > 0 and noisy_index[t]) else 0.0
-        demand.append(max(0, round(v * vu_cost * (1.0 + eps))))
+    boundaries: list[tuple[int, str]] = []
+    prev = 0
+    for phase in phases:
+        boundaries.append((len(demand), phase.name))
+        vus = _phase_vus(phase, prev)
+        prev = phase.target_vus
+        if noise_amplitude > 0 and (all_noisy or phase.noisy):
+            demand += [max(0, round(v * vu_cost * (1.0 + (low + span * draw())))) for v in vus]
+        else:
+            demand += [max(0, round(v * vu_cost * 1.0)) for v in vus]   # eps = 0.0
     return DemandTrace(workload_id=workload_id, demand=demand, phase_boundaries=boundaries)
 
 

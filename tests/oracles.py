@@ -6,16 +6,23 @@ lag scan that period detection must reproduce, the per-second forecaster and
 smoother whose peak and levels the production ones must reproduce, the
 scans of a whole migration that the hand-off's carried state must equal, and
 the per-state scans and Fraction utilization that the observer's one pass must
-reproduce."""
+reproduce. And the output paths and the HPA formula as they were written
+first: the per-cell metrics.csv writer, the sorted event line, the per-second
+demand trace and the Fraction replica count, whose bytes and values the
+production ones must reproduce."""
 
 from __future__ import annotations
 
+import csv
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
-from scalesim.engine import ALIVE, ClusterState, NodeState, PodState
+from scalesim.engine import ALIVE, ClusterState, NodeState, PodState, SimEvent
 from scalesim.forecasting import (
     ForecasterKind,
     MovingAverage,
@@ -24,8 +31,16 @@ from scalesim.forecasting import (
     _quantile,
     _round,
 )
-from scalesim.metrics import MICRO, MetricSample, Observer, utility_score
+from scalesim.metrics import (
+    _SAMPLE_TYPES,
+    MICRO,
+    MetricSample,
+    Observer,
+    metrics_header,
+    utility_score,
+)
 from scalesim.planning import OversizedRequestError, Policy, ceil_div
+from scalesim.workload import DemandTrace, WorkloadPhase
 
 
 class InstanceTooLargeError(ValueError):
@@ -321,3 +336,88 @@ def observe_scan(observer: Observer, state: ClusterState, demand: int, policy: P
         packing_efficiency=round(packing, 6),
         utility=round(utility_score(float(util), cost_rate, policy, observer.normalizers), 6),
     )
+
+
+# The output paths and the HPA formula as they were first written.
+
+
+def _cell(sample: MetricSample, name: str) -> str:
+    value = getattr(sample, name)
+    return f"{value:.6f}" if _SAMPLE_TYPES[name] is float else str(value)
+
+
+def sample_row(sample: MetricSample, pool_order: list[str]) -> list[str]:
+    """One metrics.csv row, cell by cell: str() of an int, 6 decimals of a
+    float, and the dict field's triples in pool order."""
+    row = []
+    for name, typ in _SAMPLE_TYPES.items():
+        if typ is dict:
+            row += [str(n) for p in pool_order for n in getattr(sample, name)[p]]
+        else:
+            row.append(_cell(sample, name))
+    return row
+
+
+def write_metrics_csv_cells(samples: list[MetricSample], pool_order: list[str],
+                            path: Path) -> None:
+    """Reference for `metrics.write_metrics_csv`, which must write the same
+    bytes: every row built by `sample_row` and written by `csv.writer`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(metrics_header(pool_order))
+        for sample in samples:
+            writer.writerow(sample_row(sample, pool_order))
+
+
+def format_event_sorted(ev: SimEvent) -> str:
+    """Reference for `runner.format_event`: every payload's pairs sorted by key."""
+    payload = " ".join(f"{k}={v}" for k, v in sorted(ev.payload.items()))
+    return f"t={ev.fire_at} kind={ev.kind.value}" + (f" {payload}" if payload else "")
+
+
+def vus_profile_per_second(phases: list[WorkloadPhase]) -> list[int]:
+    """Reference for `workload.vus_profile`, one second at a time."""
+    out: list[int] = []
+    prev = 0
+    for phase in phases:
+        if phase.ramp == "step":
+            out.extend([phase.target_vus] * phase.duration)
+        else:
+            for k in range(phase.duration):
+                frac = (k + 1) / phase.duration
+                out.append(round(prev + (phase.target_vus - prev) * frac))
+        prev = phase.target_vus
+    return out
+
+
+def build_trace_per_second(workload_id: str, phases: list[WorkloadPhase], vu_cost: float,
+                           seed: int, noise_amplitude: float = 0.0) -> DemandTrace:
+    """Reference for `workload.build_trace`, which must return the same trace:
+    a per-second noisy flag, and one `Random.uniform` call per noisy second."""
+    vus = vus_profile_per_second(phases)
+    rng = random.Random(seed)
+    all_noisy = not any(phase.noisy for phase in phases)
+    noisy_index: list[bool] = []
+    boundaries: list[tuple[int, str]] = []
+    t0 = 0
+    for phase in phases:
+        boundaries.append((t0, phase.name))
+        noisy_index.extend([all_noisy or phase.noisy] * phase.duration)
+        t0 += phase.duration
+
+    demand: list[int] = []
+    for t, v in enumerate(vus):
+        eps = rng.uniform(-noise_amplitude, noise_amplitude) \
+            if (noise_amplitude > 0 and noisy_index[t]) else 0.0
+        demand.append(max(0, round(v * vu_cost * (1.0 + eps))))
+    return DemandTrace(workload_id=workload_id, demand=demand, phase_boundaries=boundaries)
+
+
+def hpa_desired_fraction(demand: int, running: int, pod_request: int, ceiling: Fraction,
+                         target: Fraction, min_replicas: int,
+                         max_replicas: int) -> tuple[int, float]:
+    """Reference for the HPA tick's replica count and logged utilization:
+    ceil(running * util / target) in Fractions, clamped to [min, max]."""
+    util = utilization_fraction(demand, running, pod_request, ceiling)
+    desired = max(min_replicas, min(max_replicas, math.ceil(running * util / target)))
+    return desired, float(util)

@@ -2,9 +2,12 @@
 
 import copy
 import math
+from fractions import Fraction
 
 import pytest
-from oracles import utilization_fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import hpa_desired_fraction, utilization_fraction
 
 from scalesim.control import (
     CONTROLLER_TYPES,
@@ -110,7 +113,7 @@ class TestReactiveHpa:
 
     def test_exact_fixpoint_is_four_replicas(self):
         # 3 running x 250m against 800m: utilization 16/15, and the exact
-        # rational arithmetic gives desired = ceil(4.0) = 4, not 5.
+        # integer arithmetic gives desired = ceil(4.0) = 4, not 5.
         trace = flat_trace(800, 600)
         state = baseline_state(capacity=2000)
         start_running(state, "web", 3)
@@ -133,6 +136,25 @@ class TestReactiveHpa:
         util = utilization_fraction(demand, 8, 250, cfg.saturation_ceiling)
         assert hpa_phase["utilization"] == logged == float(util)
         assert hpa_phase["desired"] == 11 == math.ceil(8 * util / cfg.target_utilization)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), running=st.integers(0, 500),
+           target=st.sampled_from([Fraction(4, 5), Fraction(2, 3), Fraction(7, 10), Fraction(1)]),
+           ceiling=st.sampled_from([Fraction(11, 10), Fraction(3, 2), Fraction(7, 3)]))
+    def test_desired_equals_the_fraction_formula(self, data, running, target, ceiling):
+        cap = ceiling.numerator * running * 250 // ceiling.denominator
+        demand = data.draw(st.sampled_from([max(0, cap + d) for d in (-1, 0, 1)])
+                           | st.integers(0, 10**6))
+        state = baseline_state(nodes=0)
+        state.running_by_workload["web"] = running
+        # More replicas than any tick asks for: the scale-down waits for its
+        # stabilization, so the tick creates and terminates no pod.
+        state.alive_by_workload["web"] = 10**6
+        hpa = make_hpa(flat_trace(demand, 600), state, target_utilization=target,
+                       saturation_ceiling=ceiling, max_replicas=10**5)
+        logged = hpa.tick(state, 0)["phases"][0]["workloads"][0]
+        expected = hpa_desired_fraction(demand, running, 250, ceiling, target, 1, 10**5)
+        assert (logged["desired"], logged["utilization"]) == expected
 
     def test_scale_down_deferred_by_stabilization(self):
         trace = flat_trace(400, 600)

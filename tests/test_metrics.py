@@ -1,6 +1,9 @@
 """Observation, cost accounting, utility, CSV round-trip, and comparison."""
 
+import csv
 import re
+import statistics
+import tempfile
 import typing
 from dataclasses import fields
 from fractions import Fraction
@@ -9,11 +12,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import observe_scan
+from oracles import observe_scan, write_metrics_csv_cells
 
 from scalesim.engine import ClusterState, Node, NodePool, NodeState
 from scalesim.metrics import (
     CostAccumulator,
+    MetricSample,
     Normalizers,
     Observer,
     RunSummary,
@@ -24,6 +28,8 @@ from scalesim.metrics import (
     to_micro,
     utility_score,
     utilization,
+    write_comparison,
+    write_metrics_csv,
 )
 from scalesim.planning import Policy
 from scalesim.runner import run_scenario
@@ -366,6 +372,51 @@ class TestCsvAndSummary:
         assert summary.max_replicas == 0
 
 
+CELL_INTS = st.integers(-10**15, 10**15)
+# Any float: negative, -0.0, beyond six decimals, infinite or NaN.
+CELL_FLOATS = st.floats() | st.sampled_from([-0.0, 0.0, -1.5, 0.0000005, -0.0000005])
+
+
+@st.composite
+def metric_samples(draw, pool_order):
+    """A sample of any field values, with a triple for every pool."""
+    return MetricSample(
+        t=draw(CELL_INTS),
+        demand_millicores=draw(CELL_INTS),
+        running_replicas=draw(CELL_INTS),
+        pending_pods=draw(CELL_INTS),
+        nodes_by_pool={p: draw(st.tuples(CELL_INTS, CELL_INTS, CELL_INTS))
+                       for p in pool_order},
+        utilization=draw(CELL_FLOATS),
+        cpu_waste_millicores=draw(CELL_INTS),
+        cumulative_pod_cost=draw(CELL_INTS),
+        cumulative_node_cost=draw(CELL_INTS),
+        packing_efficiency=draw(CELL_FLOATS),
+        utility=draw(CELL_FLOATS),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(),
+       pool_order=st.lists(st.text("ab_-,", min_size=1, max_size=4),
+                           min_size=1, max_size=3, unique=True))
+def test_metrics_csv_equals_the_per_cell_writer(data, pool_order):
+    samples = data.draw(st.lists(metric_samples(pool_order), max_size=8))
+    with tempfile.TemporaryDirectory() as tmp:
+        got, expected = Path(tmp, "got.csv"), Path(tmp, "expected.csv")
+        write_metrics_csv(samples, pool_order, got)
+        write_metrics_csv_cells(samples, pool_order, expected)
+        assert got.read_bytes() == expected.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(utils=st.lists(st.floats(0, 1.1), min_size=1, max_size=40))
+def test_summary_median_is_the_statistics_median(utils):
+    samples = [MetricSample(0, 0, 0, 0, {}, u, 0, 0, 0, 0.0, 0.0) for u in utils]
+    summary = summarize("x", "hpa_ca", 1, 0, samples, 5, 0, 0, 0, 0)
+    assert summary.median_utilization == round(statistics.median(utils), 6)
+
+
 class TestCompareRuns:
     def test_self_comparison_all_zero_deltas(self, tmp_path):
         _, out_a = mini_run(tmp_path, "a")
@@ -423,6 +474,24 @@ class TestCompareRuns:
         assert "utilization_a" in report.aligned_header
         assert "utilization_b" in report.aligned_header
         assert len(report.aligned_rows) == 12   # 60 s at 5 s sampling
+
+    def test_aligned_cells_are_the_metrics_cells(self, tmp_path):
+        _, out_a = mini_run(tmp_path, "a")
+        _, out_b = mini_run(tmp_path, "b")
+        write_comparison(compare_runs(out_a, out_b), tmp_path / "cmp")
+        runs = {}
+        for run, out in (("a", out_a), ("b", out_b)):
+            with open(out / "metrics.csv", newline="") as fh:
+                runs[run] = {row["t"]: row for row in csv.DictReader(fh)}
+        with open(tmp_path / "cmp" / "comparison.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(runs["a"])
+        for row in rows:
+            for column, cell in row.items():
+                name, run = (column, "a") if column in ("t", "demand_millicores") \
+                    else column.rsplit("_", 1)
+                assert cell == runs[run][row["t"]][name], (row["t"], column)
+        assert any(float(row["utilization_a"]) not in (0.0, 1.1) for row in rows)
 
     def test_table_rows_are_the_compared_numeric_summary_fields(self, tmp_path):
         _, out_a = mini_run(tmp_path, "a")

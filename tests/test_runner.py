@@ -5,13 +5,16 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import format_event_sorted
 
 from scalesim.cli import EXIT_INVARIANT, main
 from scalesim.control import HierarchicalController
-from scalesim.engine import ClusterState
+from scalesim.engine import ClusterState, EventKind, SimEvent
 from scalesim.errors import InvariantViolation
 from scalesim.invariants import InvariantChecker
-from scalesim.runner import run_scenario
+from scalesim.runner import format_event, run_scenario
 from scalesim.scenario import load_scenario, parse_scenario_text
 
 from test_golden_artifacts import _bench_workloads
@@ -160,6 +163,24 @@ def test_event_log_shape(fixture_runs):
     assert "kind=PolicySwitch" in kinds
     assert "kind=NodeReady" in kinds
     assert "kind=PodStarted" in kinds
+
+
+PAYLOAD_KEYS = st.sampled_from(["pod", "node", "binding", "stale", "controller", "phase",
+                                 "policy", "a"])
+PAYLOAD_VALUES = st.integers(-10**6, 10**6) | st.booleans() | st.text("web-1_ ", max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fire_at=st.integers(0, 10**7), kind=st.sampled_from(EventKind),
+       payload=st.one_of(
+           st.just({}),
+           st.dictionaries(PAYLOAD_KEYS, PAYLOAD_VALUES, min_size=1, max_size=1),
+           st.dictionaries(PAYLOAD_KEYS, PAYLOAD_VALUES, min_size=2, max_size=4),
+           st.builds(lambda pod, binding: {"pod": pod, "binding": binding, "stale": True},
+                     st.text("web-1", min_size=1, max_size=6), st.integers(1, 9))))
+def test_event_line_equals_the_sorted_line(fire_at, kind, payload):
+    ev = SimEvent(fire_at, kind, payload)
+    assert format_event(ev) == format_event_sorted(ev)
 
 
 def test_running_replicas_never_dip_below_floor_during_migration(fixture_runs):

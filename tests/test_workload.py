@@ -3,6 +3,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import build_trace_per_second, vus_profile_per_second
 
 from scalesim.workload import (
     NAMED_WORKLOADS,
@@ -163,3 +166,25 @@ def test_flash_noisy_phase_indices_cover_chatter_only():
     assert [p.name for p in flash_sale_phases() if p.noisy] == [
         "chatter-baseline", "chatter-spike", "chatter-return",
     ]
+
+
+@st.composite
+def phase_lists(draw):
+    """Zero-length, step and linear phases, some of them noisy."""
+    return [WorkloadPhase(f"p{i}", draw(st.integers(0, 60)), draw(st.integers(0, 2000)),
+                          draw(st.sampled_from(["linear", "step"])), draw(st.booleans()))
+            for i in range(draw(st.integers(0, 6)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(phases=phase_lists(), vu_cost=st.floats(0.01, 10) | st.integers(1, 5),
+       seed=st.integers(0, 2**32), amplitude=st.sampled_from([0.0, 0.05, 0.1, 0.999, 1.5])
+       | st.floats(0, 1, exclude_max=True))
+# A ramp from 8 to 333 VUs over 10 s, whose 7th second is 235 VUs as
+# 8 + 325 * (7 / 10) rounds, and 236 as 8 + 325 * 7 / 10 would.
+@example(phases=[WorkloadPhase("p0", 1, 8, "step"), WorkloadPhase("p1", 10, 333)],
+         vu_cost=1, seed=0, amplitude=0.0)
+def test_trace_equals_the_per_second_trace(phases, vu_cost, seed, amplitude):
+    assert vus_profile(phases) == vus_profile_per_second(phases)
+    trace = build_trace("w", phases, vu_cost, seed, amplitude)
+    assert trace == build_trace_per_second("w", phases, vu_cost, seed, amplitude)
