@@ -16,6 +16,7 @@ make_controller picks the class a scenario names.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -26,6 +27,7 @@ from .errors import ConfigError
 from .forecasting import (
     MovingAverage,
     Naive,
+    PhaseGroups,
     SeasonalPeak,
     detect_period,
     forecast,
@@ -207,8 +209,11 @@ class HierarchicalController:
         self.desired = 0
         self.completed_migrations: list[dict] = []
         # The smoothed demand of every second read so far, extended by each
-        # tick from the last level: the level of second t at index t.
-        self.smoothed: list[float] = []
+        # tick from the last level: the level of second t at index t. Kept
+        # as doubles, so period detection reads it without a conversion.
+        self.smoothed = array("d")
+        # The seasonal forecaster's sorted phase groups of `smoothed`.
+        self._phase_groups = PhaseGroups()
         # The pool the managed workload lives on (or is migrating onto);
         # a dequeued switch compares against this, not the schedule.
         self._active_pool = policies[schedule.default_policy].pool
@@ -261,7 +266,8 @@ class HierarchicalController:
         kind, basis = self._forecaster_for(now)
         horizon = self.config.horizon
         peak = forecast(kind, basis, now,
-                        self.config.control_interval if horizon is None else horizon)
+                        self.config.control_interval if horizon is None else horizon,
+                        groups=self._phase_groups)
         plan = plan_replicas(peak, self.pod_request, policy)
         phases.append({"phase": "workload-planning", "plans": [{
             "workload": workload_id,

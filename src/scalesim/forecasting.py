@@ -9,6 +9,8 @@ of (history, now, horizon, parameters).
 from __future__ import annotations
 
 import math
+from bisect import insort
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -45,9 +47,14 @@ class SeasonalPeak:
 ForecasterKind = Naive | MovingAverage | SeasonalPeak
 
 
-def forecast(kind: ForecasterKind, history: list[float], now: int, horizon: int) -> int:
+def forecast(kind: ForecasterKind, history: Sequence[float], now: int, horizon: int, *,
+             groups: PhaseGroups | None = None) -> int:
     """Peak demand over (now, now + horizon], from a history that holds the
-    demand of second t at index t."""
+    demand of second t at index t.
+
+    `groups` carries a seasonal forecaster's sorted phase groups from one
+    call to the next; pass the same one only while `history` is the same
+    sequence, grown by appending. Without it, each call sorts afresh."""
     if not history:
         raise ValueError("history must be non-empty")
     if horizon <= 0:
@@ -61,11 +68,12 @@ def forecast(kind: ForecasterKind, history: list[float], now: int, horizon: int)
         tail = history[-kind.window:]
         return _round(sum(tail) / len(tail))
     if isinstance(kind, SeasonalPeak):
-        return _seasonal(kind, history, now, horizon)
+        return _seasonal(kind, history, now, horizon, PhaseGroups() if groups is None else groups)
     raise TypeError(f"unknown forecaster kind {kind!r}")
 
 
-def _seasonal(kind: SeasonalPeak, history: list[float], now: int, horizon: int) -> int:
+def _seasonal(kind: SeasonalPeak, history: Sequence[float], now: int, horizon: int,
+              groups: PhaseGroups) -> int:
     """The largest same-phase quantile over the phases that (now, now +
     horizon] visits."""
     period = kind.period
@@ -73,14 +81,46 @@ def _seasonal(kind: SeasonalPeak, history: list[float], now: int, horizon: int) 
         # Not a full period observed yet; behave like Naive.
         return _round(history[-1])
     phases = {t % period for t in range(now + 1, now + 1 + min(horizon, period))}
-    return max(_round(_quantile(history[p::period], kind.quantile)) for p in phases)
+    # Rounding is monotone, so the rounded largest quantile is the largest
+    # rounded one.
+    return _round(groups.largest_quantile(history, period, phases, kind.quantile))
 
 
-def _quantile(values: list[float], q: float) -> float:
-    """Order statistic at index ceil(q*n)-1 (q=1.0 is the max)."""
-    ordered = sorted(values)
-    idx = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-    return ordered[idx]
+class PhaseGroups:
+    """The values of one growing history grouped by phase of one period,
+    each group sorted: the group of phase p holds history[p::period].
+
+    A group is built, with one sort, the first time its phase is asked for;
+    after that each call inserts only the values appended since the last.
+    This is exact because a history value never changes once appended (the
+    controller's smoothing continues from its last level), so a group only
+    grows. A new period drops every group, and the phases asked for are
+    built again, lazily: a period that drifts between calls never costs
+    more than sorting the visited phases afresh."""
+
+    def __init__(self) -> None:
+        self._period: int | None = None
+        self._groups: dict[int, list[float]] = {}
+
+    def largest_quantile(self, history: Sequence[float], period: int,
+                         phases: Iterable[int], q: float) -> float:
+        """The largest, over `phases`, of history[phase::period]'s order
+        statistic at index ceil(q*n)-1 (q=1.0 is the max)."""
+        if period != self._period:
+            self._period, self._groups = period, {}
+        groups, n, largest = self._groups, len(history), -math.inf
+        for phase in phases:
+            group = groups.get(phase)
+            if group is None:
+                group = groups[phase] = sorted(history[phase::period])
+            elif phase + len(group) * period < n:
+                for v in history[phase + len(group) * period::period]:
+                    insort(group, v)
+            # 0 < q <= 1 puts ceil(q*n) in [1, n], rounding included.
+            value = group[math.ceil(q * len(group)) - 1]
+            if value > largest:
+                largest = value
+        return largest
 
 
 def _round(x: float) -> int:
@@ -116,11 +156,28 @@ def smoothed_history(history: list[float], half_life: int,
 # error of the screen and of `_lag_correlation` in a segment mean, variance
 # or covariance: sequential prefix sums err by up to n * eps of their total,
 # the FFT and the exact formula's pairwise sums by O(log n * eps); the rest is
-# margin.
+# margin. The FFT's term is O(log N * eps) in its length N, and N only
+# shrank, from the power of two above 2n - 1 to `_fft_length(n + n // 2)`,
+# so the bound that held at the longer length holds at the shorter one.
 _SCREEN_ERROR = 64.0
 
 
-def detect_period(values: list[float], min_lag: int = 60, min_correlation: float = 0.5) -> int | None:
+def _fft_length(m: int) -> int:
+    """The smallest 5-smooth integer (2^a * 3^b * 5^c) >= m, for m >= 1: a
+    length that numpy's FFT transforms fast."""
+    best = 1 << (m - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-m // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def detect_period(values: Sequence[float], min_lag: int = 60,
+                  min_correlation: float = 0.5) -> int | None:
     """Dominant autocorrelation lag in [min_lag, len/2], or None when no lag
     correlates at least min_correlation (cold start, aperiodic signals).
 
@@ -131,6 +188,12 @@ def detect_period(values: list[float], min_lag: int = 60, min_correlation: float
     - Screen: with y = values - mean, prefix sums of y and y^2 give each
       segment pair's means and variances, and one FFT autocorrelation gives
       every lag's cross term, so all lags are scored in one pass.
+    - FFT length: y zero-padded to length N gives the circular
+      autocorrelation c[k] = sum over i < n of y[i] * y[(i + k) mod N]. A
+      term wraps around only when i + k >= N, and then i >= N - k; for
+      every screened lag k <= n // 2 and N >= n + n // 2 that is i >= n,
+      where y is zero. So c[k] is the linear sum of y[i] * y[i + k], and N
+      is the smallest 5-smooth length >= n + n // 2 (`_fft_length`).
     - Re-check: the screen and the exact formula round differently. A lag
       whose smaller segment variance screens as v can differ between the two
       by at most `slack` = 2 * err / (v - err), where err (`_SCREEN_ERROR` *
@@ -157,7 +220,7 @@ def detect_period(values: list[float], min_lag: int = 60, min_correlation: float
     m = n - lags
     s1 = np.concatenate(([0.0], np.cumsum(y)))
     s2 = np.concatenate(([0.0], np.cumsum(y * y)))
-    size = 1 << (2 * n - 1).bit_length()
+    size = _fft_length(n + max_lag)
     spectrum = np.fft.rfft(y, size)
     cross = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size)[lags]
     mean_a, mean_b = s1[m] / m, (s1[n] - s1[lags]) / m

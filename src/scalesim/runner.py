@@ -56,6 +56,20 @@ def format_event(ev: SimEvent) -> str:
     return f"t={ev.fire_at} kind={_KIND_TEXT[ev.kind]}" + (f" {pairs}" if pairs else "")
 
 
+# Lines per write: a write per line costs more than joining them all, and
+# joining them all holds a second copy of the whole log.
+_LINES_PER_WRITE = 512
+
+
+def _write_lines(path: Path, lines: list[str]) -> None:
+    """Each line followed by a newline, streamed from the list a chunk at a
+    time; no lines still give one newline, as joining them would."""
+    step = _LINES_PER_WRITE
+    with path.open("w") as fh:
+        fh.writelines("\n".join(lines[i:i + step]) + "\n"
+                      for i in range(0, len(lines) or 1, step))
+
+
 def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> RunResult:
     trace = config.build_trace()
     duration = config.duration if config.duration is not None else trace.duration
@@ -179,8 +193,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "events.log").write_text("\n".join(event_lines) + "\n")
-        (out_dir / "decisions.log").write_text("\n".join(decision_lines) + "\n")
+        _write_lines(out_dir / "events.log", event_lines)
+        _write_lines(out_dir / "decisions.log", decision_lines)
         write_metrics_csv(observer.samples, state.pool_order, out_dir / "metrics.csv")
         write_summary(summary, out_dir / "summary.txt")
         result.out_dir = out_dir

@@ -2,14 +2,16 @@
 whose bin count the production one must reproduce, an exhaustive
 branch-and-bound packer for small instances, the classical FFD quality bound,
 and the structural postcondition every packing must satisfy. Also the full
-lag scan that period detection must reproduce, the per-second forecaster and
-smoother whose peak and levels the production ones must reproduce, the
-scans of a whole migration that the hand-off's carried state must equal, and
-the per-state scans and Fraction utilization that the observer's one pass must
-reproduce. And the output paths and the HPA formula as they were written
-first: the per-cell metrics.csv writer, the sorted event line, the per-second
-demand trace and the Fraction replica count, whose bytes and values the
-production ones must reproduce."""
+lag scan that period detection must reproduce and the count-up search for its
+FFT length, the per-call sort of every visited phase that seasonal replay must
+reproduce, the per-second forecaster and smoother whose peak and levels the
+production ones must reproduce, the scans of a whole migration that the
+hand-off's carried state must equal, and the per-state scans and Fraction
+utilization that the observer's one pass must reproduce. And the output
+paths and the HPA formula as they were written first: the per-cell
+metrics.csv writer, the sorted event line, the per-second demand trace and
+the Fraction replica count, whose bytes and values the production ones must
+reproduce."""
 
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ from scalesim.forecasting import (
     MovingAverage,
     Naive,
     SeasonalPeak,
-    _quantile,
     _round,
 )
 from scalesim.metrics import (
@@ -189,6 +190,40 @@ def detect_period_scan(values: list[float], min_lag: int = 60, min_correlation: 
         if corr > best_corr:
             best_lag, best_corr = lag, corr
     return best_lag
+
+
+def seasonal_sorted(kind: SeasonalPeak, history: list[float], now: int, horizon: int) -> int:
+    """Reference for `forecasting.forecast` with a seasonal kind: its former
+    body, which sorts each visited phase's whole history on every call. The
+    largest same-phase quantile over the phases that (now, now + horizon]
+    visits, or the last value before a full period."""
+    period = kind.period
+    if len(history) < period:
+        # Not a full period observed yet; behave like Naive.
+        return _round(history[-1])
+    phases = {t % period for t in range(now + 1, now + 1 + min(horizon, period))}
+    return max(_round(_quantile(history[p::period], kind.quantile)) for p in phases)
+
+
+def _quantile(values: list[float], q: float) -> float:
+    """Order statistic at index ceil(q*n)-1 (q=1.0 is the max)."""
+    ordered = sorted(values)
+    idx = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
+    return ordered[idx]
+
+
+def smallest_5_smooth_at_least(m: int) -> int:
+    """Reference for `forecasting._fft_length`: count up from m to the first
+    integer with no prime factor but 2, 3 and 5."""
+    k = m
+    while True:
+        rest = k
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return k
+        k += 1
 
 
 # The former forecasting API, kept as the reference: histories are (t, value)

@@ -1,21 +1,32 @@
 """Forecaster and smoothing tests, including the zero-error seasonal replay,
-the equivalence of the peak forecast with the max of the per-second one, and
-the equivalence of screened period detection with the full lag scan."""
+the equivalence of the peak forecast with the max of the per-second one, of
+replay from carried phase groups with sorting on every call, and of screened
+period detection with the full lag scan, and the FFT length that keeps the
+screen's autocorrelation free of wrap-around."""
 
 import math
 import random
+from array import array
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import detect_period_scan, forecast_per_second, smoothed_pairs
+from oracles import (
+    detect_period_scan,
+    forecast_per_second,
+    seasonal_sorted,
+    smallest_5_smooth_at_least,
+    smoothed_pairs,
+)
 
 from scalesim import control, forecasting
 from scalesim.forecasting import (
     MovingAverage,
     Naive,
+    PhaseGroups,
     SeasonalPeak,
     detect_period,
     forecast,
@@ -122,13 +133,15 @@ class TestForecasters:
     def test_every_mas_fixture_tick_matches_per_second_oracle(self, monkeypatch):
         # Each tick extends the smoothed history it carries; after every
         # tick the whole of it must equal the reference smoother run over
-        # the whole raw history, and every forecast its per-second oracle.
+        # the whole raw history, and every forecast, made with the phase
+        # groups the controller carries, its per-second oracle.
         forecasts, smooths = [], []
         tick = control.HierarchicalController.tick
 
-        def record_forecast(kind, history, now, horizon):
-            forecasts.append((kind, list(history), now, horizon))
-            return forecast(kind, history, now, horizon)
+        def record_forecast(kind, history, now, horizon, *, groups):
+            peak = forecast(kind, history, now, horizon, groups=groups)
+            forecasts.append((kind, list(history), now, horizon, peak))
+            return peak
 
         def record_tick(self, state, now):
             record = tick(self, state, now)
@@ -141,8 +154,9 @@ class TestForecasters:
         for name in ("heartbeat-mas", "flash-sale-mas"):
             run_scenario(load_scenario(FIXTURES / f"{name}.scn"))
         assert forecasts and len(forecasts) == sum(1 for _, raw, _ in smooths if raw)
-        for kind, history, now, horizon in forecasts:
+        for kind, history, now, horizon, peak in forecasts:
             assert_matches_oracle(kind, history, now, horizon)
+            assert peak == forecast(kind, history, now, horizon)
         for smoothed, raw, half_life in smooths:
             assert smoothed == [x for _, x in smoothed_pairs(list(enumerate(raw)), half_life)]
 
@@ -192,6 +206,89 @@ class TestForecasters:
             SeasonalPeak(10, 0.0)
         with pytest.raises(ValueError):
             SeasonalPeak(10, 1.5)
+
+
+class TestPhaseGroups:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.integers(0, 20), st.integers(0, 5000),
+                      st.floats(0.0, 1e6, allow_nan=False), st.sampled_from([0.0, -0.0, 7.0])),
+            min_size=1, max_size=200,
+        ),
+        periods=st.lists(st.integers(1, 60), min_size=1, max_size=3),
+        ticks=st.lists(
+            st.tuples(st.integers(1, 20), st.integers(0, 2), st.integers(0, 60),
+                      st.integers(1, 180)),
+            min_size=2, max_size=40,
+        ),
+        quantile=st.one_of(st.sampled_from([0.05, 0.5, 0.95, 1.0]),
+                           st.floats(0.0, 1.0, exclude_min=True)),
+    )
+    # The period changes mid-history, and back.
+    @example(values=[float(i % 7) for i in range(60)], periods=[5, 7],
+             ticks=[(12, 0, 0, 5), (12, 1, 3, 7), (12, 0, 1, 12), (24, 1, 0, 30)],
+             quantile=0.5)
+    # Every tick on a history shorter than its one period.
+    @example(values=[10.0, 20.0, 999.0, 5.0], periods=[50],
+             ticks=[(1, 0, 0, 50), (2, 0, 49, 3), (1, 0, 0, 100)], quantile=0.95)
+    # The max, on values that tie.
+    @example(values=[3.0, 1.0, 3.0, -0.0, 0.0, 2.0] * 6, periods=[4],
+             ticks=[(5, 0, 0, 4), (9, 0, 2, 9), (22, 0, 0, 1)], quantile=1.0)
+    def test_replay_from_carried_groups_equals_sorting_every_call(
+            self, values, periods, ticks, quantile):
+        # A history grown tick by tick in chunks, as the controller grows
+        # its smoothed one, forecast from groups carried across the ticks;
+        # each tick picks one of the periods, so the period may change.
+        history, groups, taken = array("d"), PhaseGroups(), 0
+        for chunk, which, gap, horizon in ticks:
+            if taken == len(values):
+                break
+            history.extend(values[taken:taken + chunk])
+            taken = len(history)
+            kind = SeasonalPeak(periods[which % len(periods)], quantile)
+            now = len(history) + gap
+            assert forecast(kind, history, now, horizon, groups=groups) == seasonal_sorted(
+                kind, list(history), now, horizon), (kind, now, horizon)
+
+
+class TestFftLength:
+    def test_fft_length_is_the_smallest_5_smooth_length_at_least_m(self):
+        for m in range(1, 10_001):
+            assert forecasting._fft_length(m) == smallest_5_smooth_at_least(m), m
+
+    @staticmethod
+    def circular_and_direct(y, size):
+        """The cross term of every lag k <= n // 2 from an FFT of length
+        `size`, and the direct sum of y[i] * y[i + k]."""
+        n = len(y)
+        spectrum = np.fft.rfft(y, size)
+        circular = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size)[:n // 2 + 1]
+        direct = np.array([np.dot(y[:n - k], y[k:]) for k in range(n // 2 + 1)])
+        return circular, direct
+
+    @pytest.mark.parametrize("n", [4, 5, 17, 120, 121, 1000, 1001, 3541])
+    def test_no_lag_wraps_at_n_plus_half_n(self, n):
+        # Within the screen's own rounding bound, for every lag it scores,
+        # at exactly n + n // 2 and at the length detect_period uses.
+        y = np.random.default_rng(n).normal(300.0, 200.0, n)
+        y -= y.mean()
+        bound = forecasting._SCREEN_ERROR * np.finfo(float).eps * np.dot(y, y)
+        for size in (n + n // 2, forecasting._fft_length(n + n // 2)):
+            circular, direct = self.circular_and_direct(y, size)
+            assert np.all(np.abs(circular - direct) <= bound), (n, size)
+
+    @pytest.mark.parametrize("n", [4, 5, 17, 120, 121, 1000, 1001])
+    def test_one_short_of_n_plus_half_n_lag_half_n_wraps(self, n):
+        # Negative control: one sample shorter, the last lag picks up the
+        # wrapped term y[n - 1] * y[0], and no other lag does.
+        y = np.random.default_rng(n).normal(0.0, 1.0, n)
+        y[0], y[-1] = 3.0, -2.0
+        bound = forecasting._SCREEN_ERROR * np.finfo(float).eps * np.dot(y, y)
+        circular, direct = self.circular_and_direct(y, n + n // 2 - 1)
+        assert np.all(np.abs(circular[:-1] - direct[:-1]) <= bound), n
+        assert abs(circular[-1] - direct[-1] - y[-1] * y[0]) <= bound, n
+        assert abs(circular[-1] - direct[-1]) > bound, n
 
 
 class TestSmoothing:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import format_event_sorted
 
+from scalesim import runner
 from scalesim.cli import EXIT_INVARIANT, main
 from scalesim.control import HierarchicalController
 from scalesim.engine import ClusterState, EventKind, SimEvent
@@ -181,6 +182,27 @@ PAYLOAD_VALUES = st.integers(-10**6, 10**6) | st.booleans() | st.text("web-1_ ",
 def test_event_line_equals_the_sorted_line(fire_at, kind, payload):
     ev = SimEvent(fire_at, kind, payload)
     assert format_event(ev) == format_event_sorted(ev)
+
+
+@pytest.mark.parametrize("lines_per_write", [1, 7, 512])
+@pytest.mark.parametrize("name", ["heartbeat-hpa", "zero-length"])
+def test_logs_are_the_lines_joined(tmp_path, monkeypatch, name, lines_per_write):
+    # Streamed in chunks of lines, each log holds the bytes of its lines
+    # joined by newlines plus a final one; a run of no seconds has no
+    # decision record and still gets that one newline.
+    monkeypatch.setattr(runner, "_LINES_PER_WRITE", lines_per_write)
+    if name == "zero-length":
+        text = (FIXTURES / "heartbeat-hpa.scn").read_text().replace("workload = heartbeat", (
+            "workload = custom\nphase.1.duration = 0\nphase.1.target_vus = 5\n"
+            "phase.1.ramp = step"))
+        config = parse_scenario_text(text, name)
+    else:
+        config = load_scenario(FIXTURES / f"{name}.scn")
+    result = run_scenario(config, out_dir=tmp_path)
+    assert (name == "zero-length") == (result.decision_lines == [])
+    for log, lines in (("events.log", result.event_lines),
+                       ("decisions.log", result.decision_lines)):
+        assert (tmp_path / log).read_text() == "\n".join(lines) + "\n", log
 
 
 def test_running_replicas_never_dip_below_floor_during_migration(fixture_runs):
