@@ -20,7 +20,7 @@ from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, ClassVar, Iterable, Protocol
+from typing import TYPE_CHECKING, ClassVar, Protocol
 
 from .engine import ALIVE, PROVISIONING, ClusterState, EventKind, Pod, PodState, SimEvent
 from .errors import ConfigError
@@ -87,11 +87,16 @@ class MigrationState:
     # state, and the migration still needs to see that it did.
     replacements: list[Pod] = field(default_factory=list)
     started: int = 0            # replacements[:started] have reached Running
-    # The workload's alive pods when the migration began, youngest first,
-    # as a list and as a set.
+    # The workload's alive pods when the migration began, youngest first.
     old_pods: list[Pod] = field(default_factory=list)
-    old_set: set[Pod] = field(default_factory=set)
     old_from: int = 0           # no old pod before this index is alive
+    # The old pods that were Pending once the new pool was resized, youngest
+    # first. While the migration lasts nothing drains a node, so no old pod
+    # becomes Pending again and this list only shrinks.
+    pending_old: list[Pod] = field(default_factory=list)
+    # `ClusterState.nodes_readied` when the new pool's Ready nodes were last
+    # counted: until a node becomes Ready, the count cannot have risen.
+    readied_seen: int = -1
     terminated_old: int = 0
     pending_switch: str | None = None
 
@@ -152,16 +157,31 @@ class MasConfig:
         check_knobs(self)
 
 
-def _shrink(state: ClusterState, pods: Iterable, count: int) -> int:
-    """Terminate up to `count` of the alive `pods`: Pending pods first, then
-    the youngest bound pods. Returns how many were terminated."""
-    victims = sorted(
-        (p for p in pods if p.state in ALIVE),
-        key=lambda p: (0 if p.state is PodState.PENDING else 1, -p.creation_seq),
-    )[:count]
+def _shrink(state: ClusterState, pods: list[Pod], count: int) -> int:
+    """Terminate the first `count` of `pods`, alive pods that the caller
+    lists in release order: Pending pods first, then the youngest bound pods.
+    Returns how many were terminated."""
+    victims = pods[:count]
     for pod in victims:
         state.terminate_pod(pod.pod_id)
     return len(victims)
+
+
+def _scale_down_order(state: ClusterState, workload_id: str, count: int) -> list[Pod]:
+    """The `count` alive pods of the workload that a scale-down releases, in
+    release order: its Pending pods youngest first, then its bound pods
+    youngest first. `state.pods` holds pods in creation order, so the walk
+    back from its end meets the youngest first and stops at the count."""
+    victims = sorted((p for p in state.pending.values() if p.workload_id == workload_id),
+                     key=lambda p: -p.creation_seq)[:count]
+    if len(victims) < count:
+        for pod in reversed(state.pods.values()):
+            if pod.workload_id == workload_id and (
+                    pod.state is PodState.STARTING or pod.state is PodState.RUNNING):
+                victims.append(pod)
+                if len(victims) == count:
+                    break
+    return victims
 
 
 class Controller(Protocol):
@@ -301,7 +321,7 @@ class HierarchicalController:
             for _ in range(delta):
                 state.create_pod(workload_id, self.pod_request)
         elif delta < 0:
-            _shrink(state, state.pods_of(workload_id), -delta)
+            _shrink(state, _scale_down_order(state, workload_id, -delta), -delta)
         if delta != 0:
             actions.append(("pods", workload_id, delta))
         self.desired = plan.planned_replicas
@@ -353,11 +373,11 @@ class HierarchicalController:
             target_nodes=target_nodes,
             floor=floor,
             old_pods=old_pods,
-            old_set=set(old_pods),
         )
         state.preferred_pool_id = new.pool
         self._active_pool = new.pool
         state.resize_pool(new.pool, target_nodes)
+        self.migration.pending_old = [p for p in old_pods if p.state is PodState.PENDING]
         self.advance_migration(state, now)
         return {
             "t": now,
@@ -373,10 +393,10 @@ class HierarchicalController:
         """Move the migration forward as far as current cluster state allows.
         Called after every fired event; phases only ever advance."""
         mig = self.migration
-        if mig.phase is MigrationPhase.PROVISIONING_NEW:
-            pool = state.pools[mig.to_pool]
-            ready = len(pool.ready_nodes())
-            if ready >= mig.target_nodes:
+        if (mig.phase is MigrationPhase.PROVISIONING_NEW
+                and mig.readied_seen != state.nodes_readied):
+            mig.readied_seen = state.nodes_readied
+            if len(state.pools[mig.to_pool].ready_nodes()) >= mig.target_nodes:
                 mig.phase = MigrationPhase.MIGRATING_WORKLOAD
                 mig.replacements = [
                     state.create_pod(self.trace.workload_id, self.pod_request)
@@ -422,12 +442,12 @@ class HierarchicalController:
             mig.terminated_old += _shrink(state, self._releasable(state, to_release), to_release)
 
     def _releasable(self, state: ClusterState, count: int) -> list[Pod]:
-        """The old pods that `_shrink` can pick when it releases `count` of
-        them: it takes Pending pods before bound ones, and bound ones
-        youngest first, so every Pending old pod and the `count` youngest
-        bound ones."""
+        """The old pods that releasing `count` of them may take, in release
+        order: every Pending old pod, then the `count` youngest bound ones,
+        each youngest first."""
         mig = self.migration
-        pods = [p for p in state.pending.values() if p in mig.old_set]
+        mig.pending_old = [p for p in mig.pending_old if p.state is PodState.PENDING]
+        pods = list(mig.pending_old)
         old, i, bound = mig.old_pods, mig.first_alive_old(), 0
         while bound < count and i < len(old):
             pod = old[i]
@@ -508,7 +528,8 @@ class ReactiveController:
             if self._below_since is None:
                 self._below_since = now
             if now - self._below_since >= cfg.scale_down_stabilization:
-                _shrink(state, state.pods_of(workload_id), current - desired)
+                count = current - desired
+                _shrink(state, _scale_down_order(state, workload_id, count), count)
                 self._below_since = None
                 applied = desired
         else:

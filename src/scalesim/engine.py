@@ -179,6 +179,10 @@ class ClusterState:
         # Per workload: pods Pending, Starting or Running, and pods Running.
         self.alive_by_workload: dict[str, int] = {}
         self.running_by_workload: dict[str, int] = {}
+        # Nodes that have become Ready, ever: a reader that counted a pool's
+        # Ready nodes when this had some value need not count them again
+        # while it keeps that value, since no node has become Ready since.
+        self.nodes_readied = 0
         # Objects changed since the checker last looked; dicts keep the order.
         self.touched_pods: dict[Pod, None] = {}
         self.touched_nodes: dict[Node, None] = {}
@@ -341,50 +345,61 @@ class ClusterState:
         return self.pools[node.pool_id].node_capacity_millicores - node.used
 
     def schedule_pending_pods(self) -> list[tuple[str, str]]:
-        """Bind Pending pods to Ready nodes.
+        """Bind Pending pods to Ready nodes, in creation order.
 
         Each pod goes to the Ready node with the most free request capacity
         that still fits it, considering the preferred pool's nodes first and
-        falling back to any other pool. Pods that fit nowhere stay Pending.
-        A failed pick changes nothing and a bind only takes capacity away, so
-        once a request fits nowhere, no later request as large is tried.
+        falling back to any other pool; ties go to the node id first in
+        string order, so p-n10 before p-n2. Pods that fit nowhere stay
+        Pending. A failed pick changes nothing and a bind only takes capacity
+        away, so once a request fits nowhere, no later request as large is
+        tried.
+
+        The pass keeps each pool group's Ready nodes in a heap keyed by
+        (used - capacity, node id), built when the first pod needs a node.
+        Only a bind changes a node's free capacity during the pass, and it
+        re-keys the node it binds to, so each pod costs one look at each
+        group's top and one heap step.
         """
         bindings: list[tuple[str, str]] = []
+        if not self.pending:
+            return bindings
+        groups = None
         unplaceable = None      # the smallest request that fit nowhere
         for pod in sorted(self.pending.values(), key=lambda p: p.creation_seq):
             request = pod.cpu_request_millicores
             if unplaceable is not None and request >= unplaceable:
                 continue
-            node = self._pick_node(request)
-            if node is None:
+            if groups is None:
+                groups = self._free_heaps()
+            for heap in groups:
+                if not heap:
+                    continue
+                key, node_id, node = heap[0]
+                if key + request <= 0:
+                    self._bind(pod, node)
+                    heapq.heapreplace(heap, (key + request, node_id, node))
+                    bindings.append((pod.pod_id, node_id))
+                    break
+            else:
                 unplaceable = request
-                continue
-            self._bind(pod, node)
-            bindings.append((pod.pod_id, node.node_id))
         return bindings
 
-    def _pick_node(self, request: int) -> Node | None:
-        """The Ready node with the most free capacity in the first pool group
-        that has one that fits `request`; ties go to the node id first in
-        string order, so p-n10 before p-n2. The node with the most free
-        capacity fits whenever any node fits, so one pass per group finds it."""
-        preferred = [self.preferred_pool_id] if self.preferred_pool_id in self.pools else []
-        rest = [pid for pid in self.pool_order if pid not in preferred]
-        for group in (preferred, rest):
-            best, best_free = None, 0
-            for pid in group:
-                pool = self.pools[pid]
-                capacity = pool.node_capacity_millicores
-                for node in pool.nodes:
-                    if node.state is not READY:
-                        continue
-                    free = capacity - node.used
-                    if best is None or free > best_free or (
-                            free == best_free and node.node_id < best.node_id):
-                        best, best_free = node, free
-            if best is not None and best_free >= request:
-                return best
-        return None
+    def _free_heaps(self) -> tuple[list, list]:
+        """The Ready nodes of the preferred pool and of every other pool, each
+        group as a heap of (used - capacity, node id, node): the most free
+        node on top, ties to the lower id in string order."""
+        preferred: list = []
+        rest: list = []
+        for pid in self.pool_order:
+            pool = self.pools[pid]
+            capacity = pool.node_capacity_millicores
+            (preferred if pid == self.preferred_pool_id else rest).extend(
+                (node.used - capacity, node.node_id, node)
+                for node in pool.nodes if node.state is READY)
+        heapq.heapify(preferred)
+        heapq.heapify(rest)
+        return preferred, rest
 
     def _bind(self, pod: Pod, node: Node) -> None:
         self._place(pod, node)
@@ -442,11 +457,13 @@ class ClusterState:
         pool._next_node += 1
         pool.nodes.append(node)
         self.nodes[node.node_id] = node
+        self.nodes_readied += state is READY
         self.touched_nodes[node] = None
         return node
 
     def _set_node_state(self, node: Node, new: NodeState) -> None:
         node.transition(new)
+        self.nodes_readied += new is READY
         self.touched_nodes[node] = None
 
     def _maybe_finish_drain(self, node: Node) -> None:

@@ -4,6 +4,7 @@ one-dimensional bin packing (first-fit-decreasing).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -58,22 +59,53 @@ def plan_replicas(forecast_peak: int, pod_request: int, policy: Policy) -> PodPl
     return PodPlan(raw_replicas=raw, planned_replicas=max(raw, policy.min_replicas))
 
 
-def pack_ffd(sizes: list[int], bin_capacity: int) -> int:
+class SizeClasses:
+    """A multiset of item sizes held as {size: count}. Its len() is the item
+    count, so whoever sizes `pack_ffd`'s argument counts items, not classes."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: dict[int, int]):
+        self.counts = counts
+
+    def __len__(self) -> int:
+        return sum(self.counts.values())
+
+
+def pack_ffd(sizes: list[int] | SizeClasses, bin_capacity: int) -> int:
     """Bins that first-fit-decreasing opens: sizes in descending order, each
-    into the lowest-index bin with room, opening bins as needed."""
+    into the lowest-index bin with room, opening bins as needed.
+
+    Packed by size class. First-fit places a run of equal items of size s by
+    filling the open bins in index order, each with up to slack // s items,
+    and then opening bins of bin_capacity // s items each: a bin it passes
+    keeps its slack while the run lasts, so no later item of the run goes
+    back to it. So each class walks the open bins once, in
+    O(classes x bins) in all."""
     if bin_capacity <= 0:
         raise ValueError("bin_capacity must be positive")
-    order = sorted(sizes, reverse=True)
-    if order and order[0] > bin_capacity:
-        raise OversizedRequestError(f"request of {order[0]}m exceeds bin capacity {bin_capacity}m")
+    counts = sizes.counts if isinstance(sizes, SizeClasses) else Counter(sizes)
+    classes = sorted(counts.items(), reverse=True)
+    if classes and classes[-1][0] <= 0:
+        raise ValueError(f"item sizes must be positive, got {classes[-1][0]}")
+    if classes and classes[0][0] > bin_capacity:
+        raise OversizedRequestError(
+            f"request of {classes[0][0]}m exceeds bin capacity {bin_capacity}m")
     free: list[int] = []
-    for size in order:
+    for size, count in classes:
         for b, slack in enumerate(free):
             if slack >= size:
-                free[b] -= size
-                break
-        else:
-            free.append(bin_capacity - size)
+                fit = min(count, slack // size)
+                free[b] = slack - fit * size
+                count -= fit
+                if not count:
+                    break
+        if count:
+            per_bin = bin_capacity // size
+            full, rest = divmod(count, per_bin)
+            free.extend([bin_capacity - per_bin * size] * full)
+            if rest:
+                free.append(bin_capacity - rest * size)
     return len(free)
 
 
@@ -83,4 +115,7 @@ def plan_nodes(
     """Node count for one pool: `replicas` pods of `pod_request` plus every
     unmanaged pod's request (owner -> millicores), first-fit-decreasing into
     bins of the pool's `node_capacity` millicores."""
-    return pack_ffd([pod_request] * replicas + list(other_requests.values()), node_capacity)
+    counts = Counter(other_requests.values())
+    if replicas:
+        counts[pod_request] += replicas
+    return pack_ffd(SizeClasses(counts), node_capacity)

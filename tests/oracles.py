@@ -11,7 +11,10 @@ utilization that the observer's one pass must reproduce. And the output
 paths and the HPA formula as they were written first: the per-cell
 metrics.csv writer, the sorted event line, the per-second demand trace and
 the Fraction replica count, whose bytes and values the production ones must
-reproduce."""
+reproduce. And the width paths as they were first written: the per-item
+first-fit-decreasing count, the per-pod scan of every Ready node for
+placement and the sort of every pod of a workload for a scale-down, whose
+counts, bindings and victims the production ones must reproduce."""
 
 from __future__ import annotations
 
@@ -89,6 +92,26 @@ def pack_ffd_assign(requests: list[Request], bin_capacity: int) -> NodePlan:
             free.append(bin_capacity - req.millicores)
             assignment.append((req, len(free) - 1))
     return NodePlan(required_nodes=len(free), assignment=assignment)
+
+
+def pack_ffd_per_item(sizes: list[int], bin_capacity: int) -> int:
+    """Reference for `planning.pack_ffd`, as it was first written: each item,
+    largest first, into the lowest-index bin with room, opening bins as
+    needed."""
+    if bin_capacity <= 0:
+        raise ValueError("bin_capacity must be positive")
+    order = sorted(sizes, reverse=True)
+    if order and order[0] > bin_capacity:
+        raise OversizedRequestError(f"request of {order[0]}m exceeds bin capacity {bin_capacity}m")
+    free: list[int] = []
+    for size in order:
+        for b, slack in enumerate(free):
+            if slack >= size:
+                free[b] -= size
+                break
+        else:
+            free.append(bin_capacity - size)
+    return len(free)
 
 
 def validate_assignment(
@@ -316,6 +339,51 @@ def running_replacements_scan(mig) -> int:
 def old_pods_alive_scan(mig) -> bool:
     """Whether any pod the migration `mig` moves away is still alive."""
     return any(p.state in ALIVE for p in mig.old_pods)
+
+
+def pick_node_scan(state: ClusterState, request: int):
+    """Reference for the node `ClusterState.schedule_pending_pods` binds a
+    pod of `request` millicores to, as it was first written: a scan of every
+    node of the preferred pool, then of every other pool, for the Ready node
+    with the most free capacity, ties to the node id first in string order;
+    None if that node does not fit the request in either group."""
+    preferred = [state.preferred_pool_id] if state.preferred_pool_id in state.pools else []
+    rest = [pid for pid in state.pool_order if pid not in preferred]
+    for group in (preferred, rest):
+        best, best_free = None, 0
+        for pid in group:
+            pool = state.pools[pid]
+            capacity = pool.node_capacity_millicores
+            for node in pool.nodes:
+                if node.state is not NodeState.READY:
+                    continue
+                free = capacity - node.used
+                if best is None or free > best_free or (
+                        free == best_free and node.node_id < best.node_id):
+                    best, best_free = node, free
+        if best is not None and best_free >= request:
+            return best
+    return None
+
+
+def schedule_pending_pods_scan(state: ClusterState) -> list[tuple[str, str]]:
+    """Reference for `ClusterState.schedule_pending_pods`, which must make
+    the same bindings in the same order: each Pending pod in creation order
+    to `pick_node_scan`'s node, skipping every request at least as large as
+    one that fit nowhere."""
+    bindings = []
+    unplaceable = None
+    for pod in sorted(state.pending.values(), key=lambda p: p.creation_seq):
+        request = pod.cpu_request_millicores
+        if unplaceable is not None and request >= unplaceable:
+            continue
+        node = pick_node_scan(state, request)
+        if node is None:
+            unplaceable = request
+            continue
+        state._bind(pod, node)
+        bindings.append((pod.pod_id, node.node_id))
+    return bindings
 
 
 def shrink_victims_scan(pods: list, count: int) -> list:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import hpa_desired_fraction, utilization_fraction
+from oracles import hpa_desired_fraction, shrink_victims_scan, utilization_fraction
 
 from scalesim.control import (
     CONTROLLER_TYPES,
@@ -17,6 +17,8 @@ from scalesim.control import (
     MigrationPhase,
     ReactiveController,
     StrategicSchedule,
+    _scale_down_order,
+    _shrink,
     make_controller,
 )
 from scalesim.engine import ClusterState, EventKind, NodePool, NodeState, PodState
@@ -486,6 +488,76 @@ class TestMigration:
         }]
         assert len(state.pools["performance"].ready_nodes()) == 1
         assert state.pools["staging"].live_nodes() == []
+
+
+@st.composite
+def shrink_states(draw):
+    """Two workloads' pods on one pool: Running pods, Starting ones bound
+    later, Terminating ones, pods re-pended by a drain after younger Pending
+    ones were created, and Pending pods that fit nowhere."""
+    state = ClusterState([NodePool("main", 1000, 60)], pod_startup_delay=10)
+    for _ in range(draw(st.integers(1, 4))):
+        state.add_ready_node("main")
+    workload = st.sampled_from(["web", "api"])
+    request = st.sampled_from([250, 500])
+    for w in draw(st.lists(workload, max_size=12)):
+        state.create_pod(w, draw(request))
+    state.schedule_pending_pods()
+    run_until_quiet(state)                          # Running
+    state.clock.advance_to(20)
+    for w in draw(st.lists(workload, max_size=12)):
+        state.create_pod(w, draw(request))
+    state.schedule_pending_pods()                   # Starting; no event fires
+    bound = sorted(p.pod_id for p in state.pods.values() if p.bound_node is not None)
+    if bound:
+        for pod_id in draw(st.lists(st.sampled_from(bound), unique=True, max_size=4)):
+            state.terminate_pod(pod_id)             # Terminating
+    for w in draw(st.lists(workload, max_size=6)):
+        state.create_pod(w, draw(st.sampled_from([250, 2000])))
+    nodes = sorted(state.nodes)
+    for node_id in draw(st.lists(st.sampled_from(nodes), unique=True, max_size=2)):
+        state._drain(state.nodes[node_id])          # re-pended, out of creation order
+    return state
+
+
+class TestScaleDown:
+    """The scale-down walk against the sort of every pod it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(state=shrink_states(), data=st.data())
+    def test_victims_are_the_sorted_scan(self, state, data):
+        workload = data.draw(st.sampled_from(["web", "api"]), label="workload")
+        count = data.draw(st.integers(0, state.replicas(workload)), label="count")
+        expected = shrink_victims_scan(state.pods_of(workload), count)
+        victims = _scale_down_order(state, workload, count)
+        assert victims == expected
+        alive = state.replicas(workload)
+        assert _shrink(state, victims, count) == count
+        assert state.replicas(workload) == alive - count
+
+    def test_walk_stops_at_the_count(self):
+        # 40 running pods, 2 to release: the walk back from the youngest
+        # pod reads the two youngest and nothing older.
+        state = baseline_state(nodes=10, capacity=4000)
+        start_running(state, "web", 40)
+        read = []
+
+        class ReadPods(dict):
+            def values(self):
+                return ReadValues(self)
+
+        class ReadValues:
+            def __init__(self, pods):
+                self.pods = pods
+
+            def __reversed__(self):
+                for pod in reversed(dict.values(self.pods)):
+                    read.append(pod.pod_id)
+                    yield pod
+
+        state.pods = ReadPods(state.pods)
+        victims = _scale_down_order(state, "web", 2)
+        assert [p.pod_id for p in victims] == read == ["web-p40", "web-p39"]
 
 
 class TestControllerProtocol:

@@ -1,8 +1,12 @@
 """Event-loop and cluster state machine tests."""
 
+import copy
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import schedule_pending_pods_scan
 
 from scalesim.engine import (
     ClusterState,
@@ -99,22 +103,96 @@ class TestScheduling:
         assert pod.bound_node == nodes[9].node_id == "main-n10"
 
     def test_equal_pods_that_fit_nowhere_cost_one_pick(self, monkeypatch):
-        state = make_state([NodePool("main", 1000, 120)])
-        ready_node(state)
+        # The pass looks at each group's heap top once per probe. A 1200m
+        # request fits nowhere: it probes the preferred pool, then the rest,
+        # once each, and the four later 1200m requests probe nothing. The
+        # 300m one binds in the preferred pool at its first probe.
+        state = make_state([NodePool("a", 1000, 120), NodePool("b", 1000, 120)])
+        ready_node(state, "a")
+        ready_node(state, "b")
+        state.preferred_pool_id = "a"
         big = [state.create_pod("web", 1200) for _ in range(5)]
         small = state.create_pod("web", 300)
-        picks = []
-        pick = ClusterState._pick_node
+        probes = []
 
-        def counted_pick(self, request):
-            picks.append(request)
-            return pick(self, request)
+        class ProbedHeap(list):
+            def __init__(self, nodes):
+                super().__init__(nodes)
+                self.pools = {node.pool_id for _, _, node in nodes}
 
-        monkeypatch.setattr(ClusterState, "_pick_node", counted_pick)
+            def __getitem__(self, i):
+                probes.append(sorted(self.pools))
+                return super().__getitem__(i)
+
+        free_heaps = ClusterState._free_heaps
+        builds = []
+
+        def probed_heaps(self):
+            builds.append(None)
+            return tuple(ProbedHeap(heap) for heap in free_heaps(self))
+
+        monkeypatch.setattr(ClusterState, "_free_heaps", probed_heaps)
         state.schedule_pending_pods()
-        assert picks == [1200, 300]
+        assert builds == [None]
+        assert probes == [["a"], ["b"], ["a"]]
         assert all(p.state is PodState.PENDING for p in big)
         assert small.state is PodState.STARTING
+        assert small.bound_node == "a-n1"
+
+
+@st.composite
+def placement_states(draw):
+    """A cluster of 1-3 pools, each with 10-12 Ready nodes (so that -n10
+    sorts before -n2) and up to 2 Provisioning ones, a preferred pool (or
+    none, or one that does not exist), nodes unevenly used, and Pending pods
+    of which some were re-pended by a drain after younger ones were created,
+    so the pending set is out of creation order. Some requests fit nowhere."""
+    pools = [NodePool(f"p{i}", draw(st.sampled_from([500, 1000, 2000, 4000])), 60)
+             for i in range(draw(st.integers(1, 3)))]
+    state = ClusterState(pools)
+    for pool in pools:
+        ready = draw(st.integers(10, 12))
+        for _ in range(ready):
+            state.add_ready_node(pool.pool_id)
+        state.resize_pool(pool.pool_id, ready + draw(st.integers(0, 2)))
+    state.preferred_pool_id = draw(st.sampled_from(
+        [None, "gone"] + [pool.pool_id for pool in pools]))
+    request = st.sampled_from([100, 250, 300, 500, 1000, 1500, 2000, 4000, 5000])
+    for size in draw(st.lists(request, max_size=60)):
+        state.create_pod("web", size)
+    schedule_pending_pods_scan(state)
+    for size in draw(st.lists(request, max_size=20)):
+        state.create_pod("api", size)
+    used = sorted((n for n in state.nodes.values() if n.bound_pods), key=lambda n: n.node_id)
+    if used:
+        for node in draw(st.lists(st.sampled_from(used), unique=True, max_size=3)):
+            state._drain(node)
+    return state
+
+
+class TestHeapPlacement:
+    """The heap pass against the per-pod scan of every node it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(state=placement_states())
+    def test_binds_as_the_scan(self, state):
+        reference = copy.deepcopy(state)
+        expected = schedule_pending_pods_scan(reference)
+        assert state.schedule_pending_pods() == expected
+        assert ({n.node_id: n.used for n in state.nodes.values()}
+                == {n.node_id: n.used for n in reference.nodes.values()})
+        assert list(state.pending) == list(reference.pending)
+
+    def test_pending_pods_out_of_creation_order_bind_oldest_first(self):
+        state = make_state([NodePool("main", 1000, 120)])
+        first, second = ready_node(state), ready_node(state)
+        old = state.create_pod("web", 600)
+        state.schedule_pending_pods()
+        young = state.create_pod("web", 600)
+        state._drain(state.nodes[old.bound_node])
+        assert list(state.pending) == [young.pod_id, old.pod_id]
+        assert state.schedule_pending_pods() == [(old.pod_id, second.node_id)]
+        assert young.state is PodState.PENDING and first.state is NodeState.DELETED
 
 
 class TestStep:

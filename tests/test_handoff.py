@@ -4,8 +4,9 @@ replaced.
 After every event of every migration, the number of replacements that
 reached Running and whether any old pod is still alive must equal a scan of
 the whole migration, and every release must terminate the same pods, in the
-same order, as releasing from all old pods. A counted guard shows that a
-hand-off after one PodStarted does not walk the migration's pod lists.
+same order, as releasing from all old pods. Counted guards show that a
+hand-off after one PodStarted does not walk the migration's pod lists, and
+that while the new pool provisions only a NodeReady event walks its nodes.
 """
 
 from pathlib import Path
@@ -167,3 +168,48 @@ def test_handoff_after_one_start_reaches_few_pods():
     # The started replacement and the next; the released old pod and the next.
     assert mig.replacements.reached <= 2
     assert mig.old_pods.reached <= 4
+
+
+def test_provisioning_new_walks_the_pool_only_on_node_ready():
+    # The new pool's Ready count can rise only when a node becomes Ready, so
+    # while it provisions, PodStarted and WorkloadPhaseChange events must
+    # not walk its nodes; its NodeReady events may.
+    state = two_pool_state(staging_nodes=2)
+    start_running(state, "web", 4)
+    mas = make_mas(flat_trace(400, 900), forecaster="naive")
+    mas.desired = 4
+    state.clock.advance_to(10)
+    mas.on_policy_switch(state, 10, "PERFORMANCE")
+    assert mas.migration.phase is MigrationPhase.PROVISIONING_NEW
+    for _ in range(2):
+        state.create_pod("web", 250)     # PodStarted at t=20
+    state.schedule_pending_pods()
+    for t in (30, 60, 129, 130):
+        state.enqueue(t, EventKind.WORKLOAD_PHASE_CHANGE, {})
+    pool = state.pools["performance"]
+    pool.nodes = CountingList(pool.nodes)
+    walked = {}
+    while mas.migration.phase is MigrationPhase.PROVISIONING_NEW:
+        ev = state.step()
+        before = pool.nodes.reached
+        mas.advance_migration(state, ev.fire_at)
+        walked.setdefault(ev.kind, []).append(pool.nodes.reached - before)
+    assert walked.pop(EventKind.NODE_READY)
+    assert set(walked) == {EventKind.POD_STARTED, EventKind.WORKLOAD_PHASE_CHANGE}
+    assert all(reached == 0 for reached in sum(walked.values(), []))
+
+
+def test_a_node_added_ready_counts_toward_the_new_pool():
+    # A node can also become Ready without a NodeReady event, when it is
+    # added Ready; the next advance must count it.
+    state = two_pool_state(staging_nodes=2)
+    start_running(state, "web", 4)
+    mas = make_mas(flat_trace(400, 900), forecaster="naive")
+    mas.desired = 4
+    state.clock.advance_to(10)
+    mas.on_policy_switch(state, 10, "PERFORMANCE")
+    assert mas.migration.phase is MigrationPhase.PROVISIONING_NEW
+    for _ in range(mas.migration.target_nodes):
+        state.add_ready_node("performance")
+    mas.advance_migration(state, 10)
+    assert mas.migration.phase is MigrationPhase.MIGRATING_WORKLOAD

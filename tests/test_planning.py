@@ -11,12 +11,14 @@ from oracles import (
     ffd_bound_holds,
     pack_exact,
     pack_ffd_assign,
+    pack_ffd_per_item,
     validate_assignment,
 )
 
 from scalesim.planning import (
     OversizedRequestError,
     Policy,
+    SizeClasses,
     ceil_div,
     pack_ffd,
     plan_nodes,
@@ -125,6 +127,14 @@ class TestPackFfd:
         for capacity in (0, -1000):
             with pytest.raises(ValueError, match="bin_capacity"):
                 pack_ffd([], capacity)
+
+    def test_non_positive_size_rejected(self):
+        # A size class of 0 would fit slack // 0 items per bin.
+        for sizes in ([0], [250, 0, 250], [-250]):
+            with pytest.raises(ValueError, match="sizes must be positive"):
+                pack_ffd(sizes, 1000)
+        with pytest.raises(ValueError, match="sizes must be positive"):
+            plan_nodes(3, 0, {}, 1000)
 
     def test_deterministic_tie_break_on_owner(self):
         rs = [Request("b", 600), Request("a", 600), Request("c", 400)]
@@ -238,6 +248,49 @@ class TestCountMatchesReference:
         reference += [Request(owner, size) for owner, size in other.items()]
         assert (plan_nodes(replicas, pod_request, other, capacity)
                 == pack_ffd_assign(reference, capacity).required_nodes)
+
+
+@st.composite
+def size_runs(draw):
+    """A bin capacity and up to four runs of 1-400 equal sizes in
+    [1, capacity], sizes of 1 and of a whole bin included."""
+    capacity = draw(st.integers(1, 4000))
+    size = st.one_of(st.just(1), st.just(capacity), st.integers(1, capacity))
+    runs = draw(st.lists(st.tuples(size, st.integers(1, 400)), min_size=1, max_size=4))
+    return runs, capacity
+
+
+class TestSizeClasses:
+    """Packing by size class against the per-item packer it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=size_runs(), data=st.data())
+    @example(case=([(250, 264), (600, 1)], 2000), data=None)
+    @example(case=([(3, 400)], 4000), data=None)
+    @example(case=([(7, 400), (4, 400), (2, 400)], 9), data=None)
+    def test_pack_ffd_equals_per_item_packer(self, case, data):
+        runs, capacity = case
+        sizes = [size for size, count in runs for _ in range(count)]
+        if data is not None:
+            sizes = data.draw(st.permutations(sizes), label="order")
+        assert pack_ffd(sizes, capacity) == pack_ffd_per_item(sizes, capacity)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=size_runs())
+    def test_plan_nodes_equals_per_item_packer(self, case):
+        (pod_request, replicas), *others = case[0]
+        capacity = case[1]
+        other = {f"o{i}-{j}": size for i, (size, count) in enumerate(others)
+                 for j in range(count)}
+        sizes = [pod_request] * replicas + list(other.values())
+        assert plan_nodes(replicas, pod_request, other, capacity) == pack_ffd_per_item(
+            sizes, capacity)
+
+    def test_len_is_the_item_count(self):
+        assert len(SizeClasses({250: 264, 600: 1})) == 265
+        assert len(SizeClasses({})) == 0
+        assert pack_ffd(SizeClasses({250: 264, 600: 1}), 2000) == pack_ffd_per_item(
+            [250] * 264 + [600], 2000)
 
 
 class TestAssignmentValidation:

@@ -1,20 +1,25 @@
 """Work-count guards: what a layer touches per tick, counted from outside by
-wrapping the calls it makes, on one workload shape at lengths L, 2L and 4L.
-Each bound is derived from the layer's own rule, not read off a run, and
-holds whatever the host; a path that redoes work over the whole history on
-every tick exceeds it at the first length already."""
+wrapping the calls it makes, on the `mas-seasonal` shape at lengths L, 2L
+and 4L and on the `mas-migrate` shape at widths W, 2W and 4W. Each bound is
+derived from the layer's own rule, not read off a run, and holds whatever
+the host; a path that redoes work over the whole history on every tick, or
+over the whole cluster for every pod, exceeds it at the first size already."""
 
 import bisect
 import builtins
+import functools
 import random
+import re
 
 import numpy as np
 import pytest
 from oracles import smallest_5_smooth_at_least
 
-from scalesim import control, forecasting
+from scalesim import control, engine, forecasting, planning
 from scalesim.runner import run_scenario
 from scalesim.scenario import parse_scenario_text
+
+from test_golden_artifacts import OTHER_PODS, _bench_workloads
 
 # The cycle of the benchmark's `mas-seasonal` workload: 480 s, the peak
 # asks for about 10 replicas of 250m. L is four cycles.
@@ -151,3 +156,174 @@ def test_detection_fft_is_the_shortest_5_smooth_length_that_holds_every_lag(
     assert screened and [n for n, _ in ffts] == screened
     for n, size in ffts:
         assert size == smallest_5_smooth_at_least(n + n // 2), (n, size)
+
+
+# ---------------------------------------------------------------- width
+#
+# The `mas-migrate` shape (seed 1) with its initial nodes, initial replicas
+# and demand scaled: W is half the benchmark's width, about 140 replicas on
+# 9 small nodes, so 4W is about twice the benchmark's. Three unmanaged pods
+# give every node plan two size classes (600m and 250m).
+WIDTHS = (1, 2, 4)
+
+
+def mas_migrate(width: int):
+    """Seed-1 `mas-migrate` at `width` halves of the benchmark's width, with
+    the unmanaged pods of the golden `-other` runs."""
+    def scale(match):
+        return f"{match[1]} = {round(int(match[2]) * width / 2)}"
+
+    text = re.sub(r"^(pool\.small\.initial_nodes|initial_replicas|phase\.\d+\.target_vus)"
+                  r" = (\d+)$", scale, _bench_workloads()["mas-migrate"].generate(1), flags=re.M)
+    return parse_scenario_text(text + OTHER_PODS, f"mas-migrate-w{width}")
+
+
+class CountingNodes(list):
+    """A pool's node list that counts the nodes its readers reach: every
+    node per iteration, one per index read."""
+
+    reached = 0
+
+    def __iter__(self):
+        CountingNodes.reached += len(self)
+        return super().__iter__()
+
+    def __getitem__(self, i):
+        item = super().__getitem__(i)
+        CountingNodes.reached += len(item) if isinstance(i, slice) else 1
+        return item
+
+
+class CountingPods(dict):
+    """The cluster's pod map, counting the pods reached through `values()`,
+    forward or backward, while `counting` is set."""
+
+    counting = False
+    reached = 0
+    workload = ""
+
+    def values(self):
+        return _CountedValues(self)
+
+
+class _CountedValues:
+    def __init__(self, pods):
+        self.pods = pods
+
+    def __len__(self):
+        return len(self.pods)
+
+    def __iter__(self):
+        return self._count(dict.values(self.pods))
+
+    def __reversed__(self):
+        return self._count(reversed(dict.values(self.pods)))
+
+    @staticmethod
+    def _count(pods):
+        for pod in pods:
+            CountingPods.reached += CountingPods.counting
+            yield pod
+
+
+def counted_enumerate(iterable, start=0):
+    for item in builtins.enumerate(iterable, start):
+        counted_enumerate.steps += 1
+        yield item
+
+
+@functools.lru_cache(maxsize=None)
+def width_work(width: int) -> dict:
+    """Run `mas-migrate` at `width` and return what each width layer did:
+    per scheduling pass (nodes reached, cluster nodes, Pending pods), per
+    `pack_ffd` call (bins walked, size classes, bins opened) and per tick
+    scale-down (pods reached, pods released, live pods, releasable pods)."""
+    work = {"passes": [], "packs": [], "shrinks": []}
+    state_init = engine.ClusterState.__init__
+    schedule = engine.ClusterState.schedule_pending_pods
+    pack, tick, shrink = planning.pack_ffd, control.HierarchicalController.tick, control._shrink
+
+    def counting_init(self, pools, *args, **kwargs):
+        for pool in pools:
+            pool.nodes = CountingNodes(pool.nodes)
+        state_init(self, pools, *args, **kwargs)
+        self.pods = CountingPods(self.pods)
+
+    def counting_schedule(self):
+        before, nodes, pending = CountingNodes.reached, len(self.nodes), len(self.pending)
+        bindings = schedule(self)
+        work["passes"].append((CountingNodes.reached - before, nodes, pending))
+        return bindings
+
+    def counting_pack(sizes, bin_capacity):
+        classes = len(sizes.counts) if hasattr(sizes, "counts") else len(set(sizes))
+        before = counted_enumerate.steps
+        bins = pack(sizes, bin_capacity)
+        work["packs"].append((counted_enumerate.steps - before, classes, bins))
+        return bins
+
+    def counting_tick(self, state, now):
+        CountingPods.counting, CountingPods.reached = True, 0
+        CountingPods.workload = self.trace.workload_id
+        try:
+            return tick(self, state, now)
+        finally:
+            CountingPods.counting = False
+
+    def counting_shrink(state, pods, count):
+        if CountingPods.counting:
+            CountingPods.counting = False
+            releasable = sum(1 for p in dict.values(state.pods)
+                             if p.workload_id == CountingPods.workload
+                             and p.state in (engine.STARTING, engine.RUNNING))
+            work["shrinks"].append((CountingPods.reached, count, len(state.pods), releasable))
+        return shrink(state, pods, count)
+
+    counted_enumerate.steps = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine.ClusterState, "__init__", counting_init)
+        mp.setattr(engine.ClusterState, "schedule_pending_pods", counting_schedule)
+        mp.setattr(planning, "enumerate", counted_enumerate, raising=False)
+        mp.setattr(planning, "pack_ffd", counting_pack)
+        mp.setattr(control, "pack_ffd", counting_pack)
+        mp.setattr(control.HierarchicalController, "tick", counting_tick)
+        mp.setattr(control, "_shrink", counting_shrink)
+        run_scenario(mas_migrate(width))
+    return work
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_a_scheduling_pass_reaches_each_node_at_most_once(width):
+    # The pass keys each pool group's Ready nodes once, when its first pod
+    # needs a node, and then each pod costs a look at the groups' tops and
+    # one heap step: at most one reach of each node per pass, and none when
+    # nothing is Pending. Scanning every node for every pod it places costs
+    # nodes x placed pods.
+    passes = width_work(width)["passes"]
+    assert sum(pending > 1 for _, _, pending in passes) > 0
+    for reached, nodes, pending in passes:
+        assert reached <= (nodes if pending else 0), (reached, nodes, pending)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_packing_walks_the_bins_once_per_size_class(width):
+    # Each size class walks the bins open when it starts at most once, and
+    # there are never more open bins than the count returned: at most
+    # classes x bins steps. Packing item by item walks the bins once per
+    # item.
+    packs = width_work(width)["packs"]
+    assert max(bins for _, _, bins in packs) >= 9 * width / 2
+    for steps, classes, bins in packs:
+        assert steps <= classes * bins, (steps, classes, bins)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_a_scale_down_reaches_only_the_pods_it_passes(width):
+    # The walk back from the youngest pod takes each Starting or Running pod
+    # of the workload it meets until `count` are taken, so it passes at most
+    # `count` of them and every other pod: at most count + (pods -
+    # releasable). Sorting every pod of the workload reaches all the pods.
+    shrinks = width_work(width)["shrinks"]
+    assert any(count < releasable for _, count, _, releasable in shrinks)
+    for reached, count, pods, releasable in shrinks:
+        assert reached <= count + pods - releasable, (reached, count, pods, releasable)
