@@ -35,10 +35,12 @@ from .forecasting import (
 )
 from .knobs import check_knobs, knob
 from .metrics import utilization
-from .planning import Policy, pack_ffd, plan_nodes, plan_replicas
+from .planning import Policy, ceil_div, pack_ffd, plan_nodes, plan_replicas
 from .workload import DemandTrace
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from .scenario import ScenarioConfig
 
 
@@ -70,7 +72,6 @@ class MigrationPhase(Enum):
     IDLE = "Idle"
     PROVISIONING_NEW = "ProvisioningNew"
     MIGRATING_WORKLOAD = "MigratingWorkload"
-    DECOMMISSIONING_OLD = "DecommissioningOld"
 
 
 @dataclass
@@ -157,31 +158,39 @@ class MasConfig:
         check_knobs(self)
 
 
-def _shrink(state: ClusterState, pods: list[Pod], count: int) -> int:
-    """Terminate the first `count` of `pods`, alive pods that the caller
-    lists in release order: Pending pods first, then the youngest bound pods.
-    Returns how many were terminated."""
-    victims = pods[:count]
+def _release(state: ClusterState, pending: list[Pod], bound: Iterable[Pod],
+             count: int) -> int:
+    """Terminate up to `count` pods in release order: the `pending` pods in
+    the order given, then the Starting or Running pods of `bound` in its
+    order, read only as far as the count needs. Every victim is taken before
+    any is terminated, since a Pending pod that is terminated leaves
+    `state.pods`, which `bound` may walk. Returns how many were terminated."""
+    victims = pending[:count]
+    if len(victims) < count:
+        for pod in bound:
+            if pod.state is PodState.STARTING or pod.state is PodState.RUNNING:
+                victims.append(pod)
+                if len(victims) == count:
+                    break
     for pod in victims:
         state.terminate_pod(pod.pod_id)
     return len(victims)
 
 
-def _scale_down_order(state: ClusterState, workload_id: str, count: int) -> list[Pod]:
-    """The `count` alive pods of the workload that a scale-down releases, in
-    release order: its Pending pods youngest first, then its bound pods
-    youngest first. `state.pods` holds pods in creation order, so the walk
-    back from its end meets the youngest first and stops at the count."""
-    victims = sorted((p for p in state.pending.values() if p.workload_id == workload_id),
-                     key=lambda p: -p.creation_seq)[:count]
-    if len(victims) < count:
-        for pod in reversed(state.pods.values()):
-            if pod.workload_id == workload_id and (
-                    pod.state is PodState.STARTING or pod.state is PodState.RUNNING):
-                victims.append(pod)
-                if len(victims) == count:
-                    break
-    return victims
+def _scale_replicas(state: ClusterState, workload_id: str, pod_request: int, delta: int) -> None:
+    """Change the workload's replicas by `delta`: create pods, or release
+    them, its Pending pods youngest first and then its bound pods youngest
+    first. `state.pods` holds pods in creation order, so the walk back from
+    its end meets the youngest first."""
+    if delta > 0:
+        for _ in range(delta):
+            state.create_pod(workload_id, pod_request)
+    else:
+        pending = sorted((p for p in state.pending.values() if p.workload_id == workload_id),
+                         key=lambda p: -p.creation_seq)
+        _release(state, pending,
+                 (p for p in reversed(state.pods.values()) if p.workload_id == workload_id),
+                 -delta)
 
 
 class Controller(Protocol):
@@ -317,12 +326,8 @@ class HierarchicalController:
             state.resize_pool(policy.pool, required_nodes)
             actions.append(("nodes", policy.pool, required_nodes - current_nodes))
         delta = plan.planned_replicas - state.replicas(workload_id)
-        if delta > 0:
-            for _ in range(delta):
-                state.create_pod(workload_id, self.pod_request)
-        elif delta < 0:
-            _shrink(state, _scale_down_order(state, workload_id, -delta), -delta)
         if delta != 0:
+            _scale_replicas(state, workload_id, self.pod_request, delta)
             actions.append(("pods", workload_id, delta))
         self.desired = plan.planned_replicas
         state.schedule_pending_pods()
@@ -363,8 +368,8 @@ class HierarchicalController:
         floor = self.desired
         target_nodes = plan_nodes(max(1, floor), self.pod_request, self.other_requests,
                                   state.pools[new.pool].node_capacity_millicores)
-        old_pods = sorted((p for p in state.pods_of(workload_id) if p.state in ALIVE),
-                          key=lambda p: -p.creation_seq)
+        # `state.pods` is in creation order, so walked back, youngest first.
+        old_pods = [p for p in reversed(state.pods_of(workload_id)) if p.state in ALIVE]
         self.migration = MigrationState(
             phase=MigrationPhase.PROVISIONING_NEW,
             from_pool=old_pool,
@@ -406,21 +411,24 @@ class HierarchicalController:
         if mig.phase is MigrationPhase.MIGRATING_WORKLOAD:
             self._handoff_replicas(state)
             if mig.first_alive_old() == len(mig.old_pods):
-                mig.phase = MigrationPhase.DECOMMISSIONING_OLD
-        if mig.phase is MigrationPhase.DECOMMISSIONING_OLD:
-            residual = self._residual_old_pool_nodes(state)
-            state.resize_pool(mig.from_pool, residual)
-            self.completed_migrations.append({
-                "started_at": mig.started_at,
-                "completed_at": now,
-                "from_pool": mig.from_pool,
-                "to_pool": mig.to_pool,
-                "floor": {self.trace.workload_id: mig.floor},
-            })
-            pending = mig.pending_switch
-            self.migration = MigrationState()
-            if pending is not None:
-                self.on_policy_switch(state, now, pending)
+                self._finish_migration(state, now)
+
+    def _finish_migration(self, state: ClusterState, now: int) -> None:
+        """The last old pod has left: shrink the old pool to what its other
+        pods need, record the migration, and start any queued switch."""
+        mig = self.migration
+        state.resize_pool(mig.from_pool, self._residual_old_pool_nodes(state))
+        self.completed_migrations.append({
+            "started_at": mig.started_at,
+            "completed_at": now,
+            "from_pool": mig.from_pool,
+            "to_pool": mig.to_pool,
+            "floor": {self.trace.workload_id: mig.floor},
+        })
+        pending = mig.pending_switch
+        self.migration = MigrationState()
+        if pending is not None:
+            self.on_policy_switch(state, now, pending)
 
     def _handoff_replicas(self, state: ClusterState) -> None:
         """Per-replica make-before-break: one old pod is released, youngest
@@ -439,23 +447,11 @@ class HierarchicalController:
             mig.started += 1
         to_release = mig.started - mig.terminated_old
         if to_release > 0:
-            mig.terminated_old += _shrink(state, self._releasable(state, to_release), to_release)
-
-    def _releasable(self, state: ClusterState, count: int) -> list[Pod]:
-        """The old pods that releasing `count` of them may take, in release
-        order: every Pending old pod, then the `count` youngest bound ones,
-        each youngest first."""
-        mig = self.migration
-        mig.pending_old = [p for p in mig.pending_old if p.state is PodState.PENDING]
-        pods = list(mig.pending_old)
-        old, i, bound = mig.old_pods, mig.first_alive_old(), 0
-        while bound < count and i < len(old):
-            pod = old[i]
-            if pod.state is PodState.STARTING or pod.state is PodState.RUNNING:
-                pods.append(pod)
-                bound += 1
-            i += 1
-        return pods
+            mig.pending_old = [p for p in mig.pending_old if p.state is PodState.PENDING]
+            old = mig.old_pods
+            mig.terminated_old += _release(
+                state, mig.pending_old,
+                map(old.__getitem__, range(mig.first_alive_old(), len(old))), to_release)
 
     def _residual_old_pool_nodes(self, state: ClusterState) -> int:
         """Nodes the old pool keeps for the unmanaged pods still bound there."""
@@ -516,25 +512,18 @@ class ReactiveController:
         # the running count; the result reconciles the full replica set.
         # ceil(running * (num / den) / target), as an integer ceiling division.
         target = cfg.target_utilization
-        desired = -(-(running * num * target.denominator) // (den * target.numerator))
+        desired = ceil_div(running * num * target.denominator, den * target.numerator)
         desired = max(cfg.min_replicas, min(cfg.max_replicas, desired))
-        applied = current
-        if desired > current:
-            for _ in range(desired - current):
-                state.create_pod(workload_id, self.pod_request)
-            self._below_since = None
-            applied = desired
-        elif desired < current:
+        applied = desired
+        if desired < current:
             if self._below_since is None:
                 self._below_since = now
-            if now - self._below_since >= cfg.scale_down_stabilization:
-                count = current - desired
-                _shrink(state, _scale_down_order(state, workload_id, count), count)
-                self._below_since = None
-                applied = desired
-        else:
+            if now - self._below_since < cfg.scale_down_stabilization:
+                applied = current
+        if applied == desired:
             self._below_since = None
         if applied != current:
+            _scale_replicas(state, workload_id, self.pod_request, applied - current)
             actions.append(("pods", workload_id, applied - current))
         self.desired = applied
         phases.append({"phase": "hpa", "workloads": [{

@@ -133,7 +133,7 @@ class Observer:
         pod_request: int,
         cost: CostAccumulator,
         normalizers: Normalizers,
-        saturation_ceiling: Fraction = Fraction(11, 10),
+        saturation_ceiling: Fraction,
     ):
         self.workload_id = workload_id
         self.pod_request = pod_request

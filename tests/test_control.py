@@ -17,8 +17,7 @@ from scalesim.control import (
     MigrationPhase,
     ReactiveController,
     StrategicSchedule,
-    _scale_down_order,
-    _shrink,
+    _scale_replicas,
     make_controller,
 )
 from scalesim.engine import ClusterState, EventKind, NodePool, NodeState, PodState
@@ -520,19 +519,31 @@ def shrink_states(draw):
     return state
 
 
+def recording_terminations(state):
+    """Record, on `state` alone, the id of every pod terminated."""
+    terminated, terminate = [], state.terminate_pod
+
+    def recording(pod_id):
+        terminated.append(pod_id)
+        terminate(pod_id)
+
+    state.terminate_pod = recording
+    return terminated
+
+
 class TestScaleDown:
-    """The scale-down walk against the sort of every pod it replaced."""
+    """The ticks' scale-down against the sort of every pod it replaced."""
 
     @settings(max_examples=200, deadline=None)
     @given(state=shrink_states(), data=st.data())
     def test_victims_are_the_sorted_scan(self, state, data):
         workload = data.draw(st.sampled_from(["web", "api"]), label="workload")
         count = data.draw(st.integers(0, state.replicas(workload)), label="count")
-        expected = shrink_victims_scan(state.pods_of(workload), count)
-        victims = _scale_down_order(state, workload, count)
-        assert victims == expected
+        expected = [p.pod_id for p in shrink_victims_scan(state.pods_of(workload), count)]
         alive = state.replicas(workload)
-        assert _shrink(state, victims, count) == count
+        terminated = recording_terminations(state)
+        _scale_replicas(state, workload, 250, -count)
+        assert terminated == expected
         assert state.replicas(workload) == alive - count
 
     def test_walk_stops_at_the_count(self):
@@ -556,8 +567,9 @@ class TestScaleDown:
                     yield pod
 
         state.pods = ReadPods(state.pods)
-        victims = _scale_down_order(state, "web", 2)
-        assert [p.pod_id for p in victims] == read == ["web-p40", "web-p39"]
+        terminated = recording_terminations(state)
+        _scale_replicas(state, "web", 250, -2)
+        assert terminated == read == ["web-p40", "web-p39"]
 
 
 class TestControllerProtocol:

@@ -9,6 +9,7 @@ hand-off after one PodStarted does not walk the migration's pod lists, and
 that while the new pool provisions only a NodeReady event walks its nodes.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,7 @@ def checked_handoff(monkeypatch):
     advances (while a migration is in flight), checked releases and
     completed migrations."""
     advance = HierarchicalController.advance_migration
-    shrink, terminate = control._shrink, ClusterState.terminate_pod
+    release, terminate = control._release, ClusterState.terminate_pod
     tally = {"advances": 0, "releases": 0, "completed": 0}
     releasing = []          # the migration whose hand-off may be releasing
     terminated = []
@@ -47,12 +48,12 @@ def checked_handoff(monkeypatch):
         terminated.append(pod_id)
         terminate(self, pod_id)
 
-    def checked_shrink(state, pods, count):
+    def checked_release(state, pending, bound, count):
         if not releasing:
-            return shrink(state, pods, count)
+            return release(state, pending, bound, count)
         expected = [p.pod_id for p in shrink_victims_scan(releasing[-1].old_pods, count)]
         terminated.clear()
-        released = shrink(state, pods, count)
+        released = release(state, pending, bound, count)
         assert terminated == expected
         assert released == len(expected)
         tally["releases"] += 1
@@ -73,7 +74,7 @@ def checked_handoff(monkeypatch):
         tally["completed"] += mig is not self.migration
 
     monkeypatch.setattr(HierarchicalController, "advance_migration", checked_advance)
-    monkeypatch.setattr(control, "_shrink", checked_shrink)
+    monkeypatch.setattr(control, "_release", checked_release)
     monkeypatch.setattr(ClusterState, "terminate_pod", recording_terminate)
     return tally
 
@@ -92,6 +93,18 @@ def _scenario(name):
 def test_handoff_matches_scans_at_every_event(checked_handoff, name):
     run_scenario(_scenario(name))
     assert checked_handoff["completed"] > 0 and checked_handoff["releases"] > 0
+
+
+def test_every_declared_migration_phase_is_logged():
+    # A phase that no tick's strategic record shows cannot be told apart from
+    # the phases around it by reading the artifacts.
+    logged = set()
+    for name in ("heartbeat-mas", "flash-sale-mas", "mas-migrate-1"):
+        for line in run_scenario(_scenario(name)).decision_lines:
+            for phase in json.loads(line).get("phases", ()):
+                if phase["phase"] == "strategic":
+                    logged.add(phase["migration"])
+    assert logged == {m.value for m in MigrationPhase}
 
 
 def test_zero_floor_handoff_matches_scans(checked_handoff):
@@ -136,10 +149,10 @@ class CountingList(list):
         return super().__iter__()
 
 
-def test_handoff_after_one_start_reaches_few_pods():
-    # Work count, not timing: 240 replicas move between two 64000m pools,
-    # and the hand-off after the first replacement starts must not walk
-    # either list of 240 pods.
+def _handoff_at_start(started):
+    """A migration of 240 replicas between two 64000m pools, stepped to the
+    PodStarted event that follows `started` hand-offs, before the hand-off
+    runs for it. Returns the state, the controller and that event."""
     replicas = 240
     state = ClusterState([NodePool("old", 64000, 60),
                           NodePool("new", 64000, 60)])
@@ -157,16 +170,37 @@ def test_handoff_after_one_start_reaches_few_pods():
     mig = mas.migration
     while True:
         ev = state.step()
-        if ev.kind is EventKind.POD_STARTED and mig.phase is MigrationPhase.MIGRATING_WORKLOAD:
+        if (ev.kind is EventKind.POD_STARTED and mig.phase is MigrationPhase.MIGRATING_WORKLOAD
+                and mig.started == started):
             break
         mas.advance_migration(state, ev.fire_at)
     assert len(mig.replacements) == len(mig.old_pods) == replicas
+    return state, mas, ev
+
+
+def test_handoff_after_one_start_reaches_few_pods():
+    # Work count, not timing: the hand-off after the first replacement
+    # starts must not walk either list of 240 pods.
+    state, mas, ev = _handoff_at_start(0)
+    mig = mas.migration
     mig.replacements = CountingList(mig.replacements)
     mig.old_pods = CountingList(mig.old_pods)
     mas.advance_migration(state, ev.fire_at)
     assert mig.started == mig.terminated_old == 1
     # The started replacement and the next; the released old pod and the next.
     assert mig.replacements.reached <= 2
+    assert mig.old_pods.reached <= 4
+
+
+def test_handoff_after_many_starts_walks_from_the_youngest_alive():
+    # After 100 hand-offs, the next release walks the old pods from the
+    # youngest still alive, not from the first: it reaches the pod it
+    # releases and the next, as the first hand-off does.
+    state, mas, ev = _handoff_at_start(100)
+    mig = mas.migration
+    mig.old_pods = CountingList(mig.old_pods)
+    mas.advance_migration(state, ev.fire_at)
+    assert mig.started == mig.terminated_old == 101
     assert mig.old_pods.reached <= 4
 
 

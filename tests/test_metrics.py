@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import observe_scan, write_metrics_csv_cells
 
+from scalesim.control import HpaConfig
 from scalesim.engine import ClusterState, Node, NodePool, NodeState
 from scalesim.metrics import (
     CostAccumulator,
@@ -50,6 +51,7 @@ def make_observer(state, pod_request=250, cost_rate=1.0):
         pod_request=pod_request,
         cost=CostAccumulator({"main": to_micro(cost_rate)}, to_micro(0.1), "web"),
         normalizers=Normalizers(),
+        saturation_ceiling=HpaConfig().saturation_ceiling,
     )
 
 

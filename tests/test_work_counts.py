@@ -241,7 +241,7 @@ def width_work(width: int) -> dict:
     work = {"passes": [], "packs": [], "shrinks": []}
     state_init = engine.ClusterState.__init__
     schedule = engine.ClusterState.schedule_pending_pods
-    pack, tick, shrink = planning.pack_ffd, control.HierarchicalController.tick, control._shrink
+    pack, tick, release = planning.pack_ffd, control.HierarchicalController.tick, control._release
 
     def counting_init(self, pools, *args, **kwargs):
         for pool in pools:
@@ -270,14 +270,17 @@ def width_work(width: int) -> dict:
         finally:
             CountingPods.counting = False
 
-    def counting_shrink(state, pods, count):
-        if CountingPods.counting:
-            CountingPods.counting = False
-            releasable = sum(1 for p in dict.values(state.pods)
-                             if p.workload_id == CountingPods.workload
-                             and p.state in (engine.STARTING, engine.RUNNING))
-            work["shrinks"].append((CountingPods.reached, count, len(state.pods), releasable))
-        return shrink(state, pods, count)
+    def counting_release(state, pending, bound, count):
+        if not CountingPods.counting:
+            return release(state, pending, bound, count)
+        releasable = sum(1 for p in dict.values(state.pods)
+                         if p.workload_id == CountingPods.workload
+                         and p.state in (engine.STARTING, engine.RUNNING))
+        pods = len(state.pods)
+        released = release(state, pending, bound, count)
+        CountingPods.counting = False
+        work["shrinks"].append((CountingPods.reached, count, pods, releasable))
+        return released
 
     counted_enumerate.steps = 0
     with pytest.MonkeyPatch.context() as mp:
@@ -287,7 +290,7 @@ def width_work(width: int) -> dict:
         mp.setattr(planning, "pack_ffd", counting_pack)
         mp.setattr(control, "pack_ffd", counting_pack)
         mp.setattr(control.HierarchicalController, "tick", counting_tick)
-        mp.setattr(control, "_shrink", counting_shrink)
+        mp.setattr(control, "_release", counting_release)
         run_scenario(mas_migrate(width))
     return work
 
