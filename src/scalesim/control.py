@@ -199,9 +199,9 @@ class Controller(Protocol):
     count, or the controller's own floor for None. `tick` acts on the cluster
     and returns the tick's decision-log record: {"t", "controller", "phases",
     "actions"}, each action a (kind, target, delta) tuple with kind "pods" or
-    "nodes". `on_event` sees every fired event and may return a decision-log
-    record. `active_floor` is the replica floor that a migration must hold,
-    and None outside migrations."""
+    "nodes". `on_event` sees every fired event and returns the decision-log
+    records it made, in order, often none. `active_floor` is the replica
+    floor that a migration must hold, and None outside migrations."""
 
     name: ClassVar[str]
     desired: int                        # replicas asked for
@@ -212,7 +212,7 @@ class Controller(Protocol):
     def initial(self, replicas: int | None) -> tuple[str, int]: ...
     def tick_times(self, duration: int) -> range: ...
     def tick(self, state: ClusterState, now: int) -> dict: ...
-    def on_event(self, state: ClusterState, ev: SimEvent) -> dict | None: ...
+    def on_event(self, state: ClusterState, ev: SimEvent) -> list[dict]: ...
     def active_floor(self) -> int | None: ...
 
 
@@ -259,14 +259,18 @@ class HierarchicalController:
     def tick_times(self, duration: int) -> range:
         return range(0, duration + 1, self.config.control_interval)
 
-    def on_event(self, state: ClusterState, ev: SimEvent) -> dict | None:
-        record = None
+    def on_event(self, state: ClusterState, ev: SimEvent) -> list[dict]:
+        """A policy switch's record, then, if the migration that this event
+        let finish had a switch queued behind it, that switch's record."""
+        records = []
         if ev.kind is EventKind.POLICY_SWITCH:
             switch = self.on_policy_switch(state, ev.fire_at, ev.payload["policy"])
-            record = {"event": "policy_switch", **switch}
+            records.append({"event": "policy_switch", **switch})
         if self.migration.phase is not MigrationPhase.IDLE:
-            self.advance_migration(state, ev.fire_at)
-        return record
+            dequeued = self.advance_migration(state, ev.fire_at)
+            if dequeued is not None:
+                records.append({"event": "policy_switch", **dequeued})
+        return records
 
     # ----------------------------------------------------------------- ticks
 
@@ -309,7 +313,7 @@ class HierarchicalController:
         pool = state.pools[policy.pool]
         required_nodes = plan_nodes(plan.planned_replicas, self.pod_request, self.other_requests,
                                     pool.node_capacity_millicores)
-        current_nodes = len(pool.live_nodes())
+        current_nodes = len(pool.nodes)
         phases.append({
             "phase": "node-planning",
             "pool": policy.pool,
@@ -394,9 +398,10 @@ class HierarchicalController:
             "floor": {workload_id: floor},
         }
 
-    def advance_migration(self, state: ClusterState, now: int) -> None:
+    def advance_migration(self, state: ClusterState, now: int) -> dict | None:
         """Move the migration forward as far as current cluster state allows.
-        Called after every fired event; phases only ever advance."""
+        Called after every fired event; phases only ever advance. Returns the
+        record of a switch that was queued behind a migration that finished."""
         mig = self.migration
         if (mig.phase is MigrationPhase.PROVISIONING_NEW
                 and mig.readied_seen != state.nodes_readied):
@@ -411,11 +416,13 @@ class HierarchicalController:
         if mig.phase is MigrationPhase.MIGRATING_WORKLOAD:
             self._handoff_replicas(state)
             if mig.first_alive_old() == len(mig.old_pods):
-                self._finish_migration(state, now)
+                return self._finish_migration(state, now)
+        return None
 
-    def _finish_migration(self, state: ClusterState, now: int) -> None:
+    def _finish_migration(self, state: ClusterState, now: int) -> dict | None:
         """The last old pod has left: shrink the old pool to what its other
-        pods need, record the migration, and start any queued switch."""
+        pods need, record the migration, and start any queued switch,
+        returning its record."""
         mig = self.migration
         state.resize_pool(mig.from_pool, self._residual_old_pool_nodes(state))
         self.completed_migrations.append({
@@ -427,8 +434,9 @@ class HierarchicalController:
         })
         pending = mig.pending_switch
         self.migration = MigrationState()
-        if pending is not None:
-            self.on_policy_switch(state, now, pending)
+        if pending is None:
+            return None
+        return self.on_policy_switch(state, now, pending)
 
     def _handoff_replicas(self, state: ClusterState) -> None:
         """Per-replica make-before-break: one old pod is released, youngest
@@ -493,8 +501,8 @@ class ReactiveController:
     def tick_times(self, duration: int) -> range:
         return range(0, duration, self.config.tick_interval)
 
-    def on_event(self, state: ClusterState, ev: SimEvent) -> None:
-        return None
+    def on_event(self, state: ClusterState, ev: SimEvent) -> list[dict]:
+        return []
 
     def active_floor(self) -> None:
         return None
@@ -552,7 +560,7 @@ class ReactiveController:
         provisioning = any(n.state is PROVISIONING for n in pool.nodes)
         if pending_ages and max(pending_ages) > cfg.ca_trigger_delay and not provisioning:
             # One node at a time; wait for in-flight capacity before adding more.
-            state.resize_pool(self.pool_id, len(pool.live_nodes()) + 1)
+            state.resize_pool(self.pool_id, len(pool.nodes) + 1)
             actions.append(("nodes", self.pool_id, 1))
             record["added_node"] = True
 
@@ -560,9 +568,9 @@ class ReactiveController:
         self._empty_since = {n.node_id: old.get(n.node_id, now)
                              for n in pool.ready_nodes() if not n.bound_pods}
         idle_expired = any(now - since > cfg.ca_idle_delay for since in self._empty_since.values())
-        if idle_expired and len(pool.live_nodes()) > 1:
+        if idle_expired and len(pool.nodes) > 1:
             # Shrink by one; the resize victim rule picks an empty node.
-            state.resize_pool(self.pool_id, len(pool.live_nodes()) - 1)
+            state.resize_pool(self.pool_id, len(pool.nodes) - 1)
             actions.append(("nodes", self.pool_id, -1))
             record["removed_idle_node"] = True
         return record

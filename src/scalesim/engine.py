@@ -16,7 +16,6 @@ from .errors import EmptyQueueError, SimulationError, UnknownPoolError
 class NodeState(Enum):
     PROVISIONING = "Provisioning"
     READY = "Ready"
-    DRAINING = "Draining"
     DELETED = "Deleted"
 
 
@@ -31,8 +30,8 @@ class PodState(Enum):
 # Members bound once at import: on CPython 3.11 looking a member up on its Enum
 # class costs about eight global lookups, and the engine, the checker and the
 # observer test states on every event.
-PROVISIONING, READY, DRAINING, NODE_DELETED = (
-    NodeState.PROVISIONING, NodeState.READY, NodeState.DRAINING, NodeState.DELETED)
+PROVISIONING, READY, NODE_DELETED = (
+    NodeState.PROVISIONING, NodeState.READY, NodeState.DELETED)
 PENDING, STARTING, RUNNING, TERMINATING, POD_DELETED = (
     PodState.PENDING, PodState.STARTING, PodState.RUNNING, PodState.TERMINATING,
     PodState.DELETED)
@@ -41,13 +40,12 @@ PENDING, STARTING, RUNNING, TERMINATING, POD_DELETED = (
 ALIVE = (PENDING, STARTING, RUNNING)
 # Pods that hold a node's reservation.
 BOUND = (STARTING, RUNNING, TERMINATING)
-# Nodes that count toward their pool's size.
-LIVE = (PROVISIONING, READY)
 
 
 # Forward-only ordering of node lifecycle states: NodeState's declaration
 # order is the lifecycle order. A transition may skip a state (a cancelled
-# Provisioning node drains without ever serving) but may never move backwards.
+# Provisioning node is deleted without ever serving) but may never move
+# backwards.
 _NODE_ORDER = {s: i for i, s in enumerate(NodeState)}
 
 
@@ -117,10 +115,6 @@ class NodePool:
     nodes: list[Node] = field(default_factory=list)
     _next_node: int = 1
 
-    def live_nodes(self) -> list[Node]:
-        """Nodes that count toward the pool's size (Provisioning or Ready)."""
-        return [n for n in self.nodes if n.state in LIVE]
-
     def ready_nodes(self) -> list[Node]:
         return [n for n in self.nodes if n.state is READY]
 
@@ -132,7 +126,6 @@ class Pod:
     cpu_request_millicores: int
     state: PodState = PENDING
     bound_node: str | None = None
-    startup_delay: int = 10
     creation_seq: int = 0
     pending_since: int = 0
     # Incremented on every bind so a stale PodStarted event from an earlier
@@ -256,10 +249,8 @@ class ClusterState:
         if pod is None or pod.state is not TERMINATING:
             ev.payload["stale"] = True
             return
-        node = self.nodes[pod.bound_node]
         self._place(pod, None)
         self._retire(pod)
-        self._maybe_finish_drain(node)
 
     # ------------------------------------------------------------------- pods
 
@@ -274,7 +265,6 @@ class ClusterState:
             pod_id=pod_id,
             workload_id=workload_id,
             cpu_request_millicores=cpu_request,
-            startup_delay=self.pod_startup_delay,
             creation_seq=self._pods_created,
             pending_since=self.clock.now,
         )
@@ -341,9 +331,6 @@ class ClusterState:
 
     # -------------------------------------------------------------- scheduling
 
-    def free_capacity(self, node: Node) -> int:
-        return self.pools[node.pool_id].node_capacity_millicores - node.used
-
     def schedule_pending_pods(self) -> list[tuple[str, str]]:
         """Bind Pending pods to Ready nodes, in creation order.
 
@@ -406,7 +393,7 @@ class ClusterState:
         self._set_pod_state(pod, STARTING)
         pod.binding_seq += 1
         self.enqueue(
-            self.clock.now + pod.startup_delay,
+            self.clock.now + self.pod_startup_delay,
             POD_STARTED,
             {"pod": pod.pod_id, "binding": pod.binding_seq},
         )
@@ -414,43 +401,47 @@ class ClusterState:
     # ------------------------------------------------------------------- nodes
 
     def resize_pool(self, pool_id: str, target: int) -> None:
-        """Grow or shrink a pool toward `target` live nodes.
+        """Grow or shrink a pool to `target` nodes.
 
         Growth adds Provisioning nodes that become Ready after the pool's
         provisioning delay. Shrinking drains the nodes hosting the fewest
-        pods (ties: highest node id); their pods return to Pending for
-        rescheduling and an emptied node is deleted on the spot.
+        pods (ties: highest node id), and a drained node leaves the pool in
+        this same step, so a pool's nodes are only ever Provisioning or Ready.
         """
         if target < 0:
             raise SimulationError(f"resize target must be >= 0, got {target}")
         pool = self.pools.get(pool_id)
         if pool is None:
             raise UnknownPoolError(f"unknown pool {pool_id!r}")
-        live = pool.live_nodes()
-        if target > len(live):
-            for _ in range(target - len(live)):
+        size = len(pool.nodes)
+        if target > size:
+            for _ in range(target - size):
                 node = self._new_node(
                     pool, PROVISIONING, self.clock.now + pool.provisioning_delay
                 )
                 self.enqueue(node.ready_at, NODE_READY, {"node": node.node_id})
-        elif target < len(live):
-            victims = sorted(live, key=lambda n: (len(n.bound_pods), -_node_index(n.node_id)))
-            for node in victims[: len(live) - target]:
+        elif target < size:
+            victims = sorted(pool.nodes,
+                             key=lambda n: (len(n.bound_pods), -_node_index(n.node_id)))
+            for node in victims[: size - target]:
                 self._drain(node)
             self.schedule_pending_pods()
 
     def _drain(self, node: Node) -> None:
-        self._set_node_state(node, DRAINING)
+        """Unbind the node's pods, retiring the Terminating ones and returning
+        the rest to Pending for rescheduling, then delete the node. A
+        Provisioning node has no pods and is deleted without ever serving."""
         for pod_id in sorted(node.bound_pods):
             pod = self.pods[pod_id]
             self._place(pod, None)
             if pod.state is TERMINATING:
-                # Already dying; finish immediately so the node can go away.
                 self._retire(pod)
             else:
                 self._set_pod_state(pod, PENDING)
                 pod.pending_since = self.clock.now
-        self._maybe_finish_drain(node)
+        self._set_node_state(node, NODE_DELETED)
+        self.pools[node.pool_id].nodes.remove(node)
+        del self.nodes[node.node_id]
 
     def _new_node(self, pool: NodePool, state: NodeState, ready_at: int) -> Node:
         node = Node(f"{pool.pool_id}-n{pool._next_node}", pool.pool_id, state, ready_at)
@@ -465,12 +456,6 @@ class ClusterState:
         node.transition(new)
         self.nodes_readied += new is READY
         self.touched_nodes[node] = None
-
-    def _maybe_finish_drain(self, node: Node) -> None:
-        if node.state is DRAINING and not node.bound_pods:
-            self._set_node_state(node, NODE_DELETED)
-            self.pools[node.pool_id].nodes.remove(node)
-            del self.nodes[node.node_id]
 
 
 def _node_index(node_id: str) -> int:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from .engine import (
     ALIVE,
     BOUND,
-    DRAINING,
     NODE_DELETED,
     PENDING,
     POD_DELETED,
@@ -33,8 +32,6 @@ from .engine import (
     PodState,
 )
 from .errors import InvariantViolation
-
-HOLDS_PODS = (READY, DRAINING)
 
 
 class InvariantChecker:
@@ -175,7 +172,7 @@ class InvariantChecker:
                 f"capacity-conservation: node {node.node_id} holds {used}m "
                 f"> capacity {pool.node_capacity_millicores}m"
             )
-        if node.bound_pods and node.state not in HOLDS_PODS:
+        if node.bound_pods and node.state is not READY:
             raise InvariantViolation(
                 f"no-teleportation: node {node.node_id} in state {node.state.value} "
                 "has bound pods"

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
 
-from .engine import DRAINING, PROVISIONING, READY, ClusterState
+from .engine import PROVISIONING, READY, ClusterState
 from .knobs import check_knobs, knob
 from .planning import Policy
 
@@ -37,7 +37,7 @@ class Normalizers:
 
 
 # Node states counted per pool, in the order of a nodes_by_pool tuple.
-_NODE_STATES = (PROVISIONING, READY, DRAINING)
+_NODE_STATES = (PROVISIONING, READY)
 
 
 @dataclass
@@ -46,7 +46,7 @@ class MetricSample:
     demand_millicores: int
     running_replicas: int
     pending_pods: int
-    nodes_by_pool: dict[str, tuple[int, int, int]]   # pool -> (provisioning, ready, draining)
+    nodes_by_pool: dict[str, tuple[int, int]]   # pool -> (provisioning, ready)
     utilization: float
     cpu_waste_millicores: int
     cumulative_pod_cost: int    # micro-units
@@ -147,24 +147,19 @@ class Observer:
         num, den = utilization(demand, running, self.pod_request, self.saturation_ceiling)
         util = num / den    # correctly rounded, as float(Fraction(num, den)) is
 
-        # One pass over each pool's nodes: its node-state counts, and the
-        # requests bound to its Ready nodes.
+        # One pass over each pool's nodes: its Ready nodes and the requests
+        # bound to them. Every other node of a pool is Provisioning.
         bound_requests = 0
         ready_capacity = 0
-        nodes_by_pool: dict[str, tuple[int, int, int]] = {}
+        nodes_by_pool: dict[str, tuple[int, int]] = {}
         for pool_id in state.pool_order:
             pool = state.pools[pool_id]
-            provisioning = ready = draining = 0
+            ready = 0
             for node in pool.nodes:
-                node_state = node.state
-                if node_state is READY:
+                if node.state is READY:
                     ready += 1
                     bound_requests += node.used
-                elif node_state is PROVISIONING:
-                    provisioning += 1
-                elif node_state is DRAINING:
-                    draining += 1
-            nodes_by_pool[pool_id] = (provisioning, ready, draining)
+            nodes_by_pool[pool_id] = (len(pool.nodes) - ready, ready)
             ready_capacity += ready * pool.node_capacity_millicores
         packing = bound_requests / ready_capacity if ready_capacity else 0.0
 
@@ -219,7 +214,7 @@ def metrics_header(pool_order: list[str]) -> list[str]:
 def _row_formatter(pool_order: list[str]) -> Callable[[MetricSample], str]:
     """The metrics.csv line of a sample, newline included, for one pool order:
     one %-template for the whole row, filled from the scalar fields before the
-    dict field, its (provisioning, ready, draining) triples in pool order, and
+    dict field, its (provisioning, ready) pairs in pool order, and
     the scalar fields after it. No cell needs quoting: every one is a number."""
     names = list(_SAMPLE_TYPES)
     split = names.index("nodes_by_pool")

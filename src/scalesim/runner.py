@@ -154,8 +154,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
                 observer.observe(state, demand, active_policy, now)
             else:
                 decision_lines.append(json.dumps(controller.tick(state, now)))
-        record = controller.on_event(state, ev)
-        if record is not None:
+        for record in controller.on_event(state, ev):
             decision_lines.append(json.dumps(record))
 
         event_lines.append(format_event(ev))

@@ -419,7 +419,7 @@ def observe_scan(observer: Observer, state: ClusterState, demand: int, policy: P
         pool = state.pools[pool_id]
         nodes_by_pool[pool_id] = tuple(
             sum(1 for n in pool.nodes if n.state is s)
-            for s in (NodeState.PROVISIONING, NodeState.READY, NodeState.DRAINING)
+            for s in (NodeState.PROVISIONING, NodeState.READY)
         )
         for node in pool.ready_nodes():
             ready_capacity += pool.node_capacity_millicores
@@ -451,7 +451,7 @@ def _cell(sample: MetricSample, name: str) -> str:
 
 def sample_row(sample: MetricSample, pool_order: list[str]) -> list[str]:
     """One metrics.csv row, cell by cell: str() of an int, 6 decimals of a
-    float, and the dict field's triples in pool order."""
+    float, and the dict field's pairs in pool order."""
     row = []
     for name, typ in _SAMPLE_TYPES.items():
         if typ is dict:

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: exit codes, output layout, determinism."""
 
+import csv
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -257,3 +259,39 @@ def test_compare_out_that_is_a_file_rejected(tmp_path, capsys):
     taken.write_text("keep me\n")
     assert main(["compare", str(out_a), str(out_b), "--out", str(taken)]) == EXIT_CONFIG
     assert f"--out: {taken} exists and is not a directory" in capsys.readouterr().err
+
+
+def _with_draining_columns(run_dir, into):
+    """A copy of `run_dir` whose metrics.csv has the `nodes_<pool>_draining`
+    column, all zeros, after each pool's Ready column, as runs wrote it while
+    nodes had a Draining state."""
+    shutil.copytree(run_dir, into)
+    with open(run_dir / "metrics.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    ready = [i for i, c in enumerate(rows[0]) if c.endswith("_ready")]
+    assert ready
+    for row in rows:
+        for i in reversed(ready):
+            row.insert(i + 1, rows[0][i][:-len("ready")] + "draining" if row is rows[0] else "0")
+    with open(into / "metrics.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return into
+
+
+def test_compare_reads_runs_written_with_draining_columns(tmp_path):
+    scn = str(FIXTURES / "heartbeat-mas.scn")
+    mas, hpa = tmp_path / "mas", tmp_path / "hpa"
+    assert main(["run", "--scenario", scn, "--out", str(mas)]) == EXIT_OK
+    assert main(["run", "--scenario", scn, "--out", str(hpa), "--controller", "hpa_ca"]) == EXIT_OK
+    old_mas = _with_draining_columns(mas, tmp_path / "old-mas")
+    old_hpa = _with_draining_columns(hpa, tmp_path / "old-hpa")
+    assert "nodes_staging_draining" in (old_mas / "metrics.csv").read_text()
+
+    def compared(a, b, name):
+        out = tmp_path / name
+        assert main(["compare", str(a), str(b), "--out", str(out)]) == EXIT_OK
+        return {f: (out / f).read_bytes() for f in ("comparison.csv", "comparison.txt")}
+
+    new = compared(mas, hpa, "new")
+    assert compared(old_mas, hpa, "old-a") == new
+    assert compared(mas, old_hpa, "old-b") == new

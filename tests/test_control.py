@@ -212,10 +212,10 @@ class TestReactiveHpa:
         start_running(state, "web", 1)
         hpa = make_hpa(trace, state, ca_idle_delay=600)
         tick_at(hpa, state, 15)
-        assert len(state.pools["baseline"].live_nodes()) == 2
+        assert len(state.pools["baseline"].nodes) == 2
         assert deltas(tick_at(hpa, state, 600), "nodes") == []
         assert -1 in deltas(tick_at(hpa, state, 630), "nodes")
-        assert len(state.pools["baseline"].live_nodes()) == 1
+        assert len(state.pools["baseline"].nodes) == 1
 
     def test_no_future_observations(self):
         # Demand explodes one second after the tick; the decision must not see it.
@@ -411,7 +411,7 @@ class TestMigration:
         for pod in state.pods.values():
             if pod.state is PodState.RUNNING:
                 assert pod.bound_node in perf_nodes
-        assert state.pools["staging"].live_nodes() == []
+        assert state.pools["staging"].nodes == []
 
     def test_old_pool_not_drained_before_workload_moves(self):
         state, mas = self.heartbeat_setup(replicas=3)
@@ -423,7 +423,7 @@ class TestMigration:
             if mas.migration.phase in (
                 MigrationPhase.PROVISIONING_NEW, MigrationPhase.MIGRATING_WORKLOAD
             ):
-                assert len(staging.live_nodes()) == 1
+                assert len(staging.nodes) == 1
             mas.advance_migration(state, ev.fire_at)
 
     def test_switch_mid_migration_queued(self):
@@ -455,7 +455,7 @@ class TestMigration:
         run_until_quiet(state, mas)
         assert mas.migration.phase is MigrationPhase.IDLE
         # The unmanaged pod still needs one staging node.
-        assert len(state.pools["staging"].live_nodes()) == 1
+        assert len(state.pools["staging"].nodes) == 1
         monitoring = state.pods["monitoring"]
         assert monitoring.state is PodState.RUNNING
 
@@ -486,7 +486,7 @@ class TestMigration:
             "to_pool": "performance", "floor": {"web": 0},
         }]
         assert len(state.pools["performance"].ready_nodes()) == 1
-        assert state.pools["staging"].live_nodes() == []
+        assert state.pools["staging"].nodes == []
 
 
 @st.composite
@@ -612,6 +612,6 @@ class TestControllerProtocol:
         state = baseline_state()
         hpa = make_hpa(flat_trace(100, 60), state)
         state.enqueue(0, EventKind.POLICY_SWITCH, {"policy": "PERFORMANCE"})
-        assert hpa.on_event(state, state.step()) is None
+        assert hpa.on_event(state, state.step()) == []
         assert hpa.active_floor() is None
         assert hpa.completed_migrations == []

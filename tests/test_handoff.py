@@ -65,13 +65,14 @@ def checked_handoff(monkeypatch):
             return advance(self, state, now)
         releasing.append(mig)
         try:
-            advance(self, state, now)
+            dequeued = advance(self, state, now)
         finally:
             releasing.pop()
         assert mig.started == running_replacements_scan(mig)
         assert (mig.first_alive_old() < len(mig.old_pods)) == old_pods_alive_scan(mig)
         tally["advances"] += 1
         tally["completed"] += mig is not self.migration
+        return dequeued
 
     monkeypatch.setattr(HierarchicalController, "advance_migration", checked_advance)
     monkeypatch.setattr(control, "_release", checked_release)
@@ -106,6 +107,25 @@ def test_every_declared_migration_phase_is_logged():
                     logged.add(phase["migration"])
     assert logged == {m.value for m in MigrationPhase}
 
+
+
+def test_a_switch_queued_behind_a_migration_logs_its_own_start():
+    # The new pool takes 200 s to provision, so the switch back at t=500 lands
+    # while the t=450 migration is in flight and waits for it to finish.
+    text = (FIXTURES / "heartbeat-mas.scn").read_text().replace(
+        "pool.performance.provisioning_delay = 120\n",
+        "pool.performance.provisioning_delay = 200\n",
+    ) + "schedule.at.500 = COST_SAVING\nduration = 1200\n"
+    result = run_scenario(parse_scenario_text(text, "heartbeat-mas-queued"))
+    switches = [json.loads(line) for line in result.decision_lines if '"event"' in line]
+    assert [(s["t"], s["switch"], s["migration"]) for s in switches] == [
+        (450, "PERFORMANCE", "make-before-break started"),
+        (500, "COST_SAVING", "queued (switch in flight)"),
+        (result.completed_migrations[0]["completed_at"], "COST_SAVING",
+         "make-before-break started"),
+    ]
+    assert switches[2]["from_pool"] == "performance" and switches[2]["to_pool"] == "staging"
+    assert result.summary.migrations == 2
 
 def test_zero_floor_handoff_matches_scans(checked_handoff):
     state = two_pool_state(staging_nodes=1)

@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import observe_scan, write_metrics_csv_cells
+from test_golden_artifacts import FIXTURES, GOLDEN, GOLDEN_BENCH, _bench_workloads
 
 from scalesim.control import HpaConfig
 from scalesim.engine import ClusterState, Node, NodePool, NodeState
 from scalesim.metrics import (
+    _NODE_STATES,
     CostAccumulator,
     MetricSample,
     Normalizers,
@@ -34,7 +36,7 @@ from scalesim.metrics import (
 )
 from scalesim.planning import Policy
 from scalesim.runner import run_scenario
-from scalesim.scenario import parse_scenario_text
+from scalesim.scenario import load_scenario, parse_scenario_text
 
 COST = Policy("COST_SAVING", "staging", 1, 0.2, 0.8)
 PERF = Policy("PERFORMANCE", "performance", 2, 0.8, 0.2)
@@ -116,29 +118,46 @@ class TestObserve:
         state.schedule_pending_pods()     # 3 pods on each Ready node
         while state.has_events():
             state.step()
-        # Held Draining with its pods bound, which the engine passes through
-        # only inside a drain.
-        state.nodes["main-n2"].state = NodeState.DRAINING
-        state.resize_pool("main", 2)      # one live node: add a Provisioning one
+        state.resize_pool("main", 3)      # add a Provisioning node
         observer = make_observer(state)
         sample = observer.observe(state, demand=0, policy=NEUTRAL, t=0)
-        assert sample.nodes_by_pool == {"main": (1, 1, 1)}
-        # The Draining node's 750m and the Provisioning node's capacity are
-        # left out: 750m bound on the one Ready node of 2000m.
+        assert sample.nodes_by_pool == {"main": (1, 2)}
+        # The Provisioning node's capacity is left out: 1500m bound on the
+        # two Ready nodes of 2000m.
         assert sample.packing_efficiency == 0.375
 
+
+
+def test_every_counted_node_state_shows_in_some_metrics_row(tmp_path):
+    # A column that is 0 in every row of every golden run cannot tell a reader
+    # anything; a node state that no sample can see should not be declared.
+    assert set(_NODE_STATES) == set(NodeState) - {NodeState.DELETED}
+    unseen = {s.value.lower() for s in _NODE_STATES}
+    configs = [load_scenario(FIXTURES / f"{name}.scn") for name in sorted(GOLDEN)]
+    configs += [parse_scenario_text(_bench_workloads()[name].generate(1), f"{name}-1")
+                for name in sorted(GOLDEN_BENCH)]
+    for config in configs:
+        out = tmp_path / config.scenario_id
+        run_scenario(config, out_dir=out)
+        with open(out / "metrics.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                unseen -= {column.rsplit("_", 1)[1] for column, cell in row.items()
+                           if column.startswith("nodes_") and cell != "0"}
+        if not unseen:
+            break
+    assert not unseen
 
 # Ceilings whose cap falls on a whole millicore for some capacities and
 # between two for others.
 CEILINGS = (Fraction(1), Fraction(11, 10), Fraction(3, 2), Fraction(7, 3))
-NODE_STATES = (NodeState.PROVISIONING, NodeState.READY, NodeState.DRAINING)
+NODE_STATES = (NodeState.PROVISIONING, NodeState.READY)
 POLICIES = (COST, PERF, NEUTRAL)
 
 
 @st.composite
 def observed_clusters(draw):
     """An observer and a cluster it samples: 1-3 pools whose nodes are
-    Provisioning, Ready or Draining with any `used`, 0-50 running replicas,
+    Provisioning or Ready with any `used`, 0-50 running replicas,
     and a demand on the saturation cap, one millicore either side of it, or
     anywhere in 0-100 000."""
     pools = [NodePool(f"pool{i}", draw(st.integers(1, 4000)), 120)
@@ -344,7 +363,7 @@ class TestCsvAndSummary:
         header = (out / "metrics.csv").read_text().splitlines()[0]
         assert header == (
             "t,demand_millicores,running_replicas,pending_pods,"
-            "nodes_baseline_provisioning,nodes_baseline_ready,nodes_baseline_draining,"
+            "nodes_baseline_provisioning,nodes_baseline_ready,"
             "utilization,cpu_waste_millicores,cumulative_pod_cost,"
             "cumulative_node_cost,packing_efficiency,utility"
         )
@@ -381,13 +400,13 @@ CELL_FLOATS = st.floats() | st.sampled_from([-0.0, 0.0, -1.5, 0.0000005, -0.0000
 
 @st.composite
 def metric_samples(draw, pool_order):
-    """A sample of any field values, with a triple for every pool."""
+    """A sample of any field values, with a pair for every pool."""
     return MetricSample(
         t=draw(CELL_INTS),
         demand_millicores=draw(CELL_INTS),
         running_replicas=draw(CELL_INTS),
         pending_pods=draw(CELL_INTS),
-        nodes_by_pool={p: draw(st.tuples(CELL_INTS, CELL_INTS, CELL_INTS))
+        nodes_by_pool={p: draw(st.tuples(CELL_INTS, CELL_INTS))
                        for p in pool_order},
         utilization=draw(CELL_FLOATS),
         cpu_waste_millicores=draw(CELL_INTS),
