@@ -1,7 +1,9 @@
-"""Discrete-event core: simulated clock, event queue, and the cluster state machine.
+"""Discrete-event core: the event queue and the cluster state machine.
 
-Time is integer seconds. All state transitions happen by popping the earliest
-pending event, so two runs fed identical inputs replay identical histories.
+Time is integer seconds, kept as `ClusterState.now` and set only by `step`,
+to the time of the event it pops. All state transitions happen by popping the
+earliest pending event, so two runs fed identical inputs replay identical
+histories.
 """
 
 from __future__ import annotations
@@ -67,25 +69,10 @@ NODE_READY, POD_STARTED, POD_TERMINATED = (
 
 
 @dataclass
-class SimClock:
-    now: int = 0
-
-    def advance_to(self, t: int) -> None:
-        if t < self.now:
-            raise SimulationError(f"clock would move backwards: {self.now} -> {t}")
-        self.now = t
-
-
-@dataclass
 class SimEvent:
     fire_at: int
     kind: EventKind
     payload: dict
-    seq: int = 0
-    rank: int = 0       # orders events of one kind in one second, before seq
-
-    def sort_key(self) -> tuple[int, int, int, int]:
-        return (self.fire_at, _KIND_RANK[self.kind], self.rank, self.seq)
 
 
 # Pods and nodes compare by identity: the engine keeps them in sets of
@@ -95,7 +82,6 @@ class Node:
     node_id: str
     pool_id: str
     state: NodeState = PROVISIONING
-    ready_at: int = 0
     bound_pods: set[str] = field(default_factory=set)
     used: int = 0       # millicores requested by the pods in bound_pods
 
@@ -139,7 +125,8 @@ def generated_pod_id(workload_id: str, n: int) -> str:
 
 
 class ClusterState:
-    """Mutable cluster snapshot: pools, pods, clock, and the event queue.
+    """Mutable cluster snapshot: pools, pods, the current time `now` and the
+    event queue.
 
     Only live objects are kept: a pod or node that reaches Deleted leaves
     `pods`, `nodes` and its pool's `nodes` at that moment. Callers that hold
@@ -154,16 +141,16 @@ class ClusterState:
     """
 
     def __init__(self, pools: list[NodePool], pod_startup_delay: int = 10):
-        self.clock = SimClock()
+        self.now = 0
         self.pools: dict[str, NodePool] = {p.pool_id: p for p in pools}
-        self.pool_order: list[str] = [p.pool_id for p in pools]
         self.pods: dict[str, Pod] = {}
         self.nodes: dict[str, Node] = {}     # every pool's nodes, by id
         self.pod_startup_delay = pod_startup_delay
         # Pool preferred by the scheduler; controllers keep it pointed at the
         # active policy's pool.
         self.preferred_pool_id: str | None = None
-        self._queue: list[tuple[tuple[int, int, int], SimEvent]] = []
+        # Heap of (fire_at, kind rank, rank, seq, event), popped in that order.
+        self._queue: list[tuple[int, int, int, int, SimEvent]] = []
         self._next_seq = 0
         self._pod_counters: dict[str, int] = {}
         self._pods_created = 0
@@ -183,14 +170,13 @@ class ClusterState:
     # ------------------------------------------------------------------ events
 
     def enqueue(self, fire_at: int, kind: EventKind, payload: dict, rank: int = 0) -> SimEvent:
-        if fire_at < self.clock.now:
+        if fire_at < self.now:
             raise SimulationError(
-                f"event {kind.value} scheduled in the past ({fire_at} < {self.clock.now})"
+                f"event {kind.value} scheduled in the past ({fire_at} < {self.now})"
             )
-        ev = SimEvent(fire_at=fire_at, kind=kind, payload=payload, seq=self._next_seq,
-                      rank=rank)
+        ev = SimEvent(fire_at, kind, payload)
+        heapq.heappush(self._queue, (fire_at, _KIND_RANK[kind], rank, self._next_seq, ev))
         self._next_seq += 1
-        heapq.heappush(self._queue, (ev.sort_key(), ev))
         return ev
 
     def has_events(self) -> bool:
@@ -199,25 +185,24 @@ class ClusterState:
     def peek_time(self) -> int:
         if not self._queue:
             raise EmptyQueueError("event queue empty: scenario end")
-        return self._queue[0][1].fire_at
+        return self._queue[0][0]
 
     def add_ready_node(self, pool_id: str) -> Node:
         """Bootstrap helper: a node that exists and is Ready at scenario start."""
         pool = self.pools.get(pool_id)
         if pool is None:
             raise UnknownPoolError(f"unknown pool {pool_id!r}")
-        return self._new_node(pool, READY, self.clock.now)
+        return self._new_node(pool, READY)
 
     def step(self) -> SimEvent:
-        """Pop the earliest event, advance the clock, apply its transition.
+        """Pop the earliest event, set `now` to its time, apply its transition.
 
         NodeReady / PodStarted / PodTerminated mutate the cluster here;
         controller-facing kinds are returned untouched for the driver.
         """
         if not self._queue:
             raise EmptyQueueError("event queue empty: scenario end")
-        _, ev = heapq.heappop(self._queue)
-        self.clock.advance_to(ev.fire_at)
+        self.now, _, _, _, ev = heapq.heappop(self._queue)
 
         kind = ev.kind
         if kind is NODE_READY:
@@ -266,7 +251,7 @@ class ClusterState:
             workload_id=workload_id,
             cpu_request_millicores=cpu_request,
             creation_seq=self._pods_created,
-            pending_since=self.clock.now,
+            pending_since=self.now,
         )
         self._pods_created += 1
         self.pods[pod_id] = pod
@@ -317,7 +302,7 @@ class ClusterState:
             self._retire(pod)
         elif pod.state is not TERMINATING:
             self._set_pod_state(pod, TERMINATING)
-            self.enqueue(self.clock.now, POD_TERMINATED, {"pod": pod.pod_id})
+            self.enqueue(self.now, POD_TERMINATED, {"pod": pod.pod_id})
 
     def replicas(self, workload_id: str) -> int:
         """R_w: pods of the workload not yet on their way out."""
@@ -378,8 +363,7 @@ class ClusterState:
         node on top, ties to the lower id in string order."""
         preferred: list = []
         rest: list = []
-        for pid in self.pool_order:
-            pool = self.pools[pid]
+        for pid, pool in self.pools.items():
             capacity = pool.node_capacity_millicores
             (preferred if pid == self.preferred_pool_id else rest).extend(
                 (node.used - capacity, node.node_id, node)
@@ -393,7 +377,7 @@ class ClusterState:
         self._set_pod_state(pod, STARTING)
         pod.binding_seq += 1
         self.enqueue(
-            self.clock.now + self.pod_startup_delay,
+            self.now + self.pod_startup_delay,
             POD_STARTED,
             {"pod": pod.pod_id, "binding": pod.binding_seq},
         )
@@ -405,8 +389,10 @@ class ClusterState:
 
         Growth adds Provisioning nodes that become Ready after the pool's
         provisioning delay. Shrinking drains the nodes hosting the fewest
-        pods (ties: highest node id), and a drained node leaves the pool in
-        this same step, so a pool's nodes are only ever Provisioning or Ready.
+        pods, ties to the highest node index: a pool keeps its nodes in the
+        order it made them, so the last of the tied nodes in `pool.nodes`
+        goes first. A drained node leaves the pool in this same step, so a
+        pool's nodes are only ever Provisioning or Ready.
         """
         if target < 0:
             raise SimulationError(f"resize target must be >= 0, got {target}")
@@ -416,13 +402,11 @@ class ClusterState:
         size = len(pool.nodes)
         if target > size:
             for _ in range(target - size):
-                node = self._new_node(
-                    pool, PROVISIONING, self.clock.now + pool.provisioning_delay
-                )
-                self.enqueue(node.ready_at, NODE_READY, {"node": node.node_id})
+                node = self._new_node(pool, PROVISIONING)
+                self.enqueue(self.now + pool.provisioning_delay, NODE_READY,
+                             {"node": node.node_id})
         elif target < size:
-            victims = sorted(pool.nodes,
-                             key=lambda n: (len(n.bound_pods), -_node_index(n.node_id)))
+            victims = sorted(reversed(pool.nodes), key=lambda n: len(n.bound_pods))
             for node in victims[: size - target]:
                 self._drain(node)
             self.schedule_pending_pods()
@@ -438,13 +422,13 @@ class ClusterState:
                 self._retire(pod)
             else:
                 self._set_pod_state(pod, PENDING)
-                pod.pending_since = self.clock.now
+                pod.pending_since = self.now
         self._set_node_state(node, NODE_DELETED)
         self.pools[node.pool_id].nodes.remove(node)
         del self.nodes[node.node_id]
 
-    def _new_node(self, pool: NodePool, state: NodeState, ready_at: int) -> Node:
-        node = Node(f"{pool.pool_id}-n{pool._next_node}", pool.pool_id, state, ready_at)
+    def _new_node(self, pool: NodePool, state: NodeState) -> Node:
+        node = Node(f"{pool.pool_id}-n{pool._next_node}", pool.pool_id, state)
         pool._next_node += 1
         pool.nodes.append(node)
         self.nodes[node.node_id] = node
@@ -456,7 +440,3 @@ class ClusterState:
         node.transition(new)
         self.nodes_readied += new is READY
         self.touched_nodes[node] = None
-
-
-def _node_index(node_id: str) -> int:
-    return int(node_id.rsplit("n", 1)[-1])

@@ -56,11 +56,11 @@ class InvariantChecker:
         this checker has not yet seen `state`. Each workload in `desired`
         must have that many live pods; None skips replica accounting."""
         self.checks_run += 1
-        if state.clock.now < self._last_t:
+        if state.now < self._last_t:
             raise InvariantViolation(
-                f"clock-monotonicity: {self._last_t} -> {state.clock.now}"
+                f"clock-monotonicity: {self._last_t} -> {state.now}"
             )
-        self._last_t = state.clock.now
+        self._last_t = state.now
         if state is not self._state:
             self.recount(state, desired)
             return

@@ -152,8 +152,7 @@ class Observer:
         bound_requests = 0
         ready_capacity = 0
         nodes_by_pool: dict[str, tuple[int, int]] = {}
-        for pool_id in state.pool_order:
-            pool = state.pools[pool_id]
+        for pool_id, pool in state.pools.items():
             ready = 0
             for node in pool.nodes:
                 if node.state is READY:

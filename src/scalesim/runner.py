@@ -194,7 +194,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_lines(out_dir / "events.log", event_lines)
         _write_lines(out_dir / "decisions.log", decision_lines)
-        write_metrics_csv(observer.samples, state.pool_order, out_dir / "metrics.csv")
+        write_metrics_csv(observer.samples, list(state.pools), out_dir / "metrics.csv")
         write_summary(summary, out_dir / "summary.txt")
         result.out_dir = out_dir
     return result

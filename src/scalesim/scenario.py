@@ -136,7 +136,12 @@ def _default_policies(controller: str, pools: list[PoolSpec]) -> dict[str, Polic
 def _check(config: ScenarioConfig) -> None:
     """Rules that tie several knobs together; each knob's own range is
     checked by the class that declares it."""
-    pool_caps = {p.pool_id: p.capacity for p in config.pools}
+    pool_caps: dict[str, int] = {}
+    for pool in config.pools:
+        if pool.pool_id in pool_caps:
+            raise ConfigError(f"field 'pool.{pool.pool_id}': pool id defined twice",
+                              f"pool.{pool.pool_id}")
+        pool_caps[pool.pool_id] = pool.capacity
     for name, policy in config.policies.items():
         if policy.pool not in pool_caps:
             raise ConfigError(f"field 'policy.{name}.pool': undefined pool {policy.pool!r}",

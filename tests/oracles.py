@@ -348,7 +348,7 @@ def pick_node_scan(state: ClusterState, request: int):
     with the most free capacity, ties to the node id first in string order;
     None if that node does not fit the request in either group."""
     preferred = [state.preferred_pool_id] if state.preferred_pool_id in state.pools else []
-    rest = [pid for pid in state.pool_order if pid not in preferred]
+    rest = [pid for pid in state.pools if pid not in preferred]
     for group in (preferred, rest):
         best, best_free = None, 0
         for pid in group:
@@ -415,8 +415,7 @@ def observe_scan(observer: Observer, state: ClusterState, demand: int, policy: P
     bound_requests = 0
     ready_capacity = 0
     nodes_by_pool = {}
-    for pool_id in state.pool_order:
-        pool = state.pools[pool_id]
+    for pool_id, pool in state.pools.items():
         nodes_by_pool[pool_id] = tuple(
             sum(1 for n in pool.nodes if n.state is s)
             for s in (NodeState.PROVISIONING, NodeState.READY)

@@ -84,10 +84,10 @@ def make_hpa(trace, state, **overrides):
 
 
 def tick_at(controller, state, t):
-    """Tick with the engine clock advanced to the tick time, as the event
+    """Tick with the cluster's `now` moved to the tick time, as the event
     loop would."""
-    if t > state.clock.now:
-        state.clock.advance_to(t)
+    if t > state.now:
+        state.now = t
     return controller.tick(state, t)
 
 
@@ -388,7 +388,7 @@ class TestMigration:
 
     def test_make_before_break_full_protocol(self):
         state, mas = self.heartbeat_setup(replicas=3)
-        state.clock.advance_to(450)
+        state.now = 450
         record = mas.on_policy_switch(state, 450, "PERFORMANCE")
         assert record["migration"] == "make-before-break started"
         assert mas.migration.phase is MigrationPhase.PROVISIONING_NEW
@@ -415,7 +415,7 @@ class TestMigration:
 
     def test_old_pool_not_drained_before_workload_moves(self):
         state, mas = self.heartbeat_setup(replicas=3)
-        state.clock.advance_to(450)
+        state.now = 450
         mas.on_policy_switch(state, 450, "PERFORMANCE")
         staging = state.pools["staging"]
         while state.has_events():
@@ -428,7 +428,7 @@ class TestMigration:
 
     def test_switch_mid_migration_queued(self):
         state, mas = self.heartbeat_setup(replicas=2)
-        state.clock.advance_to(450)
+        state.now = 450
         mas.on_policy_switch(state, 450, "PERFORMANCE")
         record = mas.on_policy_switch(state, 451, "COST_SAVING")
         assert "queued" in record["migration"]
@@ -450,7 +450,7 @@ class TestMigration:
             flat_trace(400, 900), schedule=schedule, other=other, forecaster="naive",
         )
         mas.desired = 2
-        state.clock.advance_to(100)
+        state.now = 100
         mas.on_policy_switch(state, 100, "PERFORMANCE")
         run_until_quiet(state, mas)
         assert mas.migration.phase is MigrationPhase.IDLE
@@ -475,7 +475,7 @@ class TestMigration:
         state = two_pool_state(staging_nodes=1)
         mas = make_mas(flat_trace(400, 900), forecaster="naive")
         mas.desired = 0
-        state.clock.advance_to(10)
+        state.now = 10
         record = mas._begin_migration(state, 10, "staging", PERF)
         assert record["new_pool_nodes"] == 1
         assert record["floor"] == {"web": 0}
@@ -503,7 +503,7 @@ def shrink_states(draw):
         state.create_pod(w, draw(request))
     state.schedule_pending_pods()
     run_until_quiet(state)                          # Running
-    state.clock.advance_to(20)
+    state.now = 20
     for w in draw(st.lists(workload, max_size=12)):
         state.create_pod(w, draw(request))
     state.schedule_pending_pods()                   # Starting; no event fires

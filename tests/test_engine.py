@@ -201,7 +201,7 @@ class TestStep:
         state.resize_pool("main", 1)
         ev = state.step()
         assert ev.kind is EventKind.NODE_READY
-        assert state.clock.now == 120
+        assert state.now == 120
         assert state.pools["main"].nodes[0].state is NodeState.READY
 
     def test_tie_break_node_ready_before_control_tick(self):
@@ -231,12 +231,12 @@ class TestStep:
     def test_startup_delay_arithmetic(self):
         state = make_state()
         ready_node(state)
-        state.clock.advance_to(50)
+        state.now = 50
         pod = state.create_pod("web", 250)
         state.schedule_pending_pods()
         ev = state.step()
         assert ev.kind is EventKind.POD_STARTED
-        assert state.clock.now == 60
+        assert state.now == 60
         assert pod.state is PodState.RUNNING
 
     def test_empty_queue_signals_scenario_end(self):
@@ -269,7 +269,9 @@ class TestResizePool:
         pool = state.pools["main"]
         provisioning = [n for n in pool.nodes if n.state is NodeState.PROVISIONING]
         assert len(provisioning) == 2
-        assert all(n.ready_at == 120 for n in provisioning)
+        fired = [state.step() for _ in provisioning]
+        assert [(ev.kind, ev.fire_at, ev.payload["node"]) for ev in fired] == [
+            (EventKind.NODE_READY, 120, n.node_id) for n in provisioning]
 
     def test_resize_to_current_is_noop(self):
         state = make_state()
@@ -301,6 +303,20 @@ class TestResizePool:
         state.resize_pool("main", 1)
         assert second.state is NodeState.DELETED
         assert first.state is NodeState.READY
+
+    def test_drain_ties_go_to_the_highest_numeric_index(self):
+        # Past nine nodes the id's string order is not its index order:
+        # "main-n11" < "main-n9".
+        state = make_state()
+        for _ in range(11):
+            ready_node(state)
+        pool = state.pools["main"]
+        left = []
+        for size in (10, 9, 8):
+            before = {n.node_id for n in pool.nodes}
+            state.resize_pool("main", size)
+            left += sorted(before - {n.node_id for n in pool.nodes})
+        assert left == ["main-n11", "main-n10", "main-n9"]
 
     def test_drained_pods_return_to_pending_and_reschedule(self):
         state = make_state()

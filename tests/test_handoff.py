@@ -130,7 +130,7 @@ def test_a_switch_queued_behind_a_migration_logs_its_own_start():
 def test_zero_floor_handoff_matches_scans(checked_handoff):
     state = two_pool_state(staging_nodes=1)
     mas = make_mas(flat_trace(400, 900), forecaster="naive")
-    state.clock.advance_to(10)
+    state.now = 10
     mas._begin_migration(state, 10, "staging", PERF)
     run_until_quiet(state, mas)
     assert len(mas.completed_migrations) == checked_handoff["completed"] == 1
@@ -146,7 +146,7 @@ def test_pending_old_pods_are_released_first(checked_handoff):
     state.schedule_pending_pods()
     mas = make_mas(flat_trace(400, 900), forecaster="naive")
     mas.desired = 4
-    state.clock.advance_to(10)
+    state.now = 10
     mas.on_policy_switch(state, 10, "PERFORMANCE")
     run_until_quiet(state, mas)
     assert checked_handoff["completed"] == 1 and checked_handoff["releases"] > 0
@@ -185,7 +185,7 @@ def _handoff_at_start(started):
     mas = HierarchicalController(policies, StrategicSchedule(default_policy="OLD"),
                                  flat_trace(100, 900), 250, {}, MasConfig())
     mas.desired = replicas
-    state.clock.advance_to(10)
+    state.now = 10
     mas.on_policy_switch(state, 10, "NEW")
     mig = mas.migration
     while True:
@@ -232,7 +232,7 @@ def test_provisioning_new_walks_the_pool_only_on_node_ready():
     start_running(state, "web", 4)
     mas = make_mas(flat_trace(400, 900), forecaster="naive")
     mas.desired = 4
-    state.clock.advance_to(10)
+    state.now = 10
     mas.on_policy_switch(state, 10, "PERFORMANCE")
     assert mas.migration.phase is MigrationPhase.PROVISIONING_NEW
     for _ in range(2):
@@ -260,7 +260,7 @@ def test_a_node_added_ready_counts_toward_the_new_pool():
     start_running(state, "web", 4)
     mas = make_mas(flat_trace(400, 900), forecaster="naive")
     mas.desired = 4
-    state.clock.advance_to(10)
+    state.now = 10
     mas.on_policy_switch(state, 10, "PERFORMANCE")
     assert mas.migration.phase is MigrationPhase.PROVISIONING_NEW
     for _ in range(mas.migration.target_nodes):

@@ -33,7 +33,7 @@ def recount_every_event(monkeypatch):
     def check_and_recount(self, state, desired=None):
         check(self, state, desired)
         InvariantChecker().recount(state, desired)
-        recounts.append(state.clock.now)
+        recounts.append(state.now)
 
     monkeypatch.setattr(InvariantChecker, "check", check_and_recount)
     return recounts

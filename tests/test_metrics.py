@@ -224,7 +224,7 @@ class TestCostAccumulator:
         state = make_state()
         cost = CostAccumulator({"main": to_micro(1.5)}, 0, "web")
         cost.advance(state, 10)               # 10 s x 0 nodes
-        state.clock.advance_to(10)
+        state.now = 10
         state.add_ready_node("main")
         cost.advance(state, 35)               # 25 s x 1 node
         state.add_ready_node("main")

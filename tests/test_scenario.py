@@ -377,6 +377,7 @@ def _artifacts(config, out: Path) -> dict[str, bytes]:
 # rule tying that key to others.
 _BROKEN_REPLACES = {
     "pod_request": lambda c: replace(c, pod_request=5000),
+    "pool.staging": lambda c: replace(c, pools=[*c.pools, PoolSpec("staging", capacity=4000)]),
     "policy.PERFORMANCE.pool": lambda c: replace(
         c, pools=[p for p in c.pools if p.pool_id != "performance"]),
     "other.web": lambda c: replace(c, other_requests={"web": 100}),

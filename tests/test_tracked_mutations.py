@@ -3,7 +3,8 @@
 The incremental invariant check looks only at the pods and nodes the engine
 marked touched, so it is sound only if no other module of scalesim changes a
 pod's state or binding, or a node's state, bound pods or used millicores.
-This test parses every module and pins that those changes happen in
+Time must only move forward, so only the engine's `step` sets the cluster's
+`now`. This test parses every module and pins that those changes happen in
 engine.py alone.
 """
 
@@ -12,7 +13,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "scalesim"
 
-GUARDED_FIELDS = {"state", "bound_node", "used", "bound_pods"}
+GUARDED_FIELDS = {"state", "bound_node", "used", "bound_pods", "now"}
 GUARDED_SET_CALLS = {"add", "discard", "remove", "clear", "pop", "update",
                      "difference_update", "intersection_update",
                      "symmetric_difference_update"}
@@ -60,6 +61,8 @@ a.b.bound_pods.add(pid)
 node.bound_pods.clear()
 node.transition(NodeState.READY)
 self.state = state
+state.now = 60
 """
-    assert len(untracked_mutations(ast.parse(source))) == 7
-    assert untracked_mutations(ast.parse("x = pod.state\nnode.bound_pods.copy()\n")) == []
+    assert len(untracked_mutations(ast.parse(source))) == 8
+    assert untracked_mutations(
+        ast.parse("x = pod.state\nnode.bound_pods.copy()\nnow = state.now\n")) == []
