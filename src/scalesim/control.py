@@ -276,8 +276,11 @@ class HierarchicalController:
 
     def tick(self, state: ClusterState, now: int) -> dict:
         policy = self.policies[self.schedule.active_at(now)]
-        state.preferred_pool_id = policy.pool
         deferred = self.migration.phase is not MigrationPhase.IDLE
+        if not deferred:
+            # A migration keeps the scheduler on its target pool, whatever a
+            # switch queued behind it names.
+            state.preferred_pool_id = policy.pool
         phases: list[dict] = [
             {"phase": "strategic", "policy": policy.name, "migration": self.migration.phase.value}
         ]
@@ -556,9 +559,11 @@ class ReactiveController:
         pool = state.pools[self.pool_id]
         record: dict = {}
 
-        pending_ages = [now - p.pending_since for p in state.pending.values()]
-        provisioning = any(n.state is PROVISIONING for n in pool.nodes)
-        if pending_ages and max(pending_ages) > cfg.ca_trigger_delay and not provisioning:
+        # Pending longer than the trigger delay, from the oldest pending pod.
+        pending = state.pending
+        overdue = bool(pending) and (
+            now - min(p.pending_since for p in pending.values()) > cfg.ca_trigger_delay)
+        if overdue and not any(n.state is PROVISIONING for n in pool.nodes):
             # One node at a time; wait for in-flight capacity before adding more.
             state.resize_pool(self.pool_id, len(pool.nodes) + 1)
             actions.append(("nodes", self.pool_id, 1))

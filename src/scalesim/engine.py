@@ -59,6 +59,11 @@ class EventKind(Enum):
     POLICY_SWITCH = "PolicySwitch"
     CONTROL_TICK = "ControlTick"
 
+    # Members are singletons, so identity is their hash: Enum's own hashes the
+    # name in Python, on every lookup of a kind in a dict. No artifact's
+    # order depends on it: nothing iterates a set of kinds.
+    __hash__ = object.__hash__
+
 
 # Tie-break rank for events sharing a fire_at second: EventKind's
 # declaration order.

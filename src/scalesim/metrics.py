@@ -75,15 +75,6 @@ class CostAccumulator:
         self.downtime: int = 0                   # seconds below the migration floor
         self._last_t: int = 0
 
-    def node_rate(self, state: ClusterState) -> int:
-        return sum(
-            len(pool.nodes) * self.node_rate_micro[pool.pool_id]
-            for pool in state.pools.values()
-        )
-
-    def pod_rate(self, state: ClusterState) -> int:
-        return state.bound_count * self.pod_rate_micro
-
     def advance(self, state: ClusterState, now: int, floor: int | None = None) -> None:
         """Accrue (last_t, now] from the state before any transition at `now`
         is applied; `floor` is the migration floor that held over it, if any."""
@@ -91,8 +82,12 @@ class CostAccumulator:
         if dt < 0:
             raise ValueError("cost accumulator cannot move backwards")
         if dt:
-            self.node_cost += dt * self.node_rate(state)
-            self.pod_cost += dt * self.pod_rate(state)
+            rates = self.node_rate_micro
+            node_rate = 0
+            for pool_id, pool in state.pools.items():
+                node_rate += len(pool.nodes) * rates[pool_id]
+            self.node_cost += dt * node_rate
+            self.pod_cost += dt * state.bound_count * self.pod_rate_micro
             if floor is not None and state.running_replicas(self.workload_id) < floor:
                 self.downtime += dt
         self._last_t = now
@@ -148,21 +143,27 @@ class Observer:
         util = num / den    # correctly rounded, as float(Fraction(num, den)) is
 
         # One pass over each pool's nodes: its Ready nodes and the requests
-        # bound to them. Every other node of a pool is Provisioning.
+        # bound to them. Every other node of a pool is Provisioning. Every
+        # node of a pool accrues its pool's cost rate.
+        cost = self.cost
+        node_rates = cost.node_rate_micro
         bound_requests = 0
         ready_capacity = 0
+        node_rate = 0
         nodes_by_pool: dict[str, tuple[int, int]] = {}
         for pool_id, pool in state.pools.items():
+            nodes = pool.nodes
             ready = 0
-            for node in pool.nodes:
+            for node in nodes:
                 if node.state is READY:
                     ready += 1
                     bound_requests += node.used
-            nodes_by_pool[pool_id] = (len(pool.nodes) - ready, ready)
+            nodes_by_pool[pool_id] = (len(nodes) - ready, ready)
             ready_capacity += ready * pool.node_capacity_millicores
+            node_rate += len(nodes) * node_rates[pool_id]
         packing = bound_requests / ready_capacity if ready_capacity else 0.0
 
-        cost_rate = (self.cost.node_rate(state) + self.cost.pod_rate(state)) / MICRO
+        cost_rate = (node_rate + state.bound_count * cost.pod_rate_micro) / MICRO
         sample = MetricSample(
             t=t,
             demand_millicores=demand,
@@ -171,8 +172,8 @@ class Observer:
             nodes_by_pool=nodes_by_pool,
             utilization=round(util, 6),
             cpu_waste_millicores=max(0, running * self.pod_request - demand),
-            cumulative_pod_cost=self.cost.pod_cost,
-            cumulative_node_cost=self.cost.node_cost,
+            cumulative_pod_cost=cost.pod_cost,
+            cumulative_node_cost=cost.node_cost,
             packing_efficiency=round(packing, 6),
             utility=round(utility_score(util, cost_rate, policy, self.normalizers), 6),
         )

@@ -28,6 +28,7 @@ from .scenario import ScenarioConfig
 
 OUTPUT_FILES = ("events.log", "decisions.log", "metrics.csv", "summary.txt")
 SAMPLER = "sampler"    # the controller name of the metrics sampler's ticks
+CONTROL_TICK = EventKind.CONTROL_TICK
 
 
 @dataclass
@@ -54,6 +55,12 @@ def format_event(ev: SimEvent) -> str:
         return f"t={ev.fire_at} kind={_KIND_TEXT[ev.kind]} {key}={value}"
     pairs = " ".join(f"{k}={v}" for k, v in sorted(payload.items()))
     return f"t={ev.fire_at} kind={_KIND_TEXT[ev.kind]}" + (f" {pairs}" if pairs else "")
+
+
+# A sampler tick's events.log line after its `t=<fire_at>`: the same for
+# every sample.
+_SAMPLER_LINE = format_event(
+    SimEvent(0, CONTROL_TICK, {"controller": SAMPLER})).removeprefix("t=0")
 
 
 # Lines per write: a write per line costs more than joining them all, and
@@ -93,21 +100,17 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
     controller.desired = initial
     state.schedule_pending_pods()
 
-    # Each periodic tick enqueues its successor when it fires. In one second
-    # the controller's tick comes before the sampler's.
-    tick_times = {
-        controller.name: controller.tick_times(duration),
-        SAMPLER: range(0, duration, config.sampling_interval),
-    }
-    tick_rank = {controller.name: 0, SAMPLER: 1}
-
-    def enqueue_tick(who: str, t: int) -> None:
-        if t in tick_times[who]:
-            state.enqueue(t, EventKind.CONTROL_TICK, {"controller": who}, rank=tick_rank[who])
-
-    for who, times in tick_times.items():
-        if times:
-            enqueue_tick(who, times[0])
+    # Each periodic tick enqueues its successor when it fires: the
+    # controller's at its `tick_times`, the sampler's every sampling interval
+    # before `duration`. In one second the controller's tick comes before the
+    # sampler's.
+    control_ticks = controller.tick_times(duration)
+    control_step = control_ticks.step
+    interval = config.sampling_interval
+    if control_ticks:
+        state.enqueue(control_ticks[0], CONTROL_TICK, {"controller": controller.name})
+    if duration > 0:
+        state.enqueue(0, CONTROL_TICK, {"controller": SAMPLER}, rank=1)
     for t, policy_name in schedule.entries:
         state.enqueue(t, EventKind.POLICY_SWITCH, {"policy": policy_name})
     for t, phase_name in trace.phase_boundaries:
@@ -130,41 +133,50 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
     event_lines: list[str] = []
     decision_lines: list[str] = []
 
-    def desired(floor: int | None) -> dict[str, int] | None:
-        """The replicas the checker holds the workload to: none while a
-        migration keeps old pods running beside their replacements."""
-        return None if floor is not None else {config.workload_id: controller.desired}
-
+    demand = trace.demand
+    trace_end = len(demand)
+    workload_id = config.workload_id
     # The migration floor as the last event left it; it holds until the next.
     floor = controller.active_floor()
-    while state.has_events() and state.peek_time() <= duration:
-        t_next = state.peek_time()
+    # The replicas the checker holds the workload to: none while a migration
+    # keeps old pods running beside their replacements. Rebuilt only when the
+    # floor or the controller's replicas change.
+    want = None if floor is not None else {workload_id: controller.desired}
+    while state.has_events():
+        now = state.peek_time()
+        if now > duration:
+            break
         # Accrue costs and downtime at the rates that held before this event.
-        cost.advance(state, t_next, floor)
+        cost.advance(state, now, floor)
 
         ev = state.step()
-        now = ev.fire_at
-
-        if ev.kind is EventKind.CONTROL_TICK:
-            who = ev.payload["controller"]
-            enqueue_tick(who, now + tick_times[who].step)
-            if who == SAMPLER:
-                demand = trace.demand_at(now) if now < trace.duration else 0
-                active_policy = config.policies[schedule.active_at(now)]
-                observer.observe(state, demand, active_policy, now)
-            else:
+        if ev.kind is CONTROL_TICK and ev.payload["controller"] == SAMPLER:
+            if now + interval < duration:
+                state.enqueue(now + interval, CONTROL_TICK, {"controller": SAMPLER}, rank=1)
+            active_policy = config.policies[schedule.active_at(now)]
+            observer.observe(state, demand[now] if now < trace_end else 0, active_policy, now)
+            event_lines.append(f"t={now}{_SAMPLER_LINE}")
+        else:
+            if ev.kind is CONTROL_TICK:
+                if now + control_step in control_ticks:
+                    state.enqueue(now + control_step, CONTROL_TICK,
+                                  {"controller": controller.name})
                 decision_lines.append(json.dumps(controller.tick(state, now)))
+            event_lines.append(format_event(ev))
         for record in controller.on_event(state, ev):
             decision_lines.append(json.dumps(record))
 
-        event_lines.append(format_event(ev))
         floor = controller.active_floor()
-        checker.check(state, desired(floor))
+        if floor is not None:
+            want = None
+        elif want is None or want[workload_id] != controller.desired:
+            want = {workload_id: controller.desired}
+        checker.check(state, want)
         checker.check_costs(cost.node_cost, cost.pod_cost)
 
     cost.advance(state, duration, floor)
     # What every event's check took on trust, a full recount proves at the end.
-    checker.recount(state, desired(floor))
+    checker.recount(state, want)
 
     migrations = controller.completed_migrations
     summary = summarize(

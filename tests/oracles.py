@@ -38,6 +38,7 @@ from scalesim.forecasting import (
 from scalesim.metrics import (
     _SAMPLE_TYPES,
     MICRO,
+    CostAccumulator,
     MetricSample,
     Observer,
     metrics_header,
@@ -402,6 +403,21 @@ def utilization_fraction(demand: int, running: int, pod_request: int,
     return min(Fraction(demand, running * pod_request), ceiling) if running else Fraction(0)
 
 
+def node_rate(cost: CostAccumulator, state: ClusterState) -> int:
+    """Reference for the node cost rate that `Observer.observe` sums in its
+    pass over the nodes: every node of every pool at its pool's rate, in
+    micro-units per second."""
+    return sum(
+        len(pool.nodes) * cost.node_rate_micro[pool.pool_id]
+        for pool in state.pools.values()
+    )
+
+
+def pod_rate(cost: CostAccumulator, state: ClusterState) -> int:
+    """Reference for the pod cost rate: every bound pod at the pod rate."""
+    return state.bound_count * cost.pod_rate_micro
+
+
 def observe_scan(observer: Observer, state: ClusterState, demand: int, policy: Policy,
                  t: int) -> MetricSample:
     """Reference for `metrics.Observer.observe`, which must return an equal
@@ -424,7 +440,7 @@ def observe_scan(observer: Observer, state: ClusterState, demand: int, policy: P
             ready_capacity += pool.node_capacity_millicores
             bound_requests += node.used
     packing = bound_requests / ready_capacity if ready_capacity else 0.0
-    cost_rate = (observer.cost.node_rate(state) + observer.cost.pod_rate(state)) / MICRO
+    cost_rate = (node_rate(observer.cost, state) + pod_rate(observer.cost, state)) / MICRO
     return MetricSample(
         t=t,
         demand_millicores=demand,

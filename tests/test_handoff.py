@@ -127,6 +127,36 @@ def test_a_switch_queued_behind_a_migration_logs_its_own_start():
     assert switches[2]["from_pool"] == "performance" and switches[2]["to_pool"] == "staging"
     assert result.summary.migrations == 2
 
+
+def test_a_tick_during_a_migration_keeps_the_scheduler_on_its_target(monkeypatch):
+    # The switch back to staging at t=500 queues behind the t=450 migration.
+    # Staging is wide enough to hold the replacements, so a tick that pointed
+    # the scheduler at the queued switch's pool would bind them there, and
+    # the first migration's end, which shrinks staging, would evict them.
+    text = (FIXTURES / "heartbeat-mas.scn").read_text().replace(
+        "pool.staging.capacity = 1000\n", "pool.staging.capacity = 2000\n",
+    ).replace(
+        "pool.performance.provisioning_delay = 120\n",
+        "pool.performance.provisioning_delay = 200\n",
+    ) + "schedule.at.500 = COST_SAVING\nduration = 1200\n"
+    bindings = []
+    bind = ClusterState._bind
+
+    def recording_bind(self, pod, node):
+        bindings.append((self.now, pod.pod_id, node.node_id))
+        bind(self, pod, node)
+
+    monkeypatch.setattr(ClusterState, "_bind", recording_bind)
+    result = run_scenario(parse_scenario_text(text, "heartbeat-mas-queued-wide"))
+    first = result.completed_migrations[0]
+    assert (first["started_at"], first["to_pool"]) == (450, "performance")
+    during = [b for b in bindings if first["started_at"] <= b[0] <= first["completed_at"]]
+    assert during and all(node.startswith("performance-") for _, _, node in during)
+    floor = first["floor"]["web"]
+    assert all(s.running_replicas >= floor for s in result.samples
+               if first["started_at"] <= s.t <= first["completed_at"])
+    assert result.summary.migration_downtime == 0
+
 def test_zero_floor_handoff_matches_scans(checked_handoff):
     state = two_pool_state(staging_nodes=1)
     mas = make_mas(flat_trace(400, 900), forecaster="naive")

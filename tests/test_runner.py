@@ -184,6 +184,53 @@ def test_event_line_equals_the_sorted_line(fire_at, kind, payload):
     assert format_event(ev) == format_event_sorted(ev)
 
 
+def test_sampler_lines_are_format_events(fixture_runs):
+    # The loop writes a sample's events.log line from fixed text, not through
+    # format_event; each must still be the line format_event gives it.
+    for name in ("heartbeat-hpa", "heartbeat-mas"):
+        result = fixture_runs[name]
+        written = [line for line in result.event_lines if line.endswith("controller=sampler")]
+        assert written == [
+            format_event(SimEvent(s.t, EventKind.CONTROL_TICK, {"controller": "sampler"}))
+            for s in result.samples
+        ], name
+        assert len(written) > 100, name
+
+
+@pytest.mark.parametrize("duration", [None, 900])
+@pytest.mark.parametrize("interval", [7, 13])
+@pytest.mark.parametrize("name", ["heartbeat-hpa", "heartbeat-mas"])
+def test_ticks_keep_their_boundaries(tmp_path, name, interval, duration):
+    # Samples fall on range(0, duration, interval): none at t=duration, even
+    # when the interval does not divide it. Controller ticks fall on the
+    # controller's tick_times(duration), which holds t=duration for mas_h2
+    # and not for hpa_ca. The fixtures' trace is 780 s long, and a run of
+    # 900 s ends on a tick of both controllers.
+    text = (FIXTURES / f"{name}.scn").read_text() + f"sampling_interval = {interval}\n"
+    if duration is not None:
+        text += f"duration = {duration}\n"
+    config = parse_scenario_text(text, name)
+    result = run_scenario(config, out_dir=tmp_path)
+    end = result.summary.duration
+    assert end == (780 if duration is None else duration)
+
+    def tick_times(who):
+        return [int(line.split(" ", 1)[0][2:]) for line in result.event_lines
+                if line.endswith(f"kind=ControlTick controller={who}")]
+
+    samples = list(range(0, end, interval))
+    assert tick_times("sampler") == samples
+    assert [s.t for s in result.samples] == samples
+    assert (tmp_path / "metrics.csv").read_text().count("\n") == len(samples) + 1
+    controller = runner.make_controller(config, config.build_trace())
+    ticks = list(controller.tick_times(end))
+    if duration is not None:
+        assert (end in ticks) is (config.controller == "mas_h2")
+    assert tick_times(config.controller) == ticks
+    assert [json.loads(line)["t"] for line in result.decision_lines
+            if '"controller"' in line] == ticks
+
+
 @pytest.mark.parametrize("lines_per_write", [1, 7, 512])
 @pytest.mark.parametrize("name", ["heartbeat-hpa", "zero-length"])
 def test_logs_are_the_lines_joined(tmp_path, monkeypatch, name, lines_per_write):
