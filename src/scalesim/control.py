@@ -54,9 +54,13 @@ class StrategicSchedule:
 
     def __post_init__(self) -> None:
         self.entries.sort(key=lambda e: e[0])
-        times = [at for at, _ in self.entries]
-        if len(set(times)) != len(times):
-            raise ValueError("strategic schedule entries must have unique times")
+        for i, (at, _) in enumerate(self.entries):
+            if at < 0:
+                raise ConfigError(f"field 'schedule.at.{at}': switch time {at} is before the run",
+                                  f"schedule.at.{at}")
+            if i and self.entries[i - 1][0] == at:
+                raise ConfigError(f"field 'schedule.at.{at}': switch time {at} is given twice",
+                                  f"schedule.at.{at}")
 
     def active_at(self, t: int) -> str:
         name = self.default_policy
@@ -84,10 +88,7 @@ class MigrationState:
     # Pre-switch planned replicas: the capacity floor that must hold at every
     # instant of the migration.
     floor: int = 0
-    # Pod objects, not ids: a pod that reaches Deleted leaves the cluster
-    # state, and the migration still needs to see that it did.
-    replacements: list[Pod] = field(default_factory=list)
-    started: int = 0            # replacements[:started] have reached Running
+    replacements: set[str] = field(default_factory=set)     # their pod ids
     # The workload's alive pods when the migration began, youngest first.
     old_pods: list[Pod] = field(default_factory=list)
     old_from: int = 0           # no old pod before this index is alive
@@ -95,10 +96,6 @@ class MigrationState:
     # first. While the migration lasts nothing drains a node, so no old pod
     # becomes Pending again and this list only shrinks.
     pending_old: list[Pod] = field(default_factory=list)
-    # `ClusterState.nodes_readied` when the new pool's Ready nodes were last
-    # counted: until a node becomes Ready, the count cannot have risen.
-    readied_seen: int = -1
-    terminated_old: int = 0
     pending_switch: str | None = None
 
     def first_alive_old(self) -> int:
@@ -200,7 +197,9 @@ class Controller(Protocol):
     and returns the tick's decision-log record: {"t", "controller", "phases",
     "actions"}, each action a (kind, target, delta) tuple with kind "pods" or
     "nodes". `on_event` sees every fired event and returns the decision-log
-    records it made, in order, often none. `active_floor` is the replica
+    records it made, in order, often none; a migration moves only at its
+    switch, at a NodeReady while its new pool provisions and at the
+    PodStarted of each of its replacements. `active_floor` is the replica
     floor that a migration must hold, and None outside migrations."""
 
     name: ClassVar[str]
@@ -260,17 +259,21 @@ class HierarchicalController:
         return range(0, duration + 1, self.config.control_interval)
 
     def on_event(self, state: ClusterState, ev: SimEvent) -> list[dict]:
-        """A policy switch's record, then, if the migration that this event
-        let finish had a switch queued behind it, that switch's record."""
-        records = []
-        if ev.kind is EventKind.POLICY_SWITCH:
+        """A policy switch's record; or, when the event moves the migration
+        (a NodeReady while the new pool provisions, the PodStarted of one of
+        its replacements) and lets it finish with a switch queued behind it,
+        that switch's record."""
+        kind, phase = ev.kind, self.migration.phase
+        if kind is EventKind.POLICY_SWITCH:
             switch = self.on_policy_switch(state, ev.fire_at, ev.payload["policy"])
-            records.append({"event": "policy_switch", **switch})
-        if self.migration.phase is not MigrationPhase.IDLE:
+            return [{"event": "policy_switch", **switch}]
+        if ((kind is EventKind.NODE_READY and phase is MigrationPhase.PROVISIONING_NEW)
+                or (kind is EventKind.POD_STARTED and phase is MigrationPhase.MIGRATING_WORKLOAD
+                    and ev.payload["pod"] in self.migration.replacements)):
             dequeued = self.advance_migration(state, ev.fire_at)
             if dequeued is not None:
-                records.append({"event": "policy_switch", **dequeued})
-        return records
+                return [{"event": "policy_switch", **dequeued}]
+        return []
 
     # ----------------------------------------------------------------- ticks
 
@@ -402,24 +405,28 @@ class HierarchicalController:
         }
 
     def advance_migration(self, state: ClusterState, now: int) -> dict | None:
-        """Move the migration forward as far as current cluster state allows.
-        Called after every fired event; phases only ever advance. Returns the
-        record of a switch that was queued behind a migration that finished."""
+        """Move the migration on by one of the events that can move it: the
+        switch that began it, a NodeReady while the new pool provisions, or
+        the PodStarted of one of its replacements. Ticks defer to a migration
+        and nothing else resizes its target pool, so the pool's Ready count
+        rises only at a NodeReady; a replacement reaches Running only at its
+        PodStarted, which releases one old pod for it. Returns the record of
+        a switch that was queued behind a migration that finished."""
         mig = self.migration
-        if (mig.phase is MigrationPhase.PROVISIONING_NEW
-                and mig.readied_seen != state.nodes_readied):
-            mig.readied_seen = state.nodes_readied
-            if len(state.pools[mig.to_pool].ready_nodes()) >= mig.target_nodes:
-                mig.phase = MigrationPhase.MIGRATING_WORKLOAD
-                mig.replacements = [
-                    state.create_pod(self.trace.workload_id, self.pod_request)
-                    for _ in range(mig.floor)
-                ]
-                state.schedule_pending_pods()
         if mig.phase is MigrationPhase.MIGRATING_WORKLOAD:
-            self._handoff_replicas(state)
-            if mig.first_alive_old() == len(mig.old_pods):
-                return self._finish_migration(state, now)
+            mig.pending_old = [p for p in mig.pending_old if p.state is PodState.PENDING]
+            old = mig.old_pods
+            _release(state, mig.pending_old,
+                     map(old.__getitem__, range(mig.first_alive_old(), len(old))), 1)
+        elif len(state.pools[mig.to_pool].ready_nodes()) >= mig.target_nodes:
+            mig.phase = MigrationPhase.MIGRATING_WORKLOAD
+            mig.replacements = {state.create_pod(self.trace.workload_id, self.pod_request).pod_id
+                                for _ in range(mig.floor)}
+            state.schedule_pending_pods()
+        else:
+            return None
+        if mig.first_alive_old() == len(mig.old_pods):
+            return self._finish_migration(state, now)
         return None
 
     def _finish_migration(self, state: ClusterState, now: int) -> dict | None:
@@ -440,29 +447,6 @@ class HierarchicalController:
         if pending is None:
             return None
         return self.on_policy_switch(state, now, pending)
-
-    def _handoff_replicas(self, state: ClusterState) -> None:
-        """Per-replica make-before-break: one old pod is released, youngest
-        first, for every replacement that reached Running.
-
-        The replacements are created together with one request and one
-        startup delay, so the scheduler binds them in creation order and
-        they reach Running in that order; while the migration lasts, ticks
-        defer to it, so nothing drains or terminates them. The started ones
-        are therefore a prefix of `replacements`, and each call looks only
-        at the replacements that started since the last one."""
-        mig = self.migration
-        replacements = mig.replacements
-        while (mig.started < len(replacements)
-               and replacements[mig.started].state is PodState.RUNNING):
-            mig.started += 1
-        to_release = mig.started - mig.terminated_old
-        if to_release > 0:
-            mig.pending_old = [p for p in mig.pending_old if p.state is PodState.PENDING]
-            old = mig.old_pods
-            mig.terminated_old += _release(
-                state, mig.pending_old,
-                map(old.__getitem__, range(mig.first_alive_old(), len(old))), to_release)
 
     def _residual_old_pool_nodes(self, state: ClusterState) -> int:
         """Nodes the old pool keeps for the unmanaged pods still bound there."""

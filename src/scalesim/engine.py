@@ -164,10 +164,6 @@ class ClusterState:
         # Per workload: pods Pending, Starting or Running, and pods Running.
         self.alive_by_workload: dict[str, int] = {}
         self.running_by_workload: dict[str, int] = {}
-        # Nodes that have become Ready, ever: a reader that counted a pool's
-        # Ready nodes when this had some value need not count them again
-        # while it keeps that value, since no node has become Ready since.
-        self.nodes_readied = 0
         # Objects changed since the checker last looked; dicts keep the order.
         self.touched_pods: dict[Pod, None] = {}
         self.touched_nodes: dict[Node, None] = {}
@@ -437,11 +433,9 @@ class ClusterState:
         pool._next_node += 1
         pool.nodes.append(node)
         self.nodes[node.node_id] = node
-        self.nodes_readied += state is READY
         self.touched_nodes[node] = None
         return node
 
     def _set_node_state(self, node: Node, new: NodeState) -> None:
         node.transition(new)
-        self.nodes_readied += new is READY
         self.touched_nodes[node] = None

@@ -167,6 +167,9 @@ def _check(config: ScenarioConfig) -> None:
                 "pod_request", f"pool.{pool_id}.capacity",
             )
     for owner, millicores in config.other_requests.items():
+        problem = KNOBS["other.*"][2].problem(millicores)
+        if problem is not None:
+            raise ConfigError(f"field 'other.{owner}': {problem}", f"other.{owner}")
         # The node planner packs every unmanaged pod into the active policy's pool.
         for pool_id in (p.pool for p in config.policies.values()):
             if millicores > pool_caps[pool_id]:
@@ -273,10 +276,7 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
         if key == "schedule.default":
             schedule_default = raw
         elif parts[:2] == ["schedule", "at"] and len(parts) == 3:
-            at = _key_number(parts[2], key, line)
-            if at < 0:
-                raise ScenarioError(f"field {key!r}: switch time {at} is before the run", line)
-            schedule_entries.append((at, raw))
+            schedule_entries.append((_key_number(parts[2], key, line), raw))
         else:
             grouped = parts[0] in _GROUPED and len(parts) > 1
             template = ".".join([parts[0], "*", *parts[2:]]) if grouped else key

@@ -328,13 +328,19 @@ def smoothed_pairs(history: list[Sample], half_life: int) -> list[tuple[int, flo
     return out
 
 
-# The migration hand-off as it was computed by scanning the whole migration
-# on every call.
+# The migration hand-off as a scan of the whole migration.
 
 
-def running_replacements_scan(mig) -> int:
-    """Replacements of the migration `mig` that are Running now."""
-    return sum(1 for p in mig.replacements if p.state is PodState.RUNNING)
+def running_replacements_scan(mig, state: ClusterState) -> int:
+    """Replacements of the migration `mig` that are Running now: a
+    replacement that has left `state.pods` is not."""
+    return sum(1 for pid in mig.replacements
+               if pid in state.pods and state.pods[pid].state is PodState.RUNNING)
+
+
+def released_old_pods_scan(mig) -> int:
+    """Pods the migration `mig` moves away that are no longer alive."""
+    return sum(1 for p in mig.old_pods if p.state not in ALIVE)
 
 
 def old_pods_alive_scan(mig) -> bool:

@@ -55,13 +55,13 @@ def baseline_state(nodes=1, capacity=1000):
 
 
 def run_until_quiet(state, controller=None, now=None):
-    """Drain engine events (pod startups, node readiness), advancing any
-    in-flight migration after each one. Returns the event list."""
+    """Drain engine events (pod startups, node readiness), showing each one
+    to the controller, as the runner does. Returns the event list."""
     events = []
     while state.has_events():
         ev = state.step()
         if controller is not None:
-            controller.advance_migration(state, ev.fire_at)
+            controller.on_event(state, ev)
         events.append(ev)
     return events
 
@@ -399,7 +399,7 @@ class TestMigration:
         phases_seen = {mas.migration.phase}
         while state.has_events():
             ev = state.step()
-            mas.advance_migration(state, ev.fire_at)
+            mas.on_event(state, ev)
             phases_seen.add(mas.migration.phase)
             running_floor_ok.append(state.running_replicas("web") >= 3)
         assert all(running_floor_ok), "running replicas dipped below the pre-switch plan"
@@ -424,7 +424,7 @@ class TestMigration:
                 MigrationPhase.PROVISIONING_NEW, MigrationPhase.MIGRATING_WORKLOAD
             ):
                 assert len(staging.nodes) == 1
-            mas.advance_migration(state, ev.fire_at)
+            mas.on_event(state, ev)
 
     def test_switch_mid_migration_queued(self):
         state, mas = self.heartbeat_setup(replicas=2)

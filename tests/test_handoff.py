@@ -1,19 +1,27 @@
-"""The make-before-break hand-off's carried state against the scans it
-replaced.
+"""The make-before-break hand-off against scans of the whole migration.
 
-After every event of every migration, the number of replacements that
-reached Running and whether any old pod is still alive must equal a scan of
-the whole migration, and every release must terminate the same pods, in the
-same order, as releasing from all old pods. Counted guards show that a
-hand-off after one PodStarted does not walk the migration's pod lists, and
+A migration moves only at the switch that begins it, at a NodeReady while
+its new pool provisions, and at the PodStarted of each of its replacements,
+which releases one old pod. After every event of every migration, the old
+pods no longer alive must equal the replacements that are Running, and
+whether any old pod is still alive must equal a scan; every release must
+terminate the same pods, in the same order, as releasing from all old pods.
+Counted guards show that the migration runs on no other event, that a
+hand-off after one PodStarted does not walk the migration's old pods, and
 that while the new pool provisions only a NodeReady event walks its nodes.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from oracles import old_pods_alive_scan, running_replacements_scan, shrink_victims_scan
+from oracles import (
+    old_pods_alive_scan,
+    released_old_pods_scan,
+    running_replacements_scan,
+    shrink_victims_scan,
+)
 
 from scalesim import control
 from scalesim.control import (
@@ -36,11 +44,11 @@ FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
 @pytest.fixture
 def checked_handoff(monkeypatch):
     """Hold every hand-off to the scans. Returns the tally of checked
-    advances (while a migration is in flight), checked releases and
-    completed migrations."""
-    advance = HierarchicalController.advance_migration
+    events (with a migration in flight before or after), checked releases
+    and completed migrations."""
+    advance, on_event = HierarchicalController.advance_migration, HierarchicalController.on_event
     release, terminate = control._release, ClusterState.terminate_pod
-    tally = {"advances": 0, "releases": 0, "completed": 0}
+    tally = {"events": 0, "releases": 0, "completed": 0}
     releasing = []          # the migration whose hand-off may be releasing
     terminated = []
 
@@ -61,26 +69,38 @@ def checked_handoff(monkeypatch):
 
     def checked_advance(self, state, now):
         mig = self.migration
-        if mig.phase is MigrationPhase.IDLE:
-            return advance(self, state, now)
         releasing.append(mig)
         try:
             dequeued = advance(self, state, now)
         finally:
             releasing.pop()
-        assert mig.started == running_replacements_scan(mig)
-        assert (mig.first_alive_old() < len(mig.old_pods)) == old_pods_alive_scan(mig)
-        tally["advances"] += 1
         tally["completed"] += mig is not self.migration
         return dequeued
 
+    def checked_on_event(self, state, ev):
+        before = self.migration
+        records = on_event(self, state, ev)
+        for mig in {id(m): m for m in (before, self.migration)}.values():
+            if mig.phase is not MigrationPhase.IDLE:
+                assert released_old_pods_scan(mig) == running_replacements_scan(mig, state)
+                assert (mig.first_alive_old() < len(mig.old_pods)) == old_pods_alive_scan(mig)
+                tally["events"] += 1
+        return records
+
     monkeypatch.setattr(HierarchicalController, "advance_migration", checked_advance)
+    monkeypatch.setattr(HierarchicalController, "on_event", checked_on_event)
     monkeypatch.setattr(control, "_release", checked_release)
     monkeypatch.setattr(ClusterState, "terminate_pod", recording_terminate)
     return tally
 
 
 def _scenario(name):
+    if name.endswith("-zero-delays"):
+        # With no startup or provisioning delay, a migration's NodeReady and
+        # PodStarted events fire within the second of its switch.
+        config = _scenario(name.removesuffix("-zero-delays"))
+        return replace(config, pod_startup_delay=0,
+                       pools=[replace(p, provisioning_delay=0) for p in config.pools])
     if name == "mas-migrate-1":
         return parse_scenario_text(_bench_workloads()["mas-migrate"].generate(1), name)
     if name.endswith("-other"):
@@ -90,10 +110,60 @@ def _scenario(name):
 
 
 @pytest.mark.parametrize("name", ["heartbeat-mas", "flash-sale-mas", "heartbeat-mas-other",
-                                  "flash-sale-mas-other", "mas-migrate-1"])
+                                  "flash-sale-mas-other", "mas-migrate-1",
+                                  "heartbeat-mas-zero-delays", "flash-sale-mas-zero-delays",
+                                  "mas-migrate-1-zero-delays"])
 def test_handoff_matches_scans_at_every_event(checked_handoff, name):
     run_scenario(_scenario(name))
-    assert checked_handoff["completed"] > 0 and checked_handoff["releases"] > 0
+    assert all(checked_handoff[k] > 0 for k in ("events", "releases", "completed"))
+
+
+def test_the_migration_runs_only_on_the_events_that_move_it(monkeypatch):
+    # One advance for each migration begun, each NodeReady fired while a
+    # migration's new pool provisions and each PodStarted of one of its
+    # replacements, and none for any other event. A migration's replacements
+    # are the pods that advances create after it begins; once it is over,
+    # a later tick may rebind them, and those PodStarted events move nothing.
+    advance, begin = HierarchicalController.advance_migration, HierarchicalController._begin_migration
+    on_event, create_pod = HierarchicalController.on_event, ClusterState.create_pod
+    counts = dict.fromkeys(("advances", "begun", "node_ready", "replacement_started"), 0)
+    advancing, replacements = [], set()
+
+    def counting_advance(self, state, now):
+        counts["advances"] += 1
+        advancing.append(now)
+        try:
+            return advance(self, state, now)
+        finally:
+            advancing.pop()
+
+    def counting_begin(self, *args):
+        counts["begun"] += 1
+        replacements.clear()
+        return begin(self, *args)
+
+    def recording_create_pod(self, *args, **kwargs):
+        pod = create_pod(self, *args, **kwargs)
+        if advancing:
+            replacements.add(pod.pod_id)
+        return pod
+
+    def counting_on_event(self, state, ev):
+        phase = self.migration.phase
+        if ev.kind is EventKind.NODE_READY:
+            counts["node_ready"] += phase is MigrationPhase.PROVISIONING_NEW
+        elif ev.kind is EventKind.POD_STARTED and phase is MigrationPhase.MIGRATING_WORKLOAD:
+            counts["replacement_started"] += ev.payload["pod"] in replacements
+        return on_event(self, state, ev)
+
+    monkeypatch.setattr(HierarchicalController, "advance_migration", counting_advance)
+    monkeypatch.setattr(HierarchicalController, "_begin_migration", counting_begin)
+    monkeypatch.setattr(HierarchicalController, "on_event", counting_on_event)
+    monkeypatch.setattr(ClusterState, "create_pod", recording_create_pod)
+    run_scenario(_scenario("mas-migrate-1"))
+    assert counts["begun"] > 0 and counts["node_ready"] > 0 and counts["replacement_started"] > 0
+    assert counts["advances"] == (counts["begun"] + counts["node_ready"]
+                                  + counts["replacement_started"])
 
 
 def test_every_declared_migration_phase_is_logged():
@@ -183,6 +253,33 @@ def test_pending_old_pods_are_released_first(checked_handoff):
     assert all(p.pod_id not in state.pods for p in pending)
 
 
+def test_events_other_than_a_replacements_start_release_nothing(checked_handoff):
+    # While the workload migrates, the old pod left Pending at the switch
+    # starts (it bound on the new pool's first Ready node, ahead of the
+    # replacements), and a staging node asked for before the switch becomes
+    # Ready. Neither is a replacement's PodStarted, so neither releases an
+    # old pod.
+    state = ClusterState([NodePool("staging", 1000, 300), NodePool("performance", 2000, 120)],
+                         pod_startup_delay=400)
+    state.add_ready_node("staging")
+    start_running(state, "web", 4)          # fills the one staging node
+    late = state.create_pod("web", 250)
+    state.resize_pool("staging", 2)
+    added = state.pools["staging"].nodes[-1]
+    mas = make_mas(flat_trace(400, 900), forecaster="naive")
+    mas.desired = 5
+    mas.on_policy_switch(state, state.now, "PERFORMANCE")
+    seen = set()
+    while state.has_events():
+        ev = state.step()
+        seen.add((ev.kind, ev.payload.get("pod") or ev.payload.get("node"), mas.migration.phase))
+        mas.on_event(state, ev)
+    migrating = MigrationPhase.MIGRATING_WORKLOAD
+    assert (EventKind.POD_STARTED, late.pod_id, migrating) in seen
+    assert (EventKind.NODE_READY, added.node_id, migrating) in seen
+    assert checked_handoff["completed"] == 1 and checked_handoff["releases"] == 5
+
+
 class CountingList(list):
     """A list that counts the elements its readers reach: one per index read,
     every element per iteration."""
@@ -201,8 +298,9 @@ class CountingList(list):
 
 def _handoff_at_start(started):
     """A migration of 240 replicas between two 64000m pools, stepped to the
-    PodStarted event that follows `started` hand-offs, before the hand-off
-    runs for it. Returns the state, the controller and that event."""
+    PodStarted event of a replacement that follows `started` hand-offs,
+    before the controller sees it. Returns the state, the controller and
+    that event."""
     replicas = 240
     state = ClusterState([NodePool("old", 64000, 60),
                           NodePool("new", 64000, 60)])
@@ -220,26 +318,25 @@ def _handoff_at_start(started):
     mig = mas.migration
     while True:
         ev = state.step()
-        if (ev.kind is EventKind.POD_STARTED and mig.phase is MigrationPhase.MIGRATING_WORKLOAD
-                and mig.started == started):
-            break
-        mas.advance_migration(state, ev.fire_at)
+        if ev.kind is EventKind.POD_STARTED and ev.payload["pod"] in mig.replacements:
+            if started == 0:
+                break
+            started -= 1
+        mas.on_event(state, ev)
     assert len(mig.replacements) == len(mig.old_pods) == replicas
     return state, mas, ev
 
 
 def test_handoff_after_one_start_reaches_few_pods():
     # Work count, not timing: the hand-off after the first replacement
-    # starts must not walk either list of 240 pods.
+    # starts must not walk the list of 240 old pods.
     state, mas, ev = _handoff_at_start(0)
     mig = mas.migration
-    mig.replacements = CountingList(mig.replacements)
     mig.old_pods = CountingList(mig.old_pods)
-    mas.advance_migration(state, ev.fire_at)
-    assert mig.started == mig.terminated_old == 1
-    # The started replacement and the next; the released old pod and the next.
-    assert mig.replacements.reached <= 2
+    mas.on_event(state, ev)
+    # The released old pod and the next.
     assert mig.old_pods.reached <= 4
+    assert released_old_pods_scan(mig) == running_replacements_scan(mig, state) == 1
 
 
 def test_handoff_after_many_starts_walks_from_the_youngest_alive():
@@ -249,9 +346,9 @@ def test_handoff_after_many_starts_walks_from_the_youngest_alive():
     state, mas, ev = _handoff_at_start(100)
     mig = mas.migration
     mig.old_pods = CountingList(mig.old_pods)
-    mas.advance_migration(state, ev.fire_at)
-    assert mig.started == mig.terminated_old == 101
+    mas.on_event(state, ev)
     assert mig.old_pods.reached <= 4
+    assert released_old_pods_scan(mig) == running_replacements_scan(mig, state) == 101
 
 
 def test_provisioning_new_walks_the_pool_only_on_node_ready():
@@ -276,7 +373,7 @@ def test_provisioning_new_walks_the_pool_only_on_node_ready():
     while mas.migration.phase is MigrationPhase.PROVISIONING_NEW:
         ev = state.step()
         before = pool.nodes.reached
-        mas.advance_migration(state, ev.fire_at)
+        mas.on_event(state, ev)
         walked.setdefault(ev.kind, []).append(pool.nodes.reached - before)
     assert walked.pop(EventKind.NODE_READY)
     assert set(walked) == {EventKind.POD_STARTED, EventKind.WORKLOAD_PHASE_CHANGE}

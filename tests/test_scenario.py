@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from scalesim.control import HpaConfig, MasConfig
+from scalesim.control import HpaConfig, MasConfig, StrategicSchedule
 from scalesim.errors import ScenarioError
 from scalesim.metrics import Normalizers
 from scalesim.planning import Policy
@@ -384,6 +384,13 @@ _BROKEN_REPLACES = {
     "other.web-p1": lambda c: replace(c, other_requests={"web-p1": 100}),
     "duration": lambda c: replace(c, duration=100),
     "hpa.min_replicas": lambda c: replace(c, hpa=replace(c.hpa, min_replicas=5, max_replicas=3)),
+    # Each of these once built, then died at run time: the switch was
+    # enqueued in the past, or FFD met an item of size 0.
+    "schedule.at.-5": lambda c: replace(
+        c, schedule=StrategicSchedule("COST_SAVING", [(-5, "PERFORMANCE")])),
+    "schedule.at.450": lambda c: replace(
+        c, schedule=StrategicSchedule("COST_SAVING", [(450, "PERFORMANCE"), (450, "COST_SAVING")])),
+    "other.x": lambda c: replace(c, other_requests={"x": 0}),
 }
 
 
