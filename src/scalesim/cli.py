@@ -103,6 +103,13 @@ def _parse_seeds(spec: str) -> list[int]:
             raise ScenarioError(f"--seeds: {part!r} is neither a seed nor a lo..hi range") from None
     if not seeds:
         raise ScenarioError(f"--seeds: no seeds in {spec!r}")
+    # Each seed has one output directory, so a repeated seed would run twice
+    # into the same one.
+    seen: set[int] = set()
+    for seed in seeds:
+        if seed in seen:
+            raise ScenarioError(f"--seeds: seed {seed} is repeated in {spec!r}")
+        seen.add(seed)
     return seeds
 
 

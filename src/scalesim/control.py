@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, ClassVar, Protocol
 
-from .engine import ALIVE, PROVISIONING, ClusterState, EventKind, Pod, PodState, SimEvent
+from .engine import ALIVE, PROVISIONING, READY, ClusterState, EventKind, Pod, PodState, SimEvent
 from .errors import ConfigError
 from .forecasting import (
     MovingAverage,
@@ -499,7 +499,8 @@ class ReactiveController:
         phases: list[dict] = []
         actions: list[tuple[str, str, int]] = []
         workload_id = self.trace.workload_id
-        demand = self.trace.demand_at(now) if now < self.trace.duration else 0
+        trace_demand = self.trace.demand
+        demand = trace_demand[now] if now < len(trace_demand) else 0
         running = state.running_replicas(workload_id)
         current = state.replicas(workload_id)
         num, den = utilization(demand, running, self.pod_request, cfg.saturation_ceiling)
@@ -555,7 +556,7 @@ class ReactiveController:
 
         old = self._empty_since
         self._empty_since = {n.node_id: old.get(n.node_id, now)
-                             for n in pool.ready_nodes() if not n.bound_pods}
+                             for n in pool.nodes if n.state is READY and not n.bound_pods}
         idle_expired = any(now - since > cfg.ca_idle_delay for since in self._empty_since.values())
         if idle_expired and len(pool.nodes) > 1:
             # Shrink by one; the resize victim rule picks an empty node.

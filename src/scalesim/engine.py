@@ -73,7 +73,8 @@ NODE_READY, POD_STARTED, POD_TERMINATED = (
     EventKind.NODE_READY, EventKind.POD_STARTED, EventKind.POD_TERMINATED)
 
 
-@dataclass
+# One per event, so slotted: smaller, and quicker to build and read.
+@dataclass(slots=True)
 class SimEvent:
     fire_at: int
     kind: EventKind

@@ -63,6 +63,12 @@ _SAMPLER_LINE = format_event(
     SimEvent(0, CONTROL_TICK, {"controller": SAMPLER})).removeprefix("t=0")
 
 
+# One decision record's decisions.log line, shared by every record. Records
+# are acyclic, so an encoder that skips json.dumps's circular-reference check
+# writes the same bytes for less.
+encode_record = json.JSONEncoder(check_circular=False).encode
+
+
 # Lines per write: a write per line costs more than joining them all, and
 # joining them all holds a second copy of the whole log.
 _LINES_PER_WRITE = 512
@@ -161,10 +167,10 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
                 if now + control_step in control_ticks:
                     state.enqueue(now + control_step, CONTROL_TICK,
                                   {"controller": controller.name})
-                decision_lines.append(json.dumps(controller.tick(state, now)))
+                decision_lines.append(encode_record(controller.tick(state, now)))
             event_lines.append(format_event(ev))
         for record in controller.on_event(state, ev):
-            decision_lines.append(json.dumps(record))
+            decision_lines.append(encode_record(record))
 
         floor = controller.active_floor()
         if floor is not None:

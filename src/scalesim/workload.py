@@ -77,7 +77,15 @@ def build_trace(
     `seed`, and applied only inside the phases marked noisy (every phase
     when none is). A draw is `low + span * random()`, which is what
     `Random.uniform(low, high)` computes.
+
+    `vu_cost` must be at least 0 and `noise_amplitude` within [0, 1] (a
+    ValueError otherwise), so that 1 + eps, and with it every second's
+    demand, is never negative.
     """
+    if not vu_cost >= 0:
+        raise ValueError(f"vu_cost must be >= 0, not {vu_cost}")
+    if not 0 <= noise_amplitude <= 1:
+        raise ValueError(f"noise_amplitude must be within [0, 1], not {noise_amplitude}")
     draw = random.Random(seed).random
     low, span = -noise_amplitude, noise_amplitude - -noise_amplitude
     all_noisy = not any(phase.noisy for phase in phases)
@@ -89,9 +97,9 @@ def build_trace(
         vus = _phase_vus(phase, prev)
         prev = phase.target_vus
         if noise_amplitude > 0 and (all_noisy or phase.noisy):
-            demand += [max(0, round(v * vu_cost * (1.0 + (low + span * draw())))) for v in vus]
+            demand += [round(v * vu_cost * (1.0 + (low + span * draw()))) for v in vus]
         else:
-            demand += [max(0, round(v * vu_cost * 1.0)) for v in vus]   # eps = 0.0
+            demand += [round(v * vu_cost * 1.0) for v in vus]   # eps = 0.0
     return DemandTrace(workload_id=workload_id, demand=demand, phase_boundaries=boundaries)
 
 

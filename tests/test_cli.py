@@ -162,6 +162,16 @@ def test_sweep_bad_seeds_named(tmp_path, capsys):
     assert "--seeds" in err and "'1..x'" in err
 
 
+def test_sweep_repeated_seed_named(tmp_path, capsys):
+    scn = write_mini(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(scn), "--out", str(out),
+                 "--seeds", "3,1..2,1"]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "--seeds" in err and "seed 1 is repeated" in err and "'3,1..2,1'" in err
+
+
 def test_fixture_scenarios_run_via_cli(tmp_path):
     # Spot-check one bundled fixture end to end through the CLI.
     out = tmp_path / "hb"

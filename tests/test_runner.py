@@ -37,6 +37,24 @@ def test_invariants_checked_at_every_event(fixture_runs):
         assert result.checks_run > 100, name
 
 
+@pytest.mark.parametrize("controller", ["mas_h2", "hpa_ca"])
+@pytest.mark.parametrize("name", ["heartbeat-mas", "heartbeat-hpa",
+                                  "flash-sale-mas", "flash-sale-hpa"])
+def test_shared_encoder_writes_what_json_dumps_writes(monkeypatch, name, controller):
+    # The runner's one encoder skips the circular-reference check; on every
+    # decision record of a run it must still write json.dumps's bytes.
+    shared, dumped = runner.encode_record, []
+
+    def encode(record):
+        dumped.append(json.dumps(record))
+        return shared(record)
+
+    monkeypatch.setattr(runner, "encode_record", encode)
+    config = replace(load_scenario(FIXTURES / f"{name}.scn"), controller=controller)
+    assert run_scenario(config).decision_lines == dumped
+    assert dumped
+
+
 def test_mas_fixture_migrations_complete_with_zero_downtime(fixture_runs):
     for name in ("heartbeat-mas", "flash-sale-mas"):
         result = fixture_runs[name]

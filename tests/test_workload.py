@@ -162,6 +162,18 @@ class TestNoiseAndDeterminism:
                 assert abs(demand - clean) <= clean * amplitude + 0.5
 
 
+def test_trace_outside_its_domain_rejected():
+    # Inside the domain, 1 + eps >= 0, so no second's demand can go below 0.
+    phases = [WorkloadPhase("live", 20, 100)]
+    with pytest.raises(ValueError, match="noise_amplitude"):
+        build_trace("w", phases, 2, 0, noise_amplitude=1.5)
+    with pytest.raises(ValueError, match="vu_cost"):
+        build_trace("w", phases, -0.5, 0)
+    with pytest.raises(ValueError, match="noise_amplitude"):
+        build_trace("w", phases, 2, 0, noise_amplitude=-0.1)
+    assert min(build_trace("w", phases, 2, 0, noise_amplitude=1.0).demand) >= 0
+
+
 def test_flash_noisy_phase_indices_cover_chatter_only():
     assert [p.name for p in flash_sale_phases() if p.noisy] == [
         "chatter-baseline", "chatter-spike", "chatter-return",
@@ -178,7 +190,7 @@ def phase_lists(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(phases=phase_lists(), vu_cost=st.floats(0.01, 10) | st.integers(1, 5),
-       seed=st.integers(0, 2**32), amplitude=st.sampled_from([0.0, 0.05, 0.1, 0.999, 1.5])
+       seed=st.integers(0, 2**32), amplitude=st.sampled_from([0.0, 0.05, 0.1, 0.999, 1.0])
        | st.floats(0, 1, exclude_max=True))
 # A ramp from 8 to 333 VUs over 10 s, whose 7th second is 235 VUs as
 # 8 + 325 * (7 / 10) rounds, and 236 as 8 + 325 * 7 / 10 would.
