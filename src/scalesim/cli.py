@@ -96,11 +96,16 @@ def _parse_seeds(spec: str) -> list[int]:
         try:
             if ".." in part:
                 lo, hi = part.split("..", 1)
-                seeds.extend(range(int(lo), int(hi) + 1))
+                span = range(int(lo), int(hi) + 1)
             elif part:
-                seeds.append(int(part))
+                span = [int(part)]
+            else:
+                continue
         except ValueError:
             raise ScenarioError(f"--seeds: {part!r} is neither a seed nor a lo..hi range") from None
+        if not span:
+            raise ScenarioError(f"--seeds: range {part!r} is empty")
+        seeds.extend(span)
     if not seeds:
         raise ScenarioError(f"--seeds: no seeds in {spec!r}")
     # Each seed has one output directory, so a repeated seed would run twice

@@ -196,11 +196,13 @@ class Controller(Protocol):
     count, or the controller's own floor for None. `tick` acts on the cluster
     and returns the tick's decision-log record: {"t", "controller", "phases",
     "actions"}, each action a (kind, target, delta) tuple with kind "pods" or
-    "nodes". `on_event` sees every fired event and returns the decision-log
+    "nodes". `on_event` sees every fired event but the metrics sampler's,
+    for which both controllers return nothing, and returns the decision-log
     records it made, in order, often none; a migration moves only at its
     switch, at a NodeReady while its new pool provisions and at the
     PodStarted of each of its replacements. `active_floor` is the replica
-    floor that a migration must hold, and None outside migrations."""
+    floor that a migration must hold, and None outside migrations; a sample
+    changes nothing, so the runner reads it after every other event."""
 
     name: ClassVar[str]
     desired: int                        # replicas asked for

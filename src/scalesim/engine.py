@@ -1,14 +1,15 @@
 """Discrete-event core: the event queue and the cluster state machine.
 
 Time is integer seconds, kept as `ClusterState.now` and set only by `step`,
-to the time of the event it pops. All state transitions happen by popping the
-earliest pending event, so two runs fed identical inputs replay identical
-histories.
+to the time of the event it fires. All state transitions happen by firing the
+earliest pending event, from the queue or from a periodic stream, so two runs
+fed identical inputs replay identical histories.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -69,8 +70,9 @@ class EventKind(Enum):
 # declaration order.
 _KIND_RANK = {k: i for i, k in enumerate(EventKind)}
 
-NODE_READY, POD_STARTED, POD_TERMINATED = (
-    EventKind.NODE_READY, EventKind.POD_STARTED, EventKind.POD_TERMINATED)
+NODE_READY, POD_STARTED, POD_TERMINATED, CONTROL_TICK = (
+    EventKind.NODE_READY, EventKind.POD_STARTED, EventKind.POD_TERMINATED,
+    EventKind.CONTROL_TICK)
 
 
 # One per event, so slotted: smaller, and quicker to build and read.
@@ -131,8 +133,8 @@ def generated_pod_id(workload_id: str, n: int) -> str:
 
 
 class ClusterState:
-    """Mutable cluster snapshot: pools, pods, the current time `now` and the
-    event queue.
+    """Mutable cluster snapshot: pools, pods, the current time `now`, the
+    event queue and the periodic streams kept beside it.
 
     Only live objects are kept: a pod or node that reaches Deleted leaves
     `pods`, `nodes` and its pool's `nodes` at that moment. Callers that hold
@@ -155,8 +157,11 @@ class ClusterState:
         # Pool preferred by the scheduler; controllers keep it pointed at the
         # active policy's pool.
         self.preferred_pool_id: str | None = None
-        # Heap of (fire_at, kind rank, rank, seq, event), popped in that order.
-        self._queue: list[tuple[int, int, int, int, SimEvent]] = []
+        # Heap of (fire_at, kind rank, seq, event), popped in that order.
+        self._queue: list[tuple[int, int, int, SimEvent]] = []
+        # Heap of the periodic streams' next instants, one entry per stream:
+        # (fire_at, registration order, the instants after it, kind, payload).
+        self._streams: list[tuple[int, int, Iterator[int], EventKind, dict]] = []
         self._next_seq = 0
         self._pod_counters: dict[str, int] = {}
         self._pods_created = 0
@@ -171,23 +176,44 @@ class ClusterState:
 
     # ------------------------------------------------------------------ events
 
-    def enqueue(self, fire_at: int, kind: EventKind, payload: dict, rank: int = 0) -> SimEvent:
+    def enqueue(self, fire_at: int, kind: EventKind, payload: dict) -> SimEvent:
         if fire_at < self.now:
             raise SimulationError(
                 f"event {kind.value} scheduled in the past ({fire_at} < {self.now})"
             )
         ev = SimEvent(fire_at, kind, payload)
-        heapq.heappush(self._queue, (fire_at, _KIND_RANK[kind], rank, self._next_seq, ev))
+        heapq.heappush(self._queue, (fire_at, _KIND_RANK[kind], self._next_seq, ev))
         self._next_seq += 1
         return ev
 
+    def every(self, times: range, kind: EventKind, payload: dict) -> None:
+        """Fire a `kind` event with this same `payload` object at each of
+        `times`, without queueing them: `step` takes each instant from the
+        range when it is due. The kind must be ControlTick, the kind that
+        ranks last, so that `step`'s rule keeps the queue's order."""
+        if kind is not CONTROL_TICK:
+            raise SimulationError(f"a periodic stream fires ControlTick, not {kind.value}")
+        if times.step < 0 or (times and times[0] < self.now):
+            raise SimulationError(
+                f"periodic {kind.value} times {times} do not run forward from {self.now}")
+        instants = iter(times)
+        first = next(instants, None)
+        if first is not None:
+            heapq.heappush(self._streams,
+                           (first, self._next_seq, instants, kind, payload))
+            self._next_seq += 1
+
     def has_events(self) -> bool:
-        return bool(self._queue)
+        return bool(self._queue or self._streams)
 
     def peek_time(self) -> int:
-        if not self._queue:
+        queue, streams = self._queue, self._streams
+        if streams:
+            at = streams[0][0]
+            return queue[0][0] if queue and queue[0][0] < at else at
+        if not queue:
             raise EmptyQueueError("event queue empty: scenario end")
-        return self._queue[0][0]
+        return queue[0][0]
 
     def add_ready_node(self, pool_id: str) -> Node:
         """Bootstrap helper: a node that exists and is Ready at scenario start."""
@@ -197,14 +223,32 @@ class ClusterState:
         return self._new_node(pool, READY)
 
     def step(self) -> SimEvent:
-        """Pop the earliest event, set `now` to its time, apply its transition.
+        """Fire the earliest event, set `now` to its time, apply its transition.
+
+        A stream's next instant fires when no queued event is due at or
+        before it: the queue is empty or its top's time is later. Streams
+        due at one second fire in the order they were registered. A stream
+        fires ControlTick, the kind that ranks last, so this is the queue's
+        own (time, kind rank) order: every queued event of a second,
+        including one that a stream's event enqueues at its own second,
+        fires before that second's next stream instant.
 
         NodeReady / PodStarted / PodTerminated mutate the cluster here;
         controller-facing kinds are returned untouched for the driver.
         """
-        if not self._queue:
+        queue, streams = self._queue, self._streams
+        if streams and (not queue or queue[0][0] > streams[0][0]):
+            fire_at, order, instants, kind, payload = streams[0]
+            following = next(instants, None)
+            if following is None:
+                heapq.heappop(streams)
+            else:
+                heapq.heapreplace(streams, (following, order, instants, kind, payload))
+            self.now = fire_at
+            return SimEvent(fire_at, kind, payload)
+        if not queue:
             raise EmptyQueueError("event queue empty: scenario end")
-        self.now, _, _, _, ev = heapq.heappop(self._queue)
+        self.now, _, _, ev = heapq.heappop(queue)
 
         kind = ev.kind
         if kind is NODE_READY:

@@ -137,12 +137,44 @@ class Observer:
         self.normalizers = normalizers
         self.saturation_ceiling = saturation_ceiling
         self.samples: list[MetricSample] = []
+        # The last sample's cluster half, from `_read_cluster`.
+        self._cluster: tuple[int, int, dict, float, float] | None = None
 
-    def observe(self, state: ClusterState, demand: int, policy: Policy, t: int) -> MetricSample:
-        running = state.running_replicas(self.workload_id)
+    def observe(self, state: ClusterState, demand: int, policy: Policy, t: int,
+                changed: bool = True) -> MetricSample:
+        """Record the sample at `t`. With `changed` false the cluster is the
+        one the last sample saw, so its running and pending counts, node
+        counts, packing and cost rate are that sample's; demand and every
+        figure drawn from it, the cumulative costs and utility are taken
+        afresh."""
+        if changed or self._cluster is None:
+            self._cluster = self._read_cluster(state)
+        running, pending, nodes_by_pool, packing, cost_rate = self._cluster
         num, den = utilization(demand, running, self.pod_request, self.saturation_ceiling)
         util = num / den    # correctly rounded, as float(Fraction(num, den)) is
+        cost = self.cost
+        # Positional, in MetricSample's field order: keywords cost twice as much.
+        sample = MetricSample(
+            t,
+            demand,
+            running,
+            pending,
+            nodes_by_pool,
+            round(util, 6),
+            max(0, running * self.pod_request - demand),
+            cost.pod_cost,
+            cost.node_cost,
+            packing,
+            round(utility_score(util, cost_rate, policy, self.normalizers), 6),
+        )
+        self.samples.append(sample)
+        return sample
 
+    def _read_cluster(self, state: ClusterState) -> tuple[int, int, dict, float, float]:
+        """What a sample reads of the cluster: the running and pending pod
+        counts, each pool's (provisioning, ready) node counts, the packing
+        rounded as metrics.csv keeps it, and the cost rate in units per
+        second. Samples share the dict, so nothing may change it."""
         # One pass over each pool's nodes: its Ready nodes and the requests
         # bound to them. Every other node of a pool is Provisioning. Every
         # node of a pool accrues its pool's cost rate.
@@ -163,24 +195,9 @@ class Observer:
             ready_capacity += ready * pool.node_capacity_millicores
             node_rate += len(nodes) * node_rates[pool_id]
         packing = bound_requests / ready_capacity if ready_capacity else 0.0
-
         cost_rate = (node_rate + state.bound_count * cost.pod_rate_micro) / MICRO
-        # Positional, in MetricSample's field order: keywords cost twice as much.
-        sample = MetricSample(
-            t,
-            demand,
-            running,
-            len(state.pending),
-            nodes_by_pool,
-            round(util, 6),
-            max(0, running * self.pod_request - demand),
-            cost.pod_cost,
-            cost.node_cost,
-            round(packing, 6),
-            round(utility_score(util, cost_rate, policy, self.normalizers), 6),
-        )
-        self.samples.append(sample)
-        return sample
+        return (state.running_replicas(self.workload_id), len(state.pending),
+                nodes_by_pool, round(packing, 6), cost_rate)
 
 
 # --------------------------------------------------------------------- files

@@ -57,10 +57,10 @@ def format_event(ev: SimEvent) -> str:
     return f"t={ev.fire_at} kind={_KIND_TEXT[ev.kind]}" + (f" {pairs}" if pairs else "")
 
 
-# A sampler tick's events.log line after its `t=<fire_at>`: the same for
-# every sample.
-_SAMPLER_LINE = format_event(
-    SimEvent(0, CONTROL_TICK, {"controller": SAMPLER})).removeprefix("t=0")
+def _fixed_line(payload: dict) -> str:
+    """The events.log line of a ControlTick carrying `payload`, after its
+    `t=<fire_at>`: the same for every tick of one clock."""
+    return format_event(SimEvent(0, CONTROL_TICK, payload)).removeprefix("t=0")
 
 
 # One decision record's decisions.log line, shared by every record. Records
@@ -106,17 +106,16 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
     controller.desired = initial
     state.schedule_pending_pods()
 
-    # Each periodic tick enqueues its successor when it fires: the
-    # controller's at its `tick_times`, the sampler's every sampling interval
-    # before `duration`. In one second the controller's tick comes before the
-    # sampler's.
-    control_ticks = controller.tick_times(duration)
-    control_step = control_ticks.step
-    interval = config.sampling_interval
-    if control_ticks:
-        state.enqueue(control_ticks[0], CONTROL_TICK, {"controller": controller.name})
-    if duration > 0:
-        state.enqueue(0, CONTROL_TICK, {"controller": SAMPLER}, rank=1)
+    # The two periodic clocks are streams that the engine fires from their
+    # ranges, never queued: the controller's ticks at its `tick_times`, the
+    # sampler's every sampling interval before `duration`. The controller's
+    # is registered first, so in one second its tick comes before the
+    # sample. Each event of a stream carries its stream's payload object.
+    tick = {"controller": controller.name}
+    sample = {"controller": SAMPLER}
+    tick_line, sample_line = _fixed_line(tick), _fixed_line(sample)
+    state.every(controller.tick_times(duration), CONTROL_TICK, tick)
+    state.every(range(0, duration, config.sampling_interval), CONTROL_TICK, sample)
     for t, policy_name in schedule.entries:
         state.enqueue(t, EventKind.POLICY_SWITCH, {"policy": policy_name})
     for t, phase_name in trace.phase_boundaries:
@@ -148,6 +147,10 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
     # keeps old pods running beside their replacements. Rebuilt only when the
     # floor or the controller's replicas change.
     want = None if floor is not None else {workload_id: controller.desired}
+    # Whether an event has fired since the last sample: only events change
+    # the cluster, so a sample with none before it sees the cluster the last
+    # sample saw.
+    changed = True
     while state.has_events():
         now = state.peek_time()
         if now > duration:
@@ -156,18 +159,22 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
         cost.advance(state, now, floor)
 
         ev = state.step()
-        if ev.kind is CONTROL_TICK and ev.payload["controller"] == SAMPLER:
-            if now + interval < duration:
-                state.enqueue(now + interval, CONTROL_TICK, {"controller": SAMPLER}, rank=1)
+        if ev.payload is sample:
+            # A sample changes nothing, so no controller reacts to it and the
+            # floor holds.
             active_policy = config.policies[schedule.active_at(now)]
-            observer.observe(state, demand[now] if now < trace_end else 0, active_policy, now)
-            event_lines.append(f"t={now}{_SAMPLER_LINE}")
+            observer.observe(state, demand[now] if now < trace_end else 0, active_policy,
+                             now, changed)
+            changed = False
+            event_lines.append(f"t={now}{sample_line}")
+            checker.check(state, want)
+            checker.check_costs(cost.node_cost, cost.pod_cost)
+            continue
+        changed = True
+        if ev.payload is tick:
+            decision_lines.append(encode_record(controller.tick(state, now)))
+            event_lines.append(f"t={now}{tick_line}")
         else:
-            if ev.kind is CONTROL_TICK:
-                if now + control_step in control_ticks:
-                    state.enqueue(now + control_step, CONTROL_TICK,
-                                  {"controller": controller.name})
-                decision_lines.append(encode_record(controller.tick(state, now)))
             event_lines.append(format_event(ev))
         for record in controller.on_event(state, ev):
             decision_lines.append(encode_record(record))

@@ -14,20 +14,24 @@ the Fraction replica count, whose bytes and values the production ones must
 reproduce. And the width paths as they were first written: the per-item
 first-fit-decreasing count, the per-pod scan of every Ready node for
 placement and the sort of every pod of a workload for a scale-down, whose
-counts, bindings and victims the production ones must reproduce."""
+counts, bindings and victims the production ones must reproduce. And the
+periodic ticks as they were first driven, each enqueueing its successor,
+whose firing order the engine's periodic streams must reproduce."""
 
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from scalesim.engine import ALIVE, ClusterState, NodeState, PodState, SimEvent
+from scalesim.engine import ALIVE, ClusterState, EventKind, NodeState, PodState, SimEvent
 from scalesim.forecasting import (
     ForecasterKind,
     MovingAverage,
@@ -545,3 +549,43 @@ def hpa_desired_fraction(demand: int, running: int, pod_request: int, ceiling: F
     util = utilization_fraction(demand, running, pod_request, ceiling)
     desired = max(min_replicas, min(max_replicas, math.ceil(running * util / target)))
     return desired, float(util)
+
+
+_KIND_ORDER = {kind: i for i, kind in enumerate(EventKind)}
+
+
+def fire_by_successors(ticks: range, samples: range, queued: list[tuple[int, EventKind, dict]],
+                       handle: Callable) -> list[tuple[int, EventKind, dict]]:
+    """Reference for the periodic streams of `ClusterState.every`: the
+    scheme the runner used before them. Every event sits in one heap keyed
+    (fire_at, kind rank, rank, seq); each periodic ControlTick enqueues its
+    successor when it fires, the controller's at rank 0 and the sampler's at
+    rank 1, so in one second the controller's tick fires before the sample.
+    `handle(enqueue, now, fired)` is called after each event, with the
+    heap's `enqueue(fire_at, kind, payload)`. Returns every event fired, as
+    (fire_at, kind, payload), in order; the ticks carry `{"controller":
+    "ctl"}` and the samples `{"controller": "sampler"}`."""
+    heap: list = []
+    seq = 0
+
+    def enqueue(fire_at: int, kind: EventKind, payload: dict, rank: int = 0) -> None:
+        nonlocal seq
+        heapq.heappush(heap, (fire_at, _KIND_ORDER[kind], rank, seq, (fire_at, kind, payload)))
+        seq += 1
+
+    clocks = {"ctl": (ticks, 0), "sampler": (samples, 1)}
+    for name, (times, rank) in clocks.items():
+        if times:
+            enqueue(times[0], EventKind.CONTROL_TICK, {"controller": name}, rank)
+    for fire_at, kind, payload in queued:
+        enqueue(fire_at, kind, payload)
+    fired = []
+    while heap:
+        now, _, _, _, event = heapq.heappop(heap)
+        fired.append(event)
+        if event[1] is EventKind.CONTROL_TICK and "controller" in event[2]:
+            times, rank = clocks[event[2]["controller"]]
+            if now + times.step in times:
+                enqueue(now + times.step, EventKind.CONTROL_TICK, event[2], rank)
+        handle(enqueue, now, event)
+    return fired

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from scalesim.cli import EXIT_CONFIG, EXIT_OK, main
 from scalesim.runner import OUTPUT_FILES
 from scalesim.scenario import ScenarioConfig
@@ -170,6 +172,19 @@ def test_sweep_repeated_seed_named(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "--seeds" in err and "seed 1 is repeated" in err and "'3,1..2,1'" in err
+
+
+@pytest.mark.parametrize("spec, part", [("1,5..3", "5..3"), ("1..-1,2", "1..-1")])
+def test_sweep_empty_range_named(tmp_path, capsys, spec, part):
+    # A range whose low end exceeds its high end names no seed: it is
+    # rejected before any run, not dropped.
+    scn = write_mini(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(scn), "--out", str(out),
+                 "--seeds", spec]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"--seeds: range {part!r} is empty" in err
 
 
 def test_fixture_scenarios_run_via_cli(tmp_path):

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import schedule_pending_pods_scan
+from oracles import fire_by_successors, schedule_pending_pods_scan
 
 from scalesim.engine import (
     ClusterState,
@@ -259,6 +259,113 @@ class TestStep:
             return log
 
         assert run() == run()
+
+
+# Every kind a queued event may have beside the periodic streams' ControlTick.
+_QUEUED_KINDS = [kind for kind in EventKind if kind is not EventKind.CONTROL_TICK]
+
+
+@st.composite
+def periodic_ranges(draw):
+    start = draw(st.integers(0, 20))
+    return range(start, draw(st.integers(start, 90)), draw(st.integers(1, 15)))
+
+
+@st.composite
+def stream_cases(draw):
+    """Tick and sample ranges that often share seconds, queued events of
+    every other kind on those seconds, and a table of the events that firing
+    an event enqueues, at its own second or later."""
+    ticks, samples = draw(periodic_ranges()), draw(periodic_ranges())
+    seconds = st.sampled_from(sorted({*ticks, *samples, 0, 95}))
+    kinds = st.sampled_from(_QUEUED_KINDS)
+    queued = draw(st.lists(st.tuples(seconds, kinds), max_size=12))
+    spawns = draw(st.lists(st.lists(st.tuples(st.sampled_from([0, 0, 1, 5]), kinds),
+                                    max_size=2), min_size=1, max_size=8))
+    return ticks, samples, queued, spawns
+
+
+def _label(payload):
+    return payload.get("controller") or payload["id"]
+
+
+def _spawner(spawns):
+    """The handler both schemes run after each event: it enqueues, for a
+    queued event up to two generations deep and for every periodic one, the
+    events that the table gives for the event's second and label."""
+    def handle(enqueue, now, fired):
+        fire_at, kind, payload = fired
+        label = _label(payload)
+        if label.count(".") >= 2:
+            return
+        row = spawns[(fire_at + len(label) + list(EventKind).index(kind)) % len(spawns)]
+        for j, (delay, child) in enumerate(row):
+            enqueue(now + delay, child, _payload(f"{label}.{j}"))
+    return handle
+
+
+def _payload(label):
+    # Names no pod or node, so a cluster kind fires stale and changes nothing.
+    return {"id": label, "node": "none", "pod": "none", "binding": 0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=stream_cases())
+def test_streams_fire_in_the_order_successor_ticks_did(case):
+    ticks, samples, queued, spawns = case
+    handle = _spawner(spawns)
+    expected = fire_by_successors(
+        ticks, samples, [(t, kind, _payload(f"q{i}")) for i, (t, kind) in enumerate(queued)],
+        handle)
+
+    state = ClusterState([])
+    state.every(ticks, EventKind.CONTROL_TICK, {"controller": "ctl"})
+    state.every(samples, EventKind.CONTROL_TICK, {"controller": "sampler"})
+    for i, (t, kind) in enumerate(queued):
+        state.enqueue(t, kind, _payload(f"q{i}"))
+    fired = []
+    while state.has_events():
+        at = state.peek_time()
+        ev = state.step()
+        assert ev.fire_at == state.now == at
+        fired.append((ev.fire_at, ev.kind, ev.payload))
+        handle(state.enqueue, state.now, fired[-1])
+    assert [(t, k, _label(p)) for t, k, p in fired] == \
+        [(t, k, _label(p)) for t, k, p in expected]
+
+
+class TestStreams:
+    def test_a_stream_fires_its_one_payload_at_each_instant(self):
+        state = ClusterState([])
+        payload = {"controller": "x"}
+        state.every(range(5, 20, 5), EventKind.CONTROL_TICK, payload)
+        fired = []
+        while state.has_events():
+            ev = state.step()
+            fired.append((ev.fire_at, ev.kind, ev.payload is payload))
+        assert fired == [(t, EventKind.CONTROL_TICK, True) for t in (5, 10, 15)]
+        assert not state._queue
+
+    def test_an_empty_range_registers_nothing(self):
+        state = ClusterState([])
+        state.every(range(0, 0, 5), EventKind.CONTROL_TICK, {})
+        assert not state.has_events()
+        with pytest.raises(EmptyQueueError):
+            state.peek_time()
+
+    def test_only_the_last_ranked_kind_may_stream(self):
+        state = ClusterState([])
+        with pytest.raises(SimulationError, match="ControlTick, not PolicySwitch"):
+            state.every(range(0, 10), EventKind.POLICY_SWITCH, {})
+        assert list(EventKind)[-1] is EventKind.CONTROL_TICK
+
+    @pytest.mark.parametrize("times", [range(5, 20), range(10, 0, -1)])
+    def test_a_stream_runs_forward_from_now(self, times):
+        state = ClusterState([])
+        state.enqueue(6, EventKind.POLICY_SWITCH, {"policy": "p"})
+        state.step()
+        with pytest.raises(SimulationError, match="do not run forward from 6"):
+            state.every(times, EventKind.CONTROL_TICK, {})
 
 
 class TestResizePool:

@@ -1,6 +1,7 @@
 """Observation, cost accounting, utility, CSV round-trip, and comparison."""
 
 import csv
+import random
 import re
 import statistics
 import tempfile
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import observe_scan, write_metrics_csv_cells
+from test_fuzz import random_scenario
 from test_golden_artifacts import FIXTURES, GOLDEN, GOLDEN_BENCH, _bench_workloads
 
 from scalesim.control import HpaConfig
@@ -197,6 +199,68 @@ def test_observe_equals_the_per_state_scans(case, t):
     for f in fields(sample):
         assert getattr(sample, f.name) == getattr(expected, f.name), f.name
     assert observer.samples == [sample]
+
+
+def _reuse_configs():
+    """The four fixtures, the four seed-1 bench workloads and the scenarios
+    of test_fuzz's randomized run."""
+    yield from (load_scenario(FIXTURES / f"{name}.scn") for name in sorted(GOLDEN))
+    yield from (parse_scenario_text(_bench_workloads()[name].generate(1), f"{name}-1")
+                for name in sorted(GOLDEN_BENCH))
+    rng = random.Random(0xC1D5)
+    for i in range(25):
+        for controller in ("hpa_ca", "mas_h2"):
+            yield parse_scenario_text(random_scenario(rng, controller),
+                                      f"fuzz-{controller}-{i}")
+
+
+def test_a_reused_sample_equals_a_fresh_one(monkeypatch):
+    observe = Observer.observe
+    reused = 0
+
+    def counting(self, state, demand, policy, t, changed=True):
+        nonlocal reused
+        reused += not changed
+        return observe(self, state, demand, policy, t, changed)
+
+    def fresh(self, state, demand, policy, t, changed=True):
+        return observe(self, state, demand, policy, t)
+
+    for config in _reuse_configs():
+        reused = 0
+        monkeypatch.setattr(Observer, "observe", counting)
+        samples = run_scenario(config).samples
+        monkeypatch.setattr(Observer, "observe", fresh)
+        expected = run_scenario(config).samples
+        assert len(samples) == len(expected), config.scenario_id
+        for sample, want in zip(samples, expected):
+            for f in fields(sample):
+                assert getattr(sample, f.name) == getattr(want, f.name), \
+                    (config.scenario_id, sample.t, f.name)
+        # Every bench workload samples more often than anything fires, so
+        # some of its samples reuse the one before.
+        if config.scenario_id.removesuffix("-1") in GOLDEN_BENCH:
+            assert reused > 0, config.scenario_id
+
+
+def test_observe_without_a_change_reads_the_cluster_of_the_last_sample():
+    state = ClusterState([NodePool("main", 2000, 120)])
+    state.add_ready_node("main")
+    for _ in range(3):
+        state.create_pod("web", 250)
+    state.schedule_pending_pods()
+    cost = CostAccumulator({"main": to_micro(1.0)}, to_micro(0.1), "web")
+    observer = Observer("web", 250, cost, Normalizers(), Fraction(11, 10))
+    while state.has_events():
+        state.step()                        # the three pods run
+    first = observer.observe(state, 300, POLICIES[0], 10)
+    cost.advance(state, 20)
+    second = observer.observe(state, 900, POLICIES[0], 20, changed=False)
+    assert second.nodes_by_pool is first.nodes_by_pool
+    assert (second.running_replicas, second.pending_pods, second.packing_efficiency) == \
+        (first.running_replicas, first.pending_pods, first.packing_efficiency)
+    assert (second.demand_millicores, second.cumulative_node_cost) == (900, 20 * to_micro(1.0))
+    assert second.cpu_waste_millicores == 0 and second.utilization != first.utilization
 
 
 class TestCostAccumulator:

@@ -76,15 +76,19 @@ def test_zero_floor_migration_completes_with_zero_downtime():
 
 def _downtime_recount(monkeypatch, config):
     """Run `config` and recount its migration downtime without the cost
-    accumulator: from the running replicas recorded before each event and the
-    floor recorded after each. Returns the run and the intervals below the
-    floor, adjacent ones merged."""
+    accumulator: from the running replicas and the floor in force recorded
+    before each event. The floor in force is the last one the runner read
+    from the controller, before the first event or after an event that can
+    move it, so each event is paired with the floor in force after the one
+    before. Returns the run and the intervals below the floor, adjacent ones
+    merged."""
     before, floors, states = [], [], []
     step, active_floor = ClusterState.step, HierarchicalController.active_floor
 
     def recording_step(self):
         states.append(self)
-        before.append((self.peek_time(), self.running_replicas(config.workload_id)))
+        before.append((self.peek_time(), self.running_replicas(config.workload_id),
+                       floors[-1]))
         return step(self)
 
     def recording_floor(self):
@@ -94,12 +98,11 @@ def _downtime_recount(monkeypatch, config):
     monkeypatch.setattr(ClusterState, "step", recording_step)
     monkeypatch.setattr(HierarchicalController, "active_floor", recording_floor)
     result = run_scenario(config)
-    # The floor after an event holds until the next one, and the run ends
-    # with the state that its last event left.
-    ends = before + [(result.summary.duration, states[-1].running_replicas(config.workload_id))]
-    assert len(floors) == len(ends)
+    # The run ends with the state and the floor that its last event left.
+    ends = before + [(result.summary.duration,
+                      states[-1].running_replicas(config.workload_id), floors[-1])]
     below, last_t = [], 0
-    for floor, (t, running) in zip(floors, ends):
+    for t, running, floor in ends:
         if t > last_t and floor is not None and running < floor:
             if below and below[-1][1] == last_t:
                 below[-1] = (below[-1][0], t)
@@ -213,6 +216,22 @@ def test_sampler_lines_are_format_events(fixture_runs):
             for s in result.samples
         ], name
         assert len(written) > 100, name
+
+
+def test_tick_lines_are_format_events(fixture_runs):
+    # So does a controller tick's, at each of the controller's tick times.
+    for name in ("heartbeat-hpa", "heartbeat-mas"):
+        result = fixture_runs[name]
+        config = result.config
+        who = config.controller
+        ticks = runner.make_controller(config, config.build_trace()).tick_times(
+            result.summary.duration)
+        written = [line for line in result.event_lines if line.endswith(f"controller={who}")]
+        assert written == [
+            format_event(SimEvent(t, EventKind.CONTROL_TICK, {"controller": who}))
+            for t in ticks
+        ], name
+        assert len(written) >= 3, name
 
 
 @pytest.mark.parametrize("duration", [None, 900])
@@ -399,8 +418,9 @@ def _enqueued_before_first_event(text, monkeypatch):
 
 @pytest.mark.parametrize("controller", ["hpa_ca", "mas_h2"])
 def test_ticks_enqueued_up_front_do_not_grow_with_duration(monkeypatch, controller):
-    # Each periodic tick enqueues its successor, so before the first event
-    # the queue holds one tick per clock, the phase change and the bindings.
+    # The controller's ticks and the samples are periodic streams that the
+    # engine fires from their ranges, never queued, so before the first
+    # event the queue holds only the phase change and the bindings.
     text = (f"workload = custom\ncontroller = {controller}\n"
             "phase.1.duration = 60\nphase.1.target_vus = 100\n")
     short = _enqueued_before_first_event(text + "duration = 600\n", monkeypatch)

@@ -1,12 +1,14 @@
 """Work-count guards: what a layer touches per tick, counted from outside by
 wrapping the calls it makes, on the `mas-seasonal` shape at lengths L, 2L
-and 4L and on the `mas-migrate` shape at widths W, 2W and 4W. Each bound is
+and 4L, on the `mas-migrate` shape at widths W, 2W and 4W, and on the
+`hpa-long` shape at two sampling intervals. Each bound is
 derived from the layer's own rule, not read off a run, and holds whatever
 the host; a path that redoes work over the whole history on every tick, or
 over the whole cluster for every pod, exceeds it at the first size already."""
 
 import bisect
 import builtins
+import dataclasses
 import functools
 import random
 import re
@@ -330,3 +332,31 @@ def test_a_scale_down_reaches_only_the_pods_it_passes(width):
     assert any(count < releasable for _, count, _, releasable in shrinks)
     for reached, count, pods, releasable in shrinks:
         assert reached <= count + pods - releasable, (reached, count, pods, releasable)
+
+
+# ---------------------------------------------------------------- samples
+
+def enqueued(config) -> int:
+    """How many events a run of `config` puts on the engine's queue."""
+    calls = 0
+    enqueue = engine.ClusterState.enqueue
+
+    def counting(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return enqueue(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine.ClusterState, "enqueue", counting)
+        run_scenario(config)
+    return calls
+
+
+def test_samples_put_nothing_on_the_queue():
+    # The sampler is a periodic stream that the engine fires from its range,
+    # and the HPA never reads a sample, so halving the sampling interval
+    # doubles the samples and leaves every queued event as it was. A sampler
+    # that enqueues each sample puts one more event on the queue per sample.
+    config = parse_scenario_text(_bench_workloads()["hpa-long"].generate(1), "hpa-long-1")
+    sparse = dataclasses.replace(config, sampling_interval=2 * config.sampling_interval)
+    assert enqueued(sparse) == enqueued(config)
