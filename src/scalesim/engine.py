@@ -160,8 +160,8 @@ class ClusterState:
         # Heap of (fire_at, kind rank, seq, event), popped in that order.
         self._queue: list[tuple[int, int, int, SimEvent]] = []
         # Heap of the periodic streams' next instants, one entry per stream:
-        # (fire_at, registration order, the instants after it, kind, payload).
-        self._streams: list[tuple[int, int, Iterator[int], EventKind, dict]] = []
+        # (fire_at, registration order, the instants after it, payload).
+        self._streams: list[tuple[int, int, Iterator[int], dict]] = []
         self._next_seq = 0
         self._pod_counters: dict[str, int] = {}
         self._pods_created = 0
@@ -186,21 +186,18 @@ class ClusterState:
         self._next_seq += 1
         return ev
 
-    def every(self, times: range, kind: EventKind, payload: dict) -> None:
-        """Fire a `kind` event with this same `payload` object at each of
+    def every(self, times: range, payload: dict) -> None:
+        """Fire a ControlTick with this same `payload` object at each of
         `times`, without queueing them: `step` takes each instant from the
-        range when it is due. The kind must be ControlTick, the kind that
-        ranks last, so that `step`'s rule keeps the queue's order."""
-        if kind is not CONTROL_TICK:
-            raise SimulationError(f"a periodic stream fires ControlTick, not {kind.value}")
+        range when it is due. ControlTick ranks last, so `step`'s rule keeps
+        the queue's order."""
         if times.step < 0 or (times and times[0] < self.now):
             raise SimulationError(
-                f"periodic {kind.value} times {times} do not run forward from {self.now}")
+                f"periodic ControlTick times {times} do not run forward from {self.now}")
         instants = iter(times)
         first = next(instants, None)
         if first is not None:
-            heapq.heappush(self._streams,
-                           (first, self._next_seq, instants, kind, payload))
+            heapq.heappush(self._streams, (first, self._next_seq, instants, payload))
             self._next_seq += 1
 
     def has_events(self) -> bool:
@@ -238,14 +235,14 @@ class ClusterState:
         """
         queue, streams = self._queue, self._streams
         if streams and (not queue or queue[0][0] > streams[0][0]):
-            fire_at, order, instants, kind, payload = streams[0]
+            fire_at, order, instants, payload = streams[0]
             following = next(instants, None)
             if following is None:
                 heapq.heappop(streams)
             else:
-                heapq.heapreplace(streams, (following, order, instants, kind, payload))
+                heapq.heapreplace(streams, (following, order, instants, payload))
             self.now = fire_at
-            return SimEvent(fire_at, kind, payload)
+            return SimEvent(fire_at, CONTROL_TICK, payload)
         if not queue:
             raise EmptyQueueError("event queue empty: scenario end")
         self.now, _, _, ev = heapq.heappop(queue)

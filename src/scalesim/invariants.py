@@ -35,9 +35,11 @@ from .errors import InvariantViolation
 
 
 class InvariantChecker:
-    """Checks cluster-wide invariants; counts how many checks ran."""
+    """Checks cluster-wide invariants; counts how many checks ran. The replica
+    count that a check may be given is that of the workload `workload_id`."""
 
-    def __init__(self) -> None:
+    def __init__(self, workload_id: str) -> None:
+        self.workload_id = workload_id
         self.checks_run = 0
         self._last_t = 0
         self._last_node_cost = 0
@@ -51,10 +53,10 @@ class InvariantChecker:
         self._pending = 0
         self._bound = 0
 
-    def check(self, state: ClusterState, desired: dict[str, int] | None = None) -> None:
+    def check(self, state: ClusterState, desired: int | None = None) -> None:
         """Check the objects touched since the last check, or everything if
-        this checker has not yet seen `state`. Each workload in `desired`
-        must have that many live pods; None skips replica accounting."""
+        this checker has not yet seen `state`. The workload must have
+        `desired` live pods; None skips replica accounting."""
         self.checks_run += 1
         if state.now < self._last_t:
             raise InvariantViolation(
@@ -66,7 +68,7 @@ class InvariantChecker:
             return
         self._check_touched(state, desired)
 
-    def recount(self, state: ClusterState, desired: dict[str, int] | None = None) -> None:
+    def recount(self, state: ClusterState, desired: int | None = None) -> None:
         """Full-strength check of the whole state: starts the tally afresh and
         checks every pool node and every kept pod as touched, so every count
         the engine keeps is held to its definition. It is not counted in
@@ -88,7 +90,7 @@ class InvariantChecker:
         self._last_node_cost = node_cost
         self._last_pod_cost = pod_cost
 
-    def _check_touched(self, state: ClusterState, desired: dict[str, int] | None) -> None:
+    def _check_touched(self, state: ClusterState, desired: int | None) -> None:
         """Check the touched nodes and the node index, then the touched pods,
         moving each in the tally, then each touched node's `used` and the
         engine's counts. Empties the touched sets."""
@@ -247,11 +249,10 @@ class InvariantChecker:
                 f"counted, the pods say {self._pending} and {self._bound}"
             )
 
-    def _check_replica_accounting(self, desired: dict[str, int]) -> None:
-        for workload_id, want in desired.items():
-            have = self._alive.get(workload_id, 0)
-            if have != want:
-                raise InvariantViolation(
-                    f"replica-accounting: workload {workload_id} desired {want} "
-                    f"but Pending+Starting+Running = {have}"
-                )
+    def _check_replica_accounting(self, desired: int) -> None:
+        have = self._alive.get(self.workload_id, 0)
+        if have != desired:
+            raise InvariantViolation(
+                f"replica-accounting: workload {self.workload_id} desired {desired} "
+                f"but Pending+Starting+Running = {have}"
+            )

@@ -1,34 +1,26 @@
-"""Run orchestration: build the cluster from a scenario, drive the event loop,
-check invariants live, and emit the run artifacts.
+"""The run loop: build the cluster from a scenario, fire its events, let the
+controller react, observe and accrue costs, and check invariants live.
 
-Outputs are buffered in memory and flushed only after a clean completion, so
-an aborted run leaves no partial files behind.
+The event and decision lines, samples and summary stay in memory and are
+written, through `artifacts`, only after a clean completion, so an aborted
+run leaves no partial files behind.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+# The benchmark wraps write_metrics_csv, write_summary and summarize here, by
+# these names, and reads OUTPUT_FILES here, as the tests do.
+from .artifacts import (DECISIONS_LOG, EVENTS_LOG, METRICS_CSV, OUTPUT_FILES,  # noqa: F401
+                        SUMMARY_TXT, RunSummary, encode_record, format_event, stream_line,
+                        summarize, write_lines, write_metrics_csv, write_summary)
 from .control import make_controller
-from .engine import ClusterState, EventKind, NodePool, SimEvent
+from .engine import ClusterState, EventKind, NodePool
 from .invariants import InvariantChecker
-from .metrics import (
-    CostAccumulator,
-    MetricSample,
-    Observer,
-    RunSummary,
-    summarize,
-    to_micro,
-    write_metrics_csv,
-    write_summary,
-)
+from .metrics import CostAccumulator, MetricSample, Observer, to_micro
 from .scenario import ScenarioConfig
-
-OUTPUT_FILES = ("events.log", "decisions.log", "metrics.csv", "summary.txt")
-SAMPLER = "sampler"    # the controller name of the metrics sampler's ticks
-CONTROL_TICK = EventKind.CONTROL_TICK
 
 
 @dataclass
@@ -41,46 +33,6 @@ class RunResult:
     out_dir: Path | None = None
     checks_run: int = 0
     completed_migrations: list[dict] = field(default_factory=list)
-
-
-# The events.log text of each event kind.
-_KIND_TEXT = {kind: kind.value for kind in EventKind}
-
-
-def format_event(ev: SimEvent) -> str:
-    """`t=<fire_at> kind=<kind>`, then the payload's `key=value` pairs by key."""
-    payload = ev.payload
-    if len(payload) == 1:
-        ((key, value),) = payload.items()
-        return f"t={ev.fire_at} kind={_KIND_TEXT[ev.kind]} {key}={value}"
-    pairs = " ".join(f"{k}={v}" for k, v in sorted(payload.items()))
-    return f"t={ev.fire_at} kind={_KIND_TEXT[ev.kind]}" + (f" {pairs}" if pairs else "")
-
-
-def _fixed_line(payload: dict) -> str:
-    """The events.log line of a ControlTick carrying `payload`, after its
-    `t=<fire_at>`: the same for every tick of one clock."""
-    return format_event(SimEvent(0, CONTROL_TICK, payload)).removeprefix("t=0")
-
-
-# One decision record's decisions.log line, shared by every record. Records
-# are acyclic, so an encoder that skips json.dumps's circular-reference check
-# writes the same bytes for less.
-encode_record = json.JSONEncoder(check_circular=False).encode
-
-
-# Lines per write: a write per line costs more than joining them all, and
-# joining them all holds a second copy of the whole log.
-_LINES_PER_WRITE = 512
-
-
-def _write_lines(path: Path, lines: list[str]) -> None:
-    """Each line followed by a newline, streamed from the list a chunk at a
-    time; no lines still give one newline, as joining them would."""
-    step = _LINES_PER_WRITE
-    with path.open("w") as fh:
-        fh.writelines("\n".join(lines[i:i + step]) + "\n"
-                      for i in range(0, len(lines) or 1, step))
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> RunResult:
@@ -112,10 +64,10 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
     # is registered first, so in one second its tick comes before the
     # sample. Each event of a stream carries its stream's payload object.
     tick = {"controller": controller.name}
-    sample = {"controller": SAMPLER}
-    tick_line, sample_line = _fixed_line(tick), _fixed_line(sample)
-    state.every(controller.tick_times(duration), CONTROL_TICK, tick)
-    state.every(range(0, duration, config.sampling_interval), CONTROL_TICK, sample)
+    sample = {"controller": "sampler"}
+    tick_line, sample_line = stream_line(tick), stream_line(sample)
+    state.every(controller.tick_times(duration), tick)
+    state.every(range(0, duration, config.sampling_interval), sample)
     for t, policy_name in schedule.entries:
         state.enqueue(t, EventKind.POLICY_SWITCH, {"policy": policy_name})
     for t, phase_name in trace.phase_boundaries:
@@ -133,20 +85,17 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
         normalizers=config.normalizers,
         saturation_ceiling=config.hpa.saturation_ceiling,
     )
-    checker = InvariantChecker()
+    checker = InvariantChecker(config.workload_id)
 
     event_lines: list[str] = []
     decision_lines: list[str] = []
 
     demand = trace.demand
     trace_end = len(demand)
-    workload_id = config.workload_id
     # The migration floor as the last event left it; it holds until the next.
+    # While there is one, old pods run beside their replacements, so the
+    # checker holds the workload to no replica count.
     floor = controller.active_floor()
-    # The replicas the checker holds the workload to: none while a migration
-    # keeps old pods running beside their replacements. Rebuilt only when the
-    # floor or the controller's replicas change.
-    want = None if floor is not None else {workload_id: controller.desired}
     # Whether an event has fired since the last sample: only events change
     # the cluster, so a sample with none before it sees the cluster the last
     # sample saw.
@@ -166,30 +115,24 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
             observer.observe(state, demand[now] if now < trace_end else 0, active_policy,
                              now, changed)
             changed = False
-            event_lines.append(f"t={now}{sample_line}")
-            checker.check(state, want)
-            checker.check_costs(cost.node_cost, cost.pod_cost)
-            continue
-        changed = True
-        if ev.payload is tick:
-            decision_lines.append(encode_record(controller.tick(state, now)))
-            event_lines.append(f"t={now}{tick_line}")
+            line = f"t={now}{sample_line}"
         else:
-            event_lines.append(format_event(ev))
-        for record in controller.on_event(state, ev):
-            decision_lines.append(encode_record(record))
-
-        floor = controller.active_floor()
-        if floor is not None:
-            want = None
-        elif want is None or want[workload_id] != controller.desired:
-            want = {workload_id: controller.desired}
-        checker.check(state, want)
+            changed = True
+            if ev.payload is tick:
+                decision_lines.append(encode_record(controller.tick(state, now)))
+                line = f"t={now}{tick_line}"
+            else:
+                line = format_event(ev)
+            for record in controller.on_event(state, ev):
+                decision_lines.append(encode_record(record))
+            floor = controller.active_floor()
+        event_lines.append(line)
+        checker.check(state, None if floor is not None else controller.desired)
         checker.check_costs(cost.node_cost, cost.pod_cost)
 
     cost.advance(state, duration, floor)
     # What every event's check took on trust, a full recount proves at the end.
-    checker.recount(state, want)
+    checker.recount(state, None if floor is not None else controller.desired)
 
     migrations = controller.completed_migrations
     summary = summarize(
@@ -205,21 +148,14 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> R
         total_pod_cost=cost.pod_cost,
     )
 
-    result = RunResult(
-        config=config,
-        summary=summary,
-        samples=observer.samples,
-        event_lines=event_lines,
-        decision_lines=decision_lines,
-        checks_run=checker.checks_run,
-        completed_migrations=migrations,
-    )
+    result = RunResult(config, summary, observer.samples, event_lines, decision_lines,
+                       checks_run=checker.checks_run, completed_migrations=migrations)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_lines(out_dir / "events.log", event_lines)
-        _write_lines(out_dir / "decisions.log", decision_lines)
-        write_metrics_csv(observer.samples, list(state.pools), out_dir / "metrics.csv")
-        write_summary(summary, out_dir / "summary.txt")
+        write_lines(out_dir / EVENTS_LOG, event_lines)
+        write_lines(out_dir / DECISIONS_LOG, decision_lines)
+        write_metrics_csv(observer.samples, list(state.pools), out_dir / METRICS_CSV)
+        write_summary(summary, out_dir / SUMMARY_TXT)
         result.out_dir = out_dir
     return result

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from scalesim.artifacts import _SAMPLE_TYPES, metrics_header
 from scalesim.engine import ALIVE, ClusterState, EventKind, NodeState, PodState, SimEvent
 from scalesim.forecasting import (
     ForecasterKind,
@@ -39,15 +40,7 @@ from scalesim.forecasting import (
     SeasonalPeak,
     _round,
 )
-from scalesim.metrics import (
-    _SAMPLE_TYPES,
-    MICRO,
-    CostAccumulator,
-    MetricSample,
-    Observer,
-    metrics_header,
-    utility_score,
-)
+from scalesim.metrics import MICRO, CostAccumulator, MetricSample, Observer, utility_score
 from scalesim.planning import OversizedRequestError, Policy, ceil_div
 from scalesim.workload import DemandTrace, WorkloadPhase
 
@@ -488,7 +481,7 @@ def sample_row(sample: MetricSample, pool_order: list[str]) -> list[str]:
 
 def write_metrics_csv_cells(samples: list[MetricSample], pool_order: list[str],
                             path: Path) -> None:
-    """Reference for `metrics.write_metrics_csv`, which must write the same
+    """Reference for `artifacts.write_metrics_csv`, which must write the same
     bytes: every row built by `sample_row` and written by `csv.writer`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -498,7 +491,7 @@ def write_metrics_csv_cells(samples: list[MetricSample], pool_order: list[str],
 
 
 def format_event_sorted(ev: SimEvent) -> str:
-    """Reference for `runner.format_event`: every payload's pairs sorted by key."""
+    """Reference for `artifacts.format_event`: every payload's pairs sorted by key."""
     payload = " ".join(f"{k}={v}" for k, v in sorted(ev.payload.items()))
     return f"t={ev.fire_at} kind={ev.kind.value}" + (f" {payload}" if payload else "")
 

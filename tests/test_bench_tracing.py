@@ -6,7 +6,8 @@ would be wrapped where its callers do not look it up."""
 import importlib.util
 from pathlib import Path
 
-from scalesim import planning
+from scalesim import planning, runner
+from scalesim.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,3 +45,20 @@ def test_pack_ffd_items_are_the_packed_pods(monkeypatch):
     monkeypatch.setattr(planning, "pack_ffd", recording)
     planning.plan_nodes(264, 250, {"legacy": 600}, 2000)
     assert [tracing._first_arg_len(sizes) for sizes in seen] == [265]
+
+
+def test_a_run_writes_through_the_traced_writer_names(tmp_path, monkeypatch):
+    """`metrics.write` is the time of the wrapped `runner.write_metrics_csv`
+    and `runner.write_summary`. CI asks only that it be above zero, which one
+    of them is enough for, so it would miss the other writer bypassing its
+    name: a run with an output directory must call each, by that name, once."""
+    calls = []
+    for name in ("write_metrics_csv", "write_summary"):
+        def recorder(*args, _name=name, _write=getattr(runner, name)):
+            calls.append(_name)
+            return _write(*args)
+
+        monkeypatch.setattr(runner, name, recorder)
+    runner.run_scenario(load_scenario(ROOT / "scenarios" / "heartbeat-hpa.scn"), tmp_path)
+    assert sorted(calls) == ["write_metrics_csv", "write_summary"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(runner.OUTPUT_FILES)

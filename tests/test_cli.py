@@ -135,6 +135,58 @@ def test_compare_damaged_metrics_named(tmp_path, capsys):
     assert f"error: {out_b / 'metrics.csv'}: empty" in capsys.readouterr().err
 
 
+def _two_mini_runs(tmp_path):
+    scn = write_mini(tmp_path)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    for out in (out_a, out_b):
+        assert main(["run", "--scenario", str(scn), "--out", str(out)]) == EXIT_OK
+    return out_a, out_b
+
+
+def _compare(tmp_path, out_a, out_b, capsys):
+    """The exit code and stderr of comparing two runs."""
+    capsys.readouterr()
+    code = main(["compare", str(out_a), str(out_b), "--out", str(tmp_path / "c")])
+    return code, capsys.readouterr().err
+
+
+def test_compare_bad_metrics_cell_names_its_line(tmp_path, capsys):
+    out_a, out_b = _two_mini_runs(tmp_path)
+    path = out_b / "metrics.csv"
+    lines = path.read_text().splitlines(True)
+    t, demand, rest = lines[8].split(",", 2)
+    lines[8] = f"{t},x{demand},{rest}"
+    path.write_text("".join(lines))
+    code, err = _compare(tmp_path, out_a, out_b, capsys)
+    assert code == EXIT_CONFIG
+    assert f"error: {path}: line 9: demand_millicores: cannot read 'x{demand}' as int" in err
+
+
+@pytest.mark.parametrize("name", ["summary.txt", "metrics.csv"])
+def test_compare_run_file_that_is_a_directory_named(tmp_path, capsys, name):
+    out_a, out_b = _two_mini_runs(tmp_path)
+    path = out_b / name
+    path.unlink()
+    path.mkdir()
+    code, err = _compare(tmp_path, out_a, out_b, capsys)
+    assert code == EXIT_CONFIG
+    assert f"error: {path}: cannot read: " in err
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("name", ["summary.txt", "metrics.csv"])
+def test_compare_undecodable_run_file_named(tmp_path, capsys, name):
+    out_a, out_b = _two_mini_runs(tmp_path)
+    path = out_b / name
+    lines = path.read_bytes().splitlines(True)
+    offset = len(b"".join(lines[:2]))
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"".join(lines))
+    code, err = _compare(tmp_path, out_a, out_b, capsys)
+    assert code == EXIT_CONFIG
+    assert f"error: {path}: line 3: not UTF-8 text (byte 0xff at offset {offset})" in err
+
+
 def test_compare_mismatched_seeds_fails(tmp_path, capsys):
     scn = write_mini(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -319,8 +319,8 @@ def test_streams_fire_in_the_order_successor_ticks_did(case):
         handle)
 
     state = ClusterState([])
-    state.every(ticks, EventKind.CONTROL_TICK, {"controller": "ctl"})
-    state.every(samples, EventKind.CONTROL_TICK, {"controller": "sampler"})
+    state.every(ticks, {"controller": "ctl"})
+    state.every(samples, {"controller": "sampler"})
     for i, (t, kind) in enumerate(queued):
         state.enqueue(t, kind, _payload(f"q{i}"))
     fired = []
@@ -338,26 +338,22 @@ class TestStreams:
     def test_a_stream_fires_its_one_payload_at_each_instant(self):
         state = ClusterState([])
         payload = {"controller": "x"}
-        state.every(range(5, 20, 5), EventKind.CONTROL_TICK, payload)
+        state.every(range(5, 20, 5), payload)
         fired = []
         while state.has_events():
             ev = state.step()
             fired.append((ev.fire_at, ev.kind, ev.payload is payload))
         assert fired == [(t, EventKind.CONTROL_TICK, True) for t in (5, 10, 15)]
         assert not state._queue
+        # A stream fires only ControlTick, which step's order needs to rank last.
+        assert list(EventKind)[-1] is EventKind.CONTROL_TICK
 
     def test_an_empty_range_registers_nothing(self):
         state = ClusterState([])
-        state.every(range(0, 0, 5), EventKind.CONTROL_TICK, {})
+        state.every(range(0, 0, 5), {})
         assert not state.has_events()
         with pytest.raises(EmptyQueueError):
             state.peek_time()
-
-    def test_only_the_last_ranked_kind_may_stream(self):
-        state = ClusterState([])
-        with pytest.raises(SimulationError, match="ControlTick, not PolicySwitch"):
-            state.every(range(0, 10), EventKind.POLICY_SWITCH, {})
-        assert list(EventKind)[-1] is EventKind.CONTROL_TICK
 
     @pytest.mark.parametrize("times", [range(5, 20), range(10, 0, -1)])
     def test_a_stream_runs_forward_from_now(self, times):
@@ -365,7 +361,7 @@ class TestStreams:
         state.enqueue(6, EventKind.POLICY_SWITCH, {"policy": "p"})
         state.step()
         with pytest.raises(SimulationError, match="do not run forward from 6"):
-            state.every(times, EventKind.CONTROL_TICK, {})
+            state.every(times, {})
 
 
 class TestResizePool:
@@ -608,7 +604,7 @@ class TestLifetime:
         rng = random.Random(7)
         state = make_state([NodePool("main", 1000, 30)], startup_delay=5)
         pool = state.pools["main"]
-        checker = InvariantChecker()
+        checker = InvariantChecker("web")
         made = []
         for step in range(200):
             state.resize_pool("main", rng.randint(0, 3))

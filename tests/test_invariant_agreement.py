@@ -32,7 +32,7 @@ def recount_every_event(monkeypatch):
 
     def check_and_recount(self, state, desired=None):
         check(self, state, desired)
-        InvariantChecker().recount(state, desired)
+        InvariantChecker(self.workload_id).recount(state, desired)
         recounts.append(state.now)
 
     monkeypatch.setattr(InvariantChecker, "check", check_and_recount)

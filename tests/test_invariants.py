@@ -37,13 +37,13 @@ def small_cluster():
 
 def test_clean_cluster_passes():
     state, *_ = small_cluster()
-    InvariantChecker().check(state, desired={"web": 3})
+    InvariantChecker("web").check(state, desired=3)
 
 
 def test_replica_count_off_desired_is_caught():
     state, *_ = small_cluster()
     with pytest.raises(InvariantViolation, match="^replica-accounting:"):
-        InvariantChecker().check(state, desired={"web": 2})
+        InvariantChecker("web").check(state, desired=2)
 
 
 # Each corruption returns the pods and nodes whose invariants it breaks.
@@ -148,7 +148,7 @@ def test_corruption_is_caught(corrupt, prop):
     state, *objects = small_cluster()
     corrupt(state, *objects)
     with pytest.raises(InvariantViolation, match=rf"^{prop}:"):
-        InvariantChecker().check(state)
+        InvariantChecker("web").check(state)
 
 
 def mark_touched(state, objects):
@@ -160,23 +160,23 @@ def mark_touched(state, objects):
 @pytest.mark.parametrize("corrupt, prop", CORRUPTIONS)
 def test_corruption_of_touched_objects_is_caught_incrementally(corrupt, prop):
     state, *objects = small_cluster()
-    checker = InvariantChecker()
-    checker.check(state, desired={"web": 3})
+    checker = InvariantChecker("web")
+    checker.check(state, desired=3)
     assert not state.touched_pods and not state.touched_nodes
     mark_touched(state, corrupt(state, *objects))
     with pytest.raises(InvariantViolation, match=rf"^{prop}:"):
-        checker.check(state, desired={"web": 3})
+        checker.check(state, desired=3)
 
 
 def test_incremental_replica_accounting_follows_touched_pods():
     state, node, *_ = small_cluster()
-    checker = InvariantChecker()
-    checker.check(state, desired={"web": 3})
+    checker = InvariantChecker("web")
+    checker.check(state, desired=3)
     state.create_pod("web", 100)
-    checker.check(state, desired={"web": 4})
+    checker.check(state, desired=4)
     state.terminate_pod(min(node.bound_pods))
     with pytest.raises(InvariantViolation, match="^replica-accounting:"):
-        checker.check(state, desired={"web": 4})
+        checker.check(state, desired=4)
 
 
 def test_counts_kept_behind_the_engine_are_caught_by_the_recount():
@@ -184,7 +184,7 @@ def test_counts_kept_behind_the_engine_are_caught_by_the_recount():
     pod = state.pods[min(node.bound_pods)]
     pod.state = PodState.STARTING          # a Running pod, changed untracked
     with pytest.raises(InvariantViolation, match="^pod-counts:"):
-        InvariantChecker().recount(state)
+        InvariantChecker("web").recount(state)
 
 
 def test_untracked_mutation_mid_run_is_caught_at_the_end(tmp_path, monkeypatch, capsys):
@@ -250,10 +250,10 @@ def test_check_after_a_one_pod_event_does_not_walk_the_pods():
     for _ in range(400):
         state.create_pod("web", 250)
     state.schedule_pending_pods()
-    checker = InvariantChecker()
+    checker = InvariantChecker("web")
     while state.has_events():
         state.step()
-    checker.check(state, desired={"web": 400})
+    checker.check(state, desired=400)
     assert len(state.pods) == 400 and state.running_replicas("web") == 400
 
     state.pods = CountingDict(state.pods)
@@ -261,8 +261,8 @@ def test_check_after_a_one_pod_event_does_not_walk_the_pods():
     assert state.pods.walks == 0
     ev = state.step()
     assert ev.kind is EventKind.POD_TERMINATED
-    checker.check(state, desired={"web": 399})
+    checker.check(state, desired=399)
     assert state.pods.walks == 0
     assert len(state.pods) == 399
-    checker.recount(state, desired={"web": 399})   # the full recount does walk them
+    checker.recount(state, desired=399)   # the full recount does walk them
     assert state.pods.walks > 0

@@ -6,7 +6,7 @@ import re
 import statistics
 import tempfile
 import typing
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,22 +19,25 @@ from test_golden_artifacts import FIXTURES, GOLDEN, GOLDEN_BENCH, _bench_workloa
 
 from scalesim.control import HpaConfig
 from scalesim.engine import ClusterState, Node, NodePool, NodeState
-from scalesim.metrics import (
+from scalesim.artifacts import (
     _NODE_STATES,
-    CostAccumulator,
-    MetricSample,
-    Normalizers,
-    Observer,
     RunSummary,
     compare_runs,
     read_metrics_csv,
     read_summary,
     summarize,
+    write_comparison,
+    write_metrics_csv,
+    write_summary,
+)
+from scalesim.metrics import (
+    CostAccumulator,
+    MetricSample,
+    Normalizers,
+    Observer,
     to_micro,
     utility_score,
     utilization,
-    write_comparison,
-    write_metrics_csv,
 )
 from scalesim.planning import Policy
 from scalesim.runner import run_scenario
@@ -409,7 +412,6 @@ phase.2.target_vus = 200
 def mini_run(tmp_path: Path, name: str, seed=3):
     config = parse_scenario_text(MINI_SCENARIO, "mini")
     if seed != 3:
-        from dataclasses import replace
         config = replace(config, seed=seed)
     out = tmp_path / name
     result = run_scenario(config, out_dir=out)
@@ -419,8 +421,23 @@ def mini_run(tmp_path: Path, name: str, seed=3):
 class TestCsvAndSummary:
     def test_metrics_round_trip_exact(self, tmp_path):
         result, out = mini_run(tmp_path, "a")
-        header, samples = read_metrics_csv(out / "metrics.csv")
+        pool_order, samples = read_metrics_csv(out / "metrics.csv")
         assert samples == result.samples
+        assert pool_order == [pool.pool_id for pool in result.config.pools]
+
+    @pytest.mark.parametrize("controller", [None, "hpa_ca"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_read_then_written_gives_the_same_bytes(self, tmp_path, name, controller):
+        config = load_scenario(FIXTURES / f"{name}.scn")
+        if controller is not None:
+            config = replace(config, controller=controller)
+        out = tmp_path / "run"
+        run_scenario(config, out_dir=out)
+        pool_order, samples = read_metrics_csv(out / "metrics.csv")
+        write_metrics_csv(samples, pool_order, tmp_path / "metrics.csv")
+        write_summary(read_summary(out / "summary.txt"), tmp_path / "summary.txt")
+        for file in ("metrics.csv", "summary.txt"):
+            assert (tmp_path / file).read_bytes() == (out / file).read_bytes(), file
 
     def test_column_order_is_stable_interface(self, tmp_path):
         _, out = mini_run(tmp_path, "a")
@@ -587,7 +604,7 @@ class TestCompareRuns:
         hints = typing.get_type_hints(RunSummary)
         expected = [f.name for f in fields(RunSummary)
                     if hints[f.name] in (int, float) and f.name not in marked]
-        lines = report.text.splitlines()
+        lines = report.lines
         start = next(i for i, line in enumerate(lines) if line.startswith("metric")) + 1
         rows = [line.split()[0] for line in lines[start:lines.index("", start)]]
         assert rows == expected

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import format_event_sorted
 
-from scalesim import runner
+from scalesim import artifacts, runner
+from scalesim.artifacts import format_event
 from scalesim.cli import EXIT_INVARIANT, main
 from scalesim.control import HierarchicalController
 from scalesim.engine import ClusterState, EventKind, SimEvent
 from scalesim.errors import InvariantViolation
 from scalesim.invariants import InvariantChecker
-from scalesim.runner import format_event, run_scenario
+from scalesim.runner import run_scenario
 from scalesim.scenario import load_scenario, parse_scenario_text
 
 from test_golden_artifacts import _bench_workloads
@@ -274,7 +275,7 @@ def test_logs_are_the_lines_joined(tmp_path, monkeypatch, name, lines_per_write)
     # Streamed in chunks of lines, each log holds the bytes of its lines
     # joined by newlines plus a final one; a run of no seconds has no
     # decision record and still gets that one newline.
-    monkeypatch.setattr(runner, "_LINES_PER_WRITE", lines_per_write)
+    monkeypatch.setattr(artifacts, "_LINES_PER_WRITE", lines_per_write)
     if name == "zero-length":
         text = (FIXTURES / "heartbeat-hpa.scn").read_text().replace("workload = heartbeat", (
             "workload = custom\nphase.1.duration = 0\nphase.1.target_vus = 5\n"

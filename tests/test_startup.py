@@ -129,3 +129,25 @@ def test_autodetecting_run_loads_numpy_only_when_it_runs():
     assert proc.returncode == 0, proc.stderr
     assert lines == [{"numpy": False},
                      {"numpy": True, "digests": {"heartbeat-mas": GOLDEN["heartbeat-mas"]}}]
+
+
+# Imports scalesim.artifacts and prints which of the modules it must not load
+# are loaded; then imports the runner and prints the same again.
+ARTIFACTS_CHILD = """
+import json, sys
+
+HEAVY = ("scalesim.control", "scalesim.runner", "scalesim.forecasting", "numpy")
+import scalesim.artifacts  # noqa: F401
+print(json.dumps([name for name in HEAVY if name in sys.modules]))
+import scalesim.runner  # noqa: F401
+print(json.dumps([name for name in HEAVY if name in sys.modules]))
+"""
+
+
+def test_artifacts_load_no_controller_runner_forecaster_or_numpy():
+    proc = _python(ARTIFACTS_CHILD, "")
+    assert proc.returncode == 0, proc.stderr
+    after_artifacts, after_runner = (json.loads(line) for line in proc.stdout.splitlines())
+    assert after_artifacts == []
+    # Non-vacuity: the runner does load the controller and the forecaster.
+    assert after_runner == ["scalesim.control", "scalesim.runner", "scalesim.forecasting"]
