@@ -167,28 +167,31 @@ def write_metrics_csv(samples: list[MetricSample], pool_order: list[str], path: 
 def read_metrics_csv(path: Path) -> tuple[list[str], list[MetricSample]]:
     """The table's pool order and samples, what write_metrics_csv writes it from."""
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
-    header = next(reader, None)
-    if header is None:
-        raise ValueError(f"{path}: empty, no header line")
-    pool_order = [c[len("nodes_"):-len("_provisioning")]
-                  for c in header if c.startswith("nodes_") and c.endswith("_provisioning")]
-    missing = [c for c in metrics_header(pool_order) if c not in header]
-    if missing:
-        raise ValueError(f"{path}: no {', '.join(missing)} column")
-    samples = []
-    for row in reader:
-        where = f"{path}: line {reader.line_num}"
-        if len(row) != len(header):
-            raise ValueError(f"{where} has {len(row)} cells, not {len(header)}")
-        vals = dict(zip(header, row))
-        samples.append(MetricSample(**{
-            name: {
-                p: tuple(_read_field(where, vals, f"nodes_{p}_{s.value.lower()}", int)
-                         for s in _NODE_STATES)
-                for p in pool_order
-            } if typ is dict else _read_field(where, vals, name, typ)
-            for name, typ in _SAMPLE_TYPES.items()
-        }))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty, no header line")
+        pool_order = [c[len("nodes_"):-len("_provisioning")]
+                      for c in header if c.startswith("nodes_") and c.endswith("_provisioning")]
+        missing = [c for c in metrics_header(pool_order) if c not in header]
+        if missing:
+            raise ValueError(f"{path}: no {', '.join(missing)} column")
+        samples = []
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where} has {len(row)} cells, not {len(header)}")
+            vals = dict(zip(header, row))
+            samples.append(MetricSample(**{
+                name: {
+                    p: tuple(_read_field(where, vals, f"nodes_{p}_{s.value.lower()}", int)
+                             for s in _NODE_STATES)
+                    for p in pool_order
+                } if typ is dict else _read_field(where, vals, name, typ)
+                for name, typ in _SAMPLE_TYPES.items()
+            }))
+    except csv.Error as exc:        # a cell past csv.field_size_limit(), say
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return pool_order, samples
 
 

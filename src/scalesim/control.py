@@ -1,10 +1,11 @@
 """Closed-loop controllers driving the simulated cluster.
 
-HierarchicalController runs the slow strategic/planning/execution cycle:
-resolve the active policy, forecast the demand of the one managed workload,
-plan its replicas and the nodes jointly, then reconcile the cluster (nodes
-before pods). Policy switches that change node pool run a two-phase
-make-before-break migration.
+HierarchicalController runs the slow cycle as three steps of one tick: the
+strategic read resolves the active policy; `plan` forecasts the demand of
+the one managed workload and plans its replicas and the nodes jointly, and
+can be called between ticks without changing any; `_reconcile` executes the
+plan, nodes before pods, unless a migration defers it. Policy switches that
+change node pool run a two-phase make-before-break migration.
 
 ReactiveController is the fast baseline: a horizontal pod autoscaler driven by
 observed utilization against a target, plus a cluster autoscaler that adds a
@@ -195,14 +196,15 @@ class Controller(Protocol):
     schedule onto at t=0 and the replicas to create there: the configured
     count, or the controller's own floor for None. `tick` acts on the cluster
     and returns the tick's decision-log record: {"t", "controller", "phases",
-    "actions"}, each action a (kind, target, delta) tuple with kind "pods" or
-    "nodes". `on_event` sees every fired event but the metrics sampler's,
-    for which both controllers return nothing, and returns the decision-log
-    records it made, in order, often none; a migration moves only at its
-    switch, at a NodeReady while its new pool provisions and at the
-    PodStarted of each of its replacements. `active_floor` is the replica
-    floor that a migration must hold, and None outside migrations; a sample
-    changes nothing, so the runner reads it after every other event."""
+    "actions"}, a phase per step of the tick in the order they ran, each
+    action a (kind, target, delta) tuple with kind "pods" or "nodes".
+    `on_event` sees every fired event but the metrics sampler's, for which
+    both controllers return nothing, and returns the decision-log records it
+    made, in order, often none; a migration moves only at its switch, at a
+    NodeReady while its new pool provisions and at the PodStarted of each of
+    its replacements. `active_floor` is the replica floor that a migration
+    must hold, and None outside migrations; a sample changes nothing, so the
+    runner reads it after every other event."""
 
     name: ClassVar[str]
     desired: int                        # replicas asked for
@@ -286,65 +288,73 @@ class HierarchicalController:
             # A migration keeps the scheduler on its target pool, whatever a
             # switch queued behind it names.
             state.preferred_pool_id = policy.pool
-        phases: list[dict] = [
-            {"phase": "strategic", "policy": policy.name, "migration": self.migration.phase.value}
-        ]
-
         actions: list[tuple[str, str, int]] = []
-        record = {"t": now, "controller": self.name, "phases": phases, "actions": actions}
+        replicas, nodes, planning = self.plan(state, now, policy)
+        phases = [{"phase": "strategic", "policy": policy.name,
+                   "migration": self.migration.phase.value}, *planning]
+        if replicas is not None and deferred:
+            phases.append({"phase": "execution", "deferred": "migration active", "actions": actions})
+        else:
+            if replicas is not None:
+                self._reconcile(state, policy.pool, nodes, replicas, actions)
+            phases.append({"phase": "execution", "actions": actions})
+        return {"t": now, "controller": self.name, "phases": phases, "actions": actions}
+
+    def plan(self, state: ClusterState, now: int,
+             policy: Policy) -> tuple[int | None, int | None, list[dict]]:
+        """The planning step: the replicas the workload needs over the next
+        horizon under `policy`, the nodes of the policy's pool they need, and
+        the record's workload-planning and node-planning phases; with no
+        history yet, no replicas nor nodes. It reads the cluster and extends
+        the smoothed history to `now`. Smoothing continued from the last
+        level equals smoothing in one shot and phase groups only grow, so a
+        call between ticks changes no tick."""
         workload_id = self.trace.workload_id
         smoothed = self.smoothed
         smoothed.extend(smoothed_history(self.trace.demand[len(smoothed):now],
                                          self.config.smoothing_half_life,
                                          smoothed[-1] if smoothed else None))
         if not smoothed:
-            phases.append({"phase": "workload-planning",
-                           "plans": [{"workload": workload_id, "skipped": "no history"}]})
-            phases.append({"phase": "node-planning", "skipped": "no plans"})
-            phases.append({"phase": "execution", "actions": actions})
-            return record
-
+            return None, None, [
+                {"phase": "workload-planning",
+                 "plans": [{"workload": workload_id, "skipped": "no history"}]},
+                {"phase": "node-planning", "skipped": "no plans"}]
         kind, basis = self._forecaster_for(now)
         horizon = self.config.horizon
         peak = forecast(kind, basis, now,
                         self.config.control_interval if horizon is None else horizon,
                         groups=self._phase_groups)
-        plan = plan_replicas(peak, self.pod_request, policy)
-        phases.append({"phase": "workload-planning", "plans": [{
-            "workload": workload_id,
-            "forecaster": type(kind).__name__,
-            "forecast_peak": peak,
-            "raw_replicas": plan.raw_replicas,
-            "planned_replicas": plan.planned_replicas,
-        }]})
-
+        replicas = plan_replicas(peak, self.pod_request, policy)
         pool = state.pools[policy.pool]
-        required_nodes = plan_nodes(plan.planned_replicas, self.pod_request, self.other_requests,
-                                    pool.node_capacity_millicores)
-        current_nodes = len(pool.nodes)
-        phases.append({
-            "phase": "node-planning",
-            "pool": policy.pool,
-            "required_nodes": required_nodes,
-            "current_nodes": current_nodes,
-        })
+        nodes = plan_nodes(replicas.planned_replicas, self.pod_request, self.other_requests,
+                           pool.node_capacity_millicores)
+        return replicas.planned_replicas, nodes, [
+            {"phase": "workload-planning", "plans": [{
+                "workload": workload_id,
+                "forecaster": type(kind).__name__,
+                "forecast_peak": peak,
+                "raw_replicas": replicas.raw_replicas,
+                "planned_replicas": replicas.planned_replicas,
+            }]},
+            {"phase": "node-planning", "pool": policy.pool, "required_nodes": nodes,
+             "current_nodes": len(pool.nodes)}]
 
-        if deferred:
-            phases.append({"phase": "execution", "deferred": "migration active", "actions": actions})
-            return record
-
-        # Node scaling is issued before pod scaling within the same tick.
-        if required_nodes != current_nodes:
-            state.resize_pool(policy.pool, required_nodes)
-            actions.append(("nodes", policy.pool, required_nodes - current_nodes))
-        delta = plan.planned_replicas - state.replicas(workload_id)
+    def _reconcile(self, state: ClusterState, pool: str, nodes: int, replicas: int,
+                   actions: list[tuple[str, str, int]]) -> None:
+        """The execution step, nodes before pods: resize `pool` to `nodes`,
+        scale the workload to `replicas` and schedule, appending to
+        `actions`."""
+        current = len(state.pools[pool].nodes)
+        if nodes != current:
+            state.resize_pool(pool, nodes)
+            actions.append(("nodes", pool, nodes - current))
+        workload_id = self.trace.workload_id
+        delta = replicas - state.replicas(workload_id)
         if delta != 0:
             _scale_replicas(state, workload_id, self.pod_request, delta)
             actions.append(("pods", workload_id, delta))
-        self.desired = plan.planned_replicas
+        self.desired = replicas
         state.schedule_pending_pods()
-        phases.append({"phase": "execution", "actions": actions})
-        return record
 
     def _forecaster_for(self, now: int):
         """The forecaster and the history it reads. A seasonal planner with

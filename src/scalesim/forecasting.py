@@ -78,8 +78,7 @@ def _seasonal(kind: SeasonalPeak, history: Sequence[float], now: int, horizon: i
     horizon] visits."""
     period = kind.period
     if len(history) < period:
-        # Not a full period observed yet; behave like Naive.
-        return _round(history[-1])
+        raise ValueError(f"history of {len(history)} s is shorter than the period {period}")
     phases = {t % period for t in range(now + 1, now + 1 + min(horizon, period))}
     # Rounding is monotone, so the rounded largest quantile is the largest
     # rounded one.

@@ -38,11 +38,6 @@ class DemandTrace:
     def duration(self) -> int:
         return len(self.demand)
 
-    def demand_at(self, t: int) -> int:
-        if not 0 <= t < self.duration:
-            raise ValueError(f"t={t} outside trace [0, {self.duration})")
-        return self.demand[t]
-
 
 def _phase_vus(phase: WorkloadPhase, prev: int) -> list[int]:
     """The phase's per-second VU counts, `prev` being the previous phase's
@@ -51,17 +46,6 @@ def _phase_vus(phase: WorkloadPhase, prev: int) -> list[int]:
         return [phase.target_vus] * phase.duration
     rise, duration = phase.target_vus - prev, phase.duration
     return [round(prev + rise * ((k + 1) / duration)) for k in range(duration)]
-
-
-def vus_profile(phases: list[WorkloadPhase]) -> list[int]:
-    """Per-second VU counts. Linear phases interpolate from the previous
-    phase's target; Step phases hold their target for the whole duration."""
-    out: list[int] = []
-    prev = 0
-    for phase in phases:
-        out += _phase_vus(phase, prev)
-        prev = phase.target_vus
-    return out
 
 
 def build_trace(

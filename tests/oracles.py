@@ -217,11 +217,8 @@ def seasonal_sorted(kind: SeasonalPeak, history: list[float], now: int, horizon:
     """Reference for `forecasting.forecast` with a seasonal kind: its former
     body, which sorts each visited phase's whole history on every call. The
     largest same-phase quantile over the phases that (now, now + horizon]
-    visits, or the last value before a full period."""
+    visits."""
     period = kind.period
-    if len(history) < period:
-        # Not a full period observed yet; behave like Naive.
-        return _round(history[-1])
     phases = {t % period for t in range(now + 1, now + 1 + min(horizon, period))}
     return max(_round(_quantile(history[p::period], kind.quantile)) for p in phases)
 
@@ -292,11 +289,7 @@ def forecast_per_second(kind: ForecasterKind, history: list[Sample], now: int, h
 
 
 def _seasonal_per_second(kind: SeasonalPeak, history: list[Sample], future: range) -> list[tuple[int, int]]:
-    span = history[-1][0] - history[0][0] + 1
     last = _round(history[-1][1])
-    if span < kind.period:
-        # Not a full period observed yet; behave like Naive.
-        return [(t, last) for t in future]
     by_offset: dict[int, list[float]] = {}
     for t, v in history:
         by_offset.setdefault(t % kind.period, []).append(v)
@@ -497,7 +490,8 @@ def format_event_sorted(ev: SimEvent) -> str:
 
 
 def vus_profile_per_second(phases: list[WorkloadPhase]) -> list[int]:
-    """Reference for `workload.vus_profile`, one second at a time."""
+    """The per-second VU counts that `workload.build_trace` scales into
+    demand, one second at a time."""
     out: list[int] = []
     prev = 0
     for phase in phases:

@@ -6,7 +6,7 @@ would be wrapped where its callers do not look it up."""
 import importlib.util
 from pathlib import Path
 
-from scalesim import planning, runner
+from scalesim import control, planning, runner
 from scalesim.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,3 +62,21 @@ def test_a_run_writes_through_the_traced_writer_names(tmp_path, monkeypatch):
     runner.run_scenario(load_scenario(ROOT / "scenarios" / "heartbeat-hpa.scn"), tmp_path)
     assert sorted(calls) == ["write_metrics_csv", "write_summary"]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(runner.OUTPUT_FILES)
+
+
+def test_a_mas_run_calls_the_traced_planning_names(monkeypatch):
+    """The forecasting and planning spans wrap functions where `control`
+    binds them, so a controller that called them through their own modules
+    would drop the spans with no error: one `heartbeat-mas` run must call
+    each, by its name in `control`, at least once."""
+    tracing = _tracing()
+    names = [attr for owner, attr, *_ in tracing._targets(tracing.Tracer()) if owner is control]
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _call=getattr(control, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(control, name, counting)
+    runner.run_scenario(load_scenario(ROOT / "scenarios" / "heartbeat-mas.scn"))
+    assert names and all(calls.values()), calls

@@ -162,6 +162,18 @@ def test_compare_bad_metrics_cell_names_its_line(tmp_path, capsys):
     assert f"error: {path}: line 9: demand_millicores: cannot read 'x{demand}' as int" in err
 
 
+def test_compare_over_long_metrics_cell_names_its_line(tmp_path, capsys):
+    # Longer than csv.field_size_limit(), which the csv reader refuses.
+    out_a, out_b = _two_mini_runs(tmp_path)
+    path = out_b / "metrics.csv"
+    lines = path.read_text().splitlines(True)
+    lines[5] = "9" * 200_000 + "\n"
+    path.write_text("".join(lines))
+    code, err = _compare(tmp_path, out_a, out_b, capsys)
+    assert code == EXIT_CONFIG
+    assert f"error: {path}: line 6: field larger than field limit" in err
+
+
 @pytest.mark.parametrize("name", ["summary.txt", "metrics.csv"])
 def test_compare_run_file_that_is_a_directory_named(tmp_path, capsys, name):
     out_a, out_b = _two_mini_runs(tmp_path)

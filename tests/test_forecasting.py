@@ -54,8 +54,8 @@ def assert_matches_oracle(kind, history, now, horizon):
 @st.composite
 def forecast_cases(draw):
     """A dense history, a forecaster, and a (now, horizon) to ask it about:
-    seasonal periods above and below the history length, quantiles up to
-    1.0, now at or past the end, horizons up to 3 periods."""
+    seasonal periods up to the history length, quantiles up to 1.0, now at
+    or past the end, horizons up to 3 periods."""
     history = draw(st.lists(
         st.one_of(st.integers(0, 5000), st.floats(0.0, 1e6, allow_nan=False)),
         min_size=1, max_size=150,
@@ -64,7 +64,7 @@ def forecast_cases(draw):
     kind = draw(st.one_of(
         st.just(Naive()),
         st.builds(MovingAverage, st.integers(1, 2 * n)),
-        st.builds(SeasonalPeak, st.integers(1, 2 * n),
+        st.builds(SeasonalPeak, st.integers(1, n),
                   st.one_of(st.sampled_from([0.05, 0.5, 0.95, 1.0]),
                             st.floats(0.0, 1.0, exclude_min=True))),
     ))
@@ -114,9 +114,10 @@ class TestForecasters:
         assert predicted == [pattern[t % 6] for t in range(25, 37)]
         assert forecast(kind, values, now=len(values), horizon=12) == 900
 
-    def test_seasonal_falls_back_to_naive_below_one_period(self):
-        kind = SeasonalPeak(period=100, quantile=1.0)
-        assert per_second(kind, [10, 20, 999], now=3, horizon=4) == [999] * 4
+    def test_seasonal_below_one_period_rejected(self):
+        # The controller plans a shorter history with Naive, over raw demand.
+        with pytest.raises(ValueError, match="shorter than the period 100"):
+            forecast(SeasonalPeak(period=100, quantile=1.0), [10, 20, 999], now=3, horizon=4)
 
     @settings(max_examples=300, deadline=None)
     @given(case=forecast_cases(), half_life=st.integers(1, 60))
@@ -229,9 +230,6 @@ class TestPhaseGroups:
     @example(values=[float(i % 7) for i in range(60)], periods=[5, 7],
              ticks=[(12, 0, 0, 5), (12, 1, 3, 7), (12, 0, 1, 12), (24, 1, 0, 30)],
              quantile=0.5)
-    # Every tick on a history shorter than its one period.
-    @example(values=[10.0, 20.0, 999.0, 5.0], periods=[50],
-             ticks=[(1, 0, 0, 50), (2, 0, 49, 3), (1, 0, 0, 100)], quantile=0.95)
     # The max, on values that tie.
     @example(values=[3.0, 1.0, 3.0, -0.0, 0.0, 2.0] * 6, periods=[4],
              ticks=[(5, 0, 0, 4), (9, 0, 2, 9), (22, 0, 0, 1)], quantile=1.0)
@@ -239,14 +237,15 @@ class TestPhaseGroups:
             self, values, periods, ticks, quantile):
         # A history grown tick by tick in chunks, as the controller grows
         # its smoothed one, forecast from groups carried across the ticks;
-        # each tick picks one of the periods, so the period may change.
+        # each tick picks one of the periods, so the period may change, and
+        # a tick's period is at most its history.
         history, groups, taken = array("d"), PhaseGroups(), 0
         for chunk, which, gap, horizon in ticks:
             if taken == len(values):
                 break
             history.extend(values[taken:taken + chunk])
             taken = len(history)
-            kind = SeasonalPeak(periods[which % len(periods)], quantile)
+            kind = SeasonalPeak(min(periods[which % len(periods)], len(history)), quantile)
             now = len(history) + gap
             assert forecast(kind, history, now, horizon, groups=groups) == seasonal_sorted(
                 kind, list(history), now, horizon), (kind, now, horizon)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import build_trace_per_second, vus_profile_per_second
+from oracles import build_trace_per_second
 
 from scalesim.workload import (
     NAMED_WORKLOADS,
@@ -13,7 +13,6 @@ from scalesim.workload import (
     build_trace,
     flash_sale_phases,
     heartbeat_phases,
-    vus_profile,
 )
 
 # Benchmark profiles, frozen field-for-field: (duration s, target VUs).
@@ -30,6 +29,12 @@ FLASH_SALE_TABLE = [
     (60, 50),                                  # sudden drop-off
     (120, 50), (60, 0),                        # final cool-down
 ]
+
+
+def vus_of(phases):
+    """The per-second VUs a trace scales: its demand at one millicore per VU,
+    without noise."""
+    return build_trace("w", phases, 1.0, 0).demand
 
 
 def named_trace(name: str, seed: int):
@@ -53,12 +58,12 @@ class TestHeartbeat:
         assert len(trace.demand) == 780
 
     def test_vus_at_mid_first_peak_hold(self):
-        assert vus_profile(heartbeat_phases())[45] == 400
+        assert vus_of(heartbeat_phases())[45] == 400
 
     def test_demand_is_vus_times_cost(self):
         trace = named_trace("heartbeat", 3)
-        assert trace.demand_at(45) == 800
-        vus = vus_profile(heartbeat_phases())
+        assert trace.demand[45] == 800
+        vus = vus_of(heartbeat_phases())
         for t, demand in enumerate(trace.demand):
             assert demand == vus[t] * 2
 
@@ -81,43 +86,35 @@ class TestFlashSale:
         assert sum(d for d, _ in FLASH_SALE_TABLE) == 900
 
     def test_sustained_peak_holds_700_for_240s(self):
-        vus = vus_profile(flash_sale_phases())
+        vus = vus_of(flash_sale_phases())
         assert all(vus[t] == 700 for t in range(420, 660))
 
     def test_drop_off_trends_toward_50(self):
-        vus = vus_profile(flash_sale_phases())[660:720]
+        vus = vus_of(flash_sale_phases())[660:720]
         assert vus[0] < 700
         assert all(a >= b for a, b in zip(vus, vus[1:]))
         assert vus[-1] == 50
 
     def test_noise_only_in_chatter_phases(self):
         trace = named_trace("flash_sale", 9)
-        vus = vus_profile(flash_sale_phases())
+        vus = vus_of(flash_sale_phases())
         for t, demand in enumerate(trace.demand):
             if t >= 240:
                 assert demand == vus[t] * 2, f"t={t} outside chatter must be noise-free"
 
     def test_chatter_noise_within_amplitude(self):
         trace = named_trace("flash_sale", 9)
-        vus = vus_profile(flash_sale_phases())
+        vus = vus_of(flash_sale_phases())
         for t, demand in enumerate(trace.demand[:240]):
             clean = vus[t] * 2
             assert abs(demand - clean) <= clean * 0.10 + 0.5
 
 
 class TestDemandWindow:
-    def test_out_of_range_rejected(self):
-        trace = named_trace("heartbeat", 1)
-        assert trace.demand_at(779) == trace.demand[-1]
-        with pytest.raises(ValueError):
-            trace.demand_at(-1)
-        with pytest.raises(ValueError):
-            trace.demand_at(780)
-
     def test_linear_ramp_interpolates_monotonically(self):
         # Closed form: vus(k) = round(10 + 390 * (k+1) / 30) within the ramp.
         phases = [WorkloadPhase("base", 10, 10), WorkloadPhase("ramp", 30, 400)]
-        profile = vus_profile(phases)
+        profile = vus_of(phases)
         ramp = profile[10:40]
         expected = [round(10 + (400 - 10) * (k + 1) / 30) for k in range(30)]
         assert ramp == expected
@@ -139,7 +136,7 @@ class TestNoiseAndDeterminism:
     def test_zero_vus_zero_demand(self):
         rng = random.Random(0)
         phases = [WorkloadPhase("dead", 40, 0, "step"), WorkloadPhase("live", 20, 100)]
-        vus = vus_profile(phases)
+        vus = vus_of(phases)
         for seed in range(5):
             amplitude = rng.choice([0.0, 0.05, 0.10, 0.3])
             trace = build_trace("w", phases, vu_cost=2.5, seed=seed, noise_amplitude=amplitude)
@@ -156,7 +153,7 @@ class TestNoiseAndDeterminism:
                 for i in range(4)
             ]
             trace = build_trace("w", phases, 2, seed, noise_amplitude=amplitude)
-            vus = vus_profile(phases)
+            vus = vus_of(phases)
             for t, demand in enumerate(trace.demand):
                 clean = vus[t] * 2
                 assert abs(demand - clean) <= clean * amplitude + 0.5
@@ -197,6 +194,5 @@ def phase_lists(draw):
 @example(phases=[WorkloadPhase("p0", 1, 8, "step"), WorkloadPhase("p1", 10, 333)],
          vu_cost=1, seed=0, amplitude=0.0)
 def test_trace_equals_the_per_second_trace(phases, vu_cost, seed, amplitude):
-    assert vus_profile(phases) == vus_profile_per_second(phases)
     trace = build_trace("w", phases, vu_cost, seed, amplitude)
     assert trace == build_trace_per_second("w", phases, vu_cost, seed, amplitude)
