@@ -83,7 +83,6 @@ class MigrationPhase(Enum):
 class MigrationState:
     phase: MigrationPhase = MigrationPhase.IDLE
     from_pool: str = ""
-    to_pool: str = ""
     started_at: int = 0
     target_nodes: int = 0
     # Pre-switch planned replicas: the capacity floor that must hold at every
@@ -246,8 +245,8 @@ class HierarchicalController:
         self.smoothed = array("d")
         # The seasonal forecaster's sorted phase groups of `smoothed`.
         self._phase_groups = PhaseGroups()
-        # The pool the managed workload lives on (or is migrating onto);
-        # a dequeued switch compares against this, not the schedule.
+        # The one record of the pool the managed workload lives on, or is
+        # migrating onto; a switch compares against it, not the schedule.
         self._active_pool = policies[schedule.default_policy].pool
 
     @classmethod
@@ -284,10 +283,6 @@ class HierarchicalController:
     def tick(self, state: ClusterState, now: int) -> dict:
         policy = self.policies[self.schedule.active_at(now)]
         deferred = self.migration.phase is not MigrationPhase.IDLE
-        if not deferred:
-            # A migration keeps the scheduler on its target pool, whatever a
-            # switch queued behind it names.
-            state.preferred_pool_id = policy.pool
         actions: list[tuple[str, str, int]] = []
         replicas, nodes, planning = self.plan(state, now, policy)
         phases = [{"phase": "strategic", "policy": policy.name,
@@ -383,9 +378,9 @@ class HierarchicalController:
             return {"t": now, "switch": new.name, "migration": "queued (switch in flight)"}
         if new.pool == self._active_pool:
             return {"t": now, "switch": new.name, "migration": "none (same pool)"}
-        return self._begin_migration(state, now, self._active_pool, new)
+        return self._begin_migration(state, now, new)
 
-    def _begin_migration(self, state: ClusterState, now: int, old_pool: str, new: Policy) -> dict:
+    def _begin_migration(self, state: ClusterState, now: int, new: Policy) -> dict:
         workload_id = self.trace.workload_id
         floor = self.desired
         target_nodes = plan_nodes(max(1, floor), self.pod_request, self.other_requests,
@@ -394,8 +389,7 @@ class HierarchicalController:
         old_pods = [p for p in reversed(state.pods_of(workload_id)) if p.state in ALIVE]
         self.migration = MigrationState(
             phase=MigrationPhase.PROVISIONING_NEW,
-            from_pool=old_pool,
-            to_pool=new.pool,
+            from_pool=self._active_pool,
             started_at=now,
             target_nodes=target_nodes,
             floor=floor,
@@ -410,7 +404,7 @@ class HierarchicalController:
             "t": now,
             "switch": new.name,
             "migration": "make-before-break started",
-            "from_pool": old_pool,
+            "from_pool": self.migration.from_pool,
             "to_pool": new.pool,
             "new_pool_nodes": target_nodes,
             "floor": {workload_id: floor},
@@ -430,7 +424,7 @@ class HierarchicalController:
             old = mig.old_pods
             _release(state, mig.pending_old,
                      map(old.__getitem__, range(mig.first_alive_old(), len(old))), 1)
-        elif len(state.pools[mig.to_pool].ready_nodes()) >= mig.target_nodes:
+        elif len(state.pools[self._active_pool].ready_nodes()) >= mig.target_nodes:
             mig.phase = MigrationPhase.MIGRATING_WORKLOAD
             mig.replacements = {state.create_pod(self.trace.workload_id, self.pod_request).pod_id
                                 for _ in range(mig.floor)}
@@ -451,7 +445,7 @@ class HierarchicalController:
             "started_at": mig.started_at,
             "completed_at": now,
             "from_pool": mig.from_pool,
-            "to_pool": mig.to_pool,
+            "to_pool": self._active_pool,
             "floor": {self.trace.workload_id: mig.floor},
         })
         pending = mig.pending_switch

@@ -12,6 +12,7 @@ for the annotated reference example.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, replace
 from pathlib import Path
 
@@ -19,12 +20,15 @@ from .control import CONTROLLER_TYPES, HpaConfig, MasConfig, StrategicSchedule
 from .engine import generated_pod_id
 from .errors import ConfigError, ScenarioError
 from .knobs import Range, check_knobs, declared, knob
-from .metrics import Normalizers
+from .metrics import MICRO, Normalizers
 from .planning import Policy
 from .workload import NAMED_WORKLOADS, DemandTrace, WorkloadPhase, build_trace
 
 WORKLOADS = (*NAMED_WORKLOADS, "custom")
 CONTROLLERS = tuple(CONTROLLER_TYPES)
+# The largest cost rate whose micro-units are a finite float: a run rounds
+# each rate times MICRO to an int, and no int holds infinity.
+MAX_RATE = math.nextafter(sys.float_info.max / MICRO, 0)
 
 
 @dataclass
@@ -32,7 +36,7 @@ class PoolSpec:
     pool_id: str
     machine_type: str = knob("e2-medium")
     capacity: int = knob(1000, gt=0)              # millicores per node
-    cost_rate: float = knob(1.0, ge=0)            # currency units per node-second
+    cost_rate: float = knob(1.0, ge=0, le=MAX_RATE)   # currency units per node-second
     provisioning_delay: int = knob(120, ge=0)     # seconds from resize to Ready
     initial_nodes: int = knob(0, ge=0)
 
@@ -54,7 +58,7 @@ class ScenarioConfig:
     sampling_interval: int = knob(5, gt=0)
     duration: int | None = knob(None, gt=0)                  # None -> the trace's length
     initial_replicas: int | None = knob(None, ge=0)          # None -> the controller's floor
-    pod_cost_rate: float = knob(0.1, ge=0)
+    pod_cost_rate: float = knob(0.1, ge=0, le=MAX_RATE)
     pools: list[PoolSpec] = field(default_factory=list)
     policies: dict[str, Policy] = field(default_factory=dict)
     schedule: StrategicSchedule = field(default_factory=StrategicSchedule)
@@ -193,7 +197,15 @@ def _check(config: ScenarioConfig) -> None:
                 f"{config.workload_id!r} pod",
                 f"other.{owner}",
             )
-    trace_len = config.build_trace().duration
+    try:
+        trace_len = config.build_trace().duration
+    except OverflowError:
+        # A target beyond every float overflows at any VU cost; short of
+        # that, the VU cost does. A parsed phase N is named phase-N.
+        huge = [p.name for p in config.phases if p.target_vus > sys.float_info.max]
+        key = f"phase.{huge[0].removeprefix('phase-')}.target_vus" if huge else "vu_cost"
+        raise ConfigError(f"field {key!r}: the demand trace, VUs times vu_cost "
+                          f"millicores, overflows a float", key) from None
     if config.duration is not None and config.duration < trace_len:
         raise ConfigError(
             f"field 'duration': {config.duration} is shorter than the "

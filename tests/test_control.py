@@ -465,7 +465,7 @@ class TestMigration:
         other = {"legacy": 1800}
         mas = make_mas(flat_trace(400, 900), other=other, forecaster="naive")
         mas.desired = 2
-        record = mas._begin_migration(state, 10, "staging", PERF)
+        record = mas._begin_migration(state, 10, PERF)
         # 2 x 250m + 1800m cannot share one 2000m node.
         assert record["new_pool_nodes"] == 2
 
@@ -476,7 +476,7 @@ class TestMigration:
         mas = make_mas(flat_trace(400, 900), forecaster="naive")
         mas.desired = 0
         state.now = 10
-        record = mas._begin_migration(state, 10, "staging", PERF)
+        record = mas._begin_migration(state, 10, PERF)
         assert record["new_pool_nodes"] == 1
         assert record["floor"] == {"web": 0}
         run_until_quiet(state, mas)

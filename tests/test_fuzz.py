@@ -9,6 +9,7 @@ import contextlib
 import io
 import random
 import string
+import sys
 from functools import partial
 
 import pytest
@@ -214,3 +215,46 @@ def test_range_boundaries_run_or_are_rejected_at_load(tmp_path, controller, temp
             assert code == EXIT_OK, (value, err)
         else:
             assert code == EXIT_CONFIG, (value, err)
+
+
+@pytest.mark.parametrize("controller", ["mas_h2", "hpa_ca"])
+@pytest.mark.parametrize("template", [key for key, (typ, _, _) in KNOBS.items() if typ is float])
+def test_largest_float_runs_or_is_rejected_naming_its_line(tmp_path, controller, template):
+    """A float knob at the largest finite float loads and runs, or is
+    rejected at load naming its line: no overflow escapes as a traceback.
+    Int knobs are not probed at their top, where a run would allocate
+    without bound."""
+    path = tmp_path / "s.scn"
+    key = instantiate(template)
+    line = knob_scenario(path, controller, key, sys.float_info.max)
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        code, err = cli(*argv, "--scenario", str(path))
+        assert code in (EXIT_OK, EXIT_CONFIG), err
+        if code == EXIT_CONFIG:
+            assert f"line {line}: field '{key}'" in err
+            break
+
+
+BIG_VUS = "9" * 401
+
+
+@pytest.mark.parametrize("lines, key", [
+    (["workload = heartbeat", "controller = hpa_ca", "vu_cost = 1e308"], "vu_cost"),
+    (["workload = flash_sale", "controller = mas_h2", "vu_cost = 1e306"], "vu_cost"),
+    *[(["workload = custom", "controller = hpa_ca", "phase.1.duration = 30",
+        "phase.1.target_vus = 10", "phase.2.duration = 30", f"phase.2.target_vus = {BIG_VUS}",
+        f"phase.2.ramp = {ramp}"], "phase.2.target_vus") for ramp in ("linear", "step")],
+    (["workload = heartbeat", "controller = hpa_ca", "pod_cost_rate = 1e303"], "pod_cost_rate"),
+    (["workload = heartbeat", "controller = hpa_ca", "pool.baseline.cost_rate = 1e303"],
+     "pool.baseline.cost_rate"),
+], ids=["heartbeat", "flash_sale", "custom-linear", "custom-step", "pod_cost_rate", "cost_rate"])
+def test_overflowing_numbers_rejected_at_load(tmp_path, lines, key):
+    # Demand beyond every float would fail the trace build, and a rate whose
+    # micro-units are infinite the run's cost accrual.
+    path = tmp_path / "s.scn"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    line = next(n for n, text in enumerate(lines, 1) if text.startswith(f"{key} ="))
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        code, err = cli(*argv, "--scenario", str(path))
+        assert code == EXIT_CONFIG, err
+        assert f"line {line}: field '{key}'" in err

@@ -14,8 +14,11 @@ that while the new pool provisions only a NodeReady event walks its nodes.
 import json
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     old_pods_alive_scan,
     released_old_pods_scan,
@@ -227,11 +230,76 @@ def test_a_tick_during_a_migration_keeps_the_scheduler_on_its_target(monkeypatch
                if first["started_at"] <= s.t <= first["completed_at"])
     assert result.summary.migration_downtime == 0
 
+
+# Two policies on one pool, so that a switch between them moves nothing.
+POOL_OF_RECORD = """
+workload = custom
+controller = mas_h2
+phase.1.duration = 120
+phase.1.target_vus = 300
+phase.2.duration = 120
+phase.2.target_vus = 40
+phase.3.duration = 120
+phase.3.target_vus = 500
+pool.alpha.capacity = 1000
+pool.alpha.initial_nodes = 1
+pool.beta.capacity = 2000
+policy.A.pool = alpha
+policy.B.pool = beta
+policy.B.min_replicas = 2
+policy.C.pool = alpha
+policy.C.min_replicas = 3
+schedule.default = A
+"""
+
+
+@st.composite
+def switch_schedules(draw):
+    """Scenario lines: delays and a tick step that let migrations span
+    ticks or not, and switches from t=0 or later, some seconds apart."""
+    lines = [f"pool.beta.provisioning_delay = {draw(st.sampled_from([0, 30, 150]))}",
+             f"pod_startup_delay = {draw(st.sampled_from([0, 10]))}",
+             f"mas.control_interval = {draw(st.sampled_from([5, 20, 60]))}"]
+    t = draw(st.sampled_from([0, 1, 40]))
+    for policy in draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=6)):
+        lines.append(f"schedule.at.{t} = {policy}")
+        t += draw(st.one_of(st.integers(1, 5), st.integers(6, 150)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(schedule=switch_schedules())
+def test_the_workloads_pool_has_one_record(schedule):
+    # At every tick the scheduler prefers the pool of record. With no
+    # migration running, that is the active policy's pool; during one, it is
+    # the target named by the switch record that began the migration.
+    tick, begin = HierarchicalController.tick, HierarchicalController._begin_migration
+    begun, ticks = [], []
+
+    def recording_begin(self, state, now, new):
+        begun.append(begin(self, state, now, new))
+        return begun[-1]
+
+    def checked_tick(self, state, now):
+        assert state.preferred_pool_id == self._active_pool
+        if self.migration.phase is MigrationPhase.IDLE:
+            assert self._active_pool == self.policies[self.schedule.active_at(now)].pool
+        else:
+            assert self._active_pool == begun[-1]["to_pool"]
+        ticks.append(now)
+        return tick(self, state, now)
+
+    with (mock.patch.object(HierarchicalController, "tick", checked_tick),
+          mock.patch.object(HierarchicalController, "_begin_migration", recording_begin)):
+        run_scenario(parse_scenario_text(POOL_OF_RECORD + schedule, "pool-of-record"))
+    assert ticks
+
+
 def test_zero_floor_handoff_matches_scans(checked_handoff):
     state = two_pool_state(staging_nodes=1)
     mas = make_mas(flat_trace(400, 900), forecaster="naive")
     state.now = 10
-    mas._begin_migration(state, 10, "staging", PERF)
+    mas._begin_migration(state, 10, PERF)
     run_until_quiet(state, mas)
     assert len(mas.completed_migrations) == checked_handoff["completed"] == 1
     assert checked_handoff["releases"] == 0
