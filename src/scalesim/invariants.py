@@ -7,12 +7,17 @@ Each check looks at the pods and nodes that the engine marked touched since the
 check before. Those are the only objects whose properties can have changed,
 because the engine makes every change through its tracked helpers (a test pins
 that no other module assigns the fields they guard). The checker keeps its own
-tally of the kept pods' states, updated from the touched pods alone, and holds
-the engine's counts and the desired replicas to it. A full recount (`recount`)
-is the same check run with the tally emptied and every pool node and every
-kept pod marked touched, so every count is recomputed from its definition. It
-runs on a checker's first look at a state, and the runner ends every run with
-one more, which also catches a change made outside the tracked helpers.
+tally, updated from the touched pods alone: each kept pod's state, node and
+request, the counts the engine keeps taken over those pods, and the pods and
+millicores bound to each node. It holds the engine's counts, the desired
+replicas and each touched node to that tally, so a check costs O(1) per touched
+pod and per touched node; only a node whose tally disagrees is scanned, to name
+its fault. A full recount (`recount`) is the same check run with the tally
+emptied and every node and every kept pod marked touched, so every count is
+recomputed from its definition: each kept pod bound to a node is listed by it,
+so equal pod counts make the two sets equal and their requests sum to `used`.
+It runs on a checker's first look at a state, and the runner ends every run
+with one more, which also catches a change made outside the tracked helpers.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ from .engine import (
 )
 from .errors import InvariantViolation
 
+_GONE = (None, None, 0)     # the tally's entry for a pod that is not kept
+_EMPTY = (0, 0)             # the tally of a node that no kept pod is bound to
+
 
 class InvariantChecker:
     """Checks cluster-wide invariants; counts how many checks ran. The replica
@@ -45,13 +53,15 @@ class InvariantChecker:
         self._last_node_cost = 0
         self._last_pod_cost = 0
         self._state: ClusterState | None = None    # the state the tally describes
-        # The tally: each kept pod by its state at the last check, and the
-        # counts the engine keeps, taken over those pods.
-        self._seen: dict[Pod, PodState] = {}
+        # The tally: each kept pod by its (state, bound node, request) at the
+        # last check; the counts the engine keeps, taken over those pods; and
+        # the [pods, millicores] bound to each node id that has any.
+        self._seen: dict[Pod, tuple[PodState, str | None, int]] = {}
         self._alive: dict[str, int] = {}
         self._running: dict[str, int] = {}
         self._pending = 0
         self._bound = 0
+        self._on: dict[str, list[int]] = {}
 
     def check(self, state: ClusterState, desired: int | None = None) -> None:
         """Check the objects touched since the last check, or everything if
@@ -70,13 +80,14 @@ class InvariantChecker:
 
     def recount(self, state: ClusterState, desired: int | None = None) -> None:
         """Full-strength check of the whole state: starts the tally afresh and
-        checks every pool node and every kept pod as touched, so every count
-        the engine keeps is held to its definition. It is not counted in
-        `checks_run`."""
-        self._seen, self._alive, self._running = {}, {}, {}
+        checks every node, of a pool or the index, and every kept pod as
+        touched, so every count the engine keeps is held to its definition.
+        It is not counted in `checks_run`."""
+        self._seen, self._alive, self._running, self._on = {}, {}, {}, {}
         self._pending = self._bound = 0
         for pool in state.pools.values():
             state.touched_nodes.update(dict.fromkeys(pool.nodes))
+        state.touched_nodes.update(dict.fromkeys(state.nodes.values()))
         state.touched_pods.update(dict.fromkeys(state.pods.values()))
         self._check_touched(state, desired)
         self._state = state
@@ -91,84 +102,77 @@ class InvariantChecker:
         self._last_pod_cost = pod_cost
 
     def _check_touched(self, state: ClusterState, desired: int | None) -> None:
-        """Check the touched nodes and the node index, then the touched pods,
-        moving each in the tally, then each touched node's `used` and the
-        engine's counts. Empties the touched sets."""
+        """Check the touched nodes' retirement and index, then the touched
+        pods, moving each in the tally, then each touched live node against
+        its tally, and the engine's counts. Empties the touched sets."""
         touched_pods, touched_nodes = state.touched_pods, state.touched_nodes
-        miscounted = None       # the first live node whose `used` is off
         if touched_nodes:
+            indexed = state.nodes.get
             for node in touched_nodes:
-                pool = state.pools[node.pool_id]
                 if node.state is NODE_DELETED:
-                    self._check_retired_node(state, pool, node)
-                    continue
-                recounted = self._check_live_node(state, pool, node)
-                if node.used != recounted and miscounted is None:
-                    miscounted = node, recounted
-            touched_nodes.clear()
-        indexed = 0
-        for pool in state.pools.values():
-            indexed += len(pool.nodes)
-        if indexed != len(state.nodes):
-            raise InvariantViolation(
-                f"node-index: {len(state.nodes)} nodes indexed, {indexed} in the pools"
-            )
+                    self._check_retired_node(state, state.pools[node.pool_id], node)
+                elif indexed(node.node_id) is not node:
+                    raise InvariantViolation(
+                        f"node-index: node {node.node_id} of pool {node.pool_id} is not indexed"
+                    )
+            # Only _new_node and _drain change the index, and both touch a node.
+            in_pools = sum(len(pool.nodes) for pool in state.pools.values())
+            if in_pools != len(state.nodes):
+                raise InvariantViolation(
+                    f"node-index: {len(state.nodes)} nodes indexed, {in_pools} in the pools"
+                )
         if touched_pods:
             kept, pending, seen = state.pods.get, state.pending.get, self._seen
             for pod in touched_pods:
                 # A kept pod passes the kept-pod checks, a pod that is not
                 # kept must be Deleted, and the pending set follows the pod.
-                new = pod.state
+                pod_state = pod.state
                 if kept(pod.pod_id) is pod:
                     self._check_kept_pod(state, pod)
-                    old = seen.get(pod)
+                    new = (pod_state, pod.bound_node, pod.cpu_request_millicores)
+                    old = seen.get(pod, _GONE)
                     seen[pod] = new
-                elif new is POD_DELETED:
-                    old = seen.pop(pod, None)
-                    new = None
+                elif pod_state is POD_DELETED:
+                    old = seen.pop(pod, _GONE)
+                    new = _GONE
                 else:
                     raise InvariantViolation(
-                        f"pod-index: pod {pod.pod_id} in state {new.value} is not kept"
+                        f"pod-index: pod {pod.pod_id} in state {pod_state.value} is not kept"
                     )
-                if (pending(pod.pod_id) is pod) is not (new is PENDING):
+                if (pending(pod.pod_id) is pod) is not (pod_state is PENDING):
                     raise InvariantViolation(
-                        f"pod-counts: pod {pod.pod_id} in state {pod.state.value} is "
-                        f"{'' if new is PENDING else 'not '}in the pending set"
+                        f"pod-counts: pod {pod.pod_id} in state {pod_state.value} is "
+                        f"{'' if pod_state is PENDING else 'not '}in the pending set"
                     )
-                if old is not new:
-                    self._tally_move(pod.workload_id, old, new)
+                if old != new:
+                    self._tally_move(state, pod, old, new)
             touched_pods.clear()
         # After the pods: a node that lost pods from its bound set behind the
         # engine's back is reported as the binding fault it is.
-        if miscounted is not None:
-            node, recounted = miscounted
-            raise InvariantViolation(
-                f"capacity-conservation: node {node.node_id} counts {node.used}m "
-                f"but its pods request {recounted}m"
-            )
+        if touched_nodes:
+            tallied = self._on.get
+            for node in touched_nodes:
+                if node.state is NODE_DELETED:
+                    continue
+                pool = state.pools[node.pool_id]
+                pods, millicores = tallied(node.node_id, _EMPTY)
+                if (pods != len(node.bound_pods) or millicores != node.used
+                        or node.used > pool.node_capacity_millicores
+                        or node.bound_pods and node.state is not READY):
+                    self._check_live_node(state, pool, node, pods, millicores)
+            touched_nodes.clear()
         self._check_counts(state)
         if desired is not None:
             self._check_replica_accounting(desired)
 
     # ------------------------------------------------------------------ nodes
 
-    def _check_live_node(self, state: ClusterState, pool: NodePool, node: Node) -> int:
-        """Index, binding, capacity and no-teleportation of one live node;
-        returns the millicores its pods request."""
-        if state.nodes.get(node.node_id) is not node:
-            raise InvariantViolation(
-                f"node-index: node {node.node_id} of pool {pool.pool_id} is not indexed"
-            )
-        used = 0
-        kept, node_id = state.pods.get, node.node_id
-        for pid in node.bound_pods:
-            pod = kept(pid)
-            if pod is None or pod.bound_node != node_id:
-                raise InvariantViolation(
-                    f"binding-consistency: node {node.node_id} lists pod {pid}, "
-                    "which is not a live pod bound to it"
-                )
-            used += pod.cpu_request_millicores
+    def _check_live_node(self, state: ClusterState, pool: NodePool, node: Node,
+                         pods: int, millicores: int) -> None:
+        """Scan a live node that disagrees with its tally, and raise the
+        violation that names its fault."""
+        used = sum(self._listed_pod(state, node, pid).cpu_request_millicores
+                   for pid in node.bound_pods)
         if used > pool.node_capacity_millicores:
             raise InvariantViolation(
                 f"capacity-conservation: node {node.node_id} holds {used}m "
@@ -179,7 +183,25 @@ class InvariantChecker:
                 f"no-teleportation: node {node.node_id} in state {node.state.value} "
                 "has bound pods"
             )
-        return used
+        if node.used != used:
+            raise InvariantViolation(
+                f"capacity-conservation: node {node.node_id} counts {node.used}m "
+                f"but its pods request {used}m"
+            )
+        raise InvariantViolation(
+            f"binding-consistency: node {node.node_id} lists {len(node.bound_pods)} pods "
+            f"of {used}m, but {pods} kept pods of {millicores}m are bound to it"
+        )
+
+    def _listed_pod(self, state: ClusterState, node: Node, pid: str) -> Pod:
+        """The live pod bound to `node` that it lists as `pid`."""
+        pod = state.pods.get(pid)
+        if pod is None or pod.bound_node != node.node_id:
+            raise InvariantViolation(
+                f"binding-consistency: node {node.node_id} lists pod {pid}, "
+                "which is not a live pod bound to it"
+            )
+        return pod
 
     def _check_retired_node(self, state: ClusterState, pool: NodePool, node: Node) -> None:
         if node in pool.nodes:
@@ -214,17 +236,36 @@ class InvariantChecker:
 
     # ----------------------------------------------------------------- counts
 
-    def _tally_move(self, workload: str, old: PodState | None, new: PodState | None) -> None:
-        """Move one pod of `workload` in the tally from state `old` to `new`
-        (None: not kept)."""
-        alive = (new in ALIVE) - (old in ALIVE)
+    def _tally_move(self, state: ClusterState, pod: Pod, old: tuple, new: tuple) -> None:
+        """Move `pod` in the tally from `old` to `new`, each its (state, bound
+        node, request), or _GONE when it is not kept. A node the pod left
+        must no longer list it."""
+        (old_state, left, request), (new_state, bound, needs) = old, new
+        workload = pod.workload_id
+        alive = (new_state in ALIVE) - (old_state in ALIVE)
         if alive:
             self._alive[workload] = self._alive.get(workload, 0) + alive
-        running = (new is RUNNING) - (old is RUNNING)
+        running = (new_state is RUNNING) - (old_state is RUNNING)
         if running:
             self._running[workload] = self._running.get(workload, 0) + running
-        self._pending += (new is PENDING) - (old is PENDING)
-        self._bound += (new in BOUND) - (old in BOUND)
+        self._pending += (new_state is PENDING) - (old_state is PENDING)
+        self._bound += (new_state in BOUND) - (old_state in BOUND)
+        if left == bound and request == needs:
+            return
+        on = self._on
+        if left is not None:
+            tally = on[left]
+            tally[0] -= 1
+            tally[1] -= request
+            if not tally[0]:
+                del on[left]
+            node = state.nodes.get(left)
+            if left != bound and node is not None and pod.pod_id in node.bound_pods:
+                self._listed_pod(state, node, pod.pod_id)
+        if bound is not None:
+            tally = on.setdefault(bound, [0, 0])
+            tally[0] += 1
+            tally[1] += needs
 
     def _check_counts(self, state: ClusterState) -> None:
         """The engine's counts equal the tally's."""

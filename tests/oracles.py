@@ -16,7 +16,9 @@ first-fit-decreasing count, the per-pod scan of every Ready node for
 placement and the sort of every pod of a workload for a scale-down, whose
 counts, bindings and victims the production ones must reproduce. And the
 periodic ticks as they were first driven, each enqueueing its successor,
-whose firing order the engine's periodic streams must reproduce."""
+whose firing order the engine's periodic streams must reproduce. And the
+live invariants as one scan of the whole cluster, which shares no code with
+the invariant checker and must find nothing wherever it passes."""
 
 from __future__ import annotations
 
@@ -316,6 +318,67 @@ def smoothed_pairs(history: list[Sample], half_life: int) -> list[tuple[int, flo
         level = alpha * v + (1.0 - alpha) * level
         out.append((t, level))
     return out
+
+
+# The live invariants as one scan of the whole cluster.
+
+
+def cluster_violations_scan(state: ClusterState, workload_id: str,
+                            desired: int | None) -> list[str]:
+    """Reference for `InvariantChecker`, sharing no code with it: every
+    violated invariant of `state`, as `property: what`, recomputed from every
+    pod and node. The workload `workload_id` must have `desired` pods Pending,
+    Starting or Running; None skips that count."""
+    found = []
+    pods, nodes = state.pods, state.nodes
+    in_pools = [node for pool in state.pools.values() for node in pool.nodes]
+    if len(in_pools) != len(nodes) or {n.node_id: n for n in in_pools} != nodes:
+        found.append("node-index: the index does not hold exactly the pools' nodes")
+    for pool in state.pools.values():
+        for node in pool.nodes:
+            if node.state is NodeState.DELETED:
+                found.append(f"node-retirement: Deleted node {node.node_id} in a pool")
+            listed = [pods.get(pid) for pid in node.bound_pods]
+            if any(p is None or p.bound_node != node.node_id for p in listed):
+                found.append(f"binding-consistency: node {node.node_id} lists a pod "
+                             "that is not a live pod bound to it")
+                continue
+            used = sum(p.cpu_request_millicores for p in listed)
+            if used != node.used or used > pool.node_capacity_millicores:
+                found.append(f"capacity-conservation: node {node.node_id} counts "
+                             f"{node.used}m, holds {used}m")
+            if listed and node.state is not NodeState.READY:
+                found.append(f"no-teleportation: node {node.node_id} is "
+                             f"{node.state.value} with bound pods")
+    holding = (PodState.STARTING, PodState.RUNNING, PodState.TERMINATING)
+    replicas = (PodState.PENDING, PodState.STARTING, PodState.RUNNING)
+    alive: dict[str, int] = {}
+    running: dict[str, int] = {}
+    for pid, pod in pods.items():
+        if pod.state is PodState.DELETED:
+            found.append(f"pod-retirement: Deleted pod {pid} is kept")
+        if (pod.state in holding) != (pod.bound_node is not None):
+            found.append(f"binding-consistency: pod {pid} is {pod.state.value} "
+                         f"with bound_node={pod.bound_node}")
+        elif pod.bound_node is not None and (
+                pod.bound_node not in nodes or pid not in nodes[pod.bound_node].bound_pods):
+            found.append(f"binding-consistency: node {pod.bound_node} does not list pod {pid}")
+        alive[pod.workload_id] = alive.get(pod.workload_id, 0) + (pod.state in replicas)
+        running[pod.workload_id] = (running.get(pod.workload_id, 0)
+                                    + (pod.state is PodState.RUNNING))
+    if state.pending != {pid: p for pid, p in pods.items() if p.state is PodState.PENDING}:
+        found.append("pod-counts: the pending set is not the Pending pods")
+    for name, counted, scanned in (("alive", state.alive_by_workload, alive),
+                                   ("running", state.running_by_workload, running)):
+        if any(counted.get(w, 0) != scanned.get(w, 0) for w in counted.keys() | scanned):
+            found.append(f"pod-counts: {name} counted {counted}, scanned {scanned}")
+    bound = sum(p.state in holding for p in pods.values())
+    if state.bound_count != bound:
+        found.append(f"pod-counts: {state.bound_count} bound counted, {bound} scanned")
+    if desired is not None and alive.get(workload_id, 0) != desired:
+        found.append(f"replica-accounting: {workload_id} desired {desired}, "
+                     f"has {alive.get(workload_id, 0)}")
+    return found
 
 
 # The migration hand-off as a scan of the whole migration.

@@ -1,10 +1,14 @@
-"""Agreement of the incremental invariant check with the full recount.
+"""Agreement of the incremental invariant check with the full recount and
+with an oracle that shares no code with the checker.
 
-Each run here checks every event twice: the runner's own checker looks at the
-objects the event touched, and a fresh checker recounts the whole state,
-recomputing every count the engine keeps from its definition. Both must pass
-after every event of the fixtures, their `--controller hpa_ca` overrides, the
-benchmark workloads at seed 1 and the randomized scenarios of test_fuzz.
+Each run here checks every event three times: the runner's own checker looks
+at the objects the event touched, a fresh checker recounts the whole state,
+recomputing every count the engine keeps from its definition, and
+`oracles.cluster_violations_scan` scans every pod and node. All three must
+pass after every event of the fixtures, their `--controller hpa_ca`
+overrides, the benchmark workloads at seed 1 and the randomized scenarios of
+test_fuzz. The oracle flags every corruption the checker's negative controls
+make.
 """
 
 import random
@@ -17,22 +21,25 @@ from scalesim.invariants import InvariantChecker
 from scalesim.runner import run_scenario
 from scalesim.scenario import load_scenario, parse_scenario_text
 
+from oracles import cluster_violations_scan
 from test_fuzz import random_scenario
 from test_golden_artifacts import _bench_workloads
+from test_invariants import CORRUPTIONS, small_cluster
 
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture
 def recount_every_event(monkeypatch):
-    """Make every check also a full recount by a fresh checker; returns the
-    list of recounts made."""
+    """Make every check also a full recount by a fresh checker and a scan by
+    the oracle; returns the list of recounts made."""
     check = InvariantChecker.check
     recounts = []
 
     def check_and_recount(self, state, desired=None):
         check(self, state, desired)
         InvariantChecker(self.workload_id).recount(state, desired)
+        assert cluster_violations_scan(state, self.workload_id, desired) == []
         recounts.append(state.now)
 
     monkeypatch.setattr(InvariantChecker, "check", check_and_recount)
@@ -72,3 +79,10 @@ def test_fuzz_scenarios_agree(recount_every_event):
             config = parse_scenario_text(random_scenario(rng, controller),
                                          f"fuzz-{controller}-{i}")
             _run_agreeing(config, recount_every_event)
+
+
+@pytest.mark.parametrize("corrupt, prop", CORRUPTIONS)
+def test_the_oracle_flags_every_corruption(corrupt, prop):
+    state, *objects = small_cluster()
+    corrupt(state, *objects)
+    assert any(v.startswith(f"{prop}:") for v in cluster_violations_scan(state, "web", 3))

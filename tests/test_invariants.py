@@ -1,10 +1,11 @@
 """Negative controls for the live invariant checker: a small cluster built by
 hand, corrupted in one way per case, must raise InvariantViolation naming the
 broken property. Each case runs the one check path twice: on a checker's
-first look, a full recount that marks every kept pod and pool node touched,
+first look, a full recount that marks every kept pod and every node touched,
 and on a later check that sees only the corrupted objects as touched. A change made behind
 the engine's back mid-run is caught by the recount at the end of the run, and
-a check after a one-pod event does not walk the whole cluster."""
+a check after a one-pod event walks neither the whole cluster nor the pods of
+the node the pod left."""
 
 import pytest
 
@@ -125,6 +126,32 @@ def _bound_count_drifts(state, node, spare, pod, doomed):
     return ()
 
 
+def _pod_rebound_without_unlisting(state, node, spare, pod, doomed):
+    moved = state.pods[min(node.bound_pods)]
+    assert moved.state is PodState.RUNNING
+    moved.bound_node = spare.node_id
+    spare.bound_pods.add(moved.pod_id)
+    spare.used += moved.cpu_request_millicores
+    return moved, spare           # `node` still lists the pod, untouched
+
+
+def _node_used_drifts(state, node, spare, pod, doomed):
+    node.used += 1
+    return (node,)
+
+
+def _node_lists_foreign_pod(state, node, spare, pod, doomed):
+    node.bound_pods.add(min(spare.bound_pods))
+    return (node,)
+
+
+def _node_drops_pod_and_its_request(state, node, spare, pod, doomed):
+    dropped = state.pods[min(node.bound_pods)]
+    node.bound_pods.discard(dropped.pod_id)
+    node.used -= dropped.cpu_request_millicores
+    return (node,)                # the pod still names `node`, untouched
+
+
 CORRUPTIONS = [
     (_retired_pod_listed_by_node, "binding-consistency"),
     (_deleted_pod_kept, "pod-retirement"),
@@ -140,6 +167,10 @@ CORRUPTIONS = [
     (_pending_set_holds_retired_pod, "pod-counts"),
     (_pending_set_misses_pending_pod, "pod-counts"),
     (_bound_count_drifts, "pod-counts"),
+    (_pod_rebound_without_unlisting, "binding-consistency"),
+    (_node_used_drifts, "capacity-conservation"),
+    (_node_lists_foreign_pod, "binding-consistency"),
+    (_node_drops_pod_and_its_request, "binding-consistency"),
 ]
 
 
@@ -266,3 +297,35 @@ def test_check_after_a_one_pod_event_does_not_walk_the_pods():
     assert len(state.pods) == 399
     checker.recount(state, desired=399)   # the full recount does walk them
     assert state.pods.walks > 0
+
+
+class CountingSet(set):
+    """A set that counts the walks over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_check_after_a_pod_leaves_a_full_node_does_not_walk_its_pods():
+    state = ClusterState([NodePool("main", 16000, 60)], pod_startup_delay=5)
+    node = state.add_ready_node("main")
+    for _ in range(64):
+        state.create_pod("web", 250)
+    state.schedule_pending_pods()
+    checker = InvariantChecker("web")
+    while state.has_events():
+        state.step()
+    checker.check(state, desired=64)
+    assert len(node.bound_pods) == 64 and node.used == 16000
+
+    node.bound_pods = CountingSet(node.bound_pods)
+    state.terminate_pod(next(iter(state.pods)))
+    ev = state.step()
+    assert ev.kind is EventKind.POD_TERMINATED and len(node.bound_pods) == 63
+    checker.check(state, desired=63)
+    assert node.bound_pods.walks == 0
+    checker.recount(state, desired=63)   # the full recount does not walk it either
+    assert node.bound_pods.walks == 0
