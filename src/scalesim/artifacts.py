@@ -274,7 +274,7 @@ def read_summary(path: Path) -> RunSummary:
 
 @dataclass
 class ComparisonReport:
-    deltas: dict[str, float]
+    deltas: dict[str, int | float]  # an int field's delta is exact
     sustained_stress_ratio: float   # mean utilization of run B over run A
     peak_load_ratio: float          # max utilization of run B over run A
     lines: list[str]                # the comparison text
@@ -306,7 +306,8 @@ def compare_runs(run_a: Path, run_b: Path) -> ComparisonReport:
 
     values = {name: (getattr(summary_a, name), getattr(summary_b, name))
               for name in _NUMERIC_SUMMARY_FIELDS}
-    deltas = {name: float(b) - float(a) for name, (a, b) in values.items()}
+    deltas = {name: b - a if _SUMMARY_TYPES[name] is int else float(b) - float(a)
+              for name, (a, b) in values.items()}
     mean_a, max_a = summary_a.mean_utilization, summary_a.max_utilization
     stress_ratio = summary_b.mean_utilization / mean_a if mean_a else 0.0
     peak_ratio = summary_b.max_utilization / max_a if max_a else 0.0
@@ -328,7 +329,9 @@ def compare_runs(run_a: Path, run_b: Path) -> ComparisonReport:
         f"{'metric':<28}{'A':>16}{'B':>16}{'delta (B-A)':>16}",
     ]
     for name, (a, b) in values.items():
-        lines.append(f"{name:<28}{a:>16}{b:>16}{deltas[name]:>16.6f}")
+        # An int delta is not made a float, which could overflow; below 2**53 :.6f wrote the same.
+        cell = f"{deltas[name]}.000000" if isinstance(deltas[name], int) else f"{deltas[name]:.6f}"
+        lines.append(f"{name:<28}{a:>16}{b:>16}{cell:>16}")
     lines += [
         "",
         "headline ratios (interpretation-dependent; definitions documented in README):",

@@ -57,11 +57,9 @@ class StrategicSchedule:
         self.entries.sort(key=lambda e: e[0])
         for i, (at, _) in enumerate(self.entries):
             if at < 0:
-                raise ConfigError(f"field 'schedule.at.{at}': switch time {at} is before the run",
-                                  f"schedule.at.{at}")
+                raise ConfigError(f"schedule.at.{at}", f"switch time {at} is before the run")
             if i and self.entries[i - 1][0] == at:
-                raise ConfigError(f"field 'schedule.at.{at}': switch time {at} is given twice",
-                                  f"schedule.at.{at}")
+                raise ConfigError(f"schedule.at.{at}", f"switch time {at} is given twice")
 
     def active_at(self, t: int) -> str:
         name = self.default_policy
@@ -126,17 +124,12 @@ class HpaConfig:
     def __post_init__(self) -> None:
         check_knobs(self)
         if self.min_replicas > self.max_replicas:
-            raise ConfigError(
-                f"field 'hpa.min_replicas': {self.min_replicas} exceeds "
-                f"hpa.max_replicas ({self.max_replicas})",
-                "hpa.min_replicas", "hpa.max_replicas",
-            )
+            raise ConfigError("hpa.min_replicas", f"{self.min_replicas} exceeds "
+                              f"hpa.max_replicas ({self.max_replicas})", "hpa.max_replicas")
         if self.saturation_ceiling <= self.target_utilization:
-            raise ConfigError(
-                f"field 'hpa.saturation_ceiling': {self.saturation_ceiling} must exceed "
-                f"hpa.target_utilization ({self.target_utilization}), or the HPA never scales up",
-                "hpa.saturation_ceiling", "hpa.target_utilization",
-            )
+            raise ConfigError("hpa.saturation_ceiling", f"{self.saturation_ceiling} must exceed "
+                              f"hpa.target_utilization ({self.target_utilization}), "
+                              "or the HPA never scales up", "hpa.target_utilization")
 
 
 @dataclass

@@ -21,12 +21,13 @@ class InvariantViolation(SimulationError):
 
 
 class ConfigError(ValueError):
-    """A rule that ties several knobs together failed. `keys` are the scenario
-    keys it names, so a parser can point at the line that set one."""
+    """A scenario value, or a rule that ties knobs together, was rejected. The
+    message is "field '<key>': <problem>"; `keys` are `key` and the other keys
+    the rule names, so a parser can point at the first line that set one."""
 
-    def __init__(self, message: str, *keys: str):
-        self.keys = keys
-        super().__init__(message)
+    def __init__(self, key: str, problem: str, *other_keys: str):
+        self.keys = (key, *other_keys)
+        super().__init__(f"field {key!r}: {problem}")
 
 
 class ScenarioError(Exception):

@@ -29,11 +29,9 @@ class Policy:
         if self.w_cost is None:
             self.w_cost = round(1.0 - self.w_perf, 9)
         if abs(self.w_perf + self.w_cost - 1.0) > 1e-9:
-            raise ConfigError(
-                f"fields 'policy.{self.name}.w_perf' and 'policy.{self.name}.w_cost': "
-                f"policy {self.name}: weights must sum to 1",
-                f"policy.{self.name}.w_perf", f"policy.{self.name}.w_cost",
-            )
+            raise ConfigError(f"policy.{self.name}.w_perf",
+                              f"policy {self.name}: weights must sum to 1",
+                              f"policy.{self.name}.w_cost")
 
 
 @dataclass(frozen=True)

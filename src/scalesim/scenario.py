@@ -4,9 +4,9 @@ Every key is a knob declared once, on the dataclass field that holds it, with
 its type, default and allowed range (see knobs.py); KNOBS lists them all.
 The parser reads, converts and range-checks each value and rejects unknown
 keys. ScenarioConfig fills in the remaining defaults and checks the rules that
-tie knobs together, so a config built or replaced in code gets them too. Every
-error in a file names the offending field and line. See docs/scenario-format.md
-for the annotated reference example.
+tie knobs together, so a config built or replaced in code gets them too. A
+rejected value or rule is a ConfigError naming its keys, reported at the line
+of the first one a file sets. docs/scenario-format.md has an annotated example.
 """
 
 from __future__ import annotations
@@ -74,8 +74,7 @@ class ScenarioConfig:
         check_knobs(self)
         if self.workload == "custom":
             if not self.phases:
-                raise ConfigError("field 'workload': custom requires phase.N.* entries",
-                                  "workload")
+                raise ConfigError("workload", "custom requires phase.N.* entries")
             default_amplitude = 0.0
         else:
             named_phases, default_amplitude = NAMED_WORKLOADS[self.workload]
@@ -143,60 +142,45 @@ def _check(config: ScenarioConfig) -> None:
     pool_caps: dict[str, int] = {}
     for pool in config.pools:
         if pool.pool_id in pool_caps:
-            raise ConfigError(f"field 'pool.{pool.pool_id}': pool id defined twice",
-                              f"pool.{pool.pool_id}")
+            raise ConfigError(f"pool.{pool.pool_id}", "pool id defined twice")
         pool_caps[pool.pool_id] = pool.capacity
     for name, policy in config.policies.items():
         if policy.pool not in pool_caps:
-            raise ConfigError(f"field 'policy.{name}.pool': undefined pool {policy.pool!r}",
-                              f"policy.{name}.pool")
+            raise ConfigError(f"policy.{name}.pool", f"undefined pool {policy.pool!r}")
     schedule = config.schedule
     if schedule.default_policy not in config.policies:
-        raise ConfigError(
-            f"field 'schedule.default': undefined policy {schedule.default_policy!r}",
-            "schedule.default",
-        )
+        raise ConfigError("schedule.default", f"undefined policy {schedule.default_policy!r}")
     for at, name in schedule.entries:
         if name not in config.policies:
-            raise ConfigError(f"field 'schedule.at.{at}': undefined policy {name!r}",
-                              f"schedule.at.{at}")
+            raise ConfigError(f"schedule.at.{at}", f"undefined policy {name!r}")
     hpa = config.hpa
     if hpa.pool not in pool_caps:
-        raise ConfigError(f"field 'hpa.pool': undefined pool {hpa.pool!r}", "hpa.pool")
-    for pool_id in [*(p.pool for p in config.policies.values()), hpa.pool]:
-        if config.pod_request > pool_caps[pool_id]:
-            raise ConfigError(
-                f"field 'pod_request': {config.pod_request}m exceeds "
-                f"'pool.{pool_id}.capacity' ({pool_caps[pool_id]}m)",
-                "pod_request", f"pool.{pool_id}.capacity",
-            )
+        raise ConfigError("hpa.pool", f"undefined pool {hpa.pool!r}")
+
+    def check_fits(key: str, millicores: int, pool_ids) -> None:
+        for pool_id in pool_ids:
+            if millicores > pool_caps[pool_id]:
+                raise ConfigError(key, f"{millicores}m exceeds 'pool.{pool_id}.capacity' "
+                                  f"({pool_caps[pool_id]}m)", f"pool.{pool_id}.capacity")
+
+    policy_pools = [p.pool for p in config.policies.values()]
+    check_fits("pod_request", config.pod_request, [*policy_pools, hpa.pool])
     for owner, millicores in config.other_requests.items():
+        key = f"other.{owner}"
         problem = KNOBS["other.*"][2].problem(millicores)
         if problem is not None:
-            raise ConfigError(f"field 'other.{owner}': {problem}", f"other.{owner}")
+            raise ConfigError(key, problem)
         # The node planner packs every unmanaged pod into the active policy's pool.
-        for pool_id in (p.pool for p in config.policies.values()):
-            if millicores > pool_caps[pool_id]:
-                raise ConfigError(
-                    f"field 'other.{owner}': {millicores}m exceeds "
-                    f"'pool.{pool_id}.capacity' ({pool_caps[pool_id]}m)",
-                    f"other.{owner}", f"pool.{pool_id}.capacity",
-                )
+        check_fits(key, millicores, policy_pools)
         if owner == config.workload_id:
-            raise ConfigError(
-                f"field 'other.{owner}': owner collides with managed workload id",
-                f"other.{owner}",
-            )
+            raise ConfigError(key, "owner collides with managed workload id")
         # The unmanaged pod's id is its owner, so it must not be an id that
         # create_pod gives a managed pod.
         digits = owner[len(owner.rstrip("0123456789")):]
         n = int(digits) if digits else 0
         if n > 0 and owner == generated_pod_id(config.workload_id, n):
-            raise ConfigError(
-                f"field 'other.{owner}': owner collides with the id of a managed "
-                f"{config.workload_id!r} pod",
-                f"other.{owner}",
-            )
+            raise ConfigError(key, f"owner collides with the id of a managed "
+                                   f"{config.workload_id!r} pod")
     try:
         trace_len = config.build_trace().duration
     except OverflowError:
@@ -204,19 +188,16 @@ def _check(config: ScenarioConfig) -> None:
         # that, the VU cost does. A parsed phase N is named phase-N.
         huge = [p.name for p in config.phases if p.target_vus > sys.float_info.max]
         key = f"phase.{huge[0].removeprefix('phase-')}.target_vus" if huge else "vu_cost"
-        raise ConfigError(f"field {key!r}: the demand trace, VUs times vu_cost "
-                          f"millicores, overflows a float", key) from None
+        raise ConfigError(key, "the demand trace, VUs times vu_cost millicores, "
+                               "overflows a float") from None
     if config.duration is not None and config.duration < trace_len:
-        raise ConfigError(
-            f"field 'duration': {config.duration} is shorter than the "
-            f"workload trace ({trace_len}s)",
-            "duration",
-        )
+        raise ConfigError("duration", f"{config.duration} is shorter than the "
+                                      f"workload trace ({trace_len}s)")
 
 
 # ------------------------------------------------------------------- parsing
 
-def _convert(raw: str, typ, key: str, line: int):
+def _convert(raw: str, typ, key: str):
     try:
         if typ is bool:
             if raw.lower() in ("true", "yes", "1"):
@@ -226,18 +207,18 @@ def _convert(raw: str, typ, key: str, line: int):
             raise ValueError(raw)
         value = typ(raw)
     except (ValueError, ZeroDivisionError):
-        raise ScenarioError(f"field {key!r}: cannot parse {raw!r} as {typ.__name__}", line)
+        raise ConfigError(key, f"cannot parse {raw!r} as {typ.__name__}")
     if typ is float and not math.isfinite(value):
-        raise ScenarioError(f"field {key!r}: {raw!r} is not a finite number", line)
+        raise ConfigError(key, f"{raw!r} is not a finite number")
     return value
 
 
-def _key_number(part: str, key: str, line: int) -> int:
+def _key_number(part: str, key: str) -> int:
     """A phase number or switch time inside a key, written one way only, so
     that two spellings of one number cannot name the same entry."""
-    number = _convert(part, int, key, line)
+    number = _convert(part, int, key)
     if str(number) != part:
-        raise ScenarioError(f"field {key!r}: write {part!r} as {str(number)!r}", line)
+        raise ConfigError(key, f"write {part!r} as {str(number)!r}")
     return number
 
 
@@ -246,10 +227,10 @@ def _knob_value(key: str, template: str, raw: str, line: int):
     if template not in KNOBS:
         raise ScenarioError(f"unknown field {key!r}", line)
     typ, _, allowed = KNOBS[template]
-    value = _convert(raw, typ, key, line)
+    value = _convert(raw, typ, key)
     problem = allowed.problem(value)
     if problem is not None:
-        raise ScenarioError(f"field {key!r}: {problem}", line)
+        raise ConfigError(key, problem)
     return value
 
 
@@ -272,10 +253,15 @@ def _read_entries(text: str) -> dict[str, tuple[str, int]]:
 
 def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
     entries = _read_entries(text)
+    try:
+        return _build_config(entries, scenario_id)
+    except ConfigError as exc:
+        # A rejected value or rule is reported at the first key it names
+        # that the file sets.
+        raise ScenarioError(str(exc), next((entries[k][1] for k in exc.keys if k in entries), None))
 
-    def line_of(*keys: str) -> int | None:
-        return next((entries[k][1] for k in keys if k in entries), None)
 
+def _build_config(entries: dict[str, tuple[str, int]], scenario_id: str) -> ScenarioConfig:
     # section -> group -> field -> value; the group is "" outside grouped sections.
     values: dict[str, dict] = {section: {} for section in _SECTIONS}
     group_lines: dict[tuple[str, object], int] = {}
@@ -288,7 +274,7 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
         if key == "schedule.default":
             schedule_default = raw
         elif parts[:2] == ["schedule", "at"] and len(parts) == 3:
-            schedule_entries.append((_key_number(parts[2], key, line), raw))
+            schedule_entries.append((_key_number(parts[2], key), raw))
         else:
             grouped = parts[0] in _GROUPED and len(parts) > 1
             template = ".".join([parts[0], "*", *parts[2:]]) if grouped else key
@@ -298,7 +284,7 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
                 other[group] = value
                 continue
             if parts[0] == "phase":
-                group = _key_number(group, key, line)
+                group = _key_number(group, key)
             section = template[: -len(parts[-1])]
             values[section].setdefault(group, {})[parts[-1]] = value
             group_lines.setdefault((section, group), line)
@@ -331,26 +317,23 @@ def parse_scenario_text(text: str, scenario_id: str) -> ScenarioConfig:
     for prefix, broken, problem in file_rules:
         if broken:
             key = next(k for k in entries if k.startswith(prefix))
-            raise ScenarioError(f"field {key!r}: {problem}", line_of(key))
+            raise ConfigError(key, problem)
 
-    try:
-        return ScenarioConfig(
-            scenario_id=scenario_id,
-            **top,
-            pools=[PoolSpec(pool_id, **knobs_of(PoolSpec, "pool.*.", pool_id))
-                   for pool_id in pool_ids],
-            policies={name: Policy(name, **knobs_of(Policy, "policy.*.", name))
-                      for name in values["policy.*."]},
-            schedule=StrategicSchedule(schedule_default, schedule_entries),
-            mas=MasConfig(**knobs_of(MasConfig, "mas.")),
-            hpa=HpaConfig(**knobs_of(HpaConfig, "hpa.")),
-            other_requests=other,
-            normalizers=Normalizers(**knobs_of(Normalizers, "")),
-            phases=[WorkloadPhase(f"phase-{idx}", **knobs_of(WorkloadPhase, "phase.*.", idx))
-                    for idx in sorted(values["phase.*."])],
-        )
-    except ConfigError as exc:
-        raise ScenarioError(str(exc), line_of(*exc.keys))
+    return ScenarioConfig(
+        scenario_id=scenario_id,
+        **top,
+        pools=[PoolSpec(pool_id, **knobs_of(PoolSpec, "pool.*.", pool_id))
+               for pool_id in pool_ids],
+        policies={name: Policy(name, **knobs_of(Policy, "policy.*.", name))
+                  for name in values["policy.*."]},
+        schedule=StrategicSchedule(schedule_default, schedule_entries),
+        mas=MasConfig(**knobs_of(MasConfig, "mas.")),
+        hpa=HpaConfig(**knobs_of(HpaConfig, "hpa.")),
+        other_requests=other,
+        normalizers=Normalizers(**knobs_of(Normalizers, "")),
+        phases=[WorkloadPhase(f"phase-{idx}", **knobs_of(WorkloadPhase, "phase.*.", idx))
+                for idx in sorted(values["phase.*."])],
+    )
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

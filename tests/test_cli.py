@@ -174,6 +174,34 @@ def test_compare_over_long_metrics_cell_names_its_line(tmp_path, capsys):
     assert f"error: {path}: line 6: field larger than field limit" in err
 
 
+def test_compare_of_runs_with_the_largest_costs(tmp_path, capsys):
+    # At 1e302 per node-second total_node_cost is a 63-digit int of
+    # micro-units, beyond every float.
+    scn = tmp_path / "costly.scn"
+    scn.write_text((FIXTURES / "heartbeat-hpa.scn").read_text().replace(
+        "pool.baseline.cost_rate = 1.0", "pool.baseline.cost_rate = 1e302"))
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    for out in (out_a, out_b):
+        assert main(["run", "--scenario", str(scn), "--out", str(out)]) == EXIT_OK
+    code, err = _compare(tmp_path, out_a, out_b, capsys)
+    assert (code, err) == (EXIT_OK, "")
+    row = next(line for line in (tmp_path / "c" / "comparison.txt").read_text().splitlines()
+               if line.startswith("total_node_cost "))
+    assert len(row.split()[1]) > 300 and row.endswith(f"{'0.000000':>16}")
+
+
+def test_compare_writes_an_int_delta_beyond_float_precision_exactly(tmp_path, capsys):
+    out_a, out_b = _two_mini_runs(tmp_path)
+    path = out_b / "summary.txt"
+    cost = int(next(line for line in path.read_text().splitlines()
+                    if line.startswith("total_node_cost: ")).split(": ")[1])
+    path.write_text(path.read_text().replace(f"total_node_cost: {cost}\n",
+                                             f"total_node_cost: {cost + 2**60 + 1}\n"))
+    assert _compare(tmp_path, out_a, out_b, capsys) == (EXIT_OK, "")
+    text = (tmp_path / "c" / "comparison.txt").read_text()
+    assert f"{2**60 + 1}.000000\n" in text
+
+
 @pytest.mark.parametrize("name", ["summary.txt", "metrics.csv"])
 def test_compare_run_file_that_is_a_directory_named(tmp_path, capsys, name):
     out_a, out_b = _two_mini_runs(tmp_path)

@@ -1,5 +1,6 @@
 """Scenario parsing, validation, and defaulting."""
 
+import ast
 import re
 from dataclasses import MISSING, replace
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from scalesim.control import HpaConfig, MasConfig, StrategicSchedule
-from scalesim.errors import ScenarioError
+from scalesim.errors import ConfigError, ScenarioError
 from scalesim.metrics import Normalizers
 from scalesim.planning import Policy
 from scalesim.runner import OUTPUT_FILES, run_scenario
@@ -418,6 +419,174 @@ class TestBuiltInCode:
         fixture = load_scenario(FIXTURES / "flash-sale-mas.scn")
         with pytest.raises(ValueError, match=rf"^field '{re.escape(key)}'"):
             _BROKEN_REPLACES[key](fixture)
+
+
+_H = "workload = heartbeat\ncontroller = hpa_ca\n"
+_M = "workload = heartbeat\ncontroller = mas_h2\n"
+_C = "workload = custom\ncontroller = hpa_ca\n"
+
+# Case -> (scenario text, the exact text of its rejection): every rejection a
+# parsed file can reach, from the entry-level errors through the value errors
+# and the file rules to each rule that ties knobs together.
+_PARSED_REJECTIONS = {
+    "syntax": ("workload = heartbeat\nnot a pair\n",
+               "line 2: expected 'key = value', got 'not a pair'"),
+    "empty-value": ("workload = heartbeat\nseed =\n", "line 2: empty key or value in 'seed ='"),
+    "duplicate-key": ("workload = heartbeat\nworkload = flash_sale\ncontroller = hpa_ca\n",
+                      "line 2: duplicate key 'workload' (first set on line 1)"),
+    "unknown-field": (_H + "turbo_mode = yes\n", "line 3: unknown field 'turbo_mode'"),
+    "unknown-grouped-field": (_H + "pool.a.speed = 3\n", "line 3: unknown field 'pool.a.speed'"),
+    "missing-top-field": ("workload = heartbeat\n", "line 1: missing required field 'controller'"),
+    "missing-phase-field": (_C + "phase.1.duration = 10\n",
+                            "line 3: missing required field 'phase.1.target_vus'"),
+    "unparsable-int": (_H + "seed = banana\n", "line 3: field 'seed': cannot parse 'banana' as int"),
+    "unparsable-bool": (
+        _C + "phase.1.duration = 10\nphase.1.target_vus = 5\nphase.1.noisy = maybe\n",
+        "line 5: field 'phase.1.noisy': cannot parse 'maybe' as bool"),
+    "unparsable-fraction": (
+        _H + "hpa.target_utilization = 1/0\n",
+        "line 3: field 'hpa.target_utilization': cannot parse '1/0' as Fraction"),
+    "non-finite-float": (_H + "vu_cost = inf\n",
+                         "line 3: field 'vu_cost': 'inf' is not a finite number"),
+    "unparsable-switch-time": (_M + "schedule.at.soon = PERFORMANCE\n",
+                               "line 3: field 'schedule.at.soon': cannot parse 'soon' as int"),
+    "switch-time-spelling": (_M + "schedule.at.+100 = PERFORMANCE\n",
+                             "line 3: field 'schedule.at.+100': write '+100' as '100'"),
+    "phase-number-spelling": (
+        _C + "phase.1.duration = 60\nphase.1.target_vus = 5\nphase.01.target_vus = 500\n",
+        "line 5: field 'phase.01.target_vus': write '01' as '1'"),
+    "out-of-range": (_H + "noise_amplitude = 1.5\n",
+                     "line 3: field 'noise_amplitude': 1.5 is out of range: must be >= 0 and < 1"),
+    "zero-pod-request": (_H + "pod_request = 0\n",
+                         "line 3: field 'pod_request': 0 is out of range: must be > 0"),
+    "not-a-choice": (
+        "workload = sine\ncontroller = hpa_ca\n",
+        "line 1: field 'workload': 'sine' is not one of heartbeat, flash_sale, custom"),
+    "other-out-of-range": (_H + "other.x = 0\n",
+                           "line 3: field 'other.x': 0 is out of range: must be > 0"),
+    "schedule-without-mas": (
+        "workload = heartbeat\npolicy.A.pool = baseline\nschedule.at.300 = A\n"
+        "schedule.at.100 = A\ncontroller = hpa_ca\n",
+        "line 3: field 'schedule.at.300': schedule.at entries require controller = mas_h2"),
+    "phases-without-custom": (
+        _H + "phase.2.duration = 60\nphase.1.duration = 60\nphase.1.target_vus = 10\n",
+        "line 3: field 'phase.2.duration': phase.N.* entries are only valid for workload = custom"),
+    "custom-pools-without-policies": (
+        _M + "pool.small.capacity = 4000\npool.large.capacity = 8000\n",
+        "line 3: field 'pool.small.capacity': policy.* entries are required when mas_h2 runs "
+        "on custom pools"),
+    "custom-without-phases": ("controller = hpa_ca\nworkload = custom\n",
+                              "line 2: field 'workload': custom requires phase.N.* entries"),
+    "undefined-policy-pool": (_M + "policy.FAST.pool = warp\n",
+                              "line 3: field 'policy.FAST.pool': undefined pool 'warp'"),
+    "undefined-default-policy": (_M + "schedule.default = TURBO\n",
+                                 "line 3: field 'schedule.default': undefined policy 'TURBO'"),
+    "undefined-switch-policy": (_M + "schedule.at.100 = TURBO\n",
+                                "line 3: field 'schedule.at.100': undefined policy 'TURBO'"),
+    "switch-before-run": (_M + "schedule.at.-5 = PERFORMANCE\n",
+                          "line 3: field 'schedule.at.-5': switch time -5 is before the run"),
+    "undefined-hpa-pool": (_H + "hpa.pool = warp\n",
+                           "line 3: field 'hpa.pool': undefined pool 'warp'"),
+    "hpa-min-above-max": (_H + "hpa.max_replicas = 3\nhpa.min_replicas = 5\n",
+                          "line 4: field 'hpa.min_replicas': 5 exceeds hpa.max_replicas (3)"),
+    "saturation-below-target": (
+        _H + "hpa.target_utilization = 1\nhpa.saturation_ceiling = 1\n",
+        "line 4: field 'hpa.saturation_ceiling': 1 must exceed hpa.target_utilization (1), "
+        "or the HPA never scales up"),
+    "weights-off-one": (
+        _M + "policy.BAD.pool = staging\npolicy.BAD.w_perf = 0.9\npolicy.BAD.w_cost = 0.9\n",
+        "line 4: field 'policy.BAD.w_perf': policy BAD: weights must sum to 1"),
+    "pod-request-over-capacity": (
+        _H + "pod_request = 1500\n",
+        "line 3: field 'pod_request': 1500m exceeds 'pool.baseline.capacity' (1000m)"),
+    "pod-request-over-hpa-pool": (
+        _H + "pool.big.capacity = 1000\npool.tiny.capacity = 100\nhpa.pool = tiny\n",
+        "line 4: field 'pod_request': 250m exceeds 'pool.tiny.capacity' (100m)"),
+    "other-over-capacity": (
+        _M + "other.big = 1500\n",
+        "line 3: field 'other.big': 1500m exceeds 'pool.staging.capacity' (1000m)"),
+    "other-is-workload": (_H + "other.web = 250\n",
+                          "line 3: field 'other.web': owner collides with managed workload id"),
+    "other-is-managed-pod": (
+        _H + "other.web-p1 = 100\n",
+        "line 3: field 'other.web-p1': owner collides with the id of a managed 'web' pod"),
+    "trace-overflows-vu-cost": (
+        _H + "vu_cost = 1e308\n",
+        "line 3: field 'vu_cost': the demand trace, VUs times vu_cost millicores, "
+        "overflows a float"),
+    "trace-overflows-target": (
+        _C + "phase.1.duration = 10\nphase.1.target_vus = " + "9" * 401 + "\n",
+        "line 4: field 'phase.1.target_vus': the demand trace, VUs times vu_cost millicores, "
+        "overflows a float"),
+    "duration-below-trace": (
+        _H + "duration = 100\n",
+        "line 3: field 'duration': 100 is shorter than the workload trace (780s)"),
+}
+
+# Case -> (a config built in code, or a replace(...) of the flash-sale-mas
+# fixture, that breaks a rule; the exact message and keys of its ConfigError).
+_BUILT_REJECTIONS = {
+    "duplicate-pool-id": (
+        lambda c: replace(c, pools=[*c.pools, PoolSpec("staging", capacity=4000)]),
+        "field 'pool.staging': pool id defined twice", ("pool.staging",)),
+    "repeated-switch-time": (
+        lambda c: StrategicSchedule("COST_SAVING", [(450, "PERFORMANCE"), (450, "COST_SAVING")]),
+        "field 'schedule.at.450': switch time 450 is given twice", ("schedule.at.450",)),
+    "hpa-min-above-max": (
+        lambda c: HpaConfig(min_replicas=5, max_replicas=3),
+        "field 'hpa.min_replicas': 5 exceeds hpa.max_replicas (3)",
+        ("hpa.min_replicas", "hpa.max_replicas")),
+    "weights-off-one": (
+        lambda c: Policy("BAD", "staging", w_perf=0.9, w_cost=0.9),
+        "field 'policy.BAD.w_perf': policy BAD: weights must sum to 1",
+        ("policy.BAD.w_perf", "policy.BAD.w_cost")),
+    "duration-below-trace": (
+        lambda c: replace(c, duration=100),
+        "field 'duration': 100 is shorter than the workload trace (900s)", ("duration",)),
+    "other-out-of-range": (
+        lambda c: replace(c, other_requests={"x": 0}),
+        "field 'other.x': 0 is out of range: must be > 0", ("other.x",)),
+}
+
+
+class TestRejections:
+    """The exact text of every rejection, and the line a parsed file reports."""
+
+    @pytest.mark.parametrize("case", list(_PARSED_REJECTIONS))
+    def test_parsed_rejection_text_and_line(self, case):
+        text, message = _PARSED_REJECTIONS[case]
+        with pytest.raises(ScenarioError) as caught:
+            parse_scenario_text(text, "x")
+        assert str(caught.value) == message
+        assert caught.value.line == int(message.split(":")[0].removeprefix("line "))
+
+    @pytest.mark.parametrize("case", list(_BUILT_REJECTIONS))
+    def test_built_rejection_message_and_keys(self, case):
+        build, message, keys = _BUILT_REJECTIONS[case]
+        fixture = load_scenario(FIXTURES / "flash-sale-mas.scn")
+        with pytest.raises(ConfigError) as caught:
+            build(fixture)
+        assert (str(caught.value), caught.value.keys) == (message, keys)
+
+    def test_only_config_error_writes_the_field_prefix(self):
+        # Every "field '<key>': ..." message comes from ConfigError, so no
+        # other module types the prefix. An f-string is read with "{" for
+        # each replacement field.
+        offenders = []
+        for path in sorted((ROOT / "src" / "scalesim").glob("*.py")):
+            if path.name == "errors.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.JoinedStr):
+                    text = "".join(v.value if isinstance(v, ast.Constant) else "{"
+                                   for v in node.values)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    text = node.value
+                else:
+                    continue
+                if re.match(r"fields? ['{]", text):
+                    offenders.append(f"{path.name}:{node.lineno}: {text}")
+        assert offenders == []
 
 
 class TestDocs:
