@@ -122,7 +122,7 @@ class HpaConfig:
     pool: str = knob("")                    # "" -> the scenario's first pool
 
     def __post_init__(self) -> None:
-        check_knobs(self)
+        check_knobs(self, "hpa.")
         if self.min_replicas > self.max_replicas:
             raise ConfigError("hpa.min_replicas", f"{self.min_replicas} exceeds "
                               f"hpa.max_replicas ({self.max_replicas})", "hpa.max_replicas")
@@ -145,7 +145,7 @@ class MasConfig:
     period_min_correlation: float = knob(0.5, ge=-1, le=1)   # a Pearson threshold
 
     def __post_init__(self) -> None:
-        check_knobs(self)
+        check_knobs(self, "mas.")
 
 
 def _release(state: ClusterState, pending: list[Pod], bound: Iterable[Pod],
@@ -467,10 +467,9 @@ class ReactiveController:
 
     name = "hpa_ca"
 
-    def __init__(self, trace: DemandTrace, pod_request: int, pool_id: str, config: HpaConfig):
+    def __init__(self, trace: DemandTrace, pod_request: int, config: HpaConfig):
         self.trace = trace
         self.pod_request = pod_request
-        self.pool_id = pool_id
         self.config = config
         self.desired = 0
         self.completed_migrations: list[dict] = []
@@ -479,10 +478,10 @@ class ReactiveController:
 
     @classmethod
     def from_config(cls, config: ScenarioConfig, trace: DemandTrace) -> ReactiveController:
-        return cls(trace, config.pod_request, config.hpa.pool, config.hpa)
+        return cls(trace, config.pod_request, config.hpa)
 
     def initial(self, replicas: int | None) -> tuple[str, int]:
-        return self.pool_id, self.config.min_replicas if replicas is None else replicas
+        return self.config.pool, self.config.min_replicas if replicas is None else replicas
 
     def tick_times(self, duration: int) -> range:
         return range(0, duration, self.config.tick_interval)
@@ -540,7 +539,7 @@ class ReactiveController:
         """Add or remove a node when due, appending to `actions`; returns the
         decision-log record."""
         cfg = self.config
-        pool = state.pools[self.pool_id]
+        pool = state.pools[cfg.pool]
         record: dict = {}
 
         # Pending longer than the trigger delay, from the oldest pending pod.
@@ -549,8 +548,8 @@ class ReactiveController:
             now - min(p.pending_since for p in pending.values()) > cfg.ca_trigger_delay)
         if overdue and not any(n.state is PROVISIONING for n in pool.nodes):
             # One node at a time; wait for in-flight capacity before adding more.
-            state.resize_pool(self.pool_id, len(pool.nodes) + 1)
-            actions.append(("nodes", self.pool_id, 1))
+            state.resize_pool(cfg.pool, len(pool.nodes) + 1)
+            actions.append(("nodes", cfg.pool, 1))
             record["added_node"] = True
 
         old = self._empty_since
@@ -559,8 +558,8 @@ class ReactiveController:
         idle_expired = any(now - since > cfg.ca_idle_delay for since in self._empty_since.values())
         if idle_expired and len(pool.nodes) > 1:
             # Shrink by one; the resize victim rule picks an empty node.
-            state.resize_pool(self.pool_id, len(pool.nodes) - 1)
-            actions.append(("nodes", self.pool_id, -1))
+            state.resize_pool(cfg.pool, len(pool.nodes) - 1)
+            actions.append(("nodes", cfg.pool, -1))
             record["removed_idle_node"] = True
         return record
 

@@ -2,15 +2,18 @@
 
 A knob is declared once, on the field that holds it: the annotation is its
 type, the field default is its default (a knob without one is required), and
-the metadata holds its allowed range. The scenario parser and check_knobs
-both read these declarations.
+the metadata holds its allowed range. The scenario parser reads the types and
+defaults; check_knobs, called by each declaring class, checks the values.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import typing
 from dataclasses import MISSING, Field, dataclass, field, fields
+
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,13 @@ def declared(cls: type) -> dict[str, tuple[type, object, Range]]:
     return out
 
 
-def check_knobs(obj) -> None:
-    """Raise ValueError naming the first knob of `obj` that is out of range."""
+def check_knobs(obj, prefix: str) -> None:
+    """Raise ConfigError, keyed `prefix` + field name, for the first knob of
+    `obj` that is a non-finite float or out of its range."""
     for name, (_, _, allowed) in declared(type(obj)).items():
-        problem = allowed.problem(getattr(obj, name))
+        value = getattr(obj, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(prefix + name, f"{str(value)!r} is not a finite number")
+        problem = allowed.problem(value)
         if problem is not None:
-            raise ValueError(f"{name}: {problem}")
+            raise ConfigError(prefix + name, problem)

@@ -28,7 +28,7 @@ class Normalizers:
     cost_scale: float = knob(5.0, gt=0)   # units/second that count as "full" cost pressure
 
     def __post_init__(self) -> None:
-        check_knobs(self)
+        check_knobs(self, "")
 
 
 # One per sample, so slotted: smaller, and quicker to build and read.

@@ -23,7 +23,7 @@ class Policy:
     w_cost: float | None = knob(None, ge=0, le=1)   # None -> 1 - w_perf (both unset: 0.5)
 
     def __post_init__(self) -> None:
-        check_knobs(self)
+        check_knobs(self, f"policy.{self.name}.")
         if self.w_perf is None:
             self.w_perf = 0.5 if self.w_cost is None else round(1.0 - self.w_cost, 9)
         if self.w_cost is None:

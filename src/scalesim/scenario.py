@@ -2,10 +2,10 @@
 
 Every key is a knob declared once, on the dataclass field that holds it, with
 its type, default and allowed range (see knobs.py); KNOBS lists them all.
-The parser reads, converts and range-checks each value and rejects unknown
-keys. ScenarioConfig fills in the remaining defaults and checks the rules that
-tie knobs together, so a config built or replaced in code gets them too. A
-rejected value or rule is a ConfigError naming its keys, reported at the line
+The parser only reads and converts values and rejects unknown keys. The class
+that declares a knob checks its value, and ScenarioConfig fills in defaults and
+checks the rules that tie knobs together, for a file and code alike. A rejected
+value or rule is a ConfigError naming its scenario keys, reported at the line
 of the first one a file sets. docs/scenario-format.md has an annotated example.
 """
 
@@ -41,7 +41,7 @@ class PoolSpec:
     initial_nodes: int = knob(0, ge=0)
 
     def __post_init__(self) -> None:
-        check_knobs(self)
+        check_knobs(self, f"pool.{self.pool_id}.")
 
 
 @dataclass
@@ -71,7 +71,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         """Fill in what is left unset, then check the rules that tie knobs
         together, for a parsed config and one built in code alike."""
-        check_knobs(self)
+        check_knobs(self, "")
         if self.workload == "custom":
             if not self.phases:
                 raise ConfigError("workload", "custom requires phase.N.* entries")
@@ -185,9 +185,9 @@ def _check(config: ScenarioConfig) -> None:
         trace_len = config.build_trace().duration
     except OverflowError:
         # A target beyond every float overflows at any VU cost; short of
-        # that, the VU cost does. A parsed phase N is named phase-N.
-        huge = [p.name for p in config.phases if p.target_vus > sys.float_info.max]
-        key = f"phase.{huge[0].removeprefix('phase-')}.target_vus" if huge else "vu_cost"
+        # that, the VU cost does.
+        huge = [p.prefix for p in config.phases if p.target_vus > sys.float_info.max]
+        key = huge[0] + "target_vus" if huge else "vu_cost"
         raise ConfigError(key, "the demand trace, VUs times vu_cost millicores, "
                                "overflows a float") from None
     if config.duration is not None and config.duration < trace_len:
@@ -205,12 +205,9 @@ def _convert(raw: str, typ, key: str):
             if raw.lower() in ("false", "no", "0"):
                 return False
             raise ValueError(raw)
-        value = typ(raw)
+        return typ(raw)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(key, f"cannot parse {raw!r} as {typ.__name__}")
-    if typ is float and not math.isfinite(value):
-        raise ConfigError(key, f"{raw!r} is not a finite number")
-    return value
 
 
 def _key_number(part: str, key: str) -> int:
@@ -220,18 +217,6 @@ def _key_number(part: str, key: str) -> int:
     if str(number) != part:
         raise ConfigError(key, f"write {part!r} as {str(number)!r}")
     return number
-
-
-def _knob_value(key: str, template: str, raw: str, line: int):
-    """The value of `key`, converted to its knob's type and range-checked."""
-    if template not in KNOBS:
-        raise ScenarioError(f"unknown field {key!r}", line)
-    typ, _, allowed = KNOBS[template]
-    value = _convert(raw, typ, key)
-    problem = allowed.problem(value)
-    if problem is not None:
-        raise ConfigError(key, problem)
-    return value
 
 
 def _read_entries(text: str) -> dict[str, tuple[str, int]]:
@@ -278,7 +263,9 @@ def _build_config(entries: dict[str, tuple[str, int]], scenario_id: str) -> Scen
         else:
             grouped = parts[0] in _GROUPED and len(parts) > 1
             template = ".".join([parts[0], "*", *parts[2:]]) if grouped else key
-            value = _knob_value(key, template, raw, line)
+            if template not in KNOBS:
+                raise ScenarioError(f"unknown field {key!r}", line)
+            value = _convert(raw, KNOBS[template][0], key)
             group = parts[1] if grouped else ""
             if parts[0] == "other":
                 other[group] = value
@@ -303,12 +290,13 @@ def _build_config(entries: dict[str, tuple[str, int]], scenario_id: str) -> Scen
 
     top = knobs_of(ScenarioConfig, "")
     # Rules about what the file says, each naming the first key of its group;
-    # the rules that tie knobs together belong to ScenarioConfig.
+    # the rules that tie knobs together belong to ScenarioConfig. A controller
+    # or workload that is not a choice breaks none, so ScenarioConfig names it.
     pool_ids = values["pool.*."].keys()
     file_rules = [
-        ("schedule.at.", schedule_entries and top["controller"] != "mas_h2",
+        ("schedule.at.", schedule_entries and top["controller"] in set(CONTROLLERS) - {"mas_h2"},
          "schedule.at entries require controller = mas_h2"),
-        ("phase.", values["phase.*."] and top["workload"] != "custom",
+        ("phase.", values["phase.*."] and top["workload"] in NAMED_WORKLOADS,
          "phase.N.* entries are only valid for workload = custom"),
         ("pool.", pool_ids and top["controller"] == "mas_h2" and not values["policy.*."]
          and not {"staging", "performance"} <= pool_ids,

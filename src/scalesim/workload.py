@@ -25,7 +25,12 @@ class WorkloadPhase:
     noisy: bool = knob(False)                     # apply noise_amplitude inside this phase
 
     def __post_init__(self) -> None:
-        check_knobs(self)
+        check_knobs(self, self.prefix)
+
+    @property
+    def prefix(self) -> str:
+        """Its knobs' scenario-key prefix: parsed phase N is named phase-N."""
+        return f"phase.{self.name.removeprefix('phase-')}."
 
 
 @dataclass

@@ -74,11 +74,10 @@ def start_running(state, workload, count, request=250):
 
 
 def make_hpa(trace, state, **overrides):
-    cfg = HpaConfig(**overrides)
+    cfg = HpaConfig(pool="baseline", **overrides)
     return ReactiveController(
         trace=trace,
         pod_request=250,
-        pool_id="baseline",
         config=cfg,
     )
 

@@ -1,6 +1,7 @@
 """Scenario parsing, validation, and defaulting."""
 
 import ast
+import math
 import re
 from dataclasses import MISSING, replace
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 
 from scalesim.control import HpaConfig, MasConfig, StrategicSchedule
 from scalesim.errors import ConfigError, ScenarioError
+from scalesim.knobs import declared
 from scalesim.metrics import Normalizers
 from scalesim.planning import Policy
 from scalesim.runner import OUTPUT_FILES, run_scenario
@@ -134,16 +136,17 @@ class TestParsing:
         assert config.workload == "heartbeat"
 
 
-# Knob class -> (a knob, a build of the class with that knob out of range).
+# Knob class -> (the scenario key of a knob, a build of the class with that
+# knob out of range).
 _OUT_OF_RANGE = {
     ScenarioConfig: ("sampling_interval",
                      lambda: ScenarioConfig("s", "heartbeat", "mas_h2", sampling_interval=0)),
     Normalizers: ("cost_scale", lambda: Normalizers(cost_scale=0)),
-    MasConfig: ("control_interval", lambda: MasConfig(control_interval=0)),
-    HpaConfig: ("saturation_ceiling", lambda: HpaConfig(saturation_ceiling=Fraction(1, 2))),
-    PoolSpec: ("provisioning_delay", lambda: PoolSpec("p", provisioning_delay=-5)),
-    Policy: ("min_replicas", lambda: Policy("P", "p", min_replicas=0)),
-    WorkloadPhase: ("duration", lambda: WorkloadPhase("b", -50, 10)),
+    MasConfig: ("mas.control_interval", lambda: MasConfig(control_interval=0)),
+    HpaConfig: ("hpa.saturation_ceiling", lambda: HpaConfig(saturation_ceiling=Fraction(1, 2))),
+    PoolSpec: ("pool.p.provisioning_delay", lambda: PoolSpec("p", provisioning_delay=-5)),
+    Policy: ("policy.P.min_replicas", lambda: Policy("P", "p", min_replicas=0)),
+    WorkloadPhase: ("phase.b.duration", lambda: WorkloadPhase("b", -50, 10)),
 }
 
 
@@ -151,10 +154,12 @@ class TestValidation:
     @pytest.mark.parametrize("cls", [cls for classes in _SECTIONS.values() for cls in classes],
                              ids=lambda cls: cls.__name__)
     def test_knob_class_checks_its_range(self, cls):
-        # Built in code, not parsed: the class itself names the field.
-        name, build = _OUT_OF_RANGE[cls]
-        with pytest.raises(ValueError, match=rf"^{name}: "):
+        # Built in code, not parsed: the class itself names the knob by its
+        # full scenario key.
+        key, build = _OUT_OF_RANGE[cls]
+        with pytest.raises(ConfigError, match=rf"^field '{re.escape(key)}': ") as caught:
             build()
+        assert caught.value.keys == (key,)
 
     def test_pod_request_exceeding_capacity(self):
         text = (
@@ -464,6 +469,12 @@ _PARSED_REJECTIONS = {
         "line 1: field 'workload': 'sine' is not one of heartbeat, flash_sale, custom"),
     "other-out-of-range": (_H + "other.x = 0\n",
                            "line 3: field 'other.x': 0 is out of range: must be > 0"),
+    "not-a-choice-beside-a-switch": (
+        "workload = heartbeat\ncontroller = magic\nschedule.at.5 = A\n",
+        "line 2: field 'controller': 'magic' is not one of mas_h2, hpa_ca"),
+    "not-a-choice-beside-phases": (
+        "workload = sine\ncontroller = hpa_ca\nphase.1.duration = 60\nphase.1.target_vus = 10\n",
+        "line 1: field 'workload': 'sine' is not one of heartbeat, flash_sale, custom"),
     "schedule-without-mas": (
         "workload = heartbeat\npolicy.A.pool = baseline\nschedule.at.300 = A\n"
         "schedule.at.100 = A\ncontroller = hpa_ca\n",
@@ -546,6 +557,13 @@ _BUILT_REJECTIONS = {
     "other-out-of-range": (
         lambda c: replace(c, other_requests={"x": 0}),
         "field 'other.x': 0 is out of range: must be > 0", ("other.x",)),
+    "pool-knob-out-of-range": (
+        lambda c: replace(c, pools=[replace(c.pools[0], capacity=0), c.pools[1]]),
+        "field 'pool.staging.capacity': 0 is out of range: must be > 0",
+        ("pool.staging.capacity",)),
+    "non-finite-vu-cost": (
+        lambda c: replace(c, vu_cost=float("inf")),
+        "field 'vu_cost': 'inf' is not a finite number", ("vu_cost",)),
 }
 
 
@@ -587,6 +605,84 @@ class TestRejections:
                 if re.match(r"fields? ['{]", text):
                     offenders.append(f"{path.name}:{node.lineno}: {text}")
         assert offenders == []
+
+
+# A valid scenario that sets a group in every grouped section, as key -> value.
+_BASE = {
+    "workload": "custom",
+    "controller": "hpa_ca",
+    "phase.1.duration": "60",
+    "phase.1.target_vus": "10",
+    "policy.BASELINE.pool": "baseline",
+}
+_GROUPS = {"pool": "baseline", "policy": "BASELINE", "phase": "1", "other": "x"}
+
+
+def _past_bounds():
+    """(scenario key, value, its rejection) for every knob with a bound or
+    choices: a value just past each bound, one that is no choice, and inf
+    for a float knob."""
+    for template, (typ, _, allowed) in KNOBS.items():
+        section, *rest = template.split(".")
+        key = ".".join([section, _GROUPS[section], *rest[1:]]) if rest[:1] == ["*"] else template
+        values = ["bogus"] if allowed.choices is not None else []
+        for side, step in (("ge", -1), ("gt", 0), ("le", 1), ("lt", 0)):
+            bound = getattr(allowed, side)
+            if bound is None:
+                continue
+            if step == 0 or typ is int:
+                values.append(typ(bound) + step)
+            elif typ is float:
+                values.append(math.nextafter(float(bound), step * math.inf))
+            else:
+                values.append(typ(bound) + Fraction(step, 1000))
+        for value in values:
+            problem = allowed.problem(value)
+            assert problem is not None, (key, value)
+            yield pytest.param(key, value, f"field {key!r}: {problem}", id=f"{key}={value}")
+        if typ is float:
+            yield pytest.param(key, math.inf, f"field {key!r}: 'inf' is not a finite number",
+                               id=f"{key}=inf")
+
+
+def _set_in_code(config: ScenarioConfig, key: str, value) -> ScenarioConfig:
+    """`config` with the knob `key` set to `value` by replace(...)."""
+    section, _, name = key.rpartition(".")
+    kw = {name: value}
+    if section == "":
+        if name in declared(Normalizers):
+            return replace(config, normalizers=replace(config.normalizers, **kw))
+        return replace(config, **kw)
+    if section in ("mas", "hpa"):
+        return replace(config, **{section: replace(getattr(config, section), **kw)})
+    if section == "other":
+        return replace(config, other_requests={name: value})
+    group = section.split(".")[0]
+    if group == "pool":
+        return replace(config, pools=[replace(config.pools[0], **kw)])
+    if group == "policy":
+        return replace(config, policies={"BASELINE": replace(config.policies["BASELINE"], **kw)})
+    return replace(config, phases=[replace(config.phases[0], **kw)])
+
+
+class TestOneCheckPerKnob:
+    """A knob's own check rejects a value the same way, naming its scenario
+    key, whether the value comes from a file or from code."""
+
+    @pytest.mark.parametrize("key, value, message", list(_past_bounds()))
+    def test_parsed_value_past_its_bound(self, key, value, message):
+        entries = {**_BASE, key: str(value)}
+        line = list(entries).index(key) + 1
+        with pytest.raises(ScenarioError) as caught:
+            parse_scenario_text("".join(f"{k} = {v}\n" for k, v in entries.items()), "x")
+        assert (str(caught.value), caught.value.line) == (f"line {line}: {message}", line)
+
+    @pytest.mark.parametrize("key, value, message", list(_past_bounds()))
+    def test_value_past_its_bound_set_in_code(self, key, value, message):
+        config = parse_scenario_text("".join(f"{k} = {v}\n" for k, v in _BASE.items()), "x")
+        with pytest.raises(ConfigError) as caught:
+            _set_in_code(config, key, value)
+        assert (str(caught.value), caught.value.keys) == (message, (key,))
 
 
 class TestDocs:
